@@ -1,25 +1,22 @@
-//! Parallel sharded ingest benchmark (DESIGN.md §7): the
-//! [`ParallelIngest`] pipeline over the shared atomic arena vs. the
+//! Owner-sharded ingest benchmark (DESIGN.md §11): the
+//! [`ShardedIngest`] engine over the atomic arena vs. the
 //! single-threaded slot-grouped `ingest_batch` baseline, on the same
 //! R-MAT (GTGraph) traffic stream and build parameters as
 //! `backend_micro`.
 //!
-//! The pipeline's win has two independent components: worker parallelism
-//! (one staging/sort pass per worker) and duplicate coalescing (each
-//! distinct key in a chunk costs `d` hash evaluations and `d` atomic
-//! RMWs once, however often it arrived). The thread sweep below
-//! separates them — `parallel/1t` isolates the coalescing gain,
-//! `parallel/{2,4,8}t` add core scaling on top. The `sharded/{1,2,4,8}t`
-//! sweep runs the same stream through the owner-sharded engine
-//! ([`ShardedIngest`], DESIGN.md §11), whose commit path is plain
-//! load/store into exclusively-owned arena slices instead of atomic
-//! RMWs. Each sweep row carries a `scaling_ratio` (throughput relative
-//! to that engine's own 1-worker row) and a `clamped` annotation when
-//! the host clamped a multi-worker request down to one worker, so the
-//! trajectory never claims core scaling that did not run. Results are
-//! appended to `BENCH_ingest.json`.
+//! The engine's win has two independent components: owner parallelism
+//! (scatter by router slot, plain-store commits into exclusively-owned
+//! arena slices) and duplicate coalescing (each distinct key in a
+//! combiner residency costs `d` hash evaluations once, however often it
+//! arrived). The owner sweep below separates them — `sharded/1t` (the
+//! fused no-spawn path) isolates the coalescing gain, `sharded/{2,4,8}t`
+//! add core scaling on top. Each sweep row carries a `scaling_ratio`
+//! (throughput relative to the 1-owner row); a request the host clamps
+//! to fewer workers is skipped, so the trajectory never records core
+//! scaling that did not run. Results are appended to
+//! `BENCH_ingest.json`.
 
-use gsketch::{ConcurrentGSketch, EdgeSink, GSketch, ParallelIngest, ShardedIngest};
+use gsketch::{ConcurrentGSketch, EdgeSink, GSketch, ShardedIngest};
 use gsketch_bench::trajectory::{rate_of, record_section, Throughput};
 use gsketch_bench::{experiment_scale, Bundle, Dataset, EXPERIMENT_SEED};
 use serde::Value;
@@ -83,7 +80,7 @@ fn main() {
 
     // Single-thread sequential baseline: the slot-grouped batched path
     // the previous trajectory tracked, re-measured on this machine so
-    // the parallel rows below are compared apples-to-apples.
+    // the sharded rows below are compared apples-to-apples.
     {
         let mut last = base.clone();
         let mut rates = Vec::new();
@@ -107,59 +104,26 @@ fn main() {
         ));
     }
 
-    // Thread sweeps for both engines. The row name carries the
-    // *requested* count; the `threads` field records the workers the
-    // pipeline actually spawned (clamped to available cores) and
-    // `clamped` marks rows where a multi-worker request ran on one, so
-    // the trajectory never claims parallelism that did not run.
-    let mut parallel_1t = f64::NAN;
-    for threads in [1usize, 2, 4, 8] {
-        let mut rates = Vec::new();
-        let mut last = None;
-        let mut workers = 1usize;
-        for pass in 0..=RUNS {
-            let mut concurrent = ConcurrentGSketch::from_gsketch(base.clone());
-            let rate = rate_of(bundle.stream.len() as u64, || {
-                let report = ParallelIngest::new_exclusive(&mut concurrent, threads)
-                    .chunk_capacity(CHUNK)
-                    .run_slice(&bundle.stream);
-                workers = report.workers;
-            });
-            if pass > 0 {
-                rates.push(rate);
-            }
-            last = Some(concurrent);
-        }
-        let thawed = last.expect("at least one pass ran").into_gsketch();
-        let estimates = measure_estimates(&thawed);
-        let updates = median(rates);
-        if threads == 1 {
-            parallel_1t = updates;
-        }
-        results.push(Throughput {
-            name: format!("parallel/{threads}t"),
-            threads: workers,
-            updates_per_sec: updates,
-            estimates_per_sec: estimates,
-            scaling_ratio: Some(updates / parallel_1t),
-            clamped: threads > 1 && workers == 1,
-        });
-    }
-
     // Owner-sharded engine sweep (DESIGN.md §11): scatter by router
     // slot, SPSC handoff, plain-store commits into owned arena slices.
+    // A request the host would clamp to fewer workers measures nothing
+    // the row name claims, so it is not recorded.
     let mut sharded_1t = f64::NAN;
     for threads in [1usize, 2, 4, 8] {
+        let mut probe = ConcurrentGSketch::from_gsketch(base.clone());
+        let workers = ShardedIngest::new(&mut probe, threads).effective_owners();
+        if workers < threads {
+            println!("sharded/{threads}t: not recorded (clamped to {workers} worker(s))");
+            continue;
+        }
         let mut rates = Vec::new();
         let mut last = None;
-        let mut workers = 1usize;
         for pass in 0..=RUNS {
             let mut concurrent = ConcurrentGSketch::from_gsketch(base.clone());
             let rate = rate_of(bundle.stream.len() as u64, || {
-                let report = ShardedIngest::new(&mut concurrent, threads)
+                ShardedIngest::new(&mut concurrent, threads)
                     .chunk_capacity(CHUNK)
                     .run_slice(&bundle.stream);
-                workers = report.workers;
             });
             if pass > 0 {
                 rates.push(rate);
@@ -178,7 +142,6 @@ fn main() {
             updates_per_sec: updates,
             estimates_per_sec: estimates,
             scaling_ratio: Some(updates / sharded_1t),
-            clamped: threads > 1 && workers == 1,
         });
     }
 
@@ -187,29 +150,20 @@ fn main() {
             .scaling_ratio
             .map(|r| format!(" x{r:.2} vs 1t"))
             .unwrap_or_default();
-        let clamp = if t.clamped {
-            " [clamped to 1 worker]"
-        } else {
-            ""
-        };
         println!(
-            "{:<18} workers={} {:>14.0} updates/s {:>14.0} estimates/s{}{}",
-            t.name, t.threads, t.updates_per_sec, t.estimates_per_sec, ratio, clamp
+            "{:<18} workers={} {:>14.0} updates/s {:>14.0} estimates/s{}",
+            t.name, t.threads, t.updates_per_sec, t.estimates_per_sec, ratio
         );
     }
     let baseline = results[0].updates_per_sec;
     let best = results
         .iter()
-        .filter(|t| t.name.starts_with("parallel/"))
+        .filter(|t| t.name.starts_with("sharded/"))
         .map(|t| t.updates_per_sec)
         .fold(0.0, f64::max);
     println!(
-        "parallel pipeline speedup over single-thread batched baseline: {:.2}x",
+        "owner-sharded speedup over single-thread batched baseline: {:.2}x",
         best / baseline
-    );
-    println!(
-        "owner-sharded fused path over parallel/1t: {:.2}x",
-        sharded_1t / parallel_1t
     );
 
     record_section(

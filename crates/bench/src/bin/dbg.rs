@@ -2,10 +2,6 @@
 //!
 //! * `dbg [scale]` — accuracy sweep of gSketch vs. the global baseline
 //!   over the three datasets (the historical behaviour).
-//! * `dbg --threads N [--arrivals M]` — parallel-ingest smoke: generate a
-//!   small R-MAT traffic stream, drive it through [`ParallelIngest`] with
-//!   `N` workers, and verify against a sequential ingest of the same
-//!   stream. Exits non-zero on any mismatch — a CI smoke step.
 //! * `dbg --shard-smoke N [--arrivals M]` — owner-sharded smoke: drive
 //!   the stream through `ShardedIngest` with `N` real (oversubscribed)
 //!   owners and bit-compare against sequential ingest; check the
@@ -34,56 +30,13 @@
 
 use gsketch::{
     evaluate_edge_queries, ConcurrentGSketch, EdgeEstimator, EdgeSink, GSketch, GlobalSketch,
-    ParallelIngest, ParallelQuery, ReplayEngine, SketchId, DEFAULT_G0,
+    ParallelQuery, ReplayEngine, SketchId, DEFAULT_G0,
 };
 use gsketch_bench::harness::calibration_probe;
 use gsketch_bench::*;
 use gstream::gen::{RmatTrafficConfig, RmatTrafficGenerator};
-use gstream::SliceSource;
 
 const DEPTH: usize = 1;
-
-fn smoke_parallel(threads: usize, arrivals: usize) {
-    let mut cfg = RmatTrafficConfig::gtgraph(10, (arrivals / 4).max(100), arrivals, 11);
-    cfg.activity_alpha = 1.2;
-    let stream: Vec<_> = RmatTrafficGenerator::new(cfg).generate();
-    let sample = &stream[..stream.len() / 20];
-    let builder = GSketch::builder()
-        .memory_bytes(256 << 10)
-        .depth(3)
-        .min_width(64)
-        .sample_rate(0.05)
-        .seed(7);
-
-    let mut serial = builder.build_from_sample(sample).expect("valid build");
-    serial.ingest(&stream);
-
-    let concurrent =
-        ConcurrentGSketch::from_gsketch(builder.build_from_sample(sample).expect("valid build"));
-    let report = ParallelIngest::new(&concurrent, threads)
-        .chunk_capacity(1 << 14)
-        .run(&mut SliceSource::new(&stream));
-    println!(
-        "parallel smoke: {} arrivals, {} requested threads ({} workers after core clamp), {} chunks",
-        report.arrivals, threads, report.workers, report.chunks
-    );
-    assert_eq!(report.arrivals as usize, stream.len(), "arrivals lost");
-    assert_eq!(
-        concurrent.total_weight(),
-        serial.total_weight(),
-        "weight not conserved"
-    );
-    let parallel = concurrent.into_gsketch();
-    for se in &stream {
-        assert_eq!(
-            parallel.estimate(se.edge),
-            serial.estimate(se.edge),
-            "estimate mismatch on {}",
-            se.edge
-        );
-    }
-    println!("parallel smoke: estimates bit-identical to sequential ingest — OK");
-}
 
 /// Owner-sharded smoke (DESIGN.md §11): drive the same stream through
 /// [`gsketch::ShardedIngest`] with `N` real (oversubscribed) owners and
@@ -632,10 +585,6 @@ fn main() {
     }
     if let Some(threads) = flag("--shard-smoke") {
         smoke_sharded(threads.max(1), flag("--arrivals").unwrap_or(200_000));
-        return;
-    }
-    if let Some(threads) = flag("--threads") {
-        smoke_parallel(threads.max(1), flag("--arrivals").unwrap_or(200_000));
         return;
     }
 

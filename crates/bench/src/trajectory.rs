@@ -36,8 +36,7 @@ pub const SCHEMA: u64 = 1;
 pub struct Throughput {
     /// Configuration label, e.g. `"cm-arena/batched"`.
     pub name: String,
-    /// Ingest worker threads that actually ran for this row (the
-    /// pipeline clamps requests to available cores; 1 = sequential).
+    /// Ingest worker threads that ran for this row (1 = sequential).
     pub threads: usize,
     /// Ingested stream updates per second.
     pub updates_per_sec: f64,
@@ -47,10 +46,6 @@ pub struct Throughput {
     /// sweeps (`None` for rows that are not part of a sweep). Serialized
     /// only when present so historical sections keep their exact shape.
     pub scaling_ratio: Option<f64>,
-    /// `true` when the pipeline clamped the requested worker count down
-    /// to one (single-core host): the row then measures the fused
-    /// no-spawn path, not cross-core scaling. Serialized only when set.
-    pub clamped: bool,
 }
 
 impl Throughput {
@@ -66,7 +61,6 @@ impl Throughput {
             updates_per_sec,
             estimates_per_sec,
             scaling_ratio: None,
-            clamped: false,
         }
     }
 }
@@ -91,8 +85,8 @@ fn get_mut<'a>(entries: &'a mut [(String, Value)], key: &str) -> Option<&'a mut 
     entries.iter_mut().find(|(k, _)| k == key).map(|(_, v)| v)
 }
 
-/// Serialize one result row. Sweep annotations (`scaling_ratio`,
-/// `clamped`) are emitted only when set, so sections that never sweep
+/// Serialize one result row. The sweep annotation (`scaling_ratio`) is
+/// emitted only when set, so sections that never sweep
 /// keep the exact four-key shape earlier trajectory files recorded.
 fn row_value(t: &Throughput) -> Value {
     let mut row = vec![
@@ -106,9 +100,6 @@ fn row_value(t: &Throughput) -> Value {
     ];
     if let Some(ratio) = t.scaling_ratio {
         row.push(("scaling_ratio".to_owned(), Value::F64(ratio)));
-    }
-    if t.clamped {
-        row.push(("clamped".to_owned(), Value::Bool(true)));
     }
     Value::Map(row)
 }
@@ -200,20 +191,17 @@ mod tests {
     fn sweep_annotations_serialize_only_when_set() {
         let sweep = Throughput {
             name: "sharded/4t".into(),
-            threads: 1,
+            threads: 4,
             updates_per_sec: 1.0e6,
             estimates_per_sec: 2.0e6,
             scaling_ratio: Some(1.0),
-            clamped: true,
         };
         let sweep_json = serde_json::to_string(&Raw(row_value(&sweep))).unwrap();
         assert!(sweep_json.contains("\"scaling_ratio\""));
-        assert!(sweep_json.contains("\"clamped\""));
 
         let plain = Throughput::sequential("cm-arena/batched", 1.0e6, 2.0e6);
         let plain_json = serde_json::to_string(&Raw(row_value(&plain))).unwrap();
         assert!(!plain_json.contains("scaling_ratio"));
-        assert!(!plain_json.contains("clamped"));
     }
 
     #[test]

@@ -178,8 +178,9 @@ impl crate::replay::WriteLocalized for ConcurrentGSketch {
     }
 }
 
-/// The routing view shared by both pipelines and the slot-routed query
-/// path: the read-only router over the arena's flat slot space.
+/// The routing view shared by the sharded ingest engine and the
+/// slot-routed query path: the read-only router over the arena's flat
+/// slot space.
 impl SlotRouted for ConcurrentGSketch {
     fn num_slots(&self) -> usize {
         self.bank.num_slots()
@@ -191,17 +192,9 @@ impl SlotRouted for ConcurrentGSketch {
     }
 }
 
-/// The pipeline-facing surface: route by source vertex, commit key-sorted
+/// The engine-facing surface: route by source vertex, commit key-sorted
 /// runs straight into the atomic arena's slot spans.
 impl SlotSink for ConcurrentGSketch {
-    #[inline]
-    fn commit_run(&self, slot: u32, sorted_run: &[(u64, u64)]) {
-        if let Some(f) = &self.filter {
-            f.insert_run(slot, sorted_run);
-        }
-        self.bank.add_batch_saturating(slot, sorted_run);
-    }
-
     #[inline]
     fn commit_run_exclusive(&self, slot: u32, sorted_run: &[(u64, u64)]) {
         if let Some(f) = &self.filter {

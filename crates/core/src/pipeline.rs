@@ -1,86 +1,62 @@
-//! The parallel sharded ingest pipeline (DESIGN.md §7).
+//! The owner-sharded ingest engine (DESIGN.md §11).
 //!
-//! `ConcurrentGSketch` has accepted concurrent callers since the arena
-//! refactor, but nothing in the repo actually *fanned a stream out*
-//! across cores — and naive fan-out (every thread calling `update` per
-//! arrival) pays the router probe, `d` hash evaluations and `d` atomic
-//! RMWs for every single arrival. This module adds the missing stages
-//! between a chunked [`EdgeSource`] and the shared
-//! [`AtomicCmArena`](sketch::AtomicCmArena):
+//! Naive fan-out of a stream across cores — every thread calling
+//! `update` per arrival on a shared `ConcurrentGSketch` — pays the
+//! router probe, `d` hash evaluations and `d` atomic RMWs for every
+//! single arrival. [`ShardedIngest`] instead runs four stages between a
+//! materialized stream and the [`AtomicCmArena`](sketch::AtomicCmArena):
 //!
-//! 1. **Staging.** Each worker refills a private staging buffer from the
-//!    shared source under one short lock (the source hands out contiguous
-//!    chunks, so the lock is held for a `memcpy`, not per arrival).
-//! 2. **Hot-key combining.** The worker folds its chunk through a 4-way
-//!    set-associative combiner cache tagged by the raw `(src, dst)`
+//! 1. **Scatter.** The calling thread routes each arrival once, to pick
+//!    the owner of its router slot, and hands per-owner `(pair, weight)`
+//!    batches over bounded SPSC queues. Each owner is the *sole writer*
+//!    of a contiguous slot range of the [`OwnerMap`].
+//! 2. **Hot-key combining.** Each owner folds its batches through a
+//!    4-way set-associative combiner cache tagged by the raw `(src, dst)`
 //!    endpoint pair (one 64-byte set per probe, heaviest-stays eviction,
 //!    software-prefetched a few arrivals ahead). The Zipf head of a real
 //!    graph stream hits the cache over and over, accumulating one weight
-//!    instead of issuing one synopsis update per arrival; both the
-//!    router probe and the 64-bit sketch-key mix happen only when an
-//!    entry enters or leaves the cache, so hot edges pay them once, not
-//!    once per arrival.
-//! 3. **Slot sort.** Evicted and drained cache entries — now one
-//!    `(slot, key, weight)` triple per distinct key per cache residency —
-//!    are counting-sorted by destination slot, extending PR 2's
-//!    slot-grouped batching to the concurrent path.
+//!    instead of issuing one synopsis update per arrival; the router
+//!    probe and the 64-bit sketch-key mix happen only when an entry
+//!    leaves the cache, so hot edges pay them once, not once per arrival.
+//! 3. **Slot sort.** Evicted and drained cache entries — one per
+//!    distinct key per cache residency — are routed in one batched pass
+//!    and counting-sorted by destination slot.
 //! 4. **Span commit.** Each slot run is committed through
-//!    [`SlotSink::commit_run`] →
-//!    [`add_batch_saturating`](sketch::AtomicCmArena::add_batch_saturating):
-//!    the run walks one slot's contiguous span at a time, adjacent
-//!    duplicates coalesce, the per-key field fold is hoisted out of the
-//!    row loop, range reduction uses precomputed fastmod constants, and
-//!    the slot's total counter is contended once per run instead of once
-//!    per arrival.
+//!    [`SlotSink::commit_run_exclusive`] →
+//!    [`add_batch_saturating_exclusive`](sketch::AtomicCmArena::add_batch_saturating_exclusive):
+//!    plain load/add/store cycles over one slot's contiguous span,
+//!    adjacent duplicates coalesced, the per-key field fold hoisted out
+//!    of the row loop, fastmod range reduction, and the slot's total
+//!    written once per run.
 //!
-//! Workers touch disjoint staging and cache state and commit through
-//! saturating atomic adds, so the result is within saturating-add
-//! semantics of a sequential ingest of the same stream — bit-identical
-//! in the non-saturating regime (pinned by `backend_parity`'s parallel
-//! parity proptest). Nothing about the math depends on the thread count
-//! or the chunking, only on the multiset of arrivals.
+//! When the map clamps to one owner the engine fuses all four stages on
+//! the calling thread (no scatter pass, no queue, no spawn). Owners
+//! write disjoint slot ranges and saturating addition is associative,
+//! so the result is bit-identical to a sequential ingest of the same
+//! stream for any owner count and chunking (pinned by `backend_parity`'s
+//! sharded parity proptest).
 //!
-//! **The owner-sharded engine** ([`ShardedIngest`], DESIGN.md §11)
-//! inverts the sharing story: instead of every worker committing any
-//! slot through the shared atomic path, a scatter stage counting-sorts
-//! each chunk by router slot and hands per-owner batches over bounded
-//! SPSC queues to owning workers, each of which is the *sole writer* of
-//! a contiguous slot range and commits it with plain load/add/store
-//! cycles — [`ParallelIngest::new_exclusive`]'s single-worker contract,
-//! generalized to N disjoint owners by the [`OwnerMap`] slot partition
-//! instead of a `&mut` borrow.
-//! When the map clamps to one owner the engine fuses scatter and
-//! commit on the calling thread (no queue, no spawn), which is what
-//! keeps `sharded/1t` ahead of `parallel/1t` rather than merely equal.
-//!
-//! **Worker-pool sizing.** Like every CPU-bound pool (rayon, TBB), both
-//! engines treat the requested thread count as an *upper bound* and
-//! clamp it to the machine's available parallelism: oversubscribing a
+//! **Worker-pool sizing.** Like every CPU-bound pool (rayon, TBB), the
+//! engine treats the requested owner count as an *upper bound* and
+//! clamps it to the machine's available parallelism: oversubscribing a
 //! single core with N compute-bound workers buys nothing and costs
 //! context switches and per-worker cache dilution. Tests that need real
 //! thread interleaving regardless of the host use
-//! [`oversubscribe`](ParallelIngest::oversubscribe) (mirrored on
-//! [`ShardedIngest::oversubscribe`]).
+//! [`ShardedIngest::oversubscribe`].
 
 use crate::concurrent::ConcurrentGSketch;
 use crate::router::OwnerMap;
-use crate::sink::{EdgeSink, SlotRouted};
+use crate::sink::SlotRouted;
 use gstream::edge::StreamEdge;
-use gstream::source::EdgeSource;
 use sketch::prefetch;
 use sketch::sync::spsc::SpscQueue;
-// Atomics and scoped threads come through the `sync` shim seam so
-// `xtask check` can run `run_slice`'s real chunk-claiming loop under
-// the deterministic scheduler (DESIGN.md §10); std items in normal
-// builds. `run()`'s source mutex stays `std::sync::Mutex` — blocking
-// locks are opaque to the model scheduler, so only the lock-free
-// `run_slice` path is the checked surface.
-use sketch::sync::{thread, AtomicU64, Ordering};
-use std::sync::Mutex;
+// Scoped threads come through the `sync` shim seam (DESIGN.md §10);
+// std items in normal builds.
+use sketch::sync::thread;
 
-/// Default arrivals per staging buffer. The combiner cache carries
-/// duplicate state *across* chunks, so this only needs to amortize the
-/// source lock, not maximize within-chunk duplication.
+/// Default arrivals per chunk. The combiner cache carries duplicate
+/// state *across* chunks, so this only sets how often scatter hands
+/// batches to the owners, not how much duplication a chunk can fold.
 pub const DEFAULT_CHUNK: usize = 1 << 15;
 
 /// log2 of the combiner sets per worker: 2^16 sets × 4 ways × 16 B =
@@ -89,17 +65,14 @@ pub const DEFAULT_CHUNK: usize = 1 << 15;
 /// R-MAT traffic bench plateaus here; see `benches/parallel_ingest.rs`).
 const SET_BITS: u32 = 16;
 
-/// Commit the evicted-entry list once it reaches this length.
-const EVICT_COMMIT_LEN: usize = 1 << 13;
-
 /// How many arrivals ahead the absorb loop prefetches its combiner set.
 const PREFETCH_AHEAD: usize = 12;
 
 /// Clamp a requested worker count to the host's available parallelism —
 /// the rayon-style rule every CPU-bound pool in the workspace shares
-/// (ingest's [`ParallelIngest`] and [`ShardedIngest`], and the query
-/// engine's [`ParallelQuery`](crate::query::ParallelQuery), including
-/// its slot-routed read path). Oversubscribing a
+/// (ingest's [`ShardedIngest`] and the query engine's
+/// [`ParallelQuery`](crate::query::ParallelQuery), including its
+/// slot-routed read path). Oversubscribing a
 /// single core with N compute-bound workers buys nothing and costs
 /// context switches; `oversubscribe` exists so correctness tests can
 /// force real thread interleaving on small machines.
@@ -116,30 +89,21 @@ pub(crate) fn clamp_workers(requested: usize, oversubscribe: bool) -> usize {
 }
 
 /// A shard-addressable, thread-shareable sink: the consumer-side contract
-/// of [`ParallelIngest`] and [`ShardedIngest`]. The routing half lives in
-/// the [`SlotRouted`] supertrait (shared with the slot-routed query
-/// path); this trait adds the write side. Implemented by
-/// [`ConcurrentGSketch`] (routing through its read-only router into the
-/// shared atomic arena); the generic parameter is what future shard
-/// placements (NUMA-pinned arenas, remote shards) implement.
+/// of [`ShardedIngest`]. The routing half lives in the [`SlotRouted`]
+/// supertrait (shared with the slot-routed query path); this trait adds
+/// the write side. Implemented by [`ConcurrentGSketch`] (routing through
+/// its read-only router into the shared atomic arena); the generic
+/// parameter is what future shard placements (NUMA-pinned arenas,
+/// remote shards) implement.
 pub trait SlotSink: SlotRouted + Sync {
-    /// Commit a run of `(key, weight)` pairs into `slot`. Callable from
-    /// any thread; runs for different slots touch disjoint counter
-    /// spans. Adjacent equal keys are coalesced into one counter write.
-    fn commit_run(&self, slot: u32, run: &[(u64, u64)]);
-
-    /// [`commit_run`](Self::commit_run) for a caller that is the **sole
-    /// writer of `slot`** for the duration of the commit: sinks may
-    /// override it with a plain-store commit that skips atomic RMW
-    /// serialization. Two callers establish that contract today — a
-    /// [`ParallelIngest::new_exclusive`] pipeline running one worker
-    /// (sole writer of *every* slot), and a [`ShardedIngest`] owner
-    /// (sole writer of its [`OwnerMap`] slot range, by the disjointness
-    /// of owner ranges). The default just forwards to the shared-safe
-    /// path.
-    fn commit_run_exclusive(&self, slot: u32, run: &[(u64, u64)]) {
-        self.commit_run(slot, run);
-    }
+    /// Commit a run of `(key, weight)` pairs into `slot` from a caller
+    /// that is the **sole writer of `slot`** for the duration of the
+    /// commit, so the sink may use plain stores instead of atomic RMWs.
+    /// A [`ShardedIngest`] owner establishes that contract: it is the
+    /// sole writer of its [`OwnerMap`] slot range, by the disjointness of
+    /// owner ranges. Runs for different slots touch disjoint counter
+    /// spans; adjacent equal keys are coalesced into one counter write.
+    fn commit_run_exclusive(&self, slot: u32, run: &[(u64, u64)]);
 
     /// Best-effort first-touch of slots `lo..hi` (half-open) from the
     /// calling thread, so a first-touch NUMA policy places the range's
@@ -151,38 +115,20 @@ pub trait SlotSink: SlotRouted + Sync {
     }
 }
 
-/// What a pipeline run absorbed.
+/// What an ingest run absorbed.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct IngestReport {
     /// Stream arrivals absorbed.
     pub arrivals: u64,
-    /// Chunks pulled from the source across all workers.
+    /// Chunks the stream was cut into: one per `chunk_capacity`
+    /// arrivals, the last one possibly short.
     pub chunks: u64,
-    /// Worker threads actually spawned (requested, clamped to the
-    /// host's available parallelism unless oversubscription was forced).
+    /// Owners that committed: the requested count, clamped to the
+    /// host's available parallelism (unless oversubscription was
+    /// forced) and to the slot count. With one owner the calling thread
+    /// commits and no thread is spawned.
     pub workers: usize,
 }
-
-/// One 4-way combiner set, exactly one cache line. Ways are tagged by
-/// the raw `(src, dst)` endpoint pair — exact equality, no hashing —
-/// and `weights[j] == 0` marks way `j` free (zero-weight arrivals are
-/// identities and are dropped at the door), so a probe is one line
-/// fill, four compares. The 64-bit sketch key is only derived when an
-/// entry leaves the cache, i.e. once per distinct entry per residency
-/// instead of once per arrival.
-#[repr(align(64))]
-#[derive(Clone, Copy)]
-struct CacheSet {
-    pairs: [u64; 4],
-    slots: [u32; 4],
-    weights: [u32; 4],
-}
-
-const EMPTY_SET: CacheSet = CacheSet {
-    pairs: [0; 4],
-    slots: [0; 4],
-    weights: [0; 4],
-};
 
 /// The packed endpoint pair identifying an edge exactly.
 #[inline]
@@ -204,398 +150,6 @@ fn set_index(pair: u64, shift: u32) -> usize {
 #[inline]
 fn pair_key(pair: u64) -> u64 {
     sketch::hash::combine64(pair >> 32, pair & 0xFFFF_FFFF)
-}
-
-/// Per-worker pipeline state: the combiner cache, the evicted-entry
-/// staging list, and the counting-sort scratch. Private to one worker —
-/// never shared, never locked.
-struct Worker {
-    sets: Box<[CacheSet]>,
-    /// `64 - log2(sets.len())`: the set-index shift.
-    shift: u32,
-    /// Commit through the exclusive-writer path (see
-    /// [`ParallelIngest::new_exclusive`]; only set for a sole worker).
-    exclusive: bool,
-    /// Evicted `(slot, pair, weight)` triples awaiting a batched commit.
-    evicted: Vec<(u32, u64, u64)>,
-    /// Counting-sort scratch, sized to the sink's slot count.
-    counts: Vec<usize>,
-    cursors: Vec<usize>,
-    runs: Vec<(u64, u64)>,
-}
-
-impl Worker {
-    fn new(n_slots: usize, exclusive: bool) -> Self {
-        Self {
-            sets: vec![EMPTY_SET; 1 << SET_BITS].into_boxed_slice(),
-            shift: 64 - SET_BITS,
-            exclusive,
-            evicted: Vec::with_capacity(EVICT_COMMIT_LEN + DEFAULT_CHUNK),
-            counts: vec![0; n_slots],
-            cursors: Vec::with_capacity(n_slots),
-            runs: Vec::new(),
-        }
-    }
-
-    /// Fold one arrival into the combiner. Hits cost one compare-and-add
-    /// in a resident line; misses route the source vertex once and
-    /// displace the set's lightest way — the heaviest (hottest) entries
-    /// are the ones that stay.
-    #[inline]
-    fn absorb<B: SlotSink>(&mut self, sink: &B, se: &StreamEdge) {
-        if se.weight == 0 {
-            return;
-        }
-        let pair = edge_pair(se);
-        if se.weight > u64::from(u32::MAX) {
-            // Heavier than the packed weight field: commit out-of-band.
-            self.evicted
-                .push((sink.slot_of(se.edge.src), pair, se.weight));
-            return;
-        }
-        let set = &mut self.sets[set_index(pair, self.shift)];
-        // Branch-free hit detection: all four ways are compared with
-        // plain boolean arithmetic, leaving a single well-predicted
-        // hit/miss branch instead of a data-dependent branch per way.
-        let p = &set.pairs;
-        let w = &set.weights;
-        let hit_mask = u32::from(p[0] == pair && w[0] != 0)
-            | u32::from(p[1] == pair && w[1] != 0) << 1
-            | u32::from(p[2] == pair && w[2] != 0) << 2
-            | u32::from(p[3] == pair && w[3] != 0) << 3;
-        if hit_mask != 0 {
-            let j = hit_mask.trailing_zeros() as usize;
-            let sum = u64::from(set.weights[j]) + se.weight;
-            if sum <= u64::from(u32::MAX) {
-                set.weights[j] = sum as u32;
-            } else {
-                // Accumulator full: flush it and restart the count.
-                self.evicted
-                    .push((set.slots[j], pair, u64::from(set.weights[j])));
-                set.weights[j] = se.weight as u32;
-            }
-            return;
-        }
-        // Miss: displace the lightest way (branchless min — an empty way
-        // has weight 0 and always wins).
-        let mut victim = 0usize;
-        for j in 1..4 {
-            victim = if set.weights[j] < set.weights[victim] {
-                j
-            } else {
-                victim
-            };
-        }
-        if set.weights[victim] != 0 {
-            self.evicted.push((
-                set.slots[victim],
-                set.pairs[victim],
-                u64::from(set.weights[victim]),
-            ));
-        }
-        set.pairs[victim] = pair;
-        set.slots[victim] = sink.slot_of(se.edge.src);
-        set.weights[victim] = se.weight as u32;
-    }
-
-    /// Absorb a staged chunk with prefetch lookahead, committing the
-    /// evicted list when it has accumulated a batch worth sorting.
-    fn process_chunk<B: SlotSink>(&mut self, sink: &B, batch: &[StreamEdge]) {
-        for (i, se) in batch.iter().enumerate() {
-            let ahead = i + PREFETCH_AHEAD;
-            if ahead < batch.len() {
-                prefetch(&self.sets[set_index(edge_pair(&batch[ahead]), self.shift)]);
-            }
-            self.absorb(sink, se);
-        }
-        if self.evicted.len() >= EVICT_COMMIT_LEN {
-            self.commit_evicted(sink);
-        }
-    }
-
-    /// Counting-sort the evicted triples by slot and commit each run
-    /// through the sink's span-commit.
-    ///
-    /// `slot_of` contractually stays below the sink's slot count (the
-    /// scratch arrays' length); the scatter indices are `get`-guarded
-    /// anyway so the commit span carries no panic edge in the compiled
-    /// artifact (`xtask audit` — a rogue slot drops its entries rather
-    /// than panicking).
-    fn commit_evicted<B: SlotSink>(&mut self, sink: &B) {
-        if self.evicted.is_empty() {
-            return;
-        }
-        self.counts.fill(0);
-        for &(slot, _, _) in &self.evicted {
-            if let Some(c) = self.counts.get_mut(slot as usize) {
-                *c += 1;
-            }
-        }
-        self.cursors.clear();
-        let mut acc = 0usize;
-        for &c in &self.counts {
-            self.cursors.push(acc);
-            acc += c;
-        }
-        self.runs.clear();
-        self.runs.resize(self.evicted.len(), (0, 0));
-        for &(slot, pair, weight) in &self.evicted {
-            let Some(at) = self.cursors.get_mut(slot as usize) else {
-                continue;
-            };
-            // The sketch key is derived here — once per committed entry,
-            // not once per arrival.
-            if let Some(r) = self.runs.get_mut(*at) {
-                *r = (pair_key(pair), weight);
-            }
-            *at += 1;
-        }
-        let mut start = 0usize;
-        for (slot, &end) in self.cursors.iter().enumerate() {
-            if end > start {
-                let Some(run) = self.runs.get(start..end) else {
-                    break;
-                };
-                if self.exclusive {
-                    sink.commit_run_exclusive(slot as u32, run);
-                } else {
-                    sink.commit_run(slot as u32, run);
-                }
-            }
-            start = end;
-        }
-        self.evicted.clear();
-    }
-
-    /// Evict every live cache entry and commit everything: after this,
-    /// all absorbed arrivals are visible in the sink.
-    fn drain<B: SlotSink>(&mut self, sink: &B) {
-        for set in self.sets.iter_mut() {
-            for j in 0..4 {
-                if set.weights[j] != 0 {
-                    self.evicted
-                        .push((set.slots[j], set.pairs[j], u64::from(set.weights[j])));
-                    set.weights[j] = 0;
-                }
-            }
-        }
-        self.commit_evicted(sink);
-    }
-}
-
-impl std::fmt::Debug for Worker {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("Worker")
-            .field("cache_entries", &(self.sets.len() * 4))
-            .field("evicted", &self.evicted.len())
-            .finish_non_exhaustive()
-    }
-}
-
-/// The parallel sharded ingest pipeline over any [`SlotSink`] `B`
-/// (by default the [`ConcurrentGSketch`] atomic arena).
-///
-/// Two modes share one staging → combine → slot-sort → span-commit path:
-///
-/// * **Pull** — [`run`](Self::run) drains a chunked [`EdgeSource`] from
-///   the worker pool (scoped threads; no detached state survives the
-///   call, and every worker's cache is drained before it returns).
-/// * **Push** — the pipeline is itself an [`EdgeSink`]: `update` /
-///   `ingest_batch` feed the calling thread's worker state, and
-///   [`flush`](EdgeSink::flush) drains it. Absorbed-but-unflushed
-///   arrivals are **not** guaranteed visible to queries until the flush.
-#[derive(Debug)]
-pub struct ParallelIngest<'s, B: SlotSink = ConcurrentGSketch> {
-    sink: &'s B,
-    threads: usize,
-    chunk_capacity: usize,
-    oversubscribe: bool,
-    exclusive: bool,
-    /// Worker state for the push-mode surface (lazily created: most
-    /// pull-mode pipelines never touch it).
-    local: Option<Box<Worker>>,
-    /// Arrivals accepted through the push surface since the last drain.
-    staged_arrivals: usize,
-}
-
-impl<'s, B: SlotSink> ParallelIngest<'s, B> {
-    /// A pipeline committing into `sink` from up to `threads` workers
-    /// (clamped to at least 1 and, by default, to the host's available
-    /// parallelism), with the default staging capacity.
-    pub fn new(sink: &'s B, threads: usize) -> Self {
-        Self {
-            sink,
-            threads: threads.max(1),
-            chunk_capacity: DEFAULT_CHUNK,
-            oversubscribe: false,
-            exclusive: false,
-            local: None,
-            staged_arrivals: 0,
-        }
-    }
-
-    /// Like [`new`](Self::new), but taking the sink by exclusive borrow.
-    /// The mutable borrow is held for the pipeline's whole lifetime, so
-    /// the borrow checker proves no other thread can update the sink
-    /// while this pipeline exists — which lets a sole worker commit
-    /// through [`SlotSink::commit_run_exclusive`] (plain stores instead
-    /// of lock-prefixed RMWs). Multi-worker runs still use the shared
-    /// atomic path, since the workers race each other.
-    pub fn new_exclusive(sink: &'s mut B, threads: usize) -> Self {
-        let mut pipe = Self::new(sink, threads);
-        pipe.exclusive = true;
-        pipe
-    }
-
-    /// Override the arrivals staged per source refill (clamped to at
-    /// least 1). Larger chunks amortize the source lock further; smaller
-    /// chunks bound staging latency.
-    #[must_use]
-    pub fn chunk_capacity(mut self, capacity: usize) -> Self {
-        self.chunk_capacity = capacity.max(1);
-        self
-    }
-
-    /// Spawn exactly the requested thread count even beyond the host's
-    /// available parallelism. Oversubscription never helps a CPU-bound
-    /// pipeline — this exists so correctness tests can force real thread
-    /// interleaving on small machines.
-    #[must_use]
-    pub fn oversubscribe(mut self, on: bool) -> Self {
-        self.oversubscribe = on;
-        self
-    }
-
-    /// Requested worker threads (upper bound for [`run`](Self::run)).
-    pub fn threads(&self) -> usize {
-        self.threads
-    }
-
-    /// Worker threads [`run`](Self::run) will actually spawn.
-    pub fn effective_threads(&self) -> usize {
-        clamp_workers(self.threads, self.oversubscribe)
-    }
-
-    /// Arrivals accepted through the push-mode surface that may not yet
-    /// be visible to queries (combined or staged, not yet drained).
-    pub fn staged(&self) -> usize {
-        self.staged_arrivals
-    }
-
-    fn local_worker(&mut self) -> &mut Worker {
-        let n_slots = self.sink.num_slots();
-        let exclusive = self.exclusive;
-        self.local
-            .get_or_insert_with(|| Box::new(Worker::new(n_slots, exclusive)))
-    }
-
-    /// [`run`](Self::run) specialized to an in-memory stream: workers
-    /// claim contiguous spans of the slice through one atomic cursor, so
-    /// there is no source lock and no staging copy at all — each chunk
-    /// is processed in place. This is the fastest way to replay a
-    /// materialized stream; use [`run`](Self::run) for generators and
-    /// file readers.
-    pub fn run_slice(&mut self, stream: &[StreamEdge]) -> IngestReport {
-        self.flush();
-        let workers = self.effective_threads();
-        let chunks = AtomicU64::new(0);
-        let cursor = AtomicU64::new(0);
-        let sink = self.sink;
-        let cap = self.chunk_capacity;
-        let n_slots = sink.num_slots();
-        let exclusive = self.exclusive && workers == 1;
-        thread::scope(|scope| {
-            for _ in 0..workers {
-                scope.spawn(|| {
-                    let mut worker = Worker::new(n_slots, exclusive);
-                    loop {
-                        // ordering: Relaxed — the single-location RMW
-                        // hands out distinct spans whatever the ordering;
-                        // nothing else rides the cursor. xtask-checked.
-                        // cast: u64 -> usize; claims are bounded by
-                        // stream.len() plus one chunk per worker, and
-                        // oversized claims exit on the next line.
-                        let start = cursor.fetch_add(cap as u64, Ordering::Relaxed) as usize;
-                        if start >= stream.len() {
-                            break;
-                        }
-                        let end = (start + cap).min(stream.len());
-                        // ordering: Relaxed — statistics counter, read
-                        // via `into_inner()` after the scope join below,
-                        // which already gives happens-before.
-                        chunks.fetch_add(1, Ordering::Relaxed);
-                        worker.process_chunk(sink, &stream[start..end]);
-                    }
-                    worker.drain(sink);
-                });
-            }
-        });
-        IngestReport {
-            arrivals: stream.len() as u64,
-            chunks: chunks.into_inner(),
-            workers,
-        }
-    }
-
-    /// Drain `source` to exhaustion across the worker pool and return
-    /// what was absorbed. Any arrivals staged through the push-mode
-    /// [`EdgeSink`] surface are committed first, so the two modes
-    /// compose.
-    ///
-    /// The source is behind one mutex, held per chunk rather than per
-    /// arrival. How much work that lock covers is the source's
-    /// `fill_chunk`: a `memcpy` for slices, one generator pass for the
-    /// synthetic models, but a full text-parse for
-    /// [`StreamFileSource`](gstream::StreamFileSource) — a
-    /// parse-dominated source serializes the workers on the lock, so
-    /// for maximum multi-core throughput pre-materialize the stream and
-    /// use [`run_slice`](Self::run_slice).
-    pub fn run<S: EdgeSource + Send>(&mut self, source: &mut S) -> IngestReport {
-        self.flush();
-        let workers = self.effective_threads();
-        let arrivals = AtomicU64::new(0);
-        let chunks = AtomicU64::new(0);
-        let shared = Mutex::new(source);
-        let sink = self.sink;
-        let cap = self.chunk_capacity;
-        let n_slots = sink.num_slots();
-        // Exclusive commits need a sole writer: the exclusive borrow
-        // rules out external writers, and a single worker rules out
-        // sibling workers.
-        let exclusive = self.exclusive && workers == 1;
-        thread::scope(|scope| {
-            for _ in 0..workers {
-                scope.spawn(|| {
-                    let mut buf: Vec<StreamEdge> = Vec::with_capacity(cap);
-                    let mut worker = Worker::new(n_slots, exclusive);
-                    loop {
-                        let n = shared
-                            .lock()
-                            // lint: allow(no-panics) — a worker panicked
-                            // mid-chunk; the stream is torn either way,
-                            // so poisoning is unrecoverable here.
-                            .expect("ingest source lock poisoned")
-                            .fill_chunk(&mut buf, cap);
-                        if n == 0 {
-                            break;
-                        }
-                        // ordering: Relaxed — statistics counters, read
-                        // via `into_inner()` after the scope join below
-                        // (join gives happens-before; see DESIGN.md §10).
-                        arrivals.fetch_add(n as u64, Ordering::Relaxed);
-                        chunks.fetch_add(1, Ordering::Relaxed);
-                        worker.process_chunk(sink, &buf);
-                    }
-                    worker.drain(sink);
-                });
-            }
-        });
-        IngestReport {
-            arrivals: arrivals.into_inner(),
-            chunks: chunks.into_inner(),
-            workers,
-        }
-    }
 }
 
 /// Batches the scatter stage hands an owner: `(pair, weight)` entries
@@ -627,10 +181,13 @@ fn push_spin<T>(queue: &SpscQueue<T>, mut item: T) {
 }
 
 /// One 4-way owner-combiner set, exactly one cache line: four pair tags
-/// and four **64-bit** accumulators. Dropping the per-way slot (the
-/// owner re-routes at commit time, batched) frees the 16 bytes the
-/// 32-bit [`CacheSet`] spends on slots, which the weights absorb — so
-/// the hit path is a plain `saturating_add` with **no overflow flush
+/// and four **64-bit** accumulators. Ways are tagged by the raw
+/// `(src, dst)` endpoint pair — exact equality, no hashing — and
+/// `weights[j] == 0` marks way `j` free (zero-weight arrivals are
+/// identities and are dropped at the door), so a probe is one line
+/// fill, four compares. No slot is cached per way (the owner re-routes
+/// at commit time, batched), which leaves room for full-width weights —
+/// so the hit path is a plain `saturating_add` with **no overflow flush
 /// and no out-of-band heavy-weight path**: saturating addition is
 /// associative, so pre-summing arrivals in a u64 accumulator commits
 /// the same counter values as adding them one by one.
@@ -647,8 +204,7 @@ const EMPTY_OWNER_SET: OwnerSet = OwnerSet {
 };
 
 /// Commit the owner's evicted-entry list once it reaches this length.
-/// Larger than the shared pipeline's [`EVICT_COMMIT_LEN`]: the owner's
-/// commit counting-sorts by slot, and longer batches mean longer
+/// The commit counting-sorts by slot, and longer batches mean longer
 /// per-slot runs — better span-walk amortization per
 /// [`SlotSink::commit_run_exclusive`] call (measured on the ingest
 /// bench: 32 Ki batches shave several percent over 8 Ki).
@@ -658,12 +214,11 @@ const SHARD_COMMIT_LEN: usize = 1 << 15;
 /// cache ([`OwnerSet`]) plus the deferred-routing commit scratch.
 /// Private to one owner thread — never shared, never locked.
 ///
-/// The contrast with the shared pipeline's [`Worker`] is *when the
-/// router runs*: `Worker` routes every combiner miss inline, threading
-/// a hash-map probe through the hot loop; `OwnerWorker` absorbs raw
+/// The router never runs in the absorb loop: `OwnerWorker` absorbs raw
 /// `(pair, weight)` entries and routes only at commit time, in one
 /// batched pass over the evicted list (one probe per *committed* entry,
-/// with the router's table hot in cache for the whole pass).
+/// with the router's table hot in cache for the whole pass), instead of
+/// threading a hash-map probe through every combiner miss.
 struct OwnerWorker {
     sets: Box<[OwnerSet]>,
     /// `64 - log2(sets.len())`: the set-index shift.
@@ -871,14 +426,13 @@ impl std::fmt::Debug for OwnerWorker {
 /// Each owner holds a **contiguous** slot range of the [`OwnerMap`] — a
 /// contiguous slice of the arena slab — combines locally through its
 /// own slot-less 4-way cache (`OwnerWorker`), and commits with
-/// [`SlotSink::commit_run_exclusive`] plain stores: the sole-writer
-/// path [`ParallelIngest::new_exclusive`] grants one worker is
-/// generalized to N disjoint slice owners, so the owner commit path has
-/// **no atomic RMWs at any thread count**. Owners first-touch their
+/// [`SlotSink::commit_run_exclusive`] plain stores: every owner is the
+/// sole writer of its slice, so the owner commit path has **no atomic
+/// RMWs at any thread count**. Owners first-touch their
 /// slice before absorbing ([`SlotSink::warm_slots`]), which a NUMA
 /// first-touch policy turns into local placement for free.
 ///
-/// Like the exclusive pipeline, construction takes the sink by `&mut`:
+/// Construction takes the sink by `&mut`:
 /// the borrow held for the engine's lifetime is the proof no outside
 /// writer exists, and the ownership map's disjoint ranges are the proof
 /// the owners don't race each other (the `sharded-ownership-race`
@@ -887,12 +441,7 @@ impl std::fmt::Debug for OwnerWorker {
 /// With one effective owner there is no handoff at all: no scatter
 /// pass, no queue, **no spawned thread** — the calling thread is the
 /// owner, absorbing the stream in place and committing exclusively.
-/// Skipping the spawn matters more than it looks: `parallel/1t` runs
-/// its sole worker on a scoped thread while the caller blocks in the
-/// scope join, and the fused path's calling-thread loop plus the
-/// `OwnerWorker` absorb/commit discipline measure ≥ 1.15× over it on
-/// the single-core bench host — this is the `sharded/1t` configuration
-/// the ingest bench records against `parallel/1t`.
+/// This is the `sharded/1t` configuration of the ingest bench.
 #[derive(Debug)]
 pub struct ShardedIngest<'s, B: SlotSink = ConcurrentGSketch> {
     sink: &'s B,
@@ -924,8 +473,9 @@ impl<'s, B: SlotSink> ShardedIngest<'s, B> {
     }
 
     /// Spawn exactly the requested owner count even beyond the host's
-    /// available parallelism (correctness tests on small machines; see
-    /// [`ParallelIngest::oversubscribe`]).
+    /// available parallelism. Oversubscription never helps a CPU-bound
+    /// engine — this exists so correctness tests can force real thread
+    /// interleaving on small machines.
     #[must_use]
     pub fn oversubscribe(mut self, on: bool) -> Self {
         self.oversubscribe = on;
@@ -1042,47 +592,12 @@ impl<'s, B: SlotSink> ShardedIngest<'s, B> {
     }
 }
 
-impl<B: SlotSink> EdgeSink for ParallelIngest<'_, B> {
-    fn update(&mut self, se: StreamEdge) {
-        let sink = self.sink;
-        let w = self.local_worker();
-        w.absorb(sink, &se);
-        if w.evicted.len() >= EVICT_COMMIT_LEN {
-            w.commit_evicted(sink);
-        }
-        self.staged_arrivals += 1;
-    }
-
-    fn ingest_batch(&mut self, batch: &[StreamEdge]) {
-        let sink = self.sink;
-        let w = self.local_worker();
-        w.process_chunk(sink, batch);
-        self.staged_arrivals += batch.len();
-    }
-
-    fn flush(&mut self) {
-        let sink = self.sink;
-        if let Some(w) = self.local.as_mut() {
-            w.drain(sink);
-        }
-        self.staged_arrivals = 0;
-    }
-}
-
-impl<B: SlotSink> Drop for ParallelIngest<'_, B> {
-    /// Arrivals accepted by a sink must not be lost: a pipeline dropped
-    /// with staged arrivals commits them, exactly as a final flush.
-    fn drop(&mut self) {
-        self.flush();
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::gsketch::GSketch;
+    use crate::sink::EdgeSink;
     use gstream::edge::Edge;
-    use gstream::SliceSource;
 
     fn skewed_stream(n: u64) -> Vec<StreamEdge> {
         // A Zipf-ish head plus a long tail, so the combiner cache sees
@@ -1106,138 +621,33 @@ mod tests {
     }
 
     #[test]
-    fn pull_mode_absorbs_everything() {
-        let stream = skewed_stream(10_000);
-        let c = build(&stream);
-        let report = ParallelIngest::new(&c, 4)
-            .chunk_capacity(512)
-            .oversubscribe(true)
-            .run(&mut SliceSource::new(&stream));
-        assert_eq!(report.arrivals, 10_000);
-        assert_eq!(report.workers, 4);
-        assert!(report.chunks >= 10_000 / 512);
-        assert_eq!(c.total_weight(), 10_000);
-    }
-
-    #[test]
-    fn pull_mode_matches_sequential_estimates() {
-        let stream = skewed_stream(20_000);
-        let sample = &stream[..2_000];
-        let build_seq = || {
-            GSketch::builder()
-                .memory_bytes(1 << 16)
-                .min_width(32)
-                .seed(7)
-                .build_from_sample(sample)
-                .unwrap()
-        };
-        let mut serial = build_seq();
-        serial.ingest(&stream);
-
-        let c = ConcurrentGSketch::from_gsketch(build_seq());
-        ParallelIngest::new(&c, 8)
-            .chunk_capacity(1 << 10)
-            .oversubscribe(true)
-            .run(&mut SliceSource::new(&stream));
-        let parallel = c.into_gsketch();
-        for se in &stream {
-            assert_eq!(parallel.estimate(se.edge), serial.estimate(se.edge));
-        }
-        assert_eq!(parallel.total_weight(), serial.total_weight());
-    }
-
-    #[test]
-    fn push_mode_stages_until_flush() {
-        let stream = skewed_stream(100);
-        let c = build(&stream);
-        let mut pipe = ParallelIngest::new(&c, 2);
-        for se in &stream {
-            pipe.update(*se);
-        }
-        // Everything fits in the combiner cache: nothing committed yet.
-        assert_eq!(pipe.staged(), 100);
-        assert_eq!(c.total_weight(), 0);
-        pipe.flush();
-        assert_eq!(pipe.staged(), 0);
-        assert_eq!(c.total_weight(), 100);
-    }
-
-    #[test]
-    fn drop_commits_staged_arrivals() {
+    fn zero_threads_clamps_to_one() {
         let stream = skewed_stream(10);
-        let c = build(&stream);
-        {
-            let mut pipe = ParallelIngest::new(&c, 1);
-            pipe.ingest_batch(&stream);
-            assert_eq!(c.total_weight(), 0);
-        }
+        let mut c = build(&stream);
+        let mut engine = ShardedIngest::new(&mut c, 0);
+        assert_eq!(engine.owners(), 1);
+        assert_eq!(engine.effective_owners(), 1);
+        assert_eq!(engine.run_slice(&stream).workers, 1);
         assert_eq!(c.total_weight(), 10);
     }
 
-    #[test]
-    fn run_flushes_prior_staging_first() {
-        let stream = skewed_stream(1_000);
-        let c = build(&stream);
-        let mut pipe = ParallelIngest::new(&c, 2);
-        pipe.ingest_batch(&stream[..100]);
-        let report = pipe.run(&mut SliceSource::new(&stream[100..]));
-        assert_eq!(report.arrivals, 900);
-        assert_eq!(c.total_weight(), 1_000);
-    }
-
-    #[test]
-    fn push_mode_matches_sequential_estimates() {
-        let stream = skewed_stream(5_000);
-        let sample = &stream[..500];
-        let build_seq = || {
-            GSketch::builder()
-                .memory_bytes(1 << 15)
-                .min_width(16)
-                .seed(11)
-                .build_from_sample(sample)
-                .unwrap()
-        };
-        let mut serial = build_seq();
-        serial.ingest(&stream);
-
-        let c = ConcurrentGSketch::from_gsketch(build_seq());
-        let mut pipe = ParallelIngest::new(&c, 1);
-        pipe.ingest(&stream);
-        drop(pipe);
-        let pushed = c.into_gsketch();
-        for se in &stream {
-            assert_eq!(pushed.estimate(se.edge), serial.estimate(se.edge));
-        }
-    }
-
+    /// Zero-weight arrivals are identities; weights beyond `u32::MAX`,
+    /// alone or summed in one combiner way, commit in full.
     #[test]
     fn weighted_and_zero_weight_arrivals_handled() {
         let stream = skewed_stream(200);
-        let c = build(&stream);
-        let mut pipe = ParallelIngest::new(&c, 1);
+        let mut c = build(&stream);
         let e = stream[0].edge;
-        // Zero-weight arrivals are identities.
-        pipe.update(StreamEdge::weighted(e, 0, 0));
-        // A weight beyond the packed u32 accumulator goes out-of-band.
-        pipe.update(StreamEdge::weighted(e, 0, u64::from(u32::MAX) + 5));
-        // Repeated arrivals that overflow the accumulator flush mid-way.
-        pipe.update(StreamEdge::weighted(e, 0, u64::from(u32::MAX)));
-        pipe.update(StreamEdge::weighted(e, 0, 3));
-        pipe.flush();
+        let arrivals = [
+            StreamEdge::weighted(e, 0, 0),
+            StreamEdge::weighted(e, 0, u64::from(u32::MAX) + 5),
+            StreamEdge::weighted(e, 0, u64::from(u32::MAX)),
+            StreamEdge::weighted(e, 0, 3),
+        ];
+        ShardedIngest::new(&mut c, 1).run_slice(&arrivals);
         let total = u64::from(u32::MAX) + 5 + u64::from(u32::MAX) + 3;
         assert_eq!(c.total_weight(), total);
         assert!(c.estimate(e) >= total);
-    }
-
-    #[test]
-    fn zero_threads_clamps_to_one() {
-        let stream = skewed_stream(10);
-        let c = build(&stream);
-        let mut pipe = ParallelIngest::new(&c, 0);
-        assert_eq!(pipe.threads(), 1);
-        assert!(pipe.effective_threads() >= 1);
-        pipe.run(&mut SliceSource::new(&stream));
-        assert_eq!(c.total_weight(), 10);
     }
 
     /// The fused single-owner path (calling thread, no scatter, no
@@ -1263,7 +673,7 @@ mod tests {
             .run_slice(&stream);
         assert_eq!(report.arrivals, 20_000);
         assert_eq!(report.workers, 1);
-        assert!(report.chunks >= 20_000 / (1 << 10));
+        assert_eq!(report.chunks, 20_000u64.div_ceil(1 << 10));
         let sharded = c.into_gsketch();
         for se in &stream {
             assert_eq!(sharded.estimate(se.edge), serial.estimate(se.edge));
@@ -1295,6 +705,7 @@ mod tests {
             assert_eq!(engine.owners(), owners);
             let report = engine.chunk_capacity(1 << 9).run_slice(&stream);
             assert_eq!(report.arrivals, 20_000);
+            assert_eq!(report.chunks, 20_000u64.div_ceil(1 << 9));
             assert!(report.workers >= 2, "{owners} owners clamped to one");
             let sharded = c.into_gsketch();
             for se in &stream {

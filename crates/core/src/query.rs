@@ -3,7 +3,7 @@
 //! (DESIGN.md §8).
 //!
 //! The write path batches aggressively (slot-grouped counting sort, span
-//! commits, prefetch — DESIGN.md §7); this module gives the read path
+//! commits, prefetch — DESIGN.md §11); this module gives the read path
 //! the same discipline. [`EdgeEstimator::estimate_edges`] answers a
 //! whole query batch at once: the partitioned estimators counting-sort
 //! the batch by router slot so each slot's counter block is walked once,
@@ -240,8 +240,8 @@ impl EdgeEstimator for gstream::ExactCounter {
 /// into contiguous spans, each answered by one worker through the
 /// estimator's batched surface (slot sort and all), writing into
 /// disjoint regions of the output. Workers are clamped to the host's
-/// available parallelism by the same rule as the ingest pipeline's
-/// pool (DESIGN.md §7); answers are bit-identical to a sequential
+/// available parallelism by the same rule as the ingest engine's
+/// owner pool (DESIGN.md §11); answers are bit-identical to a sequential
 /// [`EdgeEstimator::estimate_edges`] call because each span's batch is
 /// answered independently.
 #[derive(Debug)]

@@ -1,7 +1,7 @@
 //! The query-replay engine (DESIGN.md §9): a hot-answer memo in front
 //! of the batched query engine.
 //!
-//! The ingest pipeline's combiner cache (DESIGN.md §7) exploits the
+//! The ingest engine's combiner cache (DESIGN.md §11) exploits the
 //! Zipf head of a graph *stream*; real query workloads are just as
 //! skewed (scenario 2 of the paper is built on that assumption — the
 //! partitioner discounts never-queried vertices precisely because query

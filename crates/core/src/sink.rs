@@ -5,8 +5,7 @@
 //! signatures — `GSketch::{update, ingest, ingest_batch}`,
 //! `GlobalSketch::ingest`, `WindowedGSketch::insert`,
 //! `ConcurrentGSketch`'s shared-reference `update` — which meant the
-//! evaluation harness, the CLI, and the parallel pipeline each needed
-//! per-type plumbing. [`EdgeSink`] replaces all of them with one
+//! evaluation harness and the CLI each needed per-type plumbing. [`EdgeSink`] replaces all of them with one
 //! contract:
 //!
 //! * [`update`](EdgeSink::update) — record one arrival;
@@ -14,9 +13,8 @@
 //!   (sinks override this when batching buys locality, e.g. the
 //!   slot-grouped counting sort of `GSketch`);
 //! * [`flush`](EdgeSink::flush) — make every accepted arrival visible to
-//!   queries. A no-op for unbuffered sinks; buffered sinks such as
-//!   [`ParallelIngest`](crate::pipeline::ParallelIngest) hold arrivals in
-//!   staging buffers until a batch boundary or a flush.
+//!   queries. A no-op for unbuffered sinks; a buffered sink holds
+//!   arrivals in staging buffers until a batch boundary or a flush.
 //!
 //! The provided [`ingest`](EdgeSink::ingest) and
 //! [`drain`](EdgeSink::drain) methods are the only stream-shaped loops in
@@ -28,9 +26,8 @@
 //! [`GlobalSketch`](crate::GlobalSketch),
 //! [`AdaptiveGSketch`](crate::AdaptiveGSketch),
 //! [`WindowedGSketch`](crate::WindowedGSketch),
-//! [`ConcurrentGSketch`](crate::ConcurrentGSketch) (both owned and via
-//! `&ConcurrentGSketch`, the form worker threads use), and
-//! [`ParallelIngest`](crate::pipeline::ParallelIngest).
+//! and [`ConcurrentGSketch`](crate::ConcurrentGSketch) (both owned and
+//! via `&ConcurrentGSketch`, the form worker threads use).
 
 use gstream::edge::StreamEdge;
 use gstream::source::EdgeSource;

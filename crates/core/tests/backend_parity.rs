@@ -9,11 +9,10 @@
 
 use gsketch::{
     AdaptiveConfig, AdaptiveGSketch, CmArena, ConcurrentGSketch, CountMinSketch, CountSketch,
-    EdgeEstimator, EdgeSink, GSketch, GSketchBuilder, GlobalSketch, ParallelIngest, ParallelQuery,
-    ReplayEngine, ShardedIngest, WindowConfig, WindowedGSketch,
+    EdgeEstimator, EdgeSink, GSketch, GSketchBuilder, GlobalSketch, ParallelQuery, ReplayEngine,
+    ShardedIngest, WindowConfig, WindowedGSketch,
 };
 use gstream::edge::{Edge, StreamEdge};
-use gstream::SliceSource;
 use proptest::collection::vec;
 use proptest::prelude::*;
 
@@ -135,83 +134,6 @@ proptest! {
             prop_assert_eq!(batched.estimate(se.edge), streaming.estimate(se.edge));
         }
         prop_assert_eq!(batched.total_weight(), streaming.total_weight());
-    }
-
-    /// The parallel sharded pipeline is observationally identical to
-    /// sequential ingest: for any stream, seed, thread count, and chunk
-    /// size, driving the atomic arena through `ParallelIngest` (staging
-    /// buffers → combiner cache → slot-sorted span commits, with real
-    /// oversubscribed worker threads) produces the same estimates and
-    /// totals as `GSketch::ingest` of the same arrivals. Weights stay in
-    /// the non-saturating regime, where the saturating-add semantics are
-    /// exact addition — so parity is bit-for-bit.
-    #[test]
-    fn parallel_pipeline_matches_sequential_ingest(
-        sample in vec((0u32..40, 0u32..40, 0u8..8), 1..120),
-        tail in vec((0u32..60, 0u32..60, 0u8..8), 0..200),
-        threads in 1usize..9,
-        chunk in 1usize..600,
-        depth in 1usize..4,
-        seed in any::<u64>(),
-    ) {
-        let sample = stream_of(&sample);
-        let stream: Vec<StreamEdge> =
-            sample.iter().chain(&stream_of(&tail)).copied().collect();
-        let empty: GSketch<CmArena> = builder(1 << 13, depth, seed)
-            .build_from_sample_backend(&sample)
-            .unwrap();
-
-        let mut serial = empty.clone();
-        serial.ingest(&stream);
-
-        let mut concurrent = ConcurrentGSketch::from_gsketch(empty);
-        let report = ParallelIngest::new_exclusive(&mut concurrent, threads)
-            .chunk_capacity(chunk)
-            .oversubscribe(true)
-            .run(&mut SliceSource::new(&stream));
-        prop_assert_eq!(report.arrivals as usize, stream.len());
-        prop_assert_eq!(report.workers, threads);
-        let parallel = concurrent.into_gsketch();
-
-        for se in &stream {
-            prop_assert_eq!(parallel.estimate(se.edge), serial.estimate(se.edge));
-        }
-        // Collision-only keys must agree too (same cells, same layout).
-        for v in 0..60u32 {
-            let e = Edge::new(v, 999u32);
-            prop_assert_eq!(parallel.estimate(e), serial.estimate(e));
-        }
-        prop_assert_eq!(parallel.total_weight(), serial.total_weight());
-        prop_assert_eq!(parallel.outlier_weight(), serial.outlier_weight());
-        prop_assert_eq!(parallel.partition_loads(), serial.partition_loads());
-    }
-
-    /// `run_slice` (the zero-copy span-claiming pull mode) agrees with
-    /// the generic source-based `run`.
-    #[test]
-    fn run_slice_matches_run(
-        sample in vec((0u32..30, 0u32..30, 0u8..8), 1..150),
-        threads in 1usize..5,
-        seed in any::<u64>(),
-    ) {
-        let stream = stream_of(&sample);
-        let empty: GSketch<CmArena> = builder(1 << 12, 2, seed)
-            .build_from_sample_backend(&stream)
-            .unwrap();
-        let mut via_source = ConcurrentGSketch::from_gsketch(empty.clone());
-        ParallelIngest::new_exclusive(&mut via_source, threads)
-            .chunk_capacity(64)
-            .oversubscribe(true)
-            .run(&mut SliceSource::new(&stream));
-        let mut via_slice = ConcurrentGSketch::from_gsketch(empty);
-        ParallelIngest::new_exclusive(&mut via_slice, threads)
-            .chunk_capacity(64)
-            .oversubscribe(true)
-            .run_slice(&stream);
-        for se in &stream {
-            prop_assert_eq!(via_slice.estimate(se.edge), via_source.estimate(se.edge));
-        }
-        prop_assert_eq!(via_slice.total_weight(), via_source.total_weight());
     }
 
     /// The batched query engine is observationally identical to the
@@ -524,6 +446,7 @@ proptest! {
             .oversubscribe(true)
             .run_slice(&stream);
         prop_assert_eq!(report.arrivals as usize, stream.len());
+        prop_assert_eq!(report.chunks as usize, stream.len().div_ceil(chunk));
         let sharded = concurrent.into_gsketch();
 
         for se in &stream {
@@ -698,86 +621,4 @@ proptest! {
         serial.estimate_edges(&queries, &mut b);
         prop_assert_eq!(a, b, "adaptive estimates diverged");
     }
-}
-
-/// Flush ordering for partial staging buffers: arrivals pushed through
-/// the pipeline's `EdgeSink` surface sit in the combiner/staging state
-/// and are **not** visible to queries until `flush` (or a batch
-/// boundary) commits them — and after `flush`, every accepted arrival
-/// is fully visible. This is the contract that distinguishes the
-/// buffered sink from the unbuffered estimators.
-#[test]
-fn flush_commits_partial_staging_buffers() {
-    let stream: Vec<StreamEdge> = (0..500u64)
-        .map(|t| {
-            StreamEdge::weighted(
-                Edge::new((t % 13) as u32, (t % 7) as u32 + 50),
-                t,
-                t % 3 + 1,
-            )
-        })
-        .collect();
-    let empty: GSketch<CmArena> = GSketch::builder()
-        .memory_bytes(1 << 13)
-        .min_width(16)
-        .seed(41)
-        .build_from_sample_backend(&stream)
-        .unwrap();
-    let mut serial = empty.clone();
-    serial.ingest(&stream);
-    let expected_total = serial.total_weight();
-
-    let mut concurrent = ConcurrentGSketch::from_gsketch(empty);
-    {
-        let mut pipe = ParallelIngest::new_exclusive(&mut concurrent, 4);
-        // A partial buffer: far below the pipeline's chunk capacity.
-        for se in &stream[..100] {
-            pipe.update(*se);
-        }
-        assert_eq!(
-            pipe.staged(),
-            100,
-            "arrivals should be staged, not committed"
-        );
-        // Mid-stream flush makes the prefix visible...
-        pipe.flush();
-        assert_eq!(pipe.staged(), 0);
-        // ...then the remainder goes through a second partial buffer.
-        pipe.ingest_batch(&stream[100..]);
-        pipe.flush();
-    }
-    // Pre-flush invisibility of the first partial buffer.
-    assert_eq!(concurrent.total_weight(), expected_total);
-    let piped = concurrent.into_gsketch();
-    for se in &stream {
-        assert_eq!(piped.estimate(se.edge), serial.estimate(se.edge));
-    }
-}
-
-/// The companion pre-flush check: without any flush, a partial staging
-/// buffer stays invisible; dropping the pipeline then commits it (no
-/// accepted arrival is ever lost).
-#[test]
-fn partial_buffers_invisible_until_flush_or_drop() {
-    let stream: Vec<StreamEdge> = (0..50u64)
-        .map(|t| StreamEdge::unit(Edge::new((t % 5) as u32, 9u32), t))
-        .collect();
-    let empty: GSketch<CmArena> = GSketch::builder()
-        .memory_bytes(1 << 12)
-        .min_width(16)
-        .seed(13)
-        .build_from_sample_backend(&stream)
-        .unwrap();
-    let concurrent = ConcurrentGSketch::from_gsketch(empty);
-    {
-        let mut pipe = ParallelIngest::new(&concurrent, 2);
-        pipe.ingest_batch(&stream);
-        assert_eq!(pipe.staged(), 50);
-        assert_eq!(
-            concurrent.total_weight(),
-            0,
-            "staged arrivals must not be visible before flush"
-        );
-    }
-    assert_eq!(concurrent.total_weight(), 50, "drop must commit staging");
 }

@@ -1,12 +1,12 @@
-//! Chunked stream sources: the producer-side contract of the parallel
-//! ingest pipeline (DESIGN.md §7).
+//! Chunked stream sources: the producer-side dual of the unified ingest
+//! surface (DESIGN.md §7).
 //!
 //! Item-at-a-time iterators are the wrong shape for a sharded consumer:
 //! every arrival would cross the producer/consumer boundary (and its
 //! synchronization) individually. [`EdgeSource`] instead hands out
-//! **contiguous chunks** — the caller supplies the buffer, so a worker
-//! thread refills its own staging buffer under one short lock and then
-//! processes the chunk without touching the source again.
+//! **contiguous chunks** — the caller supplies the buffer, so a consumer
+//! refills its own staging buffer a chunk at a time and then processes
+//! the chunk without touching the source again.
 //!
 //! Implementations:
 //!

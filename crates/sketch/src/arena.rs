@@ -711,37 +711,23 @@ impl AtomicCmArena {
         saturating_fetch_add(&self.totals[slot as usize], weight);
     }
 
-    /// Commit a whole slot run from any thread. This is the batched
-    /// span-commit the parallel ingest pipeline drives — consecutive
-    /// duplicates are coalesced so a key whose occurrences are adjacent
-    /// costs `d` hash evaluations and `d` saturating CAS loops per
-    /// *batch* instead of per arrival, the slot's total counter is
-    /// contended once per run rather than once per update, and the hash
-    /// range reduction uses the precomputed per-slot `FastRem` instead
-    /// of a hardware divide. Any entry order is correct; see
-    /// [`CmArena::add_batch_saturating`] for the coalescing/saturation
-    /// semantics. An out-of-range `slot` is a no-op instead of a panic —
-    /// audited panic-free from the compiled artifact (`xtask audit`).
-    // audit: kernel(bounds-free)
-    pub fn add_batch_saturating(&self, slot: u32, run: &[(u64, u64)]) {
-        let total = self.commit_batch(slot, run, |cell, weight| {
-            saturating_fetch_add(cell, weight);
-        });
-        if total > 0 {
-            if let Some(t) = self.totals.get(slot as usize) {
-                saturating_fetch_add(t, total);
-            }
-        }
-    }
-
-    /// [`Self::add_batch_saturating`] for a caller that can guarantee it
-    /// is the **only writer** for the duration of the batch (e.g. it
-    /// holds the arena behind an exclusive borrow): cells are updated
-    /// with plain load/add/store cycles instead of lock-prefixed RMWs,
-    /// which removes the serializing atomic from the hot loop. Results
-    /// are identical to the RMW path; with a *concurrent* writer this
+    /// Commit a whole slot run from a caller that can guarantee it is
+    /// the **only writer** of `slot` for the duration of the batch (an
+    /// owner of the sharded ingest engine). This is the batched
+    /// span-commit that engine drives: consecutive duplicates are
+    /// coalesced so a key whose occurrences are adjacent costs `d` hash
+    /// evaluations per *batch* instead of per arrival, the slot's total
+    /// counter is written once per run rather than once per update, and
+    /// the hash range reduction uses the precomputed per-slot `FastRem`
+    /// instead of a hardware divide. Cells are updated with plain
+    /// load/add/store cycles instead of lock-prefixed RMWs, which
+    /// removes the serializing atomic from the hot loop. Any entry order
+    /// is correct; see [`CmArena::add_batch_saturating`] for the
+    /// coalescing/saturation semantics. With a *concurrent* writer this
     /// path could lose increments, which is exactly what the caller
-    /// contract rules out.
+    /// contract rules out. An out-of-range `slot` is a no-op instead of
+    /// a panic — audited panic-free from the compiled artifact
+    /// (`xtask audit`).
     // audit: kernel(bounds-free)
     pub fn add_batch_saturating_exclusive(&self, slot: u32, run: &[(u64, u64)]) {
         let total = self.commit_batch(slot, run, |cell, weight| {
@@ -876,7 +862,8 @@ impl AtomicCmArena {
     }
 
     /// Answer a whole slot run of point queries from any thread — the
-    /// read mirror of [`add_batch_saturating`](Self::add_batch_saturating),
+    /// read mirror of
+    /// [`add_batch_saturating_exclusive`](Self::add_batch_saturating_exclusive),
     /// using the precomputed per-slot fastmod constant and the same
     /// duplicate-coalescing / fold-hoisting / block-prefetch discipline
     /// as [`CmArena::estimate_batch_slot`]. `out` is cleared and receives
@@ -1192,20 +1179,15 @@ mod tests {
     #[test]
     fn atomic_batch_commit_matches_sequential_batch() {
         let mut seq = CmArena::with_slots(&[128, 64], 2, 33).unwrap();
-        let atomic = seq.clone().into_atomic();
         let exclusive = seq.clone().into_atomic();
         let mut run: Vec<(u64, u64)> = (0..500u64).map(|k| (k % 77, 1)).collect();
         run.sort_unstable_by_key(|p| p.0);
         seq.add_batch_saturating(0, &run);
-        atomic.add_batch_saturating(0, &run);
         exclusive.add_batch_saturating_exclusive(0, &run);
-        let back = atomic.into_arena();
         let back_ex = exclusive.into_arena();
         for k in 0..77u64 {
-            assert_eq!(seq.estimate_slot(0, k), back.estimate_slot(0, k));
             assert_eq!(seq.estimate_slot(0, k), back_ex.estimate_slot(0, k));
         }
-        assert_eq!(seq.slot_total(0), back.slot_total(0));
         assert_eq!(seq.slot_total(0), back_ex.slot_total(0));
     }
 
@@ -1240,7 +1222,7 @@ mod tests {
         a.add_batch_saturating(0, &[]);
         assert_eq!(a.slot_total(0), 0);
         let at = a.into_atomic();
-        at.add_batch_saturating(0, &[]);
+        at.add_batch_saturating_exclusive(0, &[]);
         assert_eq!(at.slot_total(0), 0);
     }
 

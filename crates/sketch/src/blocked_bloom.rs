@@ -435,39 +435,16 @@ impl AtomicBlockedBloom {
         self.words[word].fetch_or(mask, Ordering::Relaxed);
     }
 
-    /// Record a whole slot run of `(key, weight)` pairs from any thread
-    /// (weights ignored; adjacent duplicate keys inserted once). An
+    /// Record a whole slot run of `(key, weight)` pairs (weights ignored;
+    /// adjacent duplicate keys inserted once) from a caller that is the
+    /// **only writer** of this slot's blocks for the duration of the run
+    /// (the owner-sharded commit contract): bits are set with plain
+    /// load/or/store cycles instead of lock-prefixed RMWs. With a
+    /// concurrent writer to the same block this could lose bits —
+    /// exactly what the caller contract rules out, and what makes slot
+    /// partitioning load-bearing (owners own disjoint block ranges). An
     /// out-of-range `slot` is a no-op instead of a panic — audited
     /// panic-free from the compiled artifact (`xtask audit`).
-    // audit: kernel(bounds-free)
-    pub fn insert_run(&self, slot: u32, run: &[(u64, u64)]) {
-        let (Some(&rem), Some(&span)) =
-            (self.rems.get(slot as usize), self.spans.get(slot as usize))
-        else {
-            return;
-        };
-        let mut i = 0;
-        while i < run.len() {
-            let key = run[i].0;
-            while i < run.len() && run[i].0 == key {
-                i += 1;
-            }
-            let (word, mask) = probe_of(self.seed, rem, span, key);
-            if let Some(w) = self.words.get(word) {
-                // ordering: Relaxed — same raise-only fetch_or argument
-                // as `insert`.
-                w.fetch_or(mask, Ordering::Relaxed);
-            }
-        }
-    }
-
-    /// [`Self::insert_run`] for a caller that is the **only writer** of
-    /// this slot's blocks for the duration of the run (the owner-sharded
-    /// commit contract): bits are set with plain load/or/store cycles
-    /// instead of lock-prefixed RMWs. With a concurrent writer to the
-    /// same block this could lose bits — exactly what the caller
-    /// contract rules out, and what makes slot partitioning load-bearing
-    /// (owners own disjoint block ranges).
     // audit: kernel(bounds-free)
     pub fn insert_run_exclusive(&self, slot: u32, run: &[(u64, u64)]) {
         let (Some(&rem), Some(&span)) =
@@ -660,23 +637,20 @@ mod tests {
     #[test]
     fn atomic_paths_match_sequential() {
         let mut seq = BlockedBloom::with_blocks(&[7, 21], 0xAB).unwrap();
-        let atomic = seq.clone().into_atomic();
         let exclusive = seq.clone().into_atomic();
         let mut run: Vec<(u64, u64)> = keys(600, 13).into_iter().map(|k| (k % 151, 1)).collect();
         run.sort_unstable_by_key(|p| p.0);
         seq.insert_run(1, &run);
-        atomic.insert_run(1, &run);
         exclusive.insert_run_exclusive(1, &run);
         for &(k, _) in &run {
-            assert!(atomic.contains(1, k));
+            assert!(exclusive.contains(1, k));
         }
         let mut out = Vec::new();
         let probes: Vec<u64> = (0..200u64).collect();
-        atomic.contains_batch(1, &probes, &mut out);
+        exclusive.contains_batch(1, &probes, &mut out);
         for (&k, &hit) in probes.iter().zip(&out) {
             assert_eq!(hit, seq.contains(1, k));
         }
-        assert_eq!(atomic.into_bloom().words, seq.words);
         assert_eq!(exclusive.into_bloom().words, seq.words);
     }
 

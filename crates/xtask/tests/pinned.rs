@@ -119,7 +119,6 @@ fn exhaustive_schedule_counts_are_pinned() {
         ("arena-counters", harness::arena_counters_body as fn(), 8832),
         ("arena-saturation", harness::arena_saturation_body, 80),
         ("concurrent-gsketch", harness::concurrent_gsketch_body, 33),
-        ("pipeline-cursor", harness::pipeline_cursor_body, 138),
         (
             "replay-invalidation",
             harness::replay_invalidation_body,
