@@ -3,11 +3,11 @@
 
 use crate::args::{parse_bytes, ArgError, ParsedArgs};
 use gsketch::{
-    evaluate_edge_queries, load_windowed_backend, load_windowed_horizon_backend, save_gsketch,
-    save_windowed, AdaptiveConfig, AdaptiveGSketch, CmArena, ConcurrentGSketch, CountMinSketch,
-    CountSketch, EdgeEstimator, EdgeSink, FrequencySketch, GSketch, GSketchBuilder, GlobalSketch,
-    IntervalEstimate, ParallelQuery, ReplayEngine, ShardedIngest, WindowConfig, WindowedGSketch,
-    WindowedReplay, DEFAULT_G0,
+    evaluate_edge_queries, load_windowed, load_windowed_horizon, save_gsketch, save_windowed,
+    AdaptiveConfig, AdaptiveGSketch, CmArena, ConcurrentGSketch, CountSketch, EdgeEstimator,
+    EdgeSink, FrequencySketch, GSketch, GSketchBuilder, GlobalSketch, IntervalEstimate,
+    ParallelQuery, ReplayEngine, ShardedIngest, WindowConfig, WindowedGSketch, WindowedReplay,
+    DEFAULT_G0,
 };
 use gstream::gen::{
     dblp, ipattack, DblpConfig, ErdosRenyiConfig, ErdosRenyiGenerator, IpAttackConfig, RmatConfig,
@@ -65,7 +65,7 @@ USAGE:
   gsketch stats <stream-file> [--top K]
   gsketch build <stream-file> --memory SIZE --out SNAPSHOT
       [--sample-frac F] [--depth D] [--min-width W] [--seed S]
-      [--backend arena|countmin|countsketch] [--threads N]
+      [--backend arena|countsketch] [--threads N]
       (--threads > 1 ingests through the owner-sharded engine — each
        worker owns a contiguous slot range; requires the arena backend)
   gsketch query <snapshot> <src> <dst> [<src> <dst> ...] [--stream FILE]
@@ -119,7 +119,7 @@ USAGE:
        start drawn over multiples of ALIGN, default SPAN — the windowed
        rows `query --snapshot`/`--window-span` replay)
   gsketch compare <stream-file> --memory SIZE [--queries N] [--depth D] [--seed S]
-      [--backend arena|countmin|countsketch] [--threads N]
+      [--backend arena|countsketch] [--threads N]
   gsketch adaptive <stream-file> --memory SIZE [--warmup N] [--queries N] [--seed S]
       [--threads N]
       (sample-free: the stream prefix replaces the data sample; the
@@ -252,8 +252,6 @@ fn cmd_stats<W: Write>(raw: &[String], out: &mut W) -> Result<(), CliError> {
 enum Backend {
     /// Contiguous counter slab (the default).
     Arena,
-    /// Classic one-allocation-per-partition CountMin layout.
-    CountMin,
     /// Unbiased CountSketch estimates (ablation).
     CountSketch,
 }
@@ -263,10 +261,9 @@ impl Backend {
         match a.get("backend").unwrap_or(CmArena::KIND) {
             "arena" => Ok(Backend::Arena),
             k if k == CmArena::KIND => Ok(Backend::Arena),
-            k if k == CountMinSketch::KIND => Ok(Backend::CountMin),
             k if k == CountSketch::KIND => Ok(Backend::CountSketch),
             other => Err(CliError::Args(ArgError(format!(
-                "unknown backend `{other}` (arena, countmin, countsketch)"
+                "unknown backend `{other}` (arena, countsketch)"
             )))),
         }
     }
@@ -274,21 +271,21 @@ impl Backend {
     fn name(self) -> &'static str {
         match self {
             Backend::Arena => CmArena::KIND,
-            Backend::CountMin => CountMinSketch::KIND,
             Backend::CountSketch => CountSketch::KIND,
         }
     }
 }
 
 /// Parse `--threads` (default 1, clamped to at least 1) and reject the
-/// combinations the parallel pipeline cannot serve: it commits through
-/// the atomic arena, so only the arena backend shards.
+/// combinations sharded ingest cannot serve: `ShardedIngest` runs over
+/// `ConcurrentGSketch`'s owner-exclusive arena slices, so only the arena
+/// backend shards.
 fn parse_threads(a: &ParsedArgs, backend: Backend) -> Result<usize, CliError> {
     let threads: usize = a.get_or("threads", 1)?;
     if threads > 1 && backend != Backend::Arena {
         return Err(CliError::Args(ArgError(format!(
-            "--threads {threads} needs the arena backend (the parallel pipeline \
-             commits into the atomic counter arena); drop --backend {}",
+            "--threads {threads} needs the arena backend (sharded ingest gives each \
+             owner an exclusive slice of the counter arena); drop --backend {}",
             backend.name()
         ))));
     }
@@ -364,9 +361,6 @@ fn cmd_build<W: Write>(raw: &[String], out: &mut W) -> Result<(), CliError> {
             (sketch.num_partitions(), sketch.bytes())
         }
         Backend::Arena => build_ingest_save::<CmArena>(builder, &sample, &stream, &snapshot_path)?,
-        Backend::CountMin => {
-            build_ingest_save::<CountMinSketch>(builder, &sample, &stream, &snapshot_path)?
-        }
         Backend::CountSketch => {
             build_ingest_save::<CountSketch>(builder, &sample, &stream, &snapshot_path)?
         }
@@ -465,7 +459,6 @@ fn cmd_snapshot<W: Write>(raw: &[String], out: &mut W) -> Result<(), CliError> {
 /// A snapshot restored with whichever backend it was built on.
 enum AnySnapshot {
     Arena(Box<GSketch<CmArena>>),
-    CountMin(Box<GSketch<CountMinSketch>>),
     CountSketch(Box<GSketch<CountSketch>>),
 }
 
@@ -496,17 +489,12 @@ impl AnySnapshot {
             k if k == format!("gsketch:{}", CmArena::KIND) => Ok(AnySnapshot::Arena(Box::new(
                 raw.decode_gsketch().map_err(ctx)?,
             ))),
-            k if k == format!("gsketch:{}", CountMinSketch::KIND) => Ok(AnySnapshot::CountMin(
-                Box::new(raw.decode_gsketch().map_err(ctx)?),
-            )),
             k if k == format!("gsketch:{}", CountSketch::KIND) => Ok(AnySnapshot::CountSketch(
                 Box::new(raw.decode_gsketch().map_err(ctx)?),
             )),
             other => Err(CliError::Run(format!(
-                "{path}: unknown snapshot kind `{other}` (expected gsketch:{}, gsketch:{}, \
-                 or gsketch:{})",
+                "{path}: unknown snapshot kind `{other}` (expected gsketch:{} or gsketch:{})",
                 CmArena::KIND,
-                CountMinSketch::KIND,
                 CountSketch::KIND,
             ))),
         }
@@ -517,7 +505,6 @@ impl AnySnapshot {
     fn set_prefilter(&mut self, on: bool) {
         match self {
             AnySnapshot::Arena(g) => g.set_prefilter(on),
-            AnySnapshot::CountMin(g) => g.set_prefilter(on),
             AnySnapshot::CountSketch(g) => g.set_prefilter(on),
         }
     }
@@ -525,7 +512,6 @@ impl AnySnapshot {
     fn estimate_detailed(&self, edge: Edge) -> gsketch::Estimate {
         match self {
             AnySnapshot::Arena(g) => g.estimate_detailed(edge),
-            AnySnapshot::CountMin(g) => g.estimate_detailed(edge),
             AnySnapshot::CountSketch(g) => g.estimate_detailed(edge),
         }
     }
@@ -535,7 +521,6 @@ impl AnySnapshot {
     fn estimate_detailed_batch(&self, edges: &[Edge], out: &mut Vec<gsketch::Estimate>) {
         match self {
             AnySnapshot::Arena(g) => g.estimate_detailed_batch(edges, out),
-            AnySnapshot::CountMin(g) => g.estimate_detailed_batch(edges, out),
             AnySnapshot::CountSketch(g) => g.estimate_detailed_batch(edges, out),
         }
     }
@@ -561,7 +546,6 @@ impl AnySnapshot {
         }
         match self {
             AnySnapshot::Arena(g) => go(g, edges, threads, out),
-            AnySnapshot::CountMin(g) => go(g, edges, threads, out),
             AnySnapshot::CountSketch(g) => go(g, edges, threads, out),
         }
     }
@@ -573,7 +557,6 @@ impl EdgeEstimator for AnySnapshot {
     fn estimate_edge(&self, edge: Edge) -> u64 {
         match self {
             AnySnapshot::Arena(g) => g.estimate(edge),
-            AnySnapshot::CountMin(g) => g.estimate(edge),
             AnySnapshot::CountSketch(g) => g.estimate(edge),
         }
     }
@@ -581,7 +564,6 @@ impl EdgeEstimator for AnySnapshot {
     fn estimate_edges(&self, edges: &[Edge], out: &mut Vec<u64>) {
         match self {
             AnySnapshot::Arena(g) => g.estimate_batch(edges, out),
-            AnySnapshot::CountMin(g) => g.estimate_batch(edges, out),
             AnySnapshot::CountSketch(g) => g.estimate_batch(edges, out),
         }
     }
@@ -612,130 +594,35 @@ fn peek_windowed_kind(path: &str) -> Option<String> {
     kind.starts_with("gsketch-windowed:").then_some(kind)
 }
 
-/// A windowed snapshot restored under whichever backend it was built
-/// on, fronted by the interval-keyed replay memo.
-enum AnyWindowedReplay {
-    Arena(Box<WindowedReplay<CmArena>>),
-    CountMin(Box<WindowedReplay<CountMinSketch>>),
-    CountSketch(Box<WindowedReplay<CountSketch>>),
-}
-
-impl AnyWindowedReplay {
-    /// Peek the envelope's kind line, dispatch on the backend tag, and
-    /// decode under the matching backend — optionally loading only the
-    /// sealed windows overlapping `load_span` through the footer index.
-    fn load(path: &str, load_span: Option<(u64, u64)>) -> Result<Self, CliError> {
-        fn decode<B: FrequencySketch>(
-            path: &str,
-            load_span: Option<(u64, u64)>,
-        ) -> Result<WindowedReplay<B>, CliError> {
-            let w = match load_span {
-                Some((ts, te)) => load_windowed_horizon_backend::<_, B>(path, ts, te),
-                None => load_windowed_backend::<_, B>(path),
-            }
-            .map_err(|e| CliError::Run(format!("{path}: {e}")))?;
-            Ok(WindowedReplay::new(w))
-        }
-        let Some(kind) = peek_windowed_kind(path) else {
-            // Not a windowed envelope: a flat snapshot, another format,
-            // or not a snapshot at all. Let the flat opener classify it
-            // so kind/version problems are reported precisely.
-            return match gsketch::RawSnapshot::open(path) {
-                Ok(raw) => Err(CliError::Run(format!(
-                    "{path}: `{}` is not a windowed snapshot (expected \
-                     gsketch-windowed:<backend>); query flat snapshots without --snapshot",
-                    raw.kind()
-                ))),
-                Err(e) => Err(CliError::Run(format!("{path}: {e}"))),
-            };
-        };
-        match kind.strip_prefix("gsketch-windowed:") {
-            Some(b) if b == CmArena::KIND => {
-                Ok(AnyWindowedReplay::Arena(Box::new(decode(path, load_span)?)))
-            }
-            Some(b) if b == CountMinSketch::KIND => Ok(AnyWindowedReplay::CountMin(Box::new(
-                decode(path, load_span)?,
-            ))),
-            Some(b) if b == CountSketch::KIND => Ok(AnyWindowedReplay::CountSketch(Box::new(
-                decode(path, load_span)?,
-            ))),
-            _ => Err(CliError::Run(format!(
-                "{path}: unknown windowed snapshot backend in `{kind}` (expected \
-                 gsketch-windowed:{}, gsketch-windowed:{}, or gsketch-windowed:{})",
+/// Restore a windowed snapshot fronted by the interval-keyed replay
+/// memo — optionally loading only the sealed windows overlapping
+/// `load_span` through the footer index. `snapshot` writes only the
+/// arena backend; the loader rejects any other windowed kind, naming
+/// both.
+fn load_windowed_replay(
+    path: &str,
+    load_span: Option<(u64, u64)>,
+) -> Result<WindowedReplay, CliError> {
+    if peek_windowed_kind(path).is_none() {
+        // Not a windowed envelope: a flat snapshot, another format, or
+        // not a snapshot at all. Let the flat opener classify it so
+        // kind/version problems are reported precisely.
+        return match gsketch::RawSnapshot::open(path) {
+            Ok(raw) => Err(CliError::Run(format!(
+                "{path}: `{}` is not a windowed snapshot (expected \
+                 gsketch-windowed:{}); query flat snapshots without --snapshot",
+                raw.kind(),
                 CmArena::KIND,
-                CountMinSketch::KIND,
-                CountSketch::KIND,
             ))),
-        }
+            Err(e) => Err(CliError::Run(format!("{path}: {e}"))),
+        };
     }
-
-    /// Memoized detailed interval batch (all edges share one interval).
-    fn estimate_interval_detailed_batch(
-        &mut self,
-        edges: &[Edge],
-        t_start: u64,
-        t_end: u64,
-        out: &mut Vec<IntervalEstimate>,
-    ) {
-        match self {
-            AnyWindowedReplay::Arena(r) => {
-                r.estimate_interval_detailed_batch(edges, t_start, t_end, out)
-            }
-            AnyWindowedReplay::CountMin(r) => {
-                r.estimate_interval_detailed_batch(edges, t_start, t_end, out)
-            }
-            AnyWindowedReplay::CountSketch(r) => {
-                r.estimate_interval_detailed_batch(edges, t_start, t_end, out)
-            }
-        }
+    let w = match load_span {
+        Some((ts, te)) => load_windowed_horizon(path, ts, te),
+        None => load_windowed(path),
     }
-
-    /// The same batch answered straight from the deployment, bypassing
-    /// the memo (`--cache off`, the bit-compare baseline).
-    fn estimate_uncached(
-        &self,
-        edges: &[Edge],
-        t_start: u64,
-        t_end: u64,
-        out: &mut Vec<IntervalEstimate>,
-    ) {
-        match self {
-            AnyWindowedReplay::Arena(r) => r
-                .inner()
-                .estimate_interval_detailed_batch(edges, t_start, t_end, out),
-            AnyWindowedReplay::CountMin(r) => r
-                .inner()
-                .estimate_interval_detailed_batch(edges, t_start, t_end, out),
-            AnyWindowedReplay::CountSketch(r) => r
-                .inner()
-                .estimate_interval_detailed_batch(edges, t_start, t_end, out),
-        }
-    }
-
-    fn stats(&self) -> gsketch::ReplayStats {
-        match self {
-            AnyWindowedReplay::Arena(r) => r.stats(),
-            AnyWindowedReplay::CountMin(r) => r.stats(),
-            AnyWindowedReplay::CountSketch(r) => r.stats(),
-        }
-    }
-
-    /// `(sealed windows, tiers, lifetime end, partial)` for reporting.
-    fn shape(&self) -> (usize, usize, u64, bool) {
-        fn go<B: FrequencySketch>(w: &WindowedGSketch<B>) -> (usize, usize, u64, bool) {
-            (
-                w.sealed_windows(),
-                w.num_tiers(),
-                w.lifetime_end(),
-                w.is_partial(),
-            )
-        }
-        match self {
-            AnyWindowedReplay::Arena(r) => go(r.inner()),
-            AnyWindowedReplay::CountMin(r) => go(r.inner()),
-            AnyWindowedReplay::CountSketch(r) => go(r.inner()),
-        }
-    }
+    .map_err(|e| CliError::Run(format!("{path}: {e}")))?;
+    Ok(WindowedReplay::new(w))
 }
 
 /// Parse an `on`/`off` switch option (this CLI's options always take a
@@ -898,19 +785,15 @@ fn replay_workload<W: Write>(
 }
 
 /// Windowed workload replay: build a [`WindowedGSketch`] over the
-/// stream at `stream_path`, then replay a workload whose rows may carry
-/// inclusive `[t_start t_end]` columns. Each chunk is grouped by
-/// distinct interval and every group is answered as one batch through
-/// [`WindowedGSketch::estimate_interval_detailed_batch`] — per-query
-/// confidence intervals come out of the same kernel passes that answer
-/// the values. Rows without a window ask over the whole lifetime.
+/// stream at `stream_path`, then replay the workload through
+/// [`replay_interval_workload`], answering each interval group with
+/// [`WindowedGSketch::estimate_interval_detailed_batch`].
 fn replay_windowed_workload<W: Write>(
     a: &ParsedArgs,
     stream_path: &str,
     workload_path: &str,
     out: &mut W,
 ) -> Result<(), CliError> {
-    use std::collections::BTreeMap;
     let span: u64 = a.require("window-span")?;
     if span == 0 {
         return Err(CliError::Args(ArgError(
@@ -944,12 +827,49 @@ fn replay_windowed_workload<W: Write>(
         windowed.ingest(&stream);
     }
 
+    let (queries, windowed_queries, summary) = replay_interval_workload(
+        workload_path,
+        chunk,
+        show,
+        windowed.lifetime_end(),
+        |edges, t_start, t_end, rows| {
+            windowed.estimate_interval_detailed_batch(edges, t_start, t_end, rows)
+        },
+        out,
+    )?;
+    writeln!(
+        out,
+        "replayed {queries} queries ({windowed_queries} windowed) over {} window(s) of span {span}",
+        windowed.sealed_windows() + 1
+    )
+    .map_err(run_err)?;
+    writeln!(out, "{summary}").map_err(run_err)?;
+    Ok(())
+}
+
+/// Replay a workload whose rows may carry inclusive `[t_start t_end]`
+/// columns; rows without a window ask over `[0, lifetime_end]`. Each
+/// chunk is grouped by distinct interval and every group is answered as
+/// one detailed batch by `answer(edges, t_start, t_end, rows)` — so
+/// per-query confidence intervals come out of the same kernel passes
+/// that answer the values. The first `show` rows are printed in file
+/// order. Returns `(queries, windowed queries, summary line)`; the
+/// caller prints its own header before the summary.
+fn replay_interval_workload<W: Write>(
+    workload_path: &str,
+    chunk: usize,
+    show: usize,
+    lifetime_end: u64,
+    mut answer: impl FnMut(&[Edge], u64, u64, &mut Vec<IntervalEstimate>),
+    out: &mut W,
+) -> Result<(u64, u64, String), CliError> {
+    use std::collections::BTreeMap;
     let mut source = QueryFileSource::open(workload_path).map_err(run_err)?;
+    let lifetime = (0u64, lifetime_end);
     let mut buf: Vec<WorkloadQuery> = Vec::with_capacity(chunk);
     let mut results: Vec<IntervalEstimate> = Vec::new();
     let mut edges: Vec<Edge> = Vec::new();
     let mut rows: Vec<IntervalEstimate> = Vec::new();
-    let lifetime = (0u64, windowed.lifetime_end());
     let mut queries = 0u64;
     let mut windowed_queries = 0u64;
     let mut value_sum = 0.0f64;
@@ -971,7 +891,7 @@ fn replay_windowed_workload<W: Write>(
         for (&(t_start, t_end), idxs) in &groups {
             edges.clear();
             edges.extend(idxs.iter().map(|&i| buf[i].edge));
-            windowed.estimate_interval_detailed_batch(&edges, t_start, t_end, &mut rows);
+            answer(&edges, t_start, t_end, &mut rows);
             for (&i, row) in idxs.iter().zip(&rows) {
                 results[i] = *row;
             }
@@ -1001,21 +921,39 @@ fn replay_windowed_workload<W: Write>(
         }
     }
     source.finish().map_err(run_err)?;
-    writeln!(
-        out,
-        "replayed {queries} queries ({windowed_queries} windowed) over {} window(s) of span {span}",
-        windowed.sealed_windows() + 1
-    )
-    .map_err(run_err)?;
-    writeln!(
-        out,
+    let summary = format!(
         "estimate sum {value_sum:.1}, mean {:.2}; mean bound ±{:.1}, min confidence {:.3}",
         value_sum / (queries.max(1)) as f64,
         bound_sum / (queries.max(1)) as f64,
         if queries == 0 { 0.0 } else { min_confidence },
-    )
-    .map_err(run_err)?;
-    Ok(())
+    );
+    Ok((queries, windowed_queries, summary))
+}
+
+/// Validate the query shape — inline `<src> <dst>` pairs or one
+/// `--workload` file, never both — before touching the filesystem.
+fn check_query_shape(a: &ParsedArgs, pairs: &[String]) -> Result<(), CliError> {
+    match a.get("workload") {
+        Some(_) if !pairs.is_empty() => Err(CliError::Args(ArgError(
+            "--workload replays a file; drop the inline `<src> <dst>` pairs".into(),
+        ))),
+        None if pairs.is_empty() || !pairs.len().is_multiple_of(2) => Err(CliError::Args(
+            ArgError("queries come as `<src> <dst>` pairs (or use --workload FILE)".into()),
+        )),
+        _ => Ok(()),
+    }
+}
+
+/// Parse inline `<src> <dst>` vertex-id pairs into edges.
+fn parse_pairs(pairs: &[String]) -> Result<Vec<Edge>, CliError> {
+    let id = |s: &String| {
+        s.parse::<u32>()
+            .map_err(|_| CliError::Args(ArgError(format!("bad vertex id `{s}`"))))
+    };
+    pairs
+        .chunks_exact(2)
+        .map(|pair| Ok(Edge::new(id(&pair[0])?, id(&pair[1])?)))
+        .collect()
 }
 
 /// `query --snapshot`: time-travel queries from a durable windowed
@@ -1029,7 +967,6 @@ fn query_windowed_snapshot<W: Write>(
     path: &str,
     out: &mut W,
 ) -> Result<(), CliError> {
-    use std::collections::BTreeMap;
     for flag in [
         "stream",
         "prefilter",
@@ -1047,19 +984,7 @@ fn query_windowed_snapshot<W: Write>(
         }
     }
     let pairs = a.positionals();
-    match a.get("workload") {
-        Some(_) if !pairs.is_empty() => {
-            return Err(CliError::Args(ArgError(
-                "--workload replays a file; drop the inline `<src> <dst>` pairs".into(),
-            )))
-        }
-        None if pairs.is_empty() || !pairs.len().is_multiple_of(2) => {
-            return Err(CliError::Args(ArgError(
-                "queries come as `<src> <dst>` pairs (or use --workload FILE)".into(),
-            )))
-        }
-        _ => {}
-    }
+    check_query_shape(a, pairs)?;
     if a.get("workload").is_some() {
         for flag in ["t-start", "t-end"] {
             if a.get(flag).is_some() {
@@ -1097,14 +1022,17 @@ fn query_windowed_snapshot<W: Write>(
             Some((lo, hi))
         }
     };
-    let mut replay = AnyWindowedReplay::load(path, load_span)?;
-    let (sealed, tiers, lifetime_end, partial) = replay.shape();
+    let mut replay = load_windowed_replay(path, load_span)?;
+    let windowed = replay.inner();
+    let lifetime_end = windowed.lifetime_end();
     writeln!(
         out,
-        "loaded {sealed} sealed window(s), {tiers} tier(s), and the open window from {path}"
+        "loaded {} sealed window(s), {} tier(s), and the open window from {path}",
+        windowed.sealed_windows(),
+        windowed.num_tiers(),
     )
     .map_err(run_err)?;
-    if let (true, Some((lo, hi))) = (partial, load_span) {
+    if let (true, Some((lo, hi))) = (windowed.is_partial(), load_span) {
         writeln!(
             out,
             "partial load: only windows overlapping [{lo}, {hi}] are resident; \
@@ -1122,16 +1050,7 @@ fn query_windowed_snapshot<W: Write>(
                 "--t-start {t_start} exceeds --t-end {t_end}"
             ))));
         }
-        let mut edges = Vec::with_capacity(pairs.len() / 2);
-        for pair in pairs.chunks_exact(2) {
-            let src: u32 = pair[0]
-                .parse()
-                .map_err(|_| CliError::Args(ArgError(format!("bad vertex id `{}`", pair[0]))))?;
-            let dst: u32 = pair[1]
-                .parse()
-                .map_err(|_| CliError::Args(ArgError(format!("bad vertex id `{}`", pair[1]))))?;
-            edges.push(Edge::new(src, dst));
-        }
+        let edges = parse_pairs(pairs)?;
         let mut rows = Vec::new();
         replay.estimate_interval_detailed_batch(&edges, t_start, t_end, &mut rows);
         let windowed_ask = a.get("t-start").is_some() || a.get("t-end").is_some();
@@ -1154,70 +1073,27 @@ fn query_windowed_snapshot<W: Write>(
         return Ok(());
     };
 
-    // Workload replay, chunked and grouped by distinct interval; each
-    // group is one (possibly memoized) detailed batch.
+    // Workload replay: each interval group is one detailed batch,
+    // memoized unless --cache off.
     let cached = parse_switch(a, "cache", true)?;
     let chunk: usize = a.get_or::<usize>("chunk", 1 << 20)?.max(1);
     let show: usize = a.get_or("show", 10)?;
-    let mut source = QueryFileSource::open(workload_path).map_err(run_err)?;
-    let lifetime = (0u64, lifetime_end);
-    let mut buf: Vec<WorkloadQuery> = Vec::with_capacity(chunk);
-    let mut results: Vec<IntervalEstimate> = Vec::new();
-    let mut edges: Vec<Edge> = Vec::new();
-    let mut rows: Vec<IntervalEstimate> = Vec::new();
-    let mut queries = 0u64;
-    let mut windowed_queries = 0u64;
-    let mut value_sum = 0.0f64;
-    let mut bound_sum = 0.0f64;
-    let mut min_confidence = 1.0f64;
-    let mut shown = 0usize;
-    while source.fill_workload_queries(&mut buf, chunk) > 0 {
-        let mut groups: BTreeMap<(u64, u64), Vec<usize>> = BTreeMap::new();
-        for (i, q) in buf.iter().enumerate() {
-            groups
-                .entry(q.window.unwrap_or(lifetime))
-                .or_default()
-                .push(i);
-        }
-        results.clear();
-        results.resize(buf.len(), IntervalEstimate::default());
-        for (&(t_start, t_end), idxs) in &groups {
-            edges.clear();
-            edges.extend(idxs.iter().map(|&i| buf[i].edge));
+    let (queries, windowed_queries, summary) = replay_interval_workload(
+        workload_path,
+        chunk,
+        show,
+        lifetime_end,
+        |edges, t_start, t_end, rows| {
             if cached {
-                replay.estimate_interval_detailed_batch(&edges, t_start, t_end, &mut rows);
+                replay.estimate_interval_detailed_batch(edges, t_start, t_end, rows);
             } else {
-                replay.estimate_uncached(&edges, t_start, t_end, &mut rows);
+                replay
+                    .inner()
+                    .estimate_interval_detailed_batch(edges, t_start, t_end, rows);
             }
-            for (&i, row) in idxs.iter().zip(&rows) {
-                results[i] = *row;
-            }
-        }
-        for (q, r) in buf.iter().zip(&results) {
-            queries += 1;
-            windowed_queries += u64::from(q.window.is_some());
-            value_sum += r.value;
-            bound_sum += r.error_bound;
-            min_confidence = min_confidence.min(r.confidence);
-            if shown < show {
-                match q.window {
-                    Some((ts, te)) => writeln!(
-                        out,
-                        "{} [{ts}..{te}]: estimate {:.1} (±{:.1} w.p. {:.3})",
-                        q.edge, r.value, r.error_bound, r.confidence
-                    ),
-                    None => writeln!(
-                        out,
-                        "{} [lifetime]: estimate {:.1} (±{:.1} w.p. {:.3})",
-                        q.edge, r.value, r.error_bound, r.confidence
-                    ),
-                }
-                .map_err(run_err)?;
-                shown += 1;
-            }
-        }
-    }
-    source.finish().map_err(run_err)?;
+        },
+        out,
+    )?;
     writeln!(
         out,
         "replayed {queries} queries ({windowed_queries} windowed) from the snapshot"
@@ -1235,14 +1111,7 @@ fn query_windowed_snapshot<W: Write>(
         )
         .map_err(run_err)?;
     }
-    writeln!(
-        out,
-        "estimate sum {value_sum:.1}, mean {:.2}; mean bound ±{:.1}, min confidence {:.3}",
-        value_sum / (queries.max(1)) as f64,
-        bound_sum / (queries.max(1)) as f64,
-        if queries == 0 { 0.0 } else { min_confidence },
-    )
-    .map_err(run_err)?;
+    writeln!(out, "{summary}").map_err(run_err)?;
     Ok(())
 }
 
@@ -1282,23 +1151,11 @@ fn cmd_query<W: Write>(raw: &[String], out: &mut W) -> Result<(), CliError> {
     }
     let snapshot_path = a.positional(0, "snapshot")?;
     let pairs = &a.positionals()[1..];
-    // Validate the query shape before touching the filesystem.
-    match a.get("workload") {
-        Some(_) if !pairs.is_empty() => {
-            return Err(CliError::Args(ArgError(
-                "--workload replays a file; drop the inline `<src> <dst>` pairs".into(),
-            )))
-        }
-        None if pairs.is_empty() || !pairs.len().is_multiple_of(2) => {
-            return Err(CliError::Args(ArgError(
-                "queries come as `<src> <dst>` pairs (or use --workload FILE)".into(),
-            )))
-        }
-        _ => {}
-    }
-    // Windowed replay: the positional is a *stream file* (the windowed
-    // synopsis is built fresh — there is no windowed snapshot format),
-    // and the workload's rows may carry `[t_start t_end]` columns.
+    check_query_shape(&a, pairs)?;
+    // Windowed replay from a stream: the positional is a *stream file*
+    // and the windowed synopsis is built fresh (`query --snapshot`
+    // answers from a saved one instead); the workload's rows may carry
+    // `[t_start t_end]` columns.
     if a.get("window-span").is_some() {
         let Some(workload_path) = a.get("workload") else {
             return Err(CliError::Args(ArgError(
@@ -1353,14 +1210,7 @@ fn cmd_query<W: Write>(raw: &[String], out: &mut W) -> Result<(), CliError> {
     if let Some(workload_path) = a.get("workload") {
         return replay_workload(&a, &sketch, workload_path, truth.as_ref(), out);
     }
-    for pair in pairs.chunks_exact(2) {
-        let src: u32 = pair[0]
-            .parse()
-            .map_err(|_| CliError::Args(ArgError(format!("bad vertex id `{}`", pair[0]))))?;
-        let dst: u32 = pair[1]
-            .parse()
-            .map_err(|_| CliError::Args(ArgError(format!("bad vertex id `{}`", pair[1]))))?;
-        let edge = Edge::new(src, dst);
+    for edge in parse_pairs(pairs)? {
         let est = sketch.estimate_detailed(edge);
         match &truth {
             Some(t) => writeln!(
@@ -1564,9 +1414,6 @@ fn cmd_compare<W: Write>(raw: &[String], out: &mut W) -> Result<(), CliError> {
             )
         }
         Backend::Arena => eval_backend::<CmArena>(builder, &sample, &stream, &queries, &truth)?,
-        Backend::CountMin => {
-            eval_backend::<CountMinSketch>(builder, &sample, &stream, &queries, &truth)?
-        }
         Backend::CountSketch => {
             eval_backend::<CountSketch>(builder, &sample, &stream, &queries, &truth)?
         }
@@ -2414,7 +2261,7 @@ mod tests {
             "100",
         ])
         .unwrap();
-        for backend in ["arena", "countmin", "countsketch"] {
+        for backend in ["arena", "countsketch"] {
             let snap = tmp(&format!("backends.{backend}.json"));
             let built = run(&[
                 "build",
@@ -2463,10 +2310,10 @@ mod tests {
             "--queries",
             "500",
             "--backend",
-            "countmin",
+            "countsketch",
         ])
         .unwrap();
-        assert!(text.contains("countmin backend"));
+        assert!(text.contains("countsketch backend"));
     }
 
     #[test]
@@ -2548,7 +2395,7 @@ mod tests {
             "--out",
             "y.json",
             "--backend",
-            "countmin",
+            "countsketch",
             "--threads",
             "4",
         ])
@@ -2890,6 +2737,38 @@ mod tests {
         assert!(msg.contains("gsketch:bogus"), "{msg}");
         assert!(msg.contains("expected gsketch:cm-arena"), "{msg}");
         assert!(msg.contains("snap_kinds.bogus.json"), "{msg}");
+        // Retired flat kind: a library-built per-partition CountMin
+        // snapshot is an unknown kind to the CLI.
+        let edges = gstream::load_stream(&stream).unwrap();
+        let countmin = tmp("snap_kinds.countmin.json");
+        let g: GSketch<gsketch::CountMinSketch> = GSketch::builder()
+            .memory_bytes(16 << 10)
+            .build_from_sample_backend(&edges[..500])
+            .unwrap();
+        save_gsketch(&countmin, &g).unwrap();
+        let e = run(&["query", &countmin, "0", "1"]).unwrap_err();
+        let msg = e.to_string();
+        assert!(msg.contains("gsketch:countmin"), "{msg}");
+        assert!(msg.contains("snap_kinds.countmin.json"), "{msg}");
+        // Retired windowed kind: the loader names found and expected.
+        let wcs = tmp("snap_kinds.wcs.json");
+        let _ = std::fs::remove_file(&wcs);
+        let mut w = WindowedGSketch::<CountSketch>::new_backend(
+            WindowConfig {
+                span: 1000,
+                memory_bytes_per_window: 16 << 10,
+                sample_capacity: 256,
+                seed: 42,
+            },
+            GSketch::builder().min_width(64),
+        )
+        .unwrap();
+        w.ingest(&edges);
+        save_windowed(&wcs, &w).unwrap();
+        let e = run(&["query", "--snapshot", &wcs, "0", "1"]).unwrap_err();
+        let msg = e.to_string();
+        assert!(msg.contains("gsketch-windowed:countsketch"), "{msg}");
+        assert!(msg.contains("gsketch-windowed:cm-arena"), "{msg}");
         // Snapshot-only flags are rejected outside --snapshot.
         let e = run(&["query", &flat, "0", "1", "--t-start", "5"]).unwrap_err();
         assert!(e.to_string().contains("--snapshot"), "{e}");

@@ -5,14 +5,11 @@
 //!
 //! * [`CountMinSketch`] — the synopsis gSketch partitions (Cormode &
 //!   Muthukrishnan 2005; paper §3.2 and Figure 1);
-//! * [`AmsSketch`] — tug-of-war sketch (Alon, Matias & Szegedy 1996);
 //! * [`CountSketch`] — unbiased L2-error point estimates (Charikar, Chen
 //!   & Farach-Colton 2002), the substrate for join-size style structural
 //!   queries;
-//! * [`LossyCounting`] — deterministic heavy hitters (Manku & Motwani 2002);
 //! * [`SpaceSaving`] — guaranteed heavy hitters (Metwally et al. 2005),
 //!   powering heavy-vertex detection and the sample-free partitioner;
-//! * [`BottomK`] — distinct sampling (Cohen & Kaplan 2008);
 //! * [`ExpHist`] / [`WeightedExpHist`] — sliding-window counting (Datar
 //!   et al. 2002);
 //! * [`HyperLogLog`] / [`DegreeSketch`] — distinct counting and
@@ -35,7 +32,7 @@
 //! identical seeds can be merged.
 //!
 //! ```
-//! use sketch::{CountMinSketch, PointEstimator};
+//! use sketch::CountMinSketch;
 //!
 //! let mut cm = CountMinSketch::new(1024, 4, 42).unwrap();
 //! cm.update(7, 3);
@@ -46,24 +43,19 @@
 #![warn(missing_docs)]
 #![warn(clippy::all)]
 
-pub mod ams;
 pub mod arena;
 pub mod backend;
 pub mod blocked_bloom;
-pub mod bottomk;
 pub mod countmin;
 pub mod countsketch;
 pub mod error;
 pub mod exphist;
 pub mod hash;
 pub mod hll;
-pub mod lossy;
 pub mod slab;
 pub mod spacesaving;
 pub mod sync;
 pub mod windowed;
-
-pub use ams::AmsSketch;
 
 /// Best-effort prefetch of the cache line holding `p` (no-op off
 /// x86_64). Used by the batched ingest hot loops here and in the core
@@ -83,75 +75,10 @@ pub fn prefetch<T>(p: *const T) {
 pub use arena::{AtomicCmArena, CmArena, SlotSpan};
 pub use backend::{DetailedRow, FrequencySketch, SketchBank, SketchVec};
 pub use blocked_bloom::{AtomicBlockedBloom, BlockSpan, BlockedBloom};
-pub use bottomk::BottomK;
 pub use countmin::{CountMinSketch, UpdatePolicy};
 pub use countsketch::CountSketch;
 pub use error::SketchError;
 pub use exphist::{ExpHist, WeightedExpHist};
 pub use hll::{DegreeSketch, HyperLogLog};
-pub use lossy::LossyCounting;
 pub use spacesaving::{Counter, SpaceSaving};
 pub use windowed::EcmSketch;
-
-/// Common interface for synopses that answer point frequency queries with
-/// non-negative integer estimates. Implemented by the synopses whose point
-/// estimates are one-sided (never underestimate); the AMS sketch's
-/// two-sided float estimates intentionally do not implement it.
-pub trait PointEstimator {
-    /// Record `weight` occurrences of `key`.
-    fn update(&mut self, key: u64, weight: u64);
-    /// Estimate the total weight recorded for `key`.
-    fn estimate(&self, key: u64) -> u64;
-    /// Total weight inserted so far.
-    fn total(&self) -> u64;
-}
-
-impl PointEstimator for CountMinSketch {
-    fn update(&mut self, key: u64, weight: u64) {
-        CountMinSketch::update(self, key, weight);
-    }
-    fn estimate(&self, key: u64) -> u64 {
-        CountMinSketch::estimate(self, key)
-    }
-    fn total(&self) -> u64 {
-        CountMinSketch::total(self)
-    }
-}
-
-impl PointEstimator for LossyCounting {
-    fn update(&mut self, key: u64, weight: u64) {
-        LossyCounting::update(self, key, weight);
-    }
-    fn estimate(&self, key: u64) -> u64 {
-        // Lossy Counting's lower bound plays the role of the estimate.
-        LossyCounting::estimate(self, key)
-    }
-    fn total(&self) -> u64 {
-        self.seen()
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn trait_object_dispatch() {
-        let mut synopses: Vec<Box<dyn PointEstimator>> = vec![
-            Box::new(CountMinSketch::new(256, 3, 1).unwrap()),
-            Box::new(LossyCounting::new(0.01).unwrap()),
-        ];
-        for s in &mut synopses {
-            for k in 0..50u64 {
-                s.update(k, 2);
-            }
-        }
-        for s in &synopses {
-            assert_eq!(s.total(), 100);
-        }
-        // CountMin never underestimates.
-        assert!(synopses[0].estimate(10) >= 2);
-        // Lossy Counting never overestimates.
-        assert!(synopses[1].estimate(10) <= 2);
-    }
-}

@@ -3,8 +3,7 @@
 use proptest::collection::vec;
 use proptest::prelude::*;
 use sketch::{
-    AmsSketch, BottomK, CountMinSketch, CountSketch, EcmSketch, ExpHist, LossyCounting,
-    SpaceSaving, UpdatePolicy, WeightedExpHist,
+    CountMinSketch, CountSketch, EcmSketch, ExpHist, SpaceSaving, UpdatePolicy, WeightedExpHist,
 };
 use std::collections::HashMap;
 
@@ -95,67 +94,6 @@ proptest! {
             prop_assert!(c >= f, "conservative underestimated");
             prop_assert!(c <= classic.estimate(k), "conservative above classic");
         }
-    }
-
-    /// Lossy Counting: estimates are lower bounds with ε·N slack, and
-    /// the tracked set stays within the O(1/ε · log εN) bound.
-    #[test]
-    fn lossy_counting_bounds(
-        updates in vec(0u64..300, 1..2000),
-        eps_thousandths in 5u32..200,
-    ) {
-        let eps = eps_thousandths as f64 / 1000.0;
-        let mut lc = LossyCounting::new(eps).unwrap();
-        let mut truth: HashMap<u64, u64> = HashMap::new();
-        for &k in &updates {
-            lc.update(k, 1);
-            *truth.entry(k).or_insert(0) += 1;
-        }
-        let slack = (eps * lc.seen() as f64).ceil() as u64;
-        for (&k, &f) in &truth {
-            let est = lc.estimate(k);
-            prop_assert!(est <= f);
-            prop_assert!(f - est <= slack);
-            prop_assert!(lc.estimate_upper(k) == 0 || lc.estimate_upper(k) >= est);
-        }
-    }
-
-    /// Bottom-k: below k distinct keys the sample is exhaustive and the
-    /// estimate exact; duplicates never change the sample.
-    #[test]
-    fn bottomk_exact_below_k(
-        keys in vec(0u64..50, 1..100),
-        seed in any::<u64>(),
-    ) {
-        let mut bk = BottomK::new(64, seed).unwrap();
-        for &k in &keys {
-            bk.insert(k);
-        }
-        let distinct: std::collections::HashSet<u64> = keys.iter().copied().collect();
-        prop_assert_eq!(bk.len(), distinct.len());
-        prop_assert_eq!(bk.estimate_distinct(), distinct.len() as f64);
-    }
-
-    /// Bottom-k merge equals union.
-    #[test]
-    fn bottomk_merge_is_union(
-        a in vec(0u64..500, 0..200),
-        b in vec(0u64..500, 0..200),
-        seed in any::<u64>(),
-    ) {
-        let mut sa = BottomK::new(16, seed).unwrap();
-        let mut sb = BottomK::new(16, seed).unwrap();
-        let mut su = BottomK::new(16, seed).unwrap();
-        for &k in &a {
-            sa.insert(k);
-            su.insert(k);
-        }
-        for &k in &b {
-            sb.insert(k);
-            su.insert(k);
-        }
-        sa.merge(&sb).unwrap();
-        prop_assert_eq!(sa.samples(), su.samples());
     }
 
     /// Count sketch: the turnstile model is exactly linear — inserting
@@ -416,28 +354,5 @@ proptest! {
             prop_assert!(est <= prev, "weighted estimate grew as the window shrank");
             prev = est;
         }
-    }
-
-    /// AMS: merged sketches estimate the concatenated stream (exactly,
-    /// since counters are linear).
-    #[test]
-    fn ams_linearity(
-        a in vec((0u64..50, 1u16..20), 0..50),
-        b in vec((0u64..50, 1u16..20), 0..50),
-        seed in any::<u64>(),
-    ) {
-        let mut s1 = AmsSketch::new(16, 3, seed).unwrap();
-        let mut s2 = AmsSketch::new(16, 3, seed).unwrap();
-        let mut s12 = AmsSketch::new(16, 3, seed).unwrap();
-        for &(k, w) in &a {
-            s1.update(k, w as u64);
-            s12.update(k, w as u64);
-        }
-        for &(k, w) in &b {
-            s2.update(k, w as u64);
-            s12.update(k, w as u64);
-        }
-        s1.merge(&s2).unwrap();
-        prop_assert!((s1.estimate_f2() - s12.estimate_f2()).abs() < 1e-6);
     }
 }
