@@ -1,5 +1,5 @@
 //! Owner-sharded ingest benchmark (DESIGN.md §11): the
-//! [`ShardedIngest`] engine over the atomic arena vs. the
+//! [`ShardedIngest`] engine over per-owner arena slices vs. the
 //! single-threaded slot-grouped `ingest_batch` baseline, on the same
 //! R-MAT (GTGraph) traffic stream and build parameters as
 //! `backend_micro`.
@@ -16,7 +16,7 @@
 //! scaling that did not run. Results are appended to
 //! `BENCH_ingest.json`.
 
-use gsketch::{ConcurrentGSketch, EdgeSink, GSketch, ShardedIngest};
+use gsketch::{EdgeSink, GSketch, ShardedIngest};
 use gsketch_bench::trajectory::{rate_of, record_section, Throughput};
 use gsketch_bench::{experiment_scale, Bundle, Dataset, EXPERIMENT_SEED};
 use serde::Value;
@@ -110,7 +110,7 @@ fn main() {
     // the row name claims, so it is not recorded.
     let mut sharded_1t = f64::NAN;
     for threads in [1usize, 2, 4, 8] {
-        let mut probe = ConcurrentGSketch::from_gsketch(base.clone());
+        let mut probe = base.clone();
         let workers = ShardedIngest::new(&mut probe, threads).effective_owners();
         if workers < threads {
             println!("sharded/{threads}t: not recorded (clamped to {workers} worker(s))");
@@ -119,19 +119,18 @@ fn main() {
         let mut rates = Vec::new();
         let mut last = None;
         for pass in 0..=RUNS {
-            let mut concurrent = ConcurrentGSketch::from_gsketch(base.clone());
+            let mut sketch = base.clone();
             let rate = rate_of(bundle.stream.len() as u64, || {
-                ShardedIngest::new(&mut concurrent, threads)
+                ShardedIngest::new(&mut sketch, threads)
                     .chunk_capacity(CHUNK)
                     .run_slice(&bundle.stream);
             });
             if pass > 0 {
                 rates.push(rate);
             }
-            last = Some(concurrent);
+            last = Some(sketch);
         }
-        let thawed = last.expect("at least one pass ran").into_gsketch();
-        let estimates = measure_estimates(&thawed);
+        let estimates = measure_estimates(&last.expect("at least one pass ran"));
         let updates = median(rates);
         if threads == 1 {
             sharded_1t = updates;

@@ -29,8 +29,8 @@
 //!   query-path CI smoke step.
 
 use gsketch::{
-    evaluate_edge_queries, ConcurrentGSketch, EdgeEstimator, EdgeSink, GSketch, GlobalSketch,
-    ParallelQuery, ReplayEngine, SketchId, DEFAULT_G0,
+    evaluate_edge_queries, EdgeEstimator, EdgeSink, GSketch, GlobalSketch, ParallelQuery,
+    ReplayEngine, SketchId, DEFAULT_G0,
 };
 use gsketch_bench::harness::calibration_probe;
 use gsketch_bench::*;
@@ -60,9 +60,8 @@ fn smoke_sharded(threads: usize, arrivals: usize) {
     let mut serial = builder.build_from_sample(sample).expect("valid build");
     serial.ingest(&stream);
 
-    let mut concurrent =
-        ConcurrentGSketch::from_gsketch(builder.build_from_sample(sample).expect("valid build"));
-    let report = ShardedIngest::new(&mut concurrent, threads)
+    let mut sharded = builder.build_from_sample(sample).expect("valid build");
+    let report = ShardedIngest::new(&mut sharded, threads)
         .chunk_capacity(1 << 14)
         .oversubscribe(true)
         .run_slice(&stream);
@@ -71,7 +70,6 @@ fn smoke_sharded(threads: usize, arrivals: usize) {
         report.arrivals, report.workers, threads, report.chunks
     );
     assert_eq!(report.arrivals as usize, stream.len(), "arrivals lost");
-    let sharded = concurrent.into_gsketch();
     for se in &stream {
         assert_eq!(
             sharded.estimate(se.edge),

@@ -4,10 +4,9 @@
 use crate::args::{parse_bytes, ArgError, ParsedArgs};
 use gsketch::{
     evaluate_edge_queries, load_windowed, load_windowed_horizon, save_gsketch, save_windowed,
-    AdaptiveConfig, AdaptiveGSketch, CmArena, ConcurrentGSketch, CountSketch, EdgeEstimator,
-    EdgeSink, FrequencySketch, GSketch, GSketchBuilder, GlobalSketch, IntervalEstimate,
-    ParallelQuery, ReplayEngine, ShardedIngest, WindowConfig, WindowedGSketch, WindowedReplay,
-    DEFAULT_G0,
+    AdaptiveConfig, AdaptiveGSketch, CmArena, CountSketch, EdgeEstimator, EdgeSink,
+    FrequencySketch, GSketch, GSketchBuilder, GlobalSketch, IntervalEstimate, ParallelQuery,
+    ReplayEngine, ShardedIngest, WindowConfig, WindowedGSketch, WindowedReplay, DEFAULT_G0,
 };
 use gstream::gen::{
     dblp, ipattack, DblpConfig, ErdosRenyiConfig, ErdosRenyiGenerator, IpAttackConfig, RmatConfig,
@@ -277,9 +276,8 @@ impl Backend {
 }
 
 /// Parse `--threads` (default 1, clamped to at least 1) and reject the
-/// combinations sharded ingest cannot serve: `ShardedIngest` runs over
-/// `ConcurrentGSketch`'s owner-exclusive arena slices, so only the arena
-/// backend shards.
+/// combinations sharded ingest cannot serve: `ShardedIngest` splits the
+/// arena into owner-exclusive slices, so only the arena backend shards.
 fn parse_threads(a: &ParsedArgs, backend: Backend) -> Result<usize, CliError> {
     let threads: usize = a.get_or("threads", 1)?;
     if threads > 1 && backend != Backend::Arena {
@@ -354,10 +352,11 @@ fn cmd_build<W: Write>(raw: &[String], out: &mut W) -> Result<(), CliError> {
 
     let (partitions, bytes) = match backend {
         Backend::Arena if threads > 1 => {
-            let sketch = builder.build_from_sample(&sample).map_err(run_err)?;
-            let (sketch, workers) = sharded_ingest(sketch, &stream, threads);
+            let mut sketch = builder.build_from_sample(&sample).map_err(run_err)?;
+            threads_used = ShardedIngest::new(&mut sketch, threads)
+                .run_slice(&stream)
+                .workers;
             save_gsketch(&snapshot_path, &sketch).map_err(run_err)?;
-            threads_used = workers;
             (sketch.num_partitions(), sketch.bytes())
         }
         Backend::Arena => build_ingest_save::<CmArena>(builder, &sample, &stream, &snapshot_path)?,
@@ -374,15 +373,6 @@ fn cmd_build<W: Write>(raw: &[String], out: &mut W) -> Result<(), CliError> {
     )
     .map_err(run_err)?;
     Ok(())
-}
-
-/// Ingest `stream` into a built arena sketch through the owner-sharded
-/// engine (DESIGN.md §11) — each owner commits its own contiguous arena
-/// slice with plain stores — then thaw it back for querying/persistence.
-fn sharded_ingest(sketch: GSketch, stream: &[StreamEdge], threads: usize) -> (GSketch, usize) {
-    let mut concurrent = ConcurrentGSketch::from_gsketch(sketch);
-    let report = ShardedIngest::new(&mut concurrent, threads).run_slice(stream);
-    (concurrent.into_gsketch(), report.workers)
 }
 
 /// `snapshot`: build a time-windowed synopsis over the stream and save
@@ -1406,8 +1396,8 @@ fn cmd_compare<W: Write>(raw: &[String], out: &mut W) -> Result<(), CliError> {
 
     let (acc_gs, partitions) = match backend {
         Backend::Arena if threads > 1 => {
-            let gs = builder.build_from_sample(&sample).map_err(run_err)?;
-            let (gs, _workers) = sharded_ingest(gs, &stream, threads);
+            let mut gs = builder.build_from_sample(&sample).map_err(run_err)?;
+            ShardedIngest::new(&mut gs, threads).run_slice(&stream);
             (
                 evaluate_edge_queries(&gs, &queries, &truth, DEFAULT_G0),
                 gs.num_partitions(),

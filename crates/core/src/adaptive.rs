@@ -373,46 +373,23 @@ impl AdaptiveGSketch {
             chunks: 0,
             workers: 1,
         };
+        // Warm-up arrivals go through `update` one by one, until the
+        // arrival that triggers the switchover.
         let mut rest = stream;
-        if matches!(self.state, State::Warmup(_)) {
-            let remaining = self.cfg.warmup_arrivals.saturating_sub(self.arrivals);
-            // cast: u64 -> usize saturating via try_from fallback; only used
-            // as a slice-length clamp, so saturation is harmless.
-            let take = usize::try_from(remaining)
-                .unwrap_or(usize::MAX)
-                .min(rest.len());
-            let (prefix, tail) = rest.split_at(take);
-            for se in prefix {
-                self.update(*se);
-            }
-            report.arrivals += prefix.len() as u64;
+        while let (State::Warmup(_), Some((se, tail))) = (&self.state, rest.split_first()) {
+            self.update(*se);
+            report.arrivals += 1;
             rest = tail;
         }
+        let State::Partitioned(gs) = &mut self.state else {
+            return report;
+        };
         if rest.is_empty() {
             return report;
         }
-        // A non-empty remainder means the warm-up boundary was crossed,
-        // so the state is Partitioned; park an empty warm-up state while
-        // the sketch is wrapped for the sharded run.
-        let prev = std::mem::replace(&mut self.state, State::Warmup(Box::default()));
-        let gs = match prev {
-            State::Partitioned(gs) => gs,
-            State::Warmup(stats) => {
-                // Unreachable by construction; restore and replay the
-                // remainder through the sequential surface.
-                self.state = State::Warmup(stats);
-                for se in rest {
-                    self.update(*se);
-                }
-                report.arrivals += rest.len() as u64;
-                return report;
-            }
-        };
-        let mut conc = crate::ConcurrentGSketch::from_gsketch(*gs);
-        let r = crate::ShardedIngest::new(&mut conc, owners)
+        let r = crate::ShardedIngest::new(gs, owners)
             .oversubscribe(oversubscribe)
             .run_slice(rest);
-        self.state = State::Partitioned(Box::new(conc.into_gsketch()));
         self.arrivals += rest.len() as u64;
         report.arrivals += r.arrivals;
         report.chunks = r.chunks;

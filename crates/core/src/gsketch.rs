@@ -14,7 +14,8 @@
 //! memory behaviour.
 
 use crate::partition::{partition, Objective, PartitionConfig, PartitionPlan, WidthAllocation};
-use crate::router::{Router, SketchId};
+use crate::pipeline::OwnerShare;
+use crate::router::{OwnerMap, Router, SketchId};
 use crate::vstats::SampleStats;
 use gstream::edge::{Edge, StreamEdge};
 use serde::{Deserialize, Serialize};
@@ -1043,46 +1044,33 @@ impl<B: FrequencySketch> GSketch<B> {
     pub fn fold(&self, quantum: usize) -> Result<B, SketchError> {
         B::fold_bank(&self.bank, quantum)
     }
+}
 
-    /// Decompose into raw parts (used by [`crate::ConcurrentGSketch`]).
-    #[allow(clippy::type_complexity)]
-    pub(crate) fn into_parts(
-        self,
-    ) -> (
-        B::Bank,
-        Router,
-        PartitionPlan,
-        usize,
-        Option<BlockedBloom>,
-        bool,
-    ) {
-        (
-            self.bank,
-            self.router,
-            self.plan,
-            self.depth,
-            self.filter,
-            self.filter_reads,
-        )
-    }
-
-    /// Reassemble from raw parts (used by [`crate::ConcurrentGSketch`]).
-    pub(crate) fn from_parts(
-        bank: B::Bank,
-        router: Router,
-        plan: PartitionPlan,
-        depth: usize,
-        filter: Option<BlockedBloom>,
-        filter_reads: bool,
-    ) -> Self {
-        Self {
-            bank,
-            router,
-            plan,
-            depth,
-            filter,
-            filter_reads,
-        }
+impl GSketch {
+    /// Split the synopsis for the owner-sharded engine (DESIGN.md §11):
+    /// one exclusive [`OwnerShare`] per owner range of `map` — that
+    /// range's counter cells, totals and filter words, cut with
+    /// `split_at_mut` — plus the shared read-only router.
+    pub(crate) fn split_owners(&mut self, map: &OwnerMap) -> (&Router, Vec<OwnerShare<'_>>) {
+        let ranges: Vec<(u32, u32)> = (0..map.owners())
+            // cast: usize -> u32; owner ids are < owners <= slot count,
+            // which fits u32 (slot ids are u32).
+            .map(|w| map.slot_range(w as u32))
+            .collect();
+        let mut filters = self
+            .filter
+            .as_mut()
+            .map(|f| f.split_slots(&ranges).into_iter());
+        let shares = self
+            .bank
+            .split_slots(&ranges)
+            .into_iter()
+            .map(|cells| OwnerShare {
+                cells,
+                filter: filters.as_mut().and_then(Iterator::next),
+            })
+            .collect();
+        (&self.router, shares)
     }
 }
 

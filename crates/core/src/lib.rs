@@ -51,7 +51,6 @@
 //! | §3.1/§5 edge + subgraph queries (batched engine) | [`query`] |
 //! | §6.2 accuracy metrics | [`metrics`] |
 //! | §5 time-windowed deployment | [`window`] |
-//! | beyond the paper: lock-free concurrent ingest | [`concurrent`] |
 //! | beyond the paper: unified ingest surface | [`sink`] |
 //! | beyond the paper: owner-sharded ingest | [`pipeline`] |
 //! | beyond the paper: memoized query replay | [`replay`] |
@@ -99,7 +98,7 @@ pub use persist::{
     load_windowed_horizon, load_windowed_horizon_backend, save_gsketch, save_windowed,
     PersistError, RawSnapshot, FORMAT_VERSION, WINDOWED_FORMAT_VERSION,
 };
-pub use pipeline::{IngestReport, ShardedIngest, SlotSink};
+pub use pipeline::{IngestReport, ShardedIngest};
 pub use query::{
     estimate_subgraph, estimate_subgraph_with, Aggregator, EdgeEstimator, ParallelQuery,
 };

@@ -1,15 +1,15 @@
 //! The owner-sharded ingest engine (DESIGN.md §11).
 //!
-//! Naive fan-out of a stream across cores — every thread calling
-//! `update` per arrival on a shared `ConcurrentGSketch` — pays the
-//! router probe, `d` hash evaluations and `d` atomic RMWs for every
-//! single arrival. [`ShardedIngest`] instead runs four stages between a
-//! materialized stream and the [`AtomicCmArena`](sketch::AtomicCmArena):
+//! [`ShardedIngest`] borrows a [`GSketch`] mutably and splits its
+//! counter slab and pre-filter into one exclusive `&mut` share per owner
+//! ([`CmArena::split_slots`](sketch::CmArena::split_slots)): each owner
+//! of the [`OwnerMap`] gets the cells, totals and filter words of its
+//! contiguous slot range, and the router is shared read-only. It then
+//! runs four stages between a materialized stream and those shares:
 //!
 //! 1. **Scatter.** The calling thread routes each arrival once, to pick
 //!    the owner of its router slot, and hands per-owner `(pair, weight)`
-//!    batches over bounded SPSC queues. Each owner is the *sole writer*
-//!    of a contiguous slot range of the [`OwnerMap`].
+//!    batches over bounded SPSC queues.
 //! 2. **Hot-key combining.** Each owner folds its batches through a
 //!    4-way set-associative combiner cache tagged by the raw `(src, dst)`
 //!    endpoint pair (one 64-byte set per probe, heaviest-stays eviction,
@@ -21,13 +21,14 @@
 //! 3. **Slot sort.** Evicted and drained cache entries — one per
 //!    distinct key per cache residency — are routed in one batched pass
 //!    and counting-sorted by destination slot.
-//! 4. **Span commit.** Each slot run is committed through
-//!    [`SlotSink::commit_run_exclusive`] →
-//!    [`add_batch_saturating_exclusive`](sketch::AtomicCmArena::add_batch_saturating_exclusive):
-//!    plain load/add/store cycles over one slot's contiguous span,
+//! 4. **Span commit.** Each slot run is committed into the owner's share
+//!    through
+//!    [`CmArenaSlice::add_batch_saturating`](sketch::CmArenaSlice::add_batch_saturating),
+//!    the same kernel as the sequential
+//!    [`add_batch_saturating`](sketch::CmArena::add_batch_saturating):
 //!    adjacent duplicates coalesced, the per-key field fold hoisted out
-//!    of the row loop, fastmod range reduction, and the slot's total
-//!    written once per run.
+//!    of the row loop, fastmod range reduction, block prefetch, and the
+//!    slot's total written once per run.
 //!
 //! When the map clamps to one owner the engine fuses all four stages on
 //! the calling thread (no scatter pass, no queue, no spawn). Owners
@@ -44,12 +45,12 @@
 //! thread interleaving regardless of the host use
 //! [`ShardedIngest::oversubscribe`].
 
-use crate::concurrent::ConcurrentGSketch;
-use crate::router::OwnerMap;
+use crate::gsketch::GSketch;
+use crate::router::{OwnerMap, Router};
 use crate::sink::SlotRouted;
 use gstream::edge::StreamEdge;
-use sketch::prefetch;
 use sketch::sync::spsc::SpscQueue;
+use sketch::{prefetch, BlockedBloomSlice, CmArenaSlice};
 // Scoped threads come through the `sync` shim seam (DESIGN.md §10);
 // std items in normal builds.
 use sketch::sync::thread;
@@ -88,30 +89,26 @@ pub(crate) fn clamp_workers(requested: usize, oversubscribe: bool) -> usize {
     }
 }
 
-/// A shard-addressable, thread-shareable sink: the consumer-side contract
-/// of [`ShardedIngest`]. The routing half lives in the [`SlotRouted`]
-/// supertrait (shared with the slot-routed query path); this trait adds
-/// the write side. Implemented by [`ConcurrentGSketch`] (routing through
-/// its read-only router into the shared atomic arena); the generic
-/// parameter is what future shard placements (NUMA-pinned arenas,
-/// remote shards) implement.
-pub trait SlotSink: SlotRouted + Sync {
-    /// Commit a run of `(key, weight)` pairs into `slot` from a caller
-    /// that is the **sole writer of `slot`** for the duration of the
-    /// commit, so the sink may use plain stores instead of atomic RMWs.
-    /// A [`ShardedIngest`] owner establishes that contract: it is the
-    /// sole writer of its [`OwnerMap`] slot range, by the disjointness of
-    /// owner ranges. Runs for different slots touch disjoint counter
-    /// spans; adjacent equal keys are coalesced into one counter write.
-    fn commit_run_exclusive(&self, slot: u32, run: &[(u64, u64)]);
+/// One owner's exclusive share of the synopsis: the counter cells,
+/// totals and filter words of its [`OwnerMap`] slot range (see
+/// `GSketch::split_owners`). Owners hold disjoint shares, so they
+/// commit in parallel with plain stores.
+#[derive(Debug)]
+pub(crate) struct OwnerShare<'a> {
+    pub(crate) cells: CmArenaSlice<'a>,
+    pub(crate) filter: Option<BlockedBloomSlice<'a>>,
+}
 
-    /// Best-effort first-touch of slots `lo..hi` (half-open) from the
-    /// calling thread, so a first-touch NUMA policy places the range's
-    /// counter pages on the caller's node. [`ShardedIngest`] owners call
-    /// this for their slot range before absorbing arrivals; the caller
-    /// must be the range's sole writer. The default is a no-op.
-    fn warm_slots(&self, lo: u32, hi: u32) {
-        let _ = (lo, hi);
+impl OwnerShare<'_> {
+    /// Commit one slot run: filter membership, then counters — the same
+    /// order and kernels as `GSketch::ingest_batch`. A slot outside the
+    /// share is a no-op.
+    #[inline]
+    fn commit(&mut self, slot: u32, run: &[(u64, u64)]) {
+        if let Some(f) = &mut self.filter {
+            f.insert_run(slot, run);
+        }
+        self.cells.add_batch_saturating(slot, run);
     }
 }
 
@@ -205,9 +202,9 @@ const EMPTY_OWNER_SET: OwnerSet = OwnerSet {
 
 /// Commit the owner's evicted-entry list once it reaches this length.
 /// The commit counting-sorts by slot, and longer batches mean longer
-/// per-slot runs — better span-walk amortization per
-/// [`SlotSink::commit_run_exclusive`] call (measured on the ingest
-/// bench: 32 Ki batches shave several percent over 8 Ki).
+/// per-slot runs — better span-walk amortization per slot commit
+/// (measured on the ingest bench: 32 Ki batches shave several percent
+/// over 8 Ki).
 const SHARD_COMMIT_LEN: usize = 1 << 15;
 
 /// Per-owner combiner state for [`ShardedIngest`]: a slot-less 4-way
@@ -227,7 +224,7 @@ struct OwnerWorker {
     evicted: Vec<(u64, u64)>,
     /// Slot of each evicted entry, filled by the commit's routing pass.
     slots: Vec<u32>,
-    /// Counting-sort scratch, sized to the sink's slot count.
+    /// Counting-sort scratch, sized to the synopsis' slot count.
     counts: Vec<usize>,
     cursors: Vec<usize>,
     runs: Vec<(u64, u64)>,
@@ -284,17 +281,17 @@ impl OwnerWorker {
     }
 
     /// Route, counting-sort and commit the evicted list: one batched
-    /// routing pass fills `slots`, then each slot run goes through the
-    /// sink's exclusive span-commit (sound: this owner is the sole
-    /// writer of every slot its pairs route to).
+    /// routing pass fills `slots`, then each slot run is committed into
+    /// the owner's share (every pair this owner absorbed routes into its
+    /// range).
     ///
-    /// `slot_of` contractually stays below the sink's slot count (the
+    /// The router's slots contractually stay below the slot count (the
     /// scratch arrays' length); the scatter indices are `get`-guarded
     /// anyway so the commit span carries no panic edge in the compiled
     /// artifact (`xtask audit` — a rogue slot drops its entries rather
     /// than panicking).
     // audit: kernel(bounds-free)
-    fn commit_evicted<B: SlotSink>(&mut self, sink: &B) {
+    fn commit_evicted(&mut self, router: &Router, share: &mut OwnerShare<'_>) {
         // Destructure into disjoint field borrows so the scratch-array
         // writes below can't be assumed to alias each other.
         let Self {
@@ -313,7 +310,7 @@ impl OwnerWorker {
         for &(pair, _) in evicted.iter() {
             // cast: u64 -> u32; the high half of the packed pair is the
             // source vertex id, which is 32 bits by construction.
-            let slot = sink.slot_of(gstream::vertex::VertexId((pair >> 32) as u32));
+            let slot = router.slot(gstream::vertex::VertexId((pair >> 32) as u32));
             slots.push(slot);
             if let Some(c) = counts.get_mut(slot as usize) {
                 *c += 1;
@@ -345,8 +342,8 @@ impl OwnerWorker {
                     break;
                 };
                 // cast: usize -> u32; slot indices are bounded by the
-                // sink's slot count, which fits u32 (slot ids are u32).
-                sink.commit_run_exclusive(slot as u32, run);
+                // slot count, which fits u32 (slot ids are u32).
+                share.commit(slot as u32, run);
             }
             start = end;
         }
@@ -354,9 +351,9 @@ impl OwnerWorker {
     }
 
     /// Evict every live cache entry and commit everything: after this,
-    /// all absorbed arrivals are visible in the sink.
+    /// all absorbed arrivals are visible in the share.
     // audit: kernel(bounds-free)
-    fn drain<B: SlotSink>(&mut self, sink: &B) {
+    fn drain(&mut self, router: &Router, share: &mut OwnerShare<'_>) {
         let sets = &mut self.sets;
         let evicted = &mut self.evicted;
         for set in sets.iter_mut() {
@@ -367,7 +364,7 @@ impl OwnerWorker {
                 }
             }
         }
-        self.commit_evicted(sink);
+        self.commit_evicted(router, share);
     }
 }
 
@@ -423,42 +420,36 @@ impl std::fmt::Debug for OwnerWorker {
 /// The owner-sharded ingest engine (DESIGN.md §11): a scatter stage on
 /// the calling thread routes each arrival once and hands per-owner
 /// `(pair, weight)` batches over bounded SPSC queues to owning workers.
-/// Each owner holds a **contiguous** slot range of the [`OwnerMap`] — a
-/// contiguous slice of the arena slab — combines locally through its
-/// own slot-less 4-way cache (`OwnerWorker`), and commits with
-/// [`SlotSink::commit_run_exclusive`] plain stores: every owner is the
-/// sole writer of its slice, so the owner commit path has **no atomic
-/// RMWs at any thread count**. Owners first-touch their
-/// slice before absorbing ([`SlotSink::warm_slots`]), which a NUMA
-/// first-touch policy turns into local placement for free.
-///
-/// Construction takes the sink by `&mut`:
-/// the borrow held for the engine's lifetime is the proof no outside
-/// writer exists, and the ownership map's disjoint ranges are the proof
-/// the owners don't race each other (the `sharded-ownership-race`
-/// harness demonstrates exactly what a violated map would lose).
+/// Each owner holds a **contiguous** slot range of the [`OwnerMap`] — an
+/// exclusive `&mut` share of the counter slab and filter, split off the
+/// borrowed [`GSketch`] — combines locally through its own slot-less
+/// 4-way cache (`OwnerWorker`), and commits into its share with plain
+/// stores. The `&mut GSketch` borrow held for the engine's lifetime
+/// proves no outside writer exists, and the disjoint `split_at_mut`
+/// shares prove the owners don't race each other: the borrow checker
+/// enforces the sole-writer contract.
 ///
 /// With one effective owner there is no handoff at all: no scatter
 /// pass, no queue, **no spawned thread** — the calling thread is the
-/// owner, absorbing the stream in place and committing exclusively.
-/// This is the `sharded/1t` configuration of the ingest bench.
+/// owner, absorbing the stream in place and committing into the whole
+/// slab. This is the `sharded/1t` configuration of the ingest bench.
 #[derive(Debug)]
-pub struct ShardedIngest<'s, B: SlotSink = ConcurrentGSketch> {
-    sink: &'s B,
+pub struct ShardedIngest<'s> {
+    sketch: &'s mut GSketch,
     owners: usize,
     chunk_capacity: usize,
     oversubscribe: bool,
 }
 
-impl<'s, B: SlotSink> ShardedIngest<'s, B> {
-    /// An engine committing into `sink` from up to `owners` owning
+impl<'s> ShardedIngest<'s> {
+    /// An engine committing into `sketch` from up to `owners` owning
     /// workers (clamped to the host's available parallelism and to the
-    /// sink's slot count — an owner without slots would idle). The
+    /// sketch's slot count — an owner without slots would idle). The
     /// exclusive borrow is held for the engine's lifetime; see the type
     /// docs.
-    pub fn new(sink: &'s mut B, owners: usize) -> Self {
+    pub fn new(sketch: &'s mut GSketch, owners: usize) -> Self {
         Self {
-            sink,
+            sketch,
             owners: owners.max(1),
             chunk_capacity: DEFAULT_CHUNK,
             oversubscribe: false,
@@ -491,7 +482,7 @@ impl<'s, B: SlotSink> ShardedIngest<'s, B> {
     /// the host (unless oversubscribed) and to the slot count.
     pub fn owner_map(&self) -> OwnerMap {
         OwnerMap::new(
-            self.sink.num_slots(),
+            self.sketch.num_slots(),
             clamp_workers(self.owners, self.oversubscribe),
         )
     }
@@ -506,13 +497,13 @@ impl<'s, B: SlotSink> ShardedIngest<'s, B> {
     /// generator-backed source, materialize the stream first — scatter
     /// reads it exactly once, in order.
     pub fn run_slice(&mut self, stream: &[StreamEdge]) -> IngestReport {
-        let sink = self.sink;
-        let n_slots = sink.num_slots();
         let map = self.owner_map();
-        let owners = map.owners();
+        let n_slots = map.num_slots();
         let cap = self.chunk_capacity;
+        let (router, mut shares) = self.sketch.split_owners(&map);
+        let workers = shares.len();
         let mut chunks = 0u64;
-        if owners == 1 {
+        if let [share] = shares.as_mut_slice() {
             // Fused path: the calling thread is the sole owner — no
             // scatter pass, no queue, no spawn (see the type docs).
             let mut worker = OwnerWorker::new(n_slots);
@@ -520,26 +511,22 @@ impl<'s, B: SlotSink> ShardedIngest<'s, B> {
                 chunks += 1;
                 worker.absorb_chunk(chunk);
                 if worker.evicted.len() >= SHARD_COMMIT_LEN {
-                    worker.commit_evicted(sink);
+                    worker.commit_evicted(router, share);
                 }
             }
-            worker.drain(sink);
+            worker.drain(router, share);
             return IngestReport {
                 arrivals: stream.len() as u64,
                 chunks,
-                workers: 1,
+                workers,
             };
         }
-        let queues: Vec<SpscQueue<OwnerBatch>> = (0..owners)
+        let queues: Vec<SpscQueue<OwnerBatch>> = (0..workers)
             .map(|_| SpscQueue::with_capacity(OWNER_QUEUE_DEPTH))
             .collect();
         thread::scope(|scope| {
-            for (w, queue) in queues.iter().enumerate() {
-                // cast: usize -> u32; owner ids are < owners <= n_slots,
-                // which fits u32 (slot ids are u32).
-                let (lo, hi) = map.slot_range(w as u32);
+            for (mut share, queue) in shares.into_iter().zip(&queues) {
                 scope.spawn(move || {
-                    sink.warm_slots(lo, hi);
                     let mut worker = OwnerWorker::new(n_slots);
                     loop {
                         match queue.try_pop() {
@@ -549,27 +536,27 @@ impl<'s, B: SlotSink> ShardedIngest<'s, B> {
                                 }
                                 worker.absorb_batch(&batch);
                                 if worker.evicted.len() >= SHARD_COMMIT_LEN {
-                                    worker.commit_evicted(sink);
+                                    worker.commit_evicted(router, &mut share);
                                 }
                             }
                             None => std::thread::yield_now(),
                         }
                     }
-                    worker.drain(sink);
+                    worker.drain(router, &mut share);
                 });
             }
             // Scatter runs here, on the calling thread: the single
             // producer of every owner queue. Each arrival is routed
             // once, to pick its slot's owner; the slot itself stays
             // behind (owners re-route at commit time, batched).
-            let mut batches: Vec<OwnerBatch> = vec![OwnerBatch::new(); owners];
+            let mut batches: Vec<OwnerBatch> = vec![OwnerBatch::new(); workers];
             for chunk in stream.chunks(cap) {
                 chunks += 1;
                 for se in chunk {
                     if se.weight == 0 {
                         continue;
                     }
-                    let slot = sink.slot_of(se.edge.src);
+                    let slot = router.slot(se.edge.src);
                     // cast: u32 -> usize is widening on every supported
                     // target; owner ids are < owners = batches.len().
                     batches[map.owner_of(slot) as usize].push((edge_pair(se), se.weight));
@@ -587,7 +574,7 @@ impl<'s, B: SlotSink> ShardedIngest<'s, B> {
         IngestReport {
             arrivals: stream.len() as u64,
             chunks,
-            workers: owners,
+            workers,
         }
     }
 }
@@ -595,7 +582,6 @@ impl<'s, B: SlotSink> ShardedIngest<'s, B> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::gsketch::GSketch;
     use crate::sink::EdgeSink;
     use gstream::edge::Edge;
 
@@ -610,14 +596,13 @@ mod tests {
             .collect()
     }
 
-    fn build(stream: &[StreamEdge]) -> ConcurrentGSketch {
-        let g = GSketch::builder()
+    fn build(stream: &[StreamEdge]) -> GSketch {
+        GSketch::builder()
             .memory_bytes(1 << 16)
             .min_width(32)
             .seed(3)
             .build_from_sample(&stream[..stream.len() / 4])
-            .unwrap();
-        ConcurrentGSketch::from_gsketch(g)
+            .unwrap()
     }
 
     #[test]
@@ -667,14 +652,13 @@ mod tests {
         let mut serial = build_seq();
         serial.ingest(&stream);
 
-        let mut c = ConcurrentGSketch::from_gsketch(build_seq());
-        let report = ShardedIngest::new(&mut c, 1)
+        let mut sharded = build_seq();
+        let report = ShardedIngest::new(&mut sharded, 1)
             .chunk_capacity(1 << 10)
             .run_slice(&stream);
         assert_eq!(report.arrivals, 20_000);
         assert_eq!(report.workers, 1);
         assert_eq!(report.chunks, 20_000u64.div_ceil(1 << 10));
-        let sharded = c.into_gsketch();
         for se in &stream {
             assert_eq!(sharded.estimate(se.edge), serial.estimate(se.edge));
         }
@@ -700,14 +684,13 @@ mod tests {
         serial.ingest(&stream);
 
         for owners in [2usize, 4, 7] {
-            let mut c = ConcurrentGSketch::from_gsketch(build_seq());
-            let engine = ShardedIngest::new(&mut c, owners).oversubscribe(true);
+            let mut sharded = build_seq();
+            let engine = ShardedIngest::new(&mut sharded, owners).oversubscribe(true);
             assert_eq!(engine.owners(), owners);
             let report = engine.chunk_capacity(1 << 9).run_slice(&stream);
             assert_eq!(report.arrivals, 20_000);
             assert_eq!(report.chunks, 20_000u64.div_ceil(1 << 9));
             assert!(report.workers >= 2, "{owners} owners clamped to one");
-            let sharded = c.into_gsketch();
             for se in &stream {
                 assert_eq!(
                     sharded.estimate(se.edge),
@@ -719,7 +702,7 @@ mod tests {
         }
     }
 
-    /// Requesting more owners than the sink has slots clamps to the
+    /// Requesting more owners than the sketch has slots clamps to the
     /// slot count; zero owners clamps to one; zero-weight arrivals are
     /// identities; saturating weights commit exactly like the
     /// sequential saturating path.
@@ -743,16 +726,15 @@ mod tests {
         let mut serial = build_seq();
         serial.ingest(&spiced);
 
-        let mut c = ConcurrentGSketch::from_gsketch(build_seq());
-        let mut engine = ShardedIngest::new(&mut c, 0);
+        let mut sharded = build_seq();
+        let mut engine = ShardedIngest::new(&mut sharded, 0);
         assert_eq!(engine.owners(), 1);
         engine.run_slice(&spiced);
-        let sharded = c.into_gsketch();
         for se in &spiced {
             assert_eq!(sharded.estimate(se.edge), serial.estimate(se.edge));
         }
 
-        let mut c2 = ConcurrentGSketch::from_gsketch(build_seq());
+        let mut c2 = build_seq();
         let engine = ShardedIngest::new(&mut c2, usize::MAX).oversubscribe(true);
         let n_slots = engine.owner_map().num_slots();
         assert!(engine.effective_owners() <= n_slots);

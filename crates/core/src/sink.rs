@@ -3,10 +3,9 @@
 //!
 //! Before this trait each ingest-capable type grew its own ad-hoc
 //! signatures — `GSketch::{update, ingest, ingest_batch}`,
-//! `GlobalSketch::ingest`, `WindowedGSketch::insert`,
-//! `ConcurrentGSketch`'s shared-reference `update` — which meant the
-//! evaluation harness and the CLI each needed per-type plumbing. [`EdgeSink`] replaces all of them with one
-//! contract:
+//! `GlobalSketch::ingest`, `WindowedGSketch::insert` — which meant the
+//! evaluation harness and the CLI each needed per-type plumbing.
+//! [`EdgeSink`] replaces all of them with one contract:
 //!
 //! * [`update`](EdgeSink::update) — record one arrival;
 //! * [`ingest_batch`](EdgeSink::ingest_batch) — record a contiguous batch
@@ -24,10 +23,10 @@
 //!
 //! Implementors: [`GSketch`](crate::GSketch) (any backend),
 //! [`GlobalSketch`](crate::GlobalSketch),
-//! [`AdaptiveGSketch`](crate::AdaptiveGSketch),
-//! [`WindowedGSketch`](crate::WindowedGSketch),
-//! and [`ConcurrentGSketch`](crate::ConcurrentGSketch) (both owned and
-//! via `&ConcurrentGSketch`, the form worker threads use).
+//! [`AdaptiveGSketch`](crate::AdaptiveGSketch) and
+//! [`WindowedGSketch`](crate::WindowedGSketch). Parallel ingest is not a
+//! sink: [`ShardedIngest`](crate::ShardedIngest) borrows a `&mut GSketch`
+//! and commits into exclusive per-owner slices of it.
 
 use gstream::edge::StreamEdge;
 use gstream::source::EdgeSource;
@@ -36,13 +35,12 @@ use gstream::vertex::VertexId;
 /// The routing view of a partitioned synopsis: a flat slot space and the
 /// §5 hash structure `H : V → S_i` mapping source vertices into it.
 ///
-/// This is the half of [`SlotSink`](crate::pipeline::SlotSink) that the
-/// *read* path needs too: the owner-sharded engine derives one
+/// The owner-sharded engine derives one
 /// [`OwnerMap`](crate::router::OwnerMap) from `num_slots`, and both the
 /// scatter stage (writes) and the slot-routed parallel query (reads)
 /// group work by `slot_of` so each slot's cache lines are only ever
-/// touched by the slot's owner. Implementors: `GSketch<B>` (any
-/// backend) and `ConcurrentGSketch`.
+/// touched by the slot's owner. Implementor: `GSketch<B>` (any
+/// backend).
 pub trait SlotRouted {
     /// Total number of slots (partitions + outlier).
     fn num_slots(&self) -> usize;

@@ -193,12 +193,6 @@ impl WindowedGSketch {
         if stream.is_empty() {
             return Ok(report);
         }
-        // Recycled stand-in for the open window while its sketch is
-        // wrapped for the sharded run (swapped back out afterwards).
-        let mut spare = self
-            .builder
-            .memory_bytes(self.cfg.memory_bytes_per_window)
-            .build_from_sample(&[])?;
         let mut rest = stream;
         while !rest.is_empty() {
             // Epoch = the maximal prefix landing in the open window.
@@ -226,15 +220,13 @@ impl WindowedGSketch {
                 epoch.iter().all(|se| se.ts >= self.current_start),
                 "timestamps must be non-decreasing across inserts"
             );
-            // Counters: one sharded run into the open window. The scope
-            // join inside `run_slice` quiesces every owner before the
-            // swap back, so rotation below never races a writer.
-            let current = std::mem::replace(&mut self.current, spare);
-            let mut conc = crate::ConcurrentGSketch::from_gsketch(current);
-            let r = crate::ShardedIngest::new(&mut conc, owners)
+            // Counters: one sharded run into the open window, borrowed in
+            // place. The scope join inside `run_slice` quiesces every
+            // owner and the borrow ends with it, so rotation below never
+            // races a writer.
+            let r = crate::ShardedIngest::new(&mut self.current, owners)
                 .oversubscribe(oversubscribe)
                 .run_slice(epoch);
-            spare = std::mem::replace(&mut self.current, conc.into_gsketch());
             report.arrivals += r.arrivals;
             report.chunks += r.chunks;
             report.workers = report.workers.max(r.workers);

@@ -8,9 +8,9 @@
 //! partition `i`'s standalone sketch would hold.
 
 use gsketch::{
-    AdaptiveConfig, AdaptiveGSketch, CmArena, ConcurrentGSketch, CountMinSketch, CountSketch,
-    EdgeEstimator, EdgeSink, GSketch, GSketchBuilder, GlobalSketch, ParallelQuery, ReplayEngine,
-    ShardedIngest, WindowConfig, WindowedGSketch,
+    AdaptiveConfig, AdaptiveGSketch, CmArena, CountMinSketch, CountSketch, EdgeEstimator, EdgeSink,
+    GSketch, GSketchBuilder, GlobalSketch, ParallelQuery, ReplayEngine, ShardedIngest,
+    WindowConfig, WindowedGSketch,
 };
 use gstream::edge::{Edge, StreamEdge};
 use proptest::collection::vec;
@@ -187,12 +187,10 @@ proptest! {
         csketch.ingest(&stream);
         assert_batch_parity(&csketch, &queries);
 
-        // The global baseline and the concurrent deployment.
+        // The global baseline.
         let mut global = GlobalSketch::new(1 << 12, depth, seed).unwrap();
         global.ingest(&stream);
         assert_batch_parity(&global, &queries);
-        let concurrent = ConcurrentGSketch::from_gsketch(arena.clone());
-        assert_batch_parity(&concurrent, &queries);
 
         // The windowed deployment (re-timestamped so windows rotate) —
         // its fractional surface must match `estimate_lifetime` to the
@@ -440,14 +438,13 @@ proptest! {
         let mut serial = empty.clone();
         serial.ingest(&stream);
 
-        let mut concurrent = ConcurrentGSketch::from_gsketch(empty);
-        let report = ShardedIngest::new(&mut concurrent, owners)
+        let mut sharded = empty;
+        let report = ShardedIngest::new(&mut sharded, owners)
             .chunk_capacity(chunk)
             .oversubscribe(true)
             .run_slice(&stream);
         prop_assert_eq!(report.arrivals as usize, stream.len());
         prop_assert_eq!(report.chunks as usize, stream.len().div_ceil(chunk));
-        let sharded = concurrent.into_gsketch();
 
         for se in &stream {
             prop_assert_eq!(sharded.estimate(se.edge), serial.estimate(se.edge));

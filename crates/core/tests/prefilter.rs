@@ -7,8 +7,8 @@
 //! starts each window with empty membership.
 
 use gsketch::{
-    persist, CmArena, ConcurrentGSketch, CountMinSketch, CountSketch, EdgeEstimator, EdgeSink,
-    GSketch, GSketchBuilder, ReplayEngine, WindowConfig, WindowedGSketch,
+    persist, CmArena, CountMinSketch, CountSketch, EdgeEstimator, EdgeSink, GSketch,
+    GSketchBuilder, ReplayEngine, ShardedIngest, WindowConfig, WindowedGSketch,
 };
 use gstream::edge::{Edge, StreamEdge};
 use gstream::exact::ExactCounter;
@@ -176,23 +176,19 @@ fn merge_unions_membership_and_rejects_mismatch() {
     assert!(filterless.merge(&a).is_err());
 }
 
-/// Shared-reference concurrent ingest maintains membership, and the
-/// read-side toggle works on the thawed sketch: absent keys answer 0
-/// with the filter on and at least that with it off (collision noise
-/// only ever raises a CountMin answer).
+/// Multi-owner sharded ingest maintains membership — each owner sets
+/// the filter bits of its own slot range — and the read-side toggle
+/// works on the result: absent keys answer 0 with the filter on and at
+/// least that with it off (collision noise only ever raises a CountMin
+/// answer).
 #[test]
 fn concurrent_ingest_maintains_membership() {
     let stream = stream_of(&[(1, 2, 3), (3, 4, 5), (5, 6, 7)]);
-    let empty = builder(16 << 10, 13).build_from_sample(&stream).unwrap();
-    let c = ConcurrentGSketch::from_gsketch(empty);
-    let mut sink: &ConcurrentGSketch = &c;
-    for se in &stream {
-        sink.update(*se);
-    }
-    for p in absent_probes(16) {
-        assert_eq!(c.estimate(p), 0);
-    }
-    let mut g = c.into_gsketch();
+    let mut g = builder(16 << 10, 13).build_from_sample(&stream).unwrap();
+    let report = ShardedIngest::new(&mut g, 4)
+        .oversubscribe(true)
+        .run_slice(&stream);
+    assert!(report.workers >= 2, "owners clamped to one");
     for se in &stream {
         assert!(g.estimate(se.edge) >= se.weight);
     }

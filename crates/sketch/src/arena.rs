@@ -15,9 +15,11 @@
 //! estimates are bit-identical to the per-partition layout at equal
 //! seeds.
 //!
-//! [`AtomicCmArena`] is the same slab with `AtomicU64` cells: concurrent
-//! writers touch disjoint cache lines whenever the router sends them to
-//! different slots, so ingest scales without a lock per partition.
+//! [`CmArena::split_slots`] cuts the slab into [`CmArenaSlice`]s: one
+//! exclusive `&mut` view per contiguous slot range. Slot blocks sit
+//! back-to-back, so a slot range is a cell range, and owners of
+//! disjoint ranges commit in parallel with plain stores. The borrow
+//! checker, not a caller contract, keeps each owner inside its range.
 
 use crate::backend::{FrequencySketch, SketchBank};
 use crate::error::SketchError;
@@ -25,10 +27,6 @@ use crate::hash::PairwiseHash;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use serde::{Deserialize, Serialize};
-// Atomics come through the `sync` shim seam so `xtask check` can run
-// this file's real commit/read paths under the deterministic scheduler
-// (DESIGN.md §10). In normal builds these are exactly the std items.
-use crate::sync::{AtomicU64, Ordering};
 
 /// Where one logical sketch's `depth × width` block lives in the slab.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
@@ -140,21 +138,7 @@ impl CmArena {
             return;
         };
         let rem = FastRem::new(span.width as u64);
-        batch_read(
-            &self.hashes,
-            span,
-            rem,
-            keys,
-            out,
-            #[inline(always)]
-            |cell| self.cells.get(cell).copied().unwrap_or(u64::MAX),
-            #[inline(always)]
-            |cell| {
-                if let Some(c) = self.cells.get(cell) {
-                    crate::prefetch(c);
-                }
-            },
-        );
+        batch_read(&self.hashes, &self.cells, span, rem, keys, out);
     }
 
     /// Commit a whole slot run in one pass. Consecutive entries with the
@@ -168,8 +152,9 @@ impl CmArena {
     /// except when the *sum of weights* itself would wrap, which cannot
     /// make a counter exceed `u64::MAX` either way.
     ///
-    /// Range reduction uses a per-batch fastmod constant (bit-identical
-    /// to `% width`), and an out-of-range `slot` is a no-op instead of a
+    /// The run is walked in prefetch blocks (see `commit_run`), range
+    /// reduction uses a per-batch fastmod constant (bit-identical to
+    /// `% width`), and an out-of-range `slot` is a no-op instead of a
     /// panic — the kernel is audited panic-free from the compiled
     /// artifact (`xtask audit`).
     // audit: kernel(bounds-free)
@@ -178,32 +163,49 @@ impl CmArena {
             return;
         };
         let rem = FastRem::new(span.width as u64);
-        let mut total = 0u64;
-        let mut i = 0;
-        while i < run.len() {
-            let key = run[i].0;
-            let mut weight = 0u64;
-            while i < run.len() && run[i].0 == key {
-                weight = weight.saturating_add(run[i].1);
-                i += 1;
-            }
-            // One field fold per distinct key, shared by all d rows.
-            let folded = PairwiseHash::fold(key);
-            let mut idx = span.offset;
-            for h in &self.hashes {
-                // cast: u64 -> usize; `rem.rem` reduces the hash below the slot
-                // width, which is a usize-sized cell count.
-                let cell = idx + rem.rem(h.eval_folded(folded)) as usize;
-                if let Some(c) = self.cells.get_mut(cell) {
-                    *c = c.saturating_add(weight);
-                }
-                idx += span.width;
-            }
-            total = total.saturating_add(weight);
-        }
+        let total = commit_run(&self.hashes, &mut self.cells, span, rem, run);
         if let Some(t) = self.totals.get_mut(slot as usize) {
             *t = t.saturating_add(total);
         }
+    }
+
+    /// Split the arena into one exclusive view per half-open slot range
+    /// `[lo, hi)` of `ranges`, for owners that commit in parallel. Each
+    /// view borrows exactly its slots' cells and totals (`split_at_mut`
+    /// over the slab, whose slot blocks are laid out in slot order), so
+    /// views never alias and a view cannot write outside its range.
+    /// Ranges are taken in order and clipped to the slot space; a range
+    /// that starts before the previous one ended is clipped to start
+    /// where it ended, so overlapping input yields smaller views, never
+    /// shared cells.
+    pub fn split_slots(&mut self, ranges: &[(u32, u32)]) -> Vec<CmArenaSlice<'_>> {
+        let slots = clip_ranges(ranges, self.spans.len());
+        let cell_len = self.cells.len();
+        let first_cell = |s: usize| self.spans.get(s).map_or(cell_len, |sp| sp.offset);
+        let cell_ranges: Vec<(usize, usize)> = slots
+            .iter()
+            .map(|&(lo, hi)| (first_cell(lo), first_cell(hi)))
+            .collect();
+        let cells = split_ranges(&mut self.cells, &cell_ranges);
+        let totals = split_ranges(&mut self.totals, &slots);
+        let (spans, hashes) = (&self.spans, &self.hashes);
+        slots
+            .iter()
+            .zip(&cell_ranges)
+            .zip(cells.into_iter().zip(totals))
+            .map(|((&(lo, hi), &(base, _)), (cells, totals))| {
+                let spans = spans.get(lo..hi).unwrap_or_default();
+                CmArenaSlice {
+                    lo,
+                    spans,
+                    rems: spans.iter().map(|s| FastRem::new(s.width as u64)).collect(),
+                    base,
+                    cells,
+                    totals,
+                    hashes,
+                }
+            })
+            .collect()
     }
 
     /// Per-slot spans (read-only).
@@ -278,23 +280,6 @@ impl CmArena {
             hashes: self.hashes.clone(),
             totals: vec![total],
         })
-    }
-
-    /// Freeze into the lock-free concurrent form.
-    pub fn into_atomic(self) -> AtomicCmArena {
-        let rems = self
-            .spans
-            .iter()
-            .map(|s| FastRem::new(s.width as u64))
-            .collect();
-        AtomicCmArena {
-            spans: self.spans,
-            depth: self.depth,
-            cells: self.cells.into_iter().map(AtomicU64::new).collect(),
-            hashes: self.hashes,
-            totals: self.totals.into_iter().map(AtomicU64::new).collect(),
-            rems,
-        }
     }
 }
 
@@ -552,28 +537,25 @@ impl FastRem {
     }
 }
 
-/// The shared body of the batched point-query kernels (sequential and
-/// atomic arenas differ only in how a cell is loaded): coalesce adjacent
+/// The body of [`CmArena::estimate_batch_slot`]: coalesce adjacent
 /// duplicate keys and fold each distinct key into the hash field once
 /// for all `d` rows, with fastmod range reduction instead of a hardware
 /// divide per row. The run is walked in small blocks — each block first
 /// computes (and prefetches) every target cell, then reduces the row
 /// minima out of now-resident lines, so the random counter loads of one
 /// block overlap instead of serializing on memory latency. The
-/// read-side mirror of `AtomicCmArena::commit_batch`.
+/// read-side mirror of `commit_run`. A cell index past the slab reads
+/// `u64::MAX`, the "no information" answer.
 #[inline]
-fn batch_read<L, P>(
+fn batch_read(
     hashes: &[PairwiseHash],
+    cells: &[u64],
     span: SlotSpan,
     rem: FastRem,
     keys: &[u64],
     out: &mut Vec<u64>,
-    load: L,
-    prefetch_cell: P,
-) where
-    L: Fn(usize) -> u64,
-    P: Fn(usize),
-{
+) {
+    let load = |cell: usize| cells.get(cell).copied().unwrap_or(u64::MAX);
     /// Distinct keys per prefetch block. Wider than the write side's
     /// block (16): reads are pure loads with no store traffic competing
     /// for fill buffers, so more overlapped misses keep paying — 48
@@ -609,10 +591,10 @@ fn batch_read<L, P>(
         return;
     }
     // Blocked path (depth ≤ 8). The scratch is indexed as
-    // `cells[block][row]` with `block < BLOCK` from the fill-loop guard
+    // `targets[block][row]` with `block < BLOCK` from the fill-loop guard
     // and `row < 8` from `take(8)`, so the compiler can discharge every
     // scratch bound statically — no residual checks in the artifact.
-    let mut cells: [[usize; 8]; BLOCK] = [[0; 8]; BLOCK];
+    let mut targets: [[usize; 8]; BLOCK] = [[0; 8]; BLOCK];
     let mut reps: [usize; BLOCK] = [0; BLOCK];
     let mut i = 0;
     while i < keys.len() {
@@ -633,8 +615,10 @@ fn batch_read<L, P>(
                 // cast: u64 -> usize; `rem.rem` reduces the hash below the slot
                 // width, which is a usize-sized cell count.
                 let cell = idx + rem.rem(h.eval_folded(folded)) as usize;
-                cells[filled][row] = cell;
-                prefetch_cell(cell);
+                targets[filled][row] = cell;
+                if let Some(c) = cells.get(cell) {
+                    crate::prefetch(c);
+                }
                 idx += span.width;
             }
             reps[filled] = n;
@@ -643,7 +627,7 @@ fn batch_read<L, P>(
         // Phase 2: take the row minima out of now-resident lines,
         // emitting one copy of each distinct key's answer per coalesced
         // occurrence.
-        for (block, &n) in cells.iter().zip(reps.iter()).take(filled) {
+        for (block, &n) in targets.iter().zip(reps.iter()).take(filled) {
             let mut best = u64::MAX;
             for &cell in block.iter().take(depth) {
                 best = best.min(load(cell));
@@ -653,319 +637,179 @@ fn batch_read<L, P>(
     }
 }
 
-/// The concurrent arena: the same slab with `AtomicU64` cells, shared by
-/// reference across ingest threads. Counter updates are saturating CAS
-/// loops (so the sequential saturation semantics survive concurrency);
-/// per-slot totals are independent atomics, which stripes total-counter
-/// contention across slots the same way the slab stripes cell contention.
-#[derive(Debug)]
-pub struct AtomicCmArena {
-    spans: Vec<SlotSpan>,
-    depth: usize,
-    cells: Vec<AtomicU64>,
-    hashes: Vec<PairwiseHash>,
-    totals: Vec<AtomicU64>,
-    /// Per-slot width reducers for the batch-commit hot loop (derived
-    /// from `spans`, never serialized).
-    rems: Vec<FastRem>,
-}
-
-/// Saturating atomic add (relaxed; counters are commutative and the
-/// caller joins writer threads before reading).
-///
-/// Implemented as one `fetch_add` with a wrap fix-up instead of a CAS
-/// loop: a single locked RMW never loses an increment, and the add only
-/// wraps when a counter passes `u64::MAX` — in that (astronomically
-/// rare) case the cell is pinned to `u64::MAX`, matching the sequential
-/// saturating semantics. A reader racing the fix-up can transiently see
-/// a wrapped value; a counter within 2^64 of saturation has long lost
-/// numeric meaning, so this trade is taken for a shorter hot path.
+/// The shared write kernel of [`CmArena::add_batch_saturating`] and
+/// [`CmArenaSlice::add_batch_saturating`]: coalesce adjacent duplicate
+/// keys, fold each distinct key into the hash field once for all `d`
+/// rows, then walk the run in small blocks — each block first computes
+/// (and prefetches) every target cell, then applies the saturating adds
+/// — so the random cell loads of one block overlap instead of
+/// serializing on memory latency. `span.offset` is the slot block's
+/// first cell *within `cells`*. Returns the run's total weight. The
+/// write-side mirror of `batch_read`.
 #[inline]
-fn saturating_fetch_add(cell: &AtomicU64, weight: u64) {
-    // ordering: Relaxed — a single-location RMW never loses an
-    // increment regardless of ordering; counters are commutative
-    // monotone sums, no other location is published through them, and
-    // readers either tolerate staleness (CM estimates are one-sided) or
-    // read after a thread join that already gives happens-before.
-    let old = cell.fetch_add(weight, Ordering::Relaxed);
-    if old.checked_add(weight).is_none() {
-        // ordering: Relaxed — same single-location argument; the
-        // transient wrapped-value window is documented above.
-        cell.store(u64::MAX, Ordering::Relaxed);
-    }
-}
-
-impl AtomicCmArena {
-    /// Record `weight` occurrences of `key` in `slot` (any thread).
-    #[inline]
-    pub fn update_slot(&self, slot: u32, key: u64, weight: u64) {
-        let span = self.spans[slot as usize];
-        let rem = self.rems[slot as usize];
-        let mut idx = span.offset;
-        for h in &self.hashes {
-            // cast: u64 -> usize; `rem.rem` reduces the hash below the slot
-            // width, which is a usize-sized cell count.
-            saturating_fetch_add(&self.cells[idx + rem.rem(h.eval(key)) as usize], weight);
-            idx += span.width;
-        }
-        saturating_fetch_add(&self.totals[slot as usize], weight);
-    }
-
-    /// Commit a whole slot run from a caller that can guarantee it is
-    /// the **only writer** of `slot` for the duration of the batch (an
-    /// owner of the sharded ingest engine). This is the batched
-    /// span-commit that engine drives: consecutive duplicates are
-    /// coalesced so a key whose occurrences are adjacent costs `d` hash
-    /// evaluations per *batch* instead of per arrival, the slot's total
-    /// counter is written once per run rather than once per update, and
-    /// the hash range reduction uses the precomputed per-slot `FastRem`
-    /// instead of a hardware divide. Cells are updated with plain
-    /// load/add/store cycles instead of lock-prefixed RMWs, which
-    /// removes the serializing atomic from the hot loop. Any entry order
-    /// is correct; see [`CmArena::add_batch_saturating`] for the
-    /// coalescing/saturation semantics. With a *concurrent* writer this
-    /// path could lose increments, which is exactly what the caller
-    /// contract rules out. An out-of-range `slot` is a no-op instead of
-    /// a panic — audited panic-free from the compiled artifact
-    /// (`xtask audit`).
-    // audit: kernel(bounds-free)
-    pub fn add_batch_saturating_exclusive(&self, slot: u32, run: &[(u64, u64)]) {
-        let total = self.commit_batch(slot, run, |cell, weight| {
-            // ordering: Relaxed — plain load/add/store is only sound
-            // under the sole-writer caller contract (checked by the
-            // xtask exclusive-writer harness); no ordering fixes a torn
-            // RMW against a second writer, so Relaxed is as strong as any.
-            cell.store(
-                cell.load(Ordering::Relaxed).saturating_add(weight),
-                Ordering::Relaxed,
-            );
-        });
-        if total > 0 {
-            if let Some(t) = self.totals.get(slot as usize) {
-                // ordering: Relaxed — same sole-writer contract as the
-                // cell loop above.
-                t.store(
-                    t.load(Ordering::Relaxed).saturating_add(total),
-                    Ordering::Relaxed,
-                );
-            }
-        }
-    }
-
-    /// The shared body of the batch commits: coalesce adjacent duplicate
-    /// keys, then walk the run in small blocks — each block first
-    /// computes (and prefetches) every target cell, then applies `add` —
-    /// so the random cell loads of one block overlap instead of
-    /// serializing on memory latency. Returns the run's total weight.
-    #[inline]
-    fn commit_batch<F: Fn(&AtomicU64, u64)>(&self, slot: u32, run: &[(u64, u64)], add: F) -> u64 {
-        /// Distinct keys per prefetch block (`BLOCK × 8` cell slots of
-        /// on-stack index scratch).
-        const BLOCK: usize = 16;
-        let Some(&span) = self.spans.get(slot as usize) else {
-            return 0;
-        };
-        let Some(&rem) = self.rems.get(slot as usize) else {
-            return 0;
-        };
-        let depth = self.depth;
-        let mut total = 0u64;
-        let mut i = 0;
-        if depth > 8 {
-            // Unblocked fallback for depths past the scratch budget: the
-            // adds are applied directly, still with coalescing and one
-            // fold per distinct key.
-            while i < run.len() {
-                let key = run[i].0;
-                let mut weight = 0u64;
-                while i < run.len() && run[i].0 == key {
-                    weight = weight.saturating_add(run[i].1);
-                    i += 1;
-                }
-                let folded = PairwiseHash::fold(key);
-                let mut idx = span.offset;
-                for h in &self.hashes {
-                    // cast: u64 -> usize; `rem.rem` reduces the hash below the slot
-                    // width, which is a usize-sized cell count.
-                    let cell = idx + rem.rem(h.eval_folded(folded)) as usize;
-                    if let Some(c) = self.cells.get(cell) {
-                        add(c, weight);
-                    }
-                    idx += span.width;
-                }
-                total = total.saturating_add(weight);
-            }
-            return total;
-        }
-        // Blocked path (depth ≤ 8). Scratch indexing is
-        // `cells[block][row]` with `block < BLOCK` from the fill-loop
-        // guard and `row < 8` from `take(8)`, so every scratch bound is
-        // discharged statically — no residual checks in the artifact.
-        let mut cells: [[usize; 8]; BLOCK] = [[0; 8]; BLOCK];
-        let mut weights: [u64; BLOCK] = [0; BLOCK];
+fn commit_run(
+    hashes: &[PairwiseHash],
+    cells: &mut [u64],
+    span: SlotSpan,
+    rem: FastRem,
+    run: &[(u64, u64)],
+) -> u64 {
+    /// Distinct keys per prefetch block (`BLOCK × 8` cell slots of
+    /// on-stack index scratch).
+    const BLOCK: usize = 16;
+    let depth = hashes.len();
+    let mut total = 0u64;
+    let mut i = 0;
+    if depth > 8 {
+        // Unblocked fallback for depths past the scratch budget: the
+        // adds are applied directly, still with coalescing and one fold
+        // per distinct key.
         while i < run.len() {
-            // Phase 1: coalesce the next `BLOCK` distinct keys and
-            // compute + prefetch their cells.
-            let mut filled = 0usize;
-            while filled < BLOCK && i < run.len() {
-                let key = run[i].0;
-                let mut weight = 0u64;
-                while i < run.len() && run[i].0 == key {
-                    weight = weight.saturating_add(run[i].1);
-                    i += 1;
-                }
-                // One field fold per distinct key, shared by all d rows.
-                let folded = PairwiseHash::fold(key);
-                let mut idx = span.offset;
-                for (row, h) in self.hashes.iter().take(8).enumerate() {
-                    // cast: u64 -> usize; `rem.rem` reduces the hash below the slot
-                    // width, which is a usize-sized cell count.
-                    let cell = idx + rem.rem(h.eval_folded(folded)) as usize;
-                    cells[filled][row] = cell;
-                    if let Some(c) = self.cells.get(cell) {
-                        crate::prefetch(c);
-                    }
-                    idx += span.width;
-                }
-                weights[filled] = weight;
-                total = total.saturating_add(weight);
-                filled += 1;
+            let key = run[i].0;
+            let mut weight = 0u64;
+            while i < run.len() && run[i].0 == key {
+                weight = weight.saturating_add(run[i].1);
+                i += 1;
             }
-            // Phase 2: apply the adds into now-resident lines.
-            for (block, &weight) in cells.iter().zip(weights.iter()).take(filled) {
-                for &cell in block.iter().take(depth) {
-                    if let Some(c) = self.cells.get(cell) {
-                        add(c, weight);
-                    }
+            let folded = PairwiseHash::fold(key);
+            let mut idx = span.offset;
+            for h in hashes {
+                // cast: u64 -> usize; `rem.rem` reduces the hash below the slot
+                // width, which is a usize-sized cell count.
+                let cell = idx + rem.rem(h.eval_folded(folded)) as usize;
+                if let Some(c) = cells.get_mut(cell) {
+                    *c = c.saturating_add(weight);
                 }
+                idx += span.width;
             }
+            total = total.saturating_add(weight);
         }
-        total
+        return total;
     }
-
-    /// Point query in `slot` (any thread; sees all updates that
-    /// happened-before the call).
-    #[inline]
-    pub fn estimate_slot(&self, slot: u32, key: u64) -> u64 {
-        let span = self.spans[slot as usize];
-        let mut best = u64::MAX;
-        let mut idx = span.offset;
-        for h in &self.hashes {
-            // ordering: Relaxed — CM estimates are one-sided upper
-            // bounds; a stale read only delays an increment's
-            // visibility, it cannot break the bound. Callers needing
-            // "all updates before X" read after joining the writers.
-            best = best.min(self.cells[idx + h.bucket(key, span.width)].load(Ordering::Relaxed));
-            idx += span.width;
-        }
-        best
-    }
-
-    /// Answer a whole slot run of point queries from any thread — the
-    /// read mirror of
-    /// [`add_batch_saturating_exclusive`](Self::add_batch_saturating_exclusive),
-    /// using the precomputed per-slot fastmod constant and the same
-    /// duplicate-coalescing / fold-hoisting / block-prefetch discipline
-    /// as [`CmArena::estimate_batch_slot`]. `out` is cleared and receives
-    /// one estimate per key, in order; each answer sees every update that
-    /// happened-before the call. An out-of-range `slot` answers
-    /// `u64::MAX` for every key instead of panicking — audited
-    /// panic-free from the compiled artifact (`xtask audit`).
-    // audit: kernel(bounds-free)
-    pub fn estimate_batch_slot(&self, slot: u32, keys: &[u64], out: &mut Vec<u64>) {
-        let (Some(&span), Some(&rem)) =
-            (self.spans.get(slot as usize), self.rems.get(slot as usize))
-        else {
-            out.clear();
-            out.extend(std::iter::repeat_n(u64::MAX, keys.len()));
-            return;
-        };
-        batch_read(
-            &self.hashes,
-            span,
-            rem,
-            keys,
-            out,
-            #[inline(always)]
-            // ordering: Relaxed — same one-sided staleness argument as
-            // `estimate_slot`.
-            |cell| {
-                self.cells
-                    .get(cell)
-                    .map_or(u64::MAX, |c| c.load(Ordering::Relaxed))
-            },
-            #[inline(always)]
-            |cell| {
-                if let Some(c) = self.cells.get(cell) {
+    // Blocked path (depth ≤ 8). Scratch indexing is `targets[block][row]`
+    // with `block < BLOCK` from the fill-loop guard and `row < 8` from
+    // `take(8)`, so every scratch bound is discharged statically — no
+    // residual checks in the artifact.
+    let mut targets: [[usize; 8]; BLOCK] = [[0; 8]; BLOCK];
+    let mut weights: [u64; BLOCK] = [0; BLOCK];
+    while i < run.len() {
+        // Phase 1: coalesce the next `BLOCK` distinct keys and compute +
+        // prefetch their cells.
+        let mut filled = 0usize;
+        while filled < BLOCK && i < run.len() {
+            let key = run[i].0;
+            let mut weight = 0u64;
+            while i < run.len() && run[i].0 == key {
+                weight = weight.saturating_add(run[i].1);
+                i += 1;
+            }
+            // One field fold per distinct key, shared by all d rows.
+            let folded = PairwiseHash::fold(key);
+            let mut idx = span.offset;
+            for (row, h) in hashes.iter().take(8).enumerate() {
+                // cast: u64 -> usize; `rem.rem` reduces the hash below the slot
+                // width, which is a usize-sized cell count.
+                let cell = idx + rem.rem(h.eval_folded(folded)) as usize;
+                targets[filled][row] = cell;
+                if let Some(c) = cells.get(cell) {
                     crate::prefetch(c);
                 }
-            },
-        );
+                idx += span.width;
+            }
+            weights[filled] = weight;
+            total = total.saturating_add(weight);
+            filled += 1;
+        }
+        // Phase 2: apply the adds into now-resident lines.
+        for (block, &weight) in targets.iter().zip(weights.iter()).take(filled) {
+            for &cell in block.iter().take(depth) {
+                if let Some(c) = cells.get_mut(cell) {
+                    *c = c.saturating_add(weight);
+                }
+            }
+        }
     }
+    total
+}
 
-    /// Total weight absorbed by `slot`.
-    pub fn slot_total(&self, slot: u32) -> u64 {
-        // ordering: Relaxed — monotone counter; a concurrent snapshot
-        // is allowed to lag, and post-join readers already have
-        // happens-before from the join.
-        self.totals[slot as usize].load(Ordering::Relaxed)
+/// Clip half-open `[lo, hi)` ranges, taken in order, to ascending
+/// disjoint ranges inside `0..n`: each range starts no earlier than the
+/// previous one ended and ends no later than `n`.
+pub(crate) fn clip_ranges(ranges: &[(u32, u32)], n: usize) -> Vec<(usize, usize)> {
+    let mut next = 0usize;
+    ranges
+        .iter()
+        .map(|&(lo, hi)| {
+            let lo = (lo as usize).clamp(next, n);
+            let hi = (hi as usize).clamp(lo, n);
+            next = hi;
+            (lo, hi)
+        })
+        .collect()
+}
+
+/// Cut `data` into one exclusive piece per range of `ranges`, which must
+/// be ascending and disjoint (as [`clip_ranges`] leaves them); a range
+/// past the end yields an empty piece.
+pub(crate) fn split_ranges<'a, T>(
+    data: &'a mut [T],
+    ranges: &[(usize, usize)],
+) -> Vec<&'a mut [T]> {
+    let mut rest = data;
+    let mut at = 0usize;
+    let mut pieces = Vec::with_capacity(ranges.len());
+    for &(lo, hi) in ranges {
+        let skip = lo.saturating_sub(at).min(rest.len());
+        let (_, tail) = std::mem::take(&mut rest).split_at_mut(skip);
+        let (piece, tail) = tail.split_at_mut(hi.saturating_sub(lo).min(tail.len()));
+        rest = tail;
+        at = at + skip + piece.len();
+        pieces.push(piece);
     }
+    pieces
+}
 
-    /// Number of slots.
-    pub fn num_slots(&self) -> usize {
-        self.spans.len()
-    }
+/// One owner's share of a [`CmArena`], made by
+/// [`CmArena::split_slots`]: the cells and totals of a contiguous slot
+/// range, borrowed exclusively, plus shared views of the layout and the
+/// hash family. Commits through it are bit-identical to commits into the
+/// whole arena; owners of different slices commit from different
+/// threads with plain stores, and the borrow checker proves they never
+/// share a cell.
+#[derive(Debug)]
+pub struct CmArenaSlice<'a> {
+    /// First slot of the range.
+    lo: usize,
+    /// Spans of the range's slots (offsets are whole-slab offsets).
+    spans: &'a [SlotSpan],
+    /// Per-slot width reducers, computed once per split.
+    rems: Vec<FastRem>,
+    /// Whole-slab offset of `cells[0]`.
+    base: usize,
+    cells: &'a mut [u64],
+    totals: &'a mut [u64],
+    hashes: &'a [PairwiseHash],
+}
 
-    /// Shared depth `d`.
-    pub fn depth(&self) -> usize {
-        self.depth
-    }
-
-    /// Total counter memory in bytes.
-    pub fn byte_size(&self) -> usize {
-        self.cells.len() * std::mem::size_of::<u64>()
-    }
-
-    /// First-touch every cell and total of slots `lo..hi` (half-open)
-    /// from the calling thread. Owner-sharded ingest has each owner call
-    /// this for its contiguous slot range before absorbing arrivals: on
-    /// a NUMA machine with a first-touch page policy the owner's slice
-    /// then lands on the owner's node, and on any machine the pages are
-    /// faulted in and warm before the hot loop starts. Each touch is a
-    /// plain read-back store, so the counters' values are unchanged;
-    /// the caller must be the sole writer of the range (the same
-    /// contract as [`add_batch_saturating_exclusive`]), which owner
-    /// sharding guarantees by construction.
-    ///
-    /// [`add_batch_saturating_exclusive`]: Self::add_batch_saturating_exclusive
-    pub fn touch_slot_range(&self, lo: u32, hi: u32) {
-        let (lo, hi) = (lo as usize, (hi as usize).min(self.spans.len()));
-        if lo >= hi {
+impl CmArenaSlice<'_> {
+    /// [`CmArena::add_batch_saturating`] for a slot of this slice, with
+    /// the same coalescing and saturation semantics and the same kernel.
+    /// A slot outside the slice is a no-op instead of a panic — audited
+    /// panic-free from the compiled artifact (`xtask audit`).
+    // audit: kernel(bounds-free)
+    pub fn add_batch_saturating(&mut self, slot: u32, run: &[(u64, u64)]) {
+        let local = (slot as usize).wrapping_sub(self.lo);
+        let (Some(&span), Some(&rem)) = (self.spans.get(local), self.rems.get(local)) else {
             return;
-        }
-        let start = self.spans[lo].offset;
-        let end = self.spans[hi - 1].offset + self.spans[hi - 1].width * self.depth;
-        for cell in &self.cells[start..end] {
-            // ordering: Relaxed — a value-preserving read-back store by
-            // the range's sole writer; nothing is published and no other
-            // thread writes these cells (owner-sharding contract).
-            cell.store(cell.load(Ordering::Relaxed), Ordering::Relaxed);
-        }
-        for t in &self.totals[lo..hi] {
-            // ordering: Relaxed — same sole-writer read-back as above.
-            t.store(t.load(Ordering::Relaxed), Ordering::Relaxed);
-        }
-    }
-
-    /// Thaw back into the sequential arena (requires exclusive ownership,
-    /// so no updates can be in flight).
-    pub fn into_arena(self) -> CmArena {
-        CmArena {
-            spans: self.spans,
-            depth: self.depth,
-            cells: self.cells.into_iter().map(AtomicU64::into_inner).collect(),
-            hashes: self.hashes,
-            totals: self.totals.into_iter().map(AtomicU64::into_inner).collect(),
+        };
+        let span = SlotSpan {
+            // Never wraps: the slice's spans start at `base`.
+            offset: span.offset.wrapping_sub(self.base),
+            width: span.width,
+        };
+        let total = commit_run(self.hashes, self.cells, span, rem, run);
+        if let Some(t) = self.totals.get_mut(local) {
+            *t = t.saturating_add(total);
         }
     }
 }
@@ -1081,51 +925,6 @@ mod tests {
     }
 
     #[test]
-    fn atomic_round_trip_preserves_cells() {
-        let mut arena = CmArena::with_slots(&[64, 32], 3, 5).unwrap();
-        for k in 0..500u64 {
-            arena.update_slot((k % 2) as u32, k, 2);
-        }
-        let expected: Vec<u64> = (0..500u64)
-            .map(|k| arena.estimate_slot((k % 2) as u32, k))
-            .collect();
-        let atomic = arena.into_atomic();
-        atomic.update_slot(0, 999_983, 7);
-        let back = atomic.into_arena();
-        for k in 0..500u64 {
-            assert!(back.estimate_slot((k % 2) as u32, k) >= expected[k as usize]);
-        }
-        assert!(back.estimate_slot(0, 999_983) >= 7);
-    }
-
-    #[test]
-    fn atomic_concurrent_ingest_loses_nothing() {
-        use std::sync::Arc;
-        let arena = Arc::new(
-            CmArena::with_slots(&[256, 256], 3, 11)
-                .unwrap()
-                .into_atomic(),
-        );
-        let threads = 8u64;
-        let per_thread = 2_000u64;
-        let handles: Vec<_> = (0..threads)
-            .map(|t| {
-                let a = Arc::clone(&arena);
-                std::thread::spawn(move || {
-                    for i in 0..per_thread {
-                        a.update_slot((t % 2) as u32, t * 1_000_003 + i % 17, 1);
-                    }
-                })
-            })
-            .collect();
-        for h in handles {
-            h.join().unwrap();
-        }
-        let total = arena.slot_total(0) + arena.slot_total(1);
-        assert_eq!(total, threads * per_thread);
-    }
-
-    #[test]
     fn fast_rem_matches_hardware_remainder() {
         let divisors = [
             1u64,
@@ -1159,60 +958,82 @@ mod tests {
 
     #[test]
     fn batch_commit_matches_per_update_path() {
-        let mut a = CmArena::with_slots(&[64, 32], 3, 21).unwrap();
-        let mut b = a.clone();
-        // A run with duplicates, sorted by key.
-        let mut run: Vec<(u64, u64)> = (0..200u64).map(|k| (k % 40, k % 5 + 1)).collect();
-        run.sort_unstable_by_key(|p| p.0);
-        for &(k, w) in &run {
-            a.update_slot(1, k, w);
+        // Both depth regimes of the commit kernel: blocked (≤ 8) and not.
+        for depth in [3usize, 9] {
+            let mut a = CmArena::with_slots(&[64, 32], depth, 21).unwrap();
+            let mut b = a.clone();
+            // A run with duplicates, sorted by key.
+            let mut run: Vec<(u64, u64)> = (0..200u64).map(|k| (k % 40, k % 5 + 1)).collect();
+            run.sort_unstable_by_key(|p| p.0);
+            for &(k, w) in &run {
+                a.update_slot(1, k, w);
+            }
+            b.add_batch_saturating(1, &run);
+            assert_eq!(a.cells, b.cells, "depth {depth}");
+            assert_eq!(a.slot_total(1), b.slot_total(1));
+            // The untouched slot stays untouched.
+            assert_eq!(b.slot_total(0), 0);
         }
-        b.add_batch_saturating(1, &run);
-        for k in 0..40u64 {
-            assert_eq!(a.estimate_slot(1, k), b.estimate_slot(1, k));
-        }
-        assert_eq!(a.slot_total(1), b.slot_total(1));
-        // The untouched slot stays untouched.
-        assert_eq!(b.slot_total(0), 0);
     }
 
+    /// Commits through per-owner slices are bit-identical to whole-arena
+    /// commits — cells, totals and filter words — however the slots are
+    /// cut into owner ranges (one slot, uneven ranges, all slots, and an
+    /// overlapping cut that `split_slots` clips), at every depth regime.
+    /// Every run is offered to every slice, so a slice that wrote a slot
+    /// outside its range would show up as a diff.
     #[test]
-    fn atomic_batch_commit_matches_sequential_batch() {
-        let mut seq = CmArena::with_slots(&[128, 64], 2, 33).unwrap();
-        let exclusive = seq.clone().into_atomic();
-        let mut run: Vec<(u64, u64)> = (0..500u64).map(|k| (k % 77, 1)).collect();
-        run.sort_unstable_by_key(|p| p.0);
-        seq.add_batch_saturating(0, &run);
-        exclusive.add_batch_saturating_exclusive(0, &run);
-        let back_ex = exclusive.into_arena();
-        for k in 0..77u64 {
-            assert_eq!(seq.estimate_slot(0, k), back_ex.estimate_slot(0, k));
-        }
-        assert_eq!(seq.slot_total(0), back_ex.slot_total(0));
-    }
-
-    #[test]
-    fn touch_slot_range_preserves_every_counter() {
-        let mut arena = CmArena::with_slots(&[32, 16, 8], 3, 5).unwrap();
-        for k in 0..200u64 {
-            arena.update_slot((k % 3) as u32, k, k % 7 + 1);
-        }
-        let expected: Vec<u64> = (0..200u64)
-            .map(|k| arena.estimate_slot((k % 3) as u32, k))
+    fn owner_slices_match_whole_arena_commits() {
+        use crate::BlockedBloom;
+        let widths = [64usize, 32, 96, 16, 48];
+        let cuts: [&[(u32, u32)]; 5] = [
+            &[(2, 3)],
+            &[(0, 1), (1, 4), (4, 5)],
+            &[(0, 2), (2, 5)],
+            &[(0, 3), (2, 5)],
+            &[(0, 5)],
+        ];
+        let runs: Vec<(u32, Vec<(u64, u64)>)> = (0..5u32)
+            .map(|slot| {
+                let mut run: Vec<(u64, u64)> = (0..300u64)
+                    .map(|k| ((k * 7 + u64::from(slot)) % 113, k % 4))
+                    .collect();
+                run.sort_unstable_by_key(|p| p.0);
+                (slot, run)
+            })
             .collect();
-        let totals: Vec<u64> = (0..3u32).map(|s| arena.slot_total(s)).collect();
-        let atomic = arena.into_atomic();
-        atomic.touch_slot_range(0, 2);
-        atomic.touch_slot_range(2, 3);
-        // Out-of-range and empty ranges are no-ops.
-        atomic.touch_slot_range(2, 99);
-        atomic.touch_slot_range(1, 1);
-        let back = atomic.into_arena();
-        for k in 0..200u64 {
-            assert_eq!(back.estimate_slot((k % 3) as u32, k), expected[k as usize]);
-        }
-        for s in 0..3u32 {
-            assert_eq!(back.slot_total(s), totals[s as usize]);
+        for depth in [1usize, 3, 9] {
+            for ranges in cuts {
+                let mut whole = CmArena::with_slots(&widths, depth, 19).unwrap();
+                let mut whole_filter = BlockedBloom::with_blocks(&[1, 3, 2, 1, 4], 23).unwrap();
+                let mut sliced = whole.clone();
+                let mut sliced_filter = whole_filter.clone();
+                {
+                    let mut cells = sliced.split_slots(ranges);
+                    let mut filters = sliced_filter.split_slots(ranges);
+                    assert_eq!(cells.len(), ranges.len());
+                    assert_eq!(filters.len(), ranges.len());
+                    for (slot, run) in &runs {
+                        for (c, f) in cells.iter_mut().zip(filters.iter_mut()) {
+                            c.add_batch_saturating(*slot, run);
+                            f.insert_run(*slot, run);
+                        }
+                    }
+                }
+                for (slot, run) in &runs {
+                    if ranges.iter().any(|&(lo, hi)| (lo..hi).contains(slot)) {
+                        whole.add_batch_saturating(*slot, run);
+                        whole_filter.insert_run(*slot, run);
+                    }
+                }
+                assert_eq!(sliced.cells, whole.cells, "depth {depth} cut {ranges:?}");
+                assert_eq!(sliced.totals, whole.totals, "depth {depth} cut {ranges:?}");
+                assert_eq!(
+                    serde::Serialize::to_value(&sliced_filter),
+                    serde::Serialize::to_value(&whole_filter),
+                    "depth {depth} cut {ranges:?}"
+                );
+            }
         }
     }
 
@@ -1221,9 +1042,8 @@ mod tests {
         let mut a = CmArena::with_slots(&[16], 2, 1).unwrap();
         a.add_batch_saturating(0, &[]);
         assert_eq!(a.slot_total(0), 0);
-        let at = a.into_atomic();
-        at.add_batch_saturating_exclusive(0, &[]);
-        assert_eq!(at.slot_total(0), 0);
+        a.split_slots(&[(0, 1)])[0].add_batch_saturating(0, &[]);
+        assert_eq!(a.slot_total(0), 0);
     }
 
     #[test]
@@ -1234,17 +1054,9 @@ mod tests {
         assert_eq!(a.slot_total(0), u64::MAX);
     }
 
-    #[test]
-    fn atomic_saturating_add_saturates() {
-        let cell = AtomicU64::new(u64::MAX - 1);
-        saturating_fetch_add(&cell, 10);
-        // ordering: single-threaded test read.
-        assert_eq!(cell.load(Ordering::Relaxed), u64::MAX);
-    }
-
     /// The batched read kernel answers exactly like the scalar path, for
     /// every depth regime (blocked and unblocked), with duplicates both
-    /// adjacent and scattered, on both arenas.
+    /// adjacent and scattered.
     #[test]
     fn estimate_batch_matches_scalar_estimates() {
         for depth in [1usize, 3, 9] {
@@ -1265,13 +1077,6 @@ mod tests {
                 assert_eq!(out.len(), keys.len());
                 for (&k, &v) in keys.iter().zip(&out) {
                     assert_eq!(v, arena.estimate_slot(slot, k), "depth {depth} key {k}");
-                }
-            }
-            let atomic = arena.clone().into_atomic();
-            for slot in 0..2u32 {
-                atomic.estimate_batch_slot(slot, &keys, &mut out);
-                for (&k, &v) in keys.iter().zip(&out) {
-                    assert_eq!(v, atomic.estimate_slot(slot, k), "depth {depth} key {k}");
                 }
             }
         }

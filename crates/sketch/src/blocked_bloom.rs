@@ -14,23 +14,19 @@
 //! The filter is **slot-partitioned** exactly like the
 //! [`CmArena`](crate::CmArena) slab: each slot owns a contiguous run of
 //! blocks ([`BlockSpan`], mirroring [`SlotSpan`](crate::SlotSpan)), so
-//! the owner-sharded ingest contract carries over — writers that own
-//! disjoint slot ranges touch disjoint filter cache lines, which is
-//! what makes the plain-store
-//! [`insert_run_exclusive`](AtomicBlockedBloom::insert_run_exclusive)
-//! path sound. [`AtomicBlockedBloom`] is the same word array with
-//! `AtomicU64` lanes for shared-reference ingest (Relaxed `fetch_or`:
-//! setting bits is idempotent and commutative).
+//! it splits the same way —
+//! [`split_slots`](BlockedBloom::split_slots) hands each owner of the
+//! sharded ingest engine an exclusive [`BlockedBloomSlice`] of the
+//! words its slot range owns.
 //!
 //! [`contains_batch`](BlockedBloom::contains_batch) mirrors the arena's
 //! batched read kernel: adjacent duplicate keys are answered once, and
 //! the run is walked in small blocks that first compute and prefetch
 //! every target line, then test bits out of now-resident lines.
 
-use crate::arena::FastRem;
+use crate::arena::{clip_ranges, split_ranges, FastRem};
 use crate::error::SketchError;
 use crate::hash::mix64;
-use crate::sync::{AtomicU64, Ordering};
 use serde::{Deserialize, Serialize};
 
 /// `u64` lanes per block: 8 × 8 bytes = one 64-byte cache line.
@@ -80,9 +76,8 @@ fn probe_of(seed: u64, rem: FastRem, span: BlockSpan, key: u64) -> (usize, u64) 
 /// array holding every slot's blocks back-to-back.
 ///
 /// Membership is deterministic given the seed, so two filters built with
-/// the same layout and seed agree key-for-key — which is what lets the
-/// sequential and atomic forms round-trip, and filtered estimates stay
-/// reproducible across snapshot save/load.
+/// the same layout and seed agree key-for-key — which is what keeps
+/// filtered estimates reproducible across snapshot save/load.
 #[derive(Debug, Clone)]
 pub struct BlockedBloom {
     spans: Vec<BlockSpan>,
@@ -175,17 +170,7 @@ impl BlockedBloom {
         else {
             return;
         };
-        let mut i = 0;
-        while i < run.len() {
-            let key = run[i].0;
-            while i < run.len() && run[i].0 == key {
-                i += 1;
-            }
-            let (word, mask) = probe_of(self.seed, rem, span, key);
-            if let Some(w) = self.words.get_mut(word) {
-                *w |= mask;
-            }
-        }
+        insert_run_into(&mut self.words, self.seed, rem, span, run);
     }
 
     /// Whether `key` may be a member of `slot`. `false` is definitive
@@ -219,21 +204,7 @@ impl BlockedBloom {
             out.resize(keys.len(), false);
             return;
         };
-        contains_batch_kernel(
-            self.seed,
-            rem,
-            span,
-            keys,
-            out,
-            #[inline(always)]
-            |w| self.words.get(w).copied().unwrap_or(0),
-            #[inline(always)]
-            |w| {
-                if let Some(word) = self.words.get(w) {
-                    crate::prefetch(word);
-                }
-            },
-        );
+        contains_batch_kernel(&self.words, self.seed, rem, span, keys, out);
     }
 
     /// Forget every member, keeping the layout and seed (the windowed
@@ -280,14 +251,34 @@ impl BlockedBloom {
         self.spans.len()
     }
 
-    /// Freeze into the lock-free concurrent form.
-    pub fn into_atomic(self) -> AtomicBlockedBloom {
-        AtomicBlockedBloom {
-            spans: self.spans,
-            words: self.words.into_iter().map(AtomicU64::new).collect(),
-            seed: self.seed,
-            rems: self.rems,
-        }
+    /// Split the word array into one exclusive view per half-open slot
+    /// range `[lo, hi)` of `ranges` — the filter mirror of
+    /// [`CmArena::split_slots`](crate::CmArena::split_slots), with the
+    /// same in-order clipping, so the same ranges give both structures
+    /// the same owners.
+    pub fn split_slots(&mut self, ranges: &[(u32, u32)]) -> Vec<BlockedBloomSlice<'_>> {
+        let slots = clip_ranges(ranges, self.spans.len());
+        let word_len = self.words.len();
+        let first_word = |s: usize| self.spans.get(s).map_or(word_len, |sp| sp.offset * LANES);
+        let word_ranges: Vec<(usize, usize)> = slots
+            .iter()
+            .map(|&(lo, hi)| (first_word(lo), first_word(hi)))
+            .collect();
+        let words = split_ranges(&mut self.words, &word_ranges);
+        let (spans, rems, seed) = (&self.spans, &self.rems, self.seed);
+        slots
+            .iter()
+            .zip(&word_ranges)
+            .zip(words)
+            .map(|((&(lo, hi), &(base, _)), words)| BlockedBloomSlice {
+                lo,
+                spans: spans.get(lo..hi).unwrap_or_default(),
+                rems: rems.get(lo..hi).unwrap_or_default(),
+                base_block: base / LANES,
+                words,
+                seed,
+            })
+            .collect()
     }
 }
 
@@ -339,25 +330,45 @@ impl serde::Deserialize for BlockedBloom {
     }
 }
 
-/// The shared body of the batched membership kernels (sequential and
-/// atomic filters differ only in how a word is loaded): coalesce
-/// adjacent duplicate keys, then walk the run in small blocks — phase 1
-/// computes and prefetches each key's single target word, phase 2 does
-/// the one-load mask compare out of now-resident lines and fills the
-/// answer span for every coalesced occurrence.
+/// Set the membership bits of a slot run in `words`: adjacent duplicate
+/// keys are inserted once. `span.offset` is the slot's first block
+/// *within `words`*; a word index past the array is skipped, never a
+/// panic.
 #[inline]
-fn contains_batch_kernel<L, P>(
+fn insert_run_into(
+    words: &mut [u64],
+    seed: u64,
+    rem: FastRem,
+    span: BlockSpan,
+    run: &[(u64, u64)],
+) {
+    let mut i = 0;
+    while i < run.len() {
+        let key = run[i].0;
+        while i < run.len() && run[i].0 == key {
+            i += 1;
+        }
+        let (word, mask) = probe_of(seed, rem, span, key);
+        if let Some(w) = words.get_mut(word) {
+            *w |= mask;
+        }
+    }
+}
+
+/// The body of [`BlockedBloom::contains_batch`]: coalesce adjacent
+/// duplicate keys, then walk the run in small blocks — phase 1 computes
+/// and prefetches each key's single target word, phase 2 does the
+/// one-load mask compare out of now-resident lines and fills the answer
+/// span for every coalesced occurrence.
+#[inline]
+fn contains_batch_kernel(
+    words: &[u64],
     seed: u64,
     rem: FastRem,
     span: BlockSpan,
     keys: &[u64],
     out: &mut Vec<bool>,
-    load: L,
-    prefetch_word: P,
-) where
-    L: Fn(usize) -> u64,
-    P: Fn(usize),
-{
+) {
     /// Distinct keys per prefetch block. Each key touches exactly one
     /// cache line (vs. `depth` for the counter kernel), so the same
     /// 48-wide block used by `CmArena::batch_read` overlaps 48 misses.
@@ -365,7 +376,7 @@ fn contains_batch_kernel<L, P>(
     out.clear();
     out.resize(keys.len(), false);
     let answers = &mut out[..];
-    let mut words: [usize; BLOCK] = [0; BLOCK];
+    let mut targets: [usize; BLOCK] = [0; BLOCK];
     let mut masks: [u64; BLOCK] = [0; BLOCK];
     let mut ends: [usize; BLOCK] = [0; BLOCK];
     let mut i = 0;
@@ -381,8 +392,10 @@ fn contains_batch_kernel<L, P>(
                 i += 1;
             }
             let (word, mask) = probe_of(seed, rem, span, key);
-            prefetch_word(word);
-            words[filled] = word;
+            if let Some(w) = words.get(word) {
+                crate::prefetch(w);
+            }
+            targets[filled] = word;
             masks[filled] = mask;
             ends[filled] = i;
             filled += 1;
@@ -392,8 +405,13 @@ fn contains_batch_kernel<L, P>(
         // in bounds (`to ≤ keys.len()` by construction); the range goes
         // through `get_mut` so the artifact carries no slice-index panic
         // edge either way.
-        for ((&word, &mask), &to) in words.iter().zip(masks.iter()).zip(ends.iter()).take(filled) {
-            let hit = load(word) & mask == mask;
+        for ((&word, &mask), &to) in targets
+            .iter()
+            .zip(masks.iter())
+            .zip(ends.iter())
+            .take(filled)
+        {
+            let hit = words.get(word).copied().unwrap_or(0) & mask == mask;
             if let Some(run) = answers.get_mut(from..to) {
                 run.fill(hit);
             }
@@ -402,145 +420,39 @@ fn contains_batch_kernel<L, P>(
     }
 }
 
-/// The concurrent filter: the same word array with `AtomicU64` lanes,
-/// shared by reference across ingest threads. Inserts are Relaxed
-/// `fetch_or` (idempotent, commutative — a bit can only go 0→1, so no
-/// interleaving loses membership); the exclusive-writer paths use plain
-/// load/or/store under the same sole-writer contract as
-/// [`AtomicCmArena::add_batch_saturating_exclusive`](crate::AtomicCmArena::add_batch_saturating_exclusive).
+/// One owner's share of a [`BlockedBloom`], made by
+/// [`BlockedBloom::split_slots`]: the words of a contiguous slot range,
+/// borrowed exclusively. Inserts through it set exactly the bits the
+/// same inserts into the whole filter would.
 #[derive(Debug)]
-pub struct AtomicBlockedBloom {
-    spans: Vec<BlockSpan>,
-    words: Vec<AtomicU64>,
+pub struct BlockedBloomSlice<'a> {
+    /// First slot of the range.
+    lo: usize,
+    /// Spans of the range's slots (offsets are whole-filter offsets).
+    spans: &'a [BlockSpan],
+    rems: &'a [FastRem],
+    /// Whole-filter index of the block at `words[0]`.
+    base_block: usize,
+    words: &'a mut [u64],
     seed: u64,
-    rems: Vec<FastRem>,
 }
 
-impl AtomicBlockedBloom {
-    /// Record `key` as a member of `slot` (any thread).
-    #[inline]
-    pub fn insert(&self, slot: u32, key: u64) {
-        let (word, mask) = probe_of(
-            self.seed,
-            self.rems[slot as usize],
-            self.spans[slot as usize],
-            key,
-        );
-        // ordering: Relaxed — fetch_or only ever raises bits and a
-        // single-location RMW cannot lose a concurrent set; readers
-        // needing "every insert before X" query after a join that
-        // already gives happens-before, and a mid-flight reader
-        // seeing fewer bits only delays a membership's visibility
-        // (it cannot un-member a key inserted happens-before).
-        self.words[word].fetch_or(mask, Ordering::Relaxed);
-    }
-
-    /// Record a whole slot run of `(key, weight)` pairs (weights ignored;
-    /// adjacent duplicate keys inserted once) from a caller that is the
-    /// **only writer** of this slot's blocks for the duration of the run
-    /// (the owner-sharded commit contract): bits are set with plain
-    /// load/or/store cycles instead of lock-prefixed RMWs. With a
-    /// concurrent writer to the same block this could lose bits —
-    /// exactly what the caller contract rules out, and what makes slot
-    /// partitioning load-bearing (owners own disjoint block ranges). An
-    /// out-of-range `slot` is a no-op instead of a panic — audited
+impl BlockedBloomSlice<'_> {
+    /// [`BlockedBloom::insert_run`] for a slot of this slice. A slot
+    /// outside the slice is a no-op instead of a panic — audited
     /// panic-free from the compiled artifact (`xtask audit`).
     // audit: kernel(bounds-free)
-    pub fn insert_run_exclusive(&self, slot: u32, run: &[(u64, u64)]) {
-        let (Some(&rem), Some(&span)) =
-            (self.rems.get(slot as usize), self.spans.get(slot as usize))
-        else {
+    pub fn insert_run(&mut self, slot: u32, run: &[(u64, u64)]) {
+        let local = (slot as usize).wrapping_sub(self.lo);
+        let (Some(&rem), Some(&span)) = (self.rems.get(local), self.spans.get(local)) else {
             return;
         };
-        let mut i = 0;
-        while i < run.len() {
-            let key = run[i].0;
-            while i < run.len() && run[i].0 == key {
-                i += 1;
-            }
-            let (word, mask) = probe_of(self.seed, rem, span, key);
-            if let Some(w) = self.words.get(word) {
-                // ordering: Relaxed — plain load/or/store is only sound
-                // under the sole-writer caller contract (the owner-shard
-                // harness checks it); no ordering fixes a torn RMW
-                // against a second writer, so Relaxed is as strong as any.
-                w.store(w.load(Ordering::Relaxed) | mask, Ordering::Relaxed);
-            }
-        }
-    }
-
-    /// Whether `key` may be a member of `slot` (any thread; sees every
-    /// insert that happened-before the call; `false` is definitive for
-    /// those inserts).
-    #[inline]
-    pub fn contains(&self, slot: u32, key: u64) -> bool {
-        let (word, mask) = probe_of(
-            self.seed,
-            self.rems[slot as usize],
-            self.spans[slot as usize],
-            key,
-        );
-        // ordering: Relaxed — membership bits are raise-only; a
-        // stale load only delays an insert's visibility, which the
-        // happened-before contract already permits.
-        self.words[word].load(Ordering::Relaxed) & mask == mask
-    }
-
-    /// Batched [`contains`](Self::contains) over one slot run — same
-    /// prefetch kernel as [`BlockedBloom::contains_batch`], callable
-    /// from any thread. An out-of-range `slot` has no members, so every
-    /// answer is `false` — no panic.
-    // audit: kernel(bounds-free)
-    pub fn contains_batch(&self, slot: u32, keys: &[u64], out: &mut Vec<bool>) {
-        let (Some(&rem), Some(&span)) =
-            (self.rems.get(slot as usize), self.spans.get(slot as usize))
-        else {
-            out.clear();
-            out.resize(keys.len(), false);
-            return;
+        let span = BlockSpan {
+            // Never wraps: the slice's spans start at `base_block`.
+            offset: span.offset.wrapping_sub(self.base_block),
+            blocks: span.blocks,
         };
-        contains_batch_kernel(
-            self.seed,
-            rem,
-            span,
-            keys,
-            out,
-            #[inline(always)]
-            // ordering: Relaxed — same raise-only staleness argument as
-            // `contains`.
-            |w| {
-                self.words
-                    .get(w)
-                    .map_or(0, |word| word.load(Ordering::Relaxed))
-            },
-            #[inline(always)]
-            |w| {
-                if let Some(word) = self.words.get(w) {
-                    crate::prefetch(word);
-                }
-            },
-        );
-    }
-
-    /// Memory held by the filter's bit array, in bytes.
-    pub fn byte_size(&self) -> usize {
-        self.words.len() * std::mem::size_of::<u64>()
-    }
-
-    /// Number of slots.
-    pub fn num_slots(&self) -> usize {
-        self.spans.len()
-    }
-
-    /// Thaw back into the sequential form (requires exclusive ownership,
-    /// so no inserts can be in flight).
-    pub fn into_bloom(self) -> BlockedBloom {
-        BlockedBloom {
-            spans: self.spans,
-            words: self.words.into_iter().map(AtomicU64::into_inner).collect(),
-            seed: self.seed,
-            rems: self.rems,
-        }
+        insert_run_into(self.words, self.seed, rem, span, run);
     }
 }
 
@@ -632,50 +544,6 @@ mod tests {
         }
         b.insert_run(0, &run);
         assert_eq!(a.words, b.words);
-    }
-
-    #[test]
-    fn atomic_paths_match_sequential() {
-        let mut seq = BlockedBloom::with_blocks(&[7, 21], 0xAB).unwrap();
-        let exclusive = seq.clone().into_atomic();
-        let mut run: Vec<(u64, u64)> = keys(600, 13).into_iter().map(|k| (k % 151, 1)).collect();
-        run.sort_unstable_by_key(|p| p.0);
-        seq.insert_run(1, &run);
-        exclusive.insert_run_exclusive(1, &run);
-        for &(k, _) in &run {
-            assert!(exclusive.contains(1, k));
-        }
-        let mut out = Vec::new();
-        let probes: Vec<u64> = (0..200u64).collect();
-        exclusive.contains_batch(1, &probes, &mut out);
-        for (&k, &hit) in probes.iter().zip(&out) {
-            assert_eq!(hit, seq.contains(1, k));
-        }
-        assert_eq!(exclusive.into_bloom().words, seq.words);
-    }
-
-    #[test]
-    fn atomic_concurrent_inserts_lose_no_bits() {
-        use std::sync::Arc;
-        let f = Arc::new(BlockedBloom::with_blocks(&[2], 3).unwrap().into_atomic());
-        let handles: Vec<_> = (0..8u64)
-            .map(|t| {
-                let f = Arc::clone(&f);
-                std::thread::spawn(move || {
-                    for k in 0..500u64 {
-                        f.insert(0, t * 10_000 + k);
-                    }
-                })
-            })
-            .collect();
-        for h in handles {
-            h.join().unwrap();
-        }
-        for t in 0..8u64 {
-            for k in 0..500u64 {
-                assert!(f.contains(0, t * 10_000 + k));
-            }
-        }
     }
 
     #[test]

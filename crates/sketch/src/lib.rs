@@ -22,9 +22,10 @@
 //! * [`hash`] — the Carter–Wegman pairwise / 4-wise independent hash
 //!   families over GF(2^61 − 1) underpinning all of the above;
 //! * [`FrequencySketch`] / [`SketchBank`] — the synopsis-backend traits
-//!   the core crate's `GSketch<B>` is generic over, and [`CmArena`] /
-//!   [`AtomicCmArena`] — all partitions' counters in one contiguous slab
-//!   with a shared per-row hash family (DESIGN.md §2).
+//!   the core crate's `GSketch<B>` is generic over, and [`CmArena`] —
+//!   all partitions' counters in one contiguous slab with a shared
+//!   per-row hash family, split into exclusive per-owner
+//!   [`CmArenaSlice`]s for parallel ingest (DESIGN.md §2).
 //!
 //! All synopses share a few conventions: keys are `u64` (callers intern or
 //! mix composite keys with [`hash::combine64`]), counters saturate instead
@@ -72,9 +73,9 @@ pub fn prefetch<T>(p: *const T) {
     #[cfg(not(target_arch = "x86_64"))]
     let _ = p;
 }
-pub use arena::{AtomicCmArena, CmArena, SlotSpan};
+pub use arena::{CmArena, CmArenaSlice, SlotSpan};
 pub use backend::{DetailedRow, FrequencySketch, SketchBank, SketchVec};
-pub use blocked_bloom::{AtomicBlockedBloom, BlockSpan, BlockedBloom};
+pub use blocked_bloom::{BlockSpan, BlockedBloom, BlockedBloomSlice};
 pub use countmin::{CountMinSketch, UpdatePolicy};
 pub use countsketch::CountSketch;
 pub use error::SketchError;

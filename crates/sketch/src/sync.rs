@@ -1,10 +1,11 @@
 //! The synchronization shim seam (DESIGN.md §10).
 //!
-//! Every concurrent hot path in the workspace — the atomic arena's
-//! counter cells, the parallel ingest pipeline's cursor and accounting
-//! counters, and the scoped worker threads that drive them — reaches its
-//! primitives through this module instead of naming `std::sync::atomic`
-//! / `std::thread` directly. In a normal build the re-exports below
+//! The workspace's shared-memory concurrency — the SPSC handoff ring's
+//! cursors (`spsc`) and the scoped owner threads of the sharded ingest
+//! engine — reaches its primitives through this module instead of naming
+//! `std::sync::atomic` / `std::thread` directly. (Counter commits need
+//! no atomics: each owner writes an exclusive `&mut` slice of the slab.)
+//! In a normal build the re-exports below
 //! *are* the std items (zero cost, zero behavioral change; the type
 //! aliases compile away). Under `--features check` the same names
 //! resolve to instrumented stand-ins from `model` (a module that only
@@ -12,11 +13,10 @@
 //! control to a deterministic, seeded, preemption-bounded scheduler at
 //! every shared-memory access, and a `thread::scope` whose spawned
 //! threads register with that scheduler. The `xtask check` harnesses
-//! run the *real* arena/pipeline code under that scheduler and explore
-//! thread interleavings exhaustively (DFS over scheduling decisions) or
+//! run the *real* queue code under that scheduler and explore thread
+//! interleavings exhaustively (DFS over scheduling decisions) or
 //! randomly (seeded walks), turning the crate's memory-model prose —
-//! the Relaxed-only counter argument, the exclusive-writer contract —
-//! into machine-checked artifacts.
+//! the ring's Acquire/Release handoff — into machine-checked artifacts.
 //!
 //! The instrumented stand-ins are passthroughs whenever no scheduler is
 //! active on the current thread, so a `check`-featured build behaves

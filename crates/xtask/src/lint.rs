@@ -17,10 +17,12 @@
 //!   an adjacent `debug_assert!` or `// cast:` justification (within
 //!   three lines either side). Widening bit-count casts
 //!   (`…_zeros() as usize`, `count_ones() as usize`) are exempt.
-//! * **sink-bypass** — the slot-level commit surface
-//!   (`update_slot`/`add_batch_saturating[_exclusive]`/`commit_run*`)
-//!   may only be driven from the sketch substrate and the core engine;
-//!   every other crate must ingest through `EdgeSink`.
+//! * **sink-bypass** — the slot-level commit surface (the arena's
+//!   `update_slot`/`add_batch_saturating`, the filter's `insert_run`,
+//!   `split_slots`, and the owner-slice `add_batch_saturating`/
+//!   `insert_run` it hands out) may only be driven from the sketch
+//!   substrate and the core engine; every other crate must ingest
+//!   through `EdgeSink` or `ShardedIngest`.
 //! * **design-citations** — every `DESIGN.md §N` citation (in any
 //!   comment or doc line, plus README.md) resolves to a real `## §N`
 //!   section of DESIGN.md.
@@ -28,12 +30,6 @@
 //!   `#![deny(unsafe_code)]` at the crate root; the remaining `unsafe`
 //!   in the sketch crate carries a `// SAFETY:` justification within the
 //!   five lines above it.
-//! * **exclusive-no-rmw** — functions named `*_exclusive` are the
-//!   sole-writer plain-store commit surface (DESIGN.md §7, §11); their
-//!   bodies must not contain atomic read-modify-write calls
-//!   (`fetch_add`/`fetch_sub`/`fetch_update`/`compare_exchange`/`swap`),
-//!   so the no-lock-prefix property those sections claim is enforced,
-//!   not just asserted.
 //! * **decode-no-panics** — snapshot decode paths (functions named
 //!   `load_*`/`read_*`/`decode*`/`parse_*` returning a `PersistError`)
 //!   must not panic on truncated or tampered input (DESIGN.md §13):
@@ -130,7 +126,6 @@ pub fn run(root: &Path) -> Result<Vec<Finding>, String> {
         check_sink_bypass(sf, &mut findings);
         check_design_citations(&sf.rel, &sf.com, &design_sections, &mut findings);
         check_unsafe_sites(sf, &mut findings);
-        check_exclusive_no_rmw(sf, &mut findings);
         check_decode_no_panics(sf, &mut findings);
         check_suppression_rationales(sf, &mut findings);
     }
@@ -615,7 +610,8 @@ fn check_narrowing_casts(sf: &SourceFile, findings: &mut Vec<Finding>) {
 }
 
 /// Rule: the slot-level commit surface is reserved to the sketch
-/// substrate and the core engine; everything else goes through EdgeSink.
+/// substrate and the core engine; everything else goes through EdgeSink
+/// or ShardedIngest.
 fn check_sink_bypass(sf: &SourceFile, findings: &mut Vec<Finding>) {
     if SINK_SURFACE_CRATES.contains(&sf.crate_name.as_str()) {
         return;
@@ -623,9 +619,8 @@ fn check_sink_bypass(sf: &SourceFile, findings: &mut Vec<Finding>) {
     let surface = [
         "update_slot(",
         "add_batch_saturating(",
-        "add_batch_saturating_exclusive(",
-        "commit_run(",
-        "commit_run_exclusive(",
+        "insert_run(",
+        "split_slots(",
     ];
     for (idx, line) in sf.code.iter().enumerate() {
         if sf.in_test[idx] {
@@ -639,7 +634,7 @@ fn check_sink_bypass(sf: &SourceFile, findings: &mut Vec<Finding>) {
                     idx,
                     "sink-bypass",
                     "direct slot-commit call outside the sketch/core engine — \
-                     ingest through EdgeSink instead",
+                     ingest through EdgeSink or ShardedIngest instead",
                 ));
                 break;
             }
@@ -726,62 +721,6 @@ fn check_unsafe_sites(sf: &SourceFile, findings: &mut Vec<Finding>) {
     }
 }
 
-/// Rule: a function whose name ends in `_exclusive` advertises the
-/// sole-writer plain-store contract (DESIGN.md §7, §11) — the whole
-/// point of routing commits through it is that no lock-prefixed RMW
-/// ever runs on that path. Flag any atomic read-modify-write call
-/// inside such a function's body, tracked by brace depth from the
-/// declaration.
-fn check_exclusive_no_rmw(sf: &SourceFile, findings: &mut Vec<Finding>) {
-    let rmw = [
-        ".fetch_add(",
-        ".fetch_sub(",
-        ".fetch_update(",
-        ".compare_exchange",
-        ".swap(",
-    ];
-    let mut depth: i64 = 0;
-    // Brace depth at which the current `*_exclusive` fn opened, or -1.
-    let mut fn_depth: i64 = -1;
-    let mut pending = false;
-    for (idx, line) in sf.code.iter().enumerate() {
-        if fn_depth < 0 && !pending && declares_exclusive_fn(line) {
-            pending = true;
-        }
-        if pending && line.contains('{') {
-            fn_depth = depth;
-            pending = false;
-        } else if pending && line.contains(';') && !line.contains('{') {
-            // A bodiless trait-method declaration.
-            pending = false;
-        }
-        if fn_depth >= 0 {
-            for pat in &rmw {
-                if line.contains(pat) && !suppressed(sf, idx, "exclusive-no-rmw") {
-                    findings.push(finding(
-                        sf,
-                        idx,
-                        "exclusive-no-rmw",
-                        "atomic read-modify-write inside a `*_exclusive` function — \
-                         the exclusive commit surface is plain load/store by contract",
-                    ));
-                    break;
-                }
-            }
-        }
-        for ch in line.chars() {
-            match ch {
-                '{' => depth += 1,
-                '}' => depth -= 1,
-                _ => {}
-            }
-        }
-        if fn_depth >= 0 && depth <= fn_depth {
-            fn_depth = -1;
-        }
-    }
-}
-
 /// Rule: snapshot decode paths must not panic on truncated or tampered
 /// input (DESIGN.md §13). A function whose name starts with `load_`,
 /// `read_`, `decode` or `parse_` and whose declaration names
@@ -861,30 +800,6 @@ fn declares_decode_fn(line: &str) -> bool {
                 .iter()
                 .any(|p| name.starts_with(p))
             {
-                return true;
-            }
-        }
-        start = abs + 3;
-    }
-    false
-}
-
-/// Whether `line` declares a function whose name ends in `_exclusive`.
-fn declares_exclusive_fn(line: &str) -> bool {
-    let mut start = 0;
-    while let Some(pos) = line[start..].find("fn ") {
-        let abs = start + pos;
-        let before_ok = abs == 0
-            || !line[..abs]
-                .chars()
-                .next_back()
-                .is_some_and(|c| c.is_alphanumeric() || c == '_');
-        if before_ok {
-            let name: String = line[abs + 3..]
-                .chars()
-                .take_while(|c| c.is_alphanumeric() || *c == '_')
-                .collect();
-            if name.ends_with("_exclusive") {
                 return true;
             }
         }
@@ -1152,11 +1067,13 @@ mod tests {
         let file = preprocess(
             "crates/cli/src/x.rs".into(),
             "cli".into(),
-            "fn a(ar: &A) { ar.update_slot(0, 1, 1); }\n",
+            "fn a(ar: &A) { ar.update_slot(0, 1, 1); }\n\
+             fn b(ar: &mut A) { ar.split_slots(&[(0, 1)])[0].add_batch_saturating(0, &[]); }\n\
+             fn c(f: &mut F) { f.insert_run(0, &[]); }\n",
         );
         let mut f = Vec::new();
         check_sink_bypass(&file, &mut f);
-        assert_eq!(f.len(), 1);
+        assert_eq!(f.len(), 3);
         let engine = preprocess(
             "crates/core/src/x.rs".into(),
             "core".into(),
@@ -1165,48 +1082,6 @@ mod tests {
         let mut f2 = Vec::new();
         check_sink_bypass(&engine, &mut f2);
         assert!(f2.is_empty());
-    }
-
-    #[test]
-    fn rmw_inside_exclusive_fn_is_flagged() {
-        let file = sf(
-            "fn commit_run_exclusive(c: &AtomicU64) {\n    c.fetch_add(1, Ordering::Relaxed);\n}\n",
-        );
-        let mut f = Vec::new();
-        check_exclusive_no_rmw(&file, &mut f);
-        assert_eq!(f.len(), 1);
-        assert_eq!(f[0].rule, "exclusive-no-rmw");
-        assert_eq!(f[0].line, 2);
-    }
-
-    #[test]
-    fn plain_store_exclusive_fn_is_clean() {
-        let file = sf(
-            "fn commit_run_exclusive(c: &AtomicU64) {\n    let v = c.load(Ordering::Relaxed);\n    c.store(v + 1, Ordering::Relaxed);\n}\n",
-        );
-        let mut f = Vec::new();
-        check_exclusive_no_rmw(&file, &mut f);
-        assert!(f.is_empty(), "{f:?}");
-    }
-
-    #[test]
-    fn rmw_outside_exclusive_fn_is_ignored() {
-        let file = sf(
-            "fn commit_exclusive_run(c: &AtomicU64) {\n    c.fetch_add(1, Ordering::Relaxed);\n}\nfn shared(c: &AtomicU64) {\n    c.fetch_add(1, Ordering::Relaxed);\n}\n",
-        );
-        let mut f = Vec::new();
-        check_exclusive_no_rmw(&file, &mut f);
-        assert!(f.is_empty(), "{f:?}");
-    }
-
-    #[test]
-    fn rmw_after_exclusive_fn_closes_is_ignored() {
-        let file = sf(
-            "fn add_exclusive(c: &AtomicU64) {\n    c.store(1, Ordering::Relaxed);\n}\nfn other(c: &AtomicU64) {\n    c.compare_exchange(0, 1, Ordering::Relaxed, Ordering::Relaxed);\n}\n",
-        );
-        let mut f = Vec::new();
-        check_exclusive_no_rmw(&file, &mut f);
-        assert!(f.is_empty(), "{f:?}");
     }
 
     #[test]

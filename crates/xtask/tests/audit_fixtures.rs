@@ -255,7 +255,7 @@ fn committed_baseline_parses_and_covers_the_hot_kernels() {
     let b = parse_baseline(&text).unwrap();
     for key in [
         "sketch::CmArena::estimate_batch_slot",
-        "sketch::AtomicCmArena::add_batch_saturating_exclusive",
+        "sketch::CmArenaSlice::add_batch_saturating",
         "sketch::BlockedBloom::contains_batch",
         "gsketch::OwnerWorker::commit_evicted",
         "gsketch::GSketch::estimate_batch",
