@@ -105,7 +105,7 @@ fn main() {
     }
 
     // Owner-sharded engine sweep (DESIGN.md §11): scatter by router
-    // slot, SPSC handoff, plain-store commits into owned arena slices.
+    // slot, bounded-channel handoff, plain-store commits into owned arena slices.
     // A request the host would clamp to fewer workers measures nothing
     // the row name claims, so it is not recorded.
     let mut sharded_1t = f64::NAN;

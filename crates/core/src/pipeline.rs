@@ -9,7 +9,7 @@
 //!
 //! 1. **Scatter.** The calling thread routes each arrival once, to pick
 //!    the owner of its router slot, and hands per-owner `(pair, weight)`
-//!    batches over bounded SPSC queues.
+//!    batches over bounded channels (`std::sync::mpsc::sync_channel`).
 //! 2. **Hot-key combining.** Each owner folds its batches through a
 //!    4-way set-associative combiner cache tagged by the raw `(src, dst)`
 //!    endpoint pair (one 64-byte set per probe, heaviest-stays eviction,
@@ -31,7 +31,7 @@
 //!    slot's total written once per run.
 //!
 //! When the map clamps to one owner the engine fuses all four stages on
-//! the calling thread (no scatter pass, no queue, no spawn). Owners
+//! the calling thread (no scatter pass, no channel, no spawn). Owners
 //! write disjoint slot ranges and saturating addition is associative,
 //! so the result is bit-identical to a sequential ingest of the same
 //! stream for any owner count and chunking (pinned by `backend_parity`'s
@@ -49,11 +49,8 @@ use crate::gsketch::GSketch;
 use crate::router::{OwnerMap, Router};
 use crate::sink::SlotRouted;
 use gstream::edge::StreamEdge;
-use sketch::sync::spsc::SpscQueue;
 use sketch::{prefetch, BlockedBloomSlice, CmArenaSlice};
-// Scoped threads come through the `sync` shim seam (DESIGN.md §10);
-// std items in normal builds.
-use sketch::sync::thread;
+use std::sync::mpsc::sync_channel;
 
 /// Default arrivals per chunk. The combiner cache carries duplicate
 /// state *across* chunks, so this only sets how often scatter hands
@@ -150,32 +147,17 @@ fn pair_key(pair: u64) -> u64 {
 }
 
 /// Batches the scatter stage hands an owner: `(pair, weight)` entries
-/// whose router slot lies inside the owner's range. An **empty** batch
-/// is the end-of-stream sentinel. Slots are *not* shipped: the owner
+/// whose router slot lies inside the owner's range. Dropping the sender
+/// ends the owner's stream. Slots are *not* shipped: the owner
 /// re-derives them from the shared read-only router at commit time,
 /// batched (see [`OwnerWorker::commit_evicted`]), which keeps the
 /// handoff at 16 bytes per entry and the absorb loop free of routing.
 type OwnerBatch = Vec<(u64, u64)>;
 
-/// Batches in flight per owner queue. Deep enough to keep an owner fed
-/// across scatter's next chunk; shallow enough that backpressure kicks
-/// in before batches pile up beyond the cache.
+/// Batches in flight per owner channel. Deep enough to keep an owner
+/// fed across scatter's next chunk; shallow enough that backpressure
+/// (a blocking `send`) kicks in before batches pile up beyond the cache.
 const OWNER_QUEUE_DEPTH: usize = 8;
-
-/// Spin until `item` fits in the bounded queue (the scatter side of the
-/// backpressure protocol; yields so an oversubscribed host makes
-/// progress).
-fn push_spin<T>(queue: &SpscQueue<T>, mut item: T) {
-    loop {
-        match queue.try_push(item) {
-            Ok(()) => return,
-            Err(back) => {
-                item = back;
-                std::thread::yield_now();
-            }
-        }
-    }
-}
 
 /// One 4-way owner-combiner set, exactly one cache line: four pair tags
 /// and four **64-bit** accumulators. Ways are tagged by the raw
@@ -419,7 +401,7 @@ impl std::fmt::Debug for OwnerWorker {
 
 /// The owner-sharded ingest engine (DESIGN.md §11): a scatter stage on
 /// the calling thread routes each arrival once and hands per-owner
-/// `(pair, weight)` batches over bounded SPSC queues to owning workers.
+/// `(pair, weight)` batches over bounded channels to owning workers.
 /// Each owner holds a **contiguous** slot range of the [`OwnerMap`] — an
 /// exclusive `&mut` share of the counter slab and filter, split off the
 /// borrowed [`GSketch`] — combines locally through its own slot-less
@@ -430,7 +412,7 @@ impl std::fmt::Debug for OwnerWorker {
 /// enforces the sole-writer contract.
 ///
 /// With one effective owner there is no handoff at all: no scatter
-/// pass, no queue, **no spawned thread** — the calling thread is the
+/// pass, no channel, **no spawned thread** — the calling thread is the
 /// owner, absorbing the stream in place and committing into the whole
 /// slab. This is the `sharded/1t` configuration of the ingest bench.
 #[derive(Debug)]
@@ -521,36 +503,28 @@ impl<'s> ShardedIngest<'s> {
                 workers,
             };
         }
-        let queues: Vec<SpscQueue<OwnerBatch>> = (0..workers)
-            .map(|_| SpscQueue::with_capacity(OWNER_QUEUE_DEPTH))
-            .collect();
-        thread::scope(|scope| {
-            for (mut share, queue) in shares.into_iter().zip(&queues) {
+        std::thread::scope(|scope| {
+            let mut senders = Vec::with_capacity(workers);
+            for mut share in shares {
+                let (tx, rx) = sync_channel::<OwnerBatch>(OWNER_QUEUE_DEPTH);
+                senders.push(tx);
                 scope.spawn(move || {
                     let mut worker = OwnerWorker::new(n_slots);
-                    loop {
-                        match queue.try_pop() {
-                            Some(batch) => {
-                                if batch.is_empty() {
-                                    break;
-                                }
-                                worker.absorb_batch(&batch);
-                                if worker.evicted.len() >= SHARD_COMMIT_LEN {
-                                    worker.commit_evicted(router, &mut share);
-                                }
-                            }
-                            None => std::thread::yield_now(),
+                    for batch in rx {
+                        worker.absorb_batch(&batch);
+                        if worker.evicted.len() >= SHARD_COMMIT_LEN {
+                            worker.commit_evicted(router, &mut share);
                         }
                     }
                     worker.drain(router, &mut share);
                 });
             }
             // Scatter runs here, on the calling thread: the single
-            // producer of every owner queue. Each arrival is routed
+            // producer of every owner channel. Each arrival is routed
             // once, to pick its slot's owner; the slot itself stays
             // behind (owners re-route at commit time, batched).
             let mut batches: Vec<OwnerBatch> = vec![OwnerBatch::new(); workers];
-            for chunk in stream.chunks(cap) {
+            'scatter: for chunk in stream.chunks(cap) {
                 chunks += 1;
                 for se in chunk {
                     if se.weight == 0 {
@@ -561,15 +535,16 @@ impl<'s> ShardedIngest<'s> {
                     // target; owner ids are < owners = batches.len().
                     batches[map.owner_of(slot) as usize].push((edge_pair(se), se.weight));
                 }
-                for (w, batch) in batches.iter_mut().enumerate() {
-                    if !batch.is_empty() {
-                        push_spin(&queues[w], std::mem::take(batch));
+                for (tx, batch) in senders.iter().zip(&mut batches) {
+                    // A send fails only once its owner has panicked:
+                    // stop scattering and let the scope join re-raise.
+                    if !batch.is_empty() && tx.send(std::mem::take(batch)).is_err() {
+                        break 'scatter;
                     }
                 }
             }
-            for queue in &queues {
-                push_spin(queue, OwnerBatch::new());
-            }
+            // Dropping the senders ends every owner's `for batch in rx`.
+            drop(senders);
         });
         IngestReport {
             arrivals: stream.len() as u64,
@@ -636,7 +611,7 @@ mod tests {
     }
 
     /// The fused single-owner path (calling thread, no scatter, no
-    /// queue) commits exactly what the sequential ingest does.
+    /// channel) commits exactly what the sequential ingest does.
     #[test]
     fn sharded_single_owner_matches_sequential() {
         let stream = skewed_stream(20_000);
@@ -665,9 +640,11 @@ mod tests {
         assert_eq!(sharded.total_weight(), serial.total_weight());
     }
 
-    /// Multi-owner runs (scatter → SPSC handoff → exclusive owner
+    /// Multi-owner runs (scatter → channel handoff → exclusive owner
     /// commits) stay bit-identical to sequential ingest for any owner
-    /// count, including more owners than the host has cores.
+    /// count and chunking, including more owners than the host has
+    /// cores. One-arrival chunks drive every channel through its full
+    /// depth, so `send` blocks on backpressure.
     #[test]
     fn sharded_multi_owner_matches_sequential() {
         let stream = skewed_stream(20_000);
@@ -683,22 +660,24 @@ mod tests {
         let mut serial = build_seq();
         serial.ingest(&stream);
 
-        for owners in [2usize, 4, 7] {
-            let mut sharded = build_seq();
-            let engine = ShardedIngest::new(&mut sharded, owners).oversubscribe(true);
-            assert_eq!(engine.owners(), owners);
-            let report = engine.chunk_capacity(1 << 9).run_slice(&stream);
-            assert_eq!(report.arrivals, 20_000);
-            assert_eq!(report.chunks, 20_000u64.div_ceil(1 << 9));
-            assert!(report.workers >= 2, "{owners} owners clamped to one");
-            for se in &stream {
-                assert_eq!(
-                    sharded.estimate(se.edge),
-                    serial.estimate(se.edge),
-                    "{owners} owners"
-                );
+        for cap in [1usize << 9, 1] {
+            for owners in [2usize, 4, 7] {
+                let mut sharded = build_seq();
+                let engine = ShardedIngest::new(&mut sharded, owners).oversubscribe(true);
+                assert_eq!(engine.owners(), owners);
+                let report = engine.chunk_capacity(cap).run_slice(&stream);
+                assert_eq!(report.arrivals, 20_000);
+                assert_eq!(report.chunks, 20_000u64.div_ceil(cap as u64));
+                assert!(report.workers >= 2, "{owners} owners clamped to one");
+                for se in &stream {
+                    assert_eq!(
+                        sharded.estimate(se.edge),
+                        serial.estimate(se.edge),
+                        "{owners} owners, chunk {cap}"
+                    );
+                }
+                assert_eq!(sharded.total_weight(), serial.total_weight());
             }
-            assert_eq!(sharded.total_weight(), serial.total_weight());
         }
     }
 

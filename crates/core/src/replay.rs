@@ -1039,6 +1039,42 @@ mod tests {
         }
     }
 
+    /// Scalar writes and queries in every interleaving: an 8-write
+    /// script against an 8-query script over three edges, each of the
+    /// C(16,8) orders enumerated by the mask of write positions. A
+    /// memoized answer must equal the uncached oracle at every query —
+    /// a cached answer is never served across a write.
+    #[test]
+    fn scalar_interleavings_never_serve_stale_answers() {
+        use crate::EdgeSink;
+        let e = [Edge::new(1, 2), Edge::new(3, 4), Edge::new(5, 6)];
+        let writes = [e[0], e[1], e[0], e[2], e[1], e[0], e[2], e[2]];
+        let queries = [e[0], e[1], e[2], e[0], e[1], e[2], e[0], e[1]];
+        let fresh = || GlobalSketch::new(2048, 2, 5).unwrap();
+        let mut interleavings = 0u32;
+        for mask in 0u32..1 << 16 {
+            if mask.count_ones() != 8 {
+                continue;
+            }
+            interleavings += 1;
+            let mut eng = ReplayEngine::with_capacity(fresh(), 16);
+            let mut oracle = fresh();
+            let (mut wi, mut qi) = (0, 0);
+            for step in 0..16 {
+                if mask >> step & 1 == 1 {
+                    eng.update(StreamEdge::unit(writes[wi], 0));
+                    oracle.update(StreamEdge::unit(writes[wi], 0));
+                    wi += 1;
+                } else {
+                    let got = eng.estimate_edge(queries[qi]);
+                    assert_eq!(got, oracle.estimate(queries[qi]), "mask {mask:#06x}");
+                    qi += 1;
+                }
+            }
+        }
+        assert_eq!(interleavings, 12870, "C(16,8) interleavings");
+    }
+
     /// Within one batch, a repeated edge reaches the estimator once —
     /// scattered or adjacent — and every further occurrence is a hit.
     #[test]

@@ -413,7 +413,7 @@ proptest! {
         check::<CountMinSketch>(&stream, mid, depth, seed);
     }
 
-    /// The owner-sharded engine (scatter → SPSC handoff → per-owner
+    /// The owner-sharded engine (scatter → channel handoff → per-owner
     /// plain-store commits over disjoint arena slices, DESIGN.md §11) is
     /// observationally identical to sequential ingest for any stream,
     /// owner count, and chunk size, under real oversubscribed threads.

@@ -1,5 +1,4 @@
-//! Reservoir sampling (Vitter, ACM TOMS 1985) — Algorithm R and the
-//! skip-ahead Algorithm L.
+//! Reservoir sampling (Vitter, ACM TOMS 1985) — Algorithm R.
 //!
 //! The paper constructs its data samples by reservoir sampling the graph
 //! stream (§6.3) and hands samples between time windows the same way (§5).

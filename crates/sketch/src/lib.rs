@@ -41,6 +41,7 @@
 //! assert!(cm.estimate(7) >= 5); // one-sided error: never underestimates
 //! ```
 
+#![deny(unsafe_code)]
 #![warn(missing_docs)]
 #![warn(clippy::all)]
 
@@ -55,7 +56,6 @@ pub mod hash;
 pub mod hll;
 pub mod slab;
 pub mod spacesaving;
-pub mod sync;
 pub mod windowed;
 
 /// Best-effort prefetch of the cache line holding `p` (no-op off
@@ -63,6 +63,7 @@ pub mod windowed;
 /// pipeline so their random counter/table accesses overlap instead of
 /// serializing on memory latency.
 #[inline]
+#[allow(unsafe_code)]
 pub fn prefetch<T>(p: *const T) {
     #[cfg(target_arch = "x86_64")]
     // SAFETY: prefetch has no architectural effect on memory state; any

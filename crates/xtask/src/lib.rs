@@ -1,9 +1,6 @@
 //! Workspace analysis tooling (DESIGN.md §10): the architectural lint
-//! pass ([`lint`]), the compiled-artifact panic/bounds-check auditor
-//! ([`audit`], DESIGN.md §14), and — behind the `model-check` feature —
-//! the concurrency model-check harnesses (`harness`) that drive the
-//! workspace's real concurrent hot paths under the deterministic
-//! scheduler in `sketch::sync::model`.
+//! pass ([`lint`]) and the compiled-artifact panic/bounds-check auditor
+//! ([`audit`], DESIGN.md §14).
 
 #![deny(unsafe_code)]
 #![warn(missing_docs)]
@@ -11,9 +8,6 @@
 
 pub mod audit;
 pub mod lint;
-
-#[cfg(feature = "model-check")]
-pub mod harness;
 
 use std::path::PathBuf;
 

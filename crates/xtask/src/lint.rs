@@ -4,11 +4,6 @@
 //! that rustc/clippy cannot see because they live in comments, contracts
 //! and cross-crate conventions:
 //!
-//! * **ordering-rationale** — every *atomic* `Ordering::` use site (the
-//!   five memory-ordering variants; `std::cmp::Ordering` is ignored)
-//!   carries an `// ordering:` rationale comment on the same line or
-//!   within the six lines above it. The memory-model argument lives next
-//!   to the site it justifies, and `xtask check` tests it.
 //! * **no-panics** — no `unwrap`/`expect`/`panic!`-family calls in
 //!   library code (non-test regions of the sketch, gstream, core,
 //!   structural, cli and xtask crates; the bench crate is bench code).
@@ -26,10 +21,11 @@
 //! * **design-citations** — every `DESIGN.md §N` citation (in any
 //!   comment or doc line, plus README.md) resolves to a real `## §N`
 //!   section of DESIGN.md.
-//! * **unsafe-policy** — the crates with no `unsafe` pin that fact with
-//!   `#![deny(unsafe_code)]` at the crate root; the remaining `unsafe`
-//!   in the sketch crate carries a `// SAFETY:` justification within the
-//!   five lines above it.
+//! * **unsafe-policy** — every crate pins `#![deny(unsafe_code)]` at
+//!   its crate root; the one `unsafe` site left, the sketch crate's
+//!   `prefetch` (opted in with a fn-level `#[allow(unsafe_code)]`),
+//!   carries a `// SAFETY:` justification within the five lines above
+//!   it, and `unsafe` outside the sketch crate is a finding.
 //! * **decode-no-panics** — snapshot decode paths (functions named
 //!   `load_*`/`read_*`/`decode*`/`parse_*` returning a `PersistError`)
 //!   must not panic on truncated or tampered input (DESIGN.md §13):
@@ -89,17 +85,22 @@ impl fmt::Display for Finding {
 const STRICT_CRATES: &[&str] = &["sketch", "gstream", "core", "structural", "cli", "xtask"];
 
 /// Crates that must carry `#![deny(unsafe_code)]` at the crate root.
-/// `sketch` is the one crate allowed `unsafe` (the prefetch intrinsic),
-/// each use justified by an adjacent SAFETY comment.
-const DENY_UNSAFE_CRATES: &[&str] = &["core", "gstream", "structural", "cli", "bench", "xtask"];
+/// `sketch` opts its one `unsafe` fn (the prefetch intrinsic) back in
+/// with a fn-level `#[allow(unsafe_code)]`, justified by an adjacent
+/// SAFETY comment.
+const DENY_UNSAFE_CRATES: &[&str] = &[
+    "sketch",
+    "core",
+    "gstream",
+    "structural",
+    "cli",
+    "bench",
+    "xtask",
+];
 
 /// Crates allowed to touch the slot-level commit surface directly; all
 /// others must ingest through `EdgeSink`.
 const SINK_SURFACE_CRATES: &[&str] = &["sketch", "core"];
-
-/// The atomic memory-ordering variants (disambiguates from
-/// `std::cmp::Ordering`).
-const ATOMIC_ORDERINGS: &[&str] = &["Relaxed", "Acquire", "Release", "AcqRel", "SeqCst"];
 
 /// One scanned source file: `code` lines (comments and literals
 /// stripped) for token matching, `com` lines (literals stripped,
@@ -120,7 +121,6 @@ pub fn run(root: &Path) -> Result<Vec<Finding>, String> {
     let design_sections = design_section_numbers(root)?;
     let mut findings = Vec::new();
     for sf in &files {
-        check_ordering_rationale(sf, &mut findings);
         check_no_panics(sf, &mut findings);
         check_narrowing_casts(sf, &mut findings);
         check_sink_bypass(sf, &mut findings);
@@ -478,33 +478,6 @@ fn finding(sf: &SourceFile, idx: usize, rule: &'static str, message: &str) -> Fi
     }
 }
 
-/// Rule: every atomic `Ordering::X` site has an `// ordering:` rationale
-/// on the same line or within the six lines above.
-fn check_ordering_rationale(sf: &SourceFile, findings: &mut Vec<Finding>) {
-    for (idx, line) in sf.code.iter().enumerate() {
-        let Some(pos) = line.find("Ordering::") else {
-            continue;
-        };
-        let variant = &line[pos + 10..];
-        if !ATOMIC_ORDERINGS.iter().any(|v| variant.starts_with(v)) {
-            continue; // std::cmp::Ordering
-        }
-        if suppressed(sf, idx, "ordering-rationale") {
-            continue;
-        }
-        let lo = idx.saturating_sub(6);
-        let has_rationale = sf.com[lo..=idx].iter().any(|l| l.contains("ordering:"));
-        if !has_rationale {
-            findings.push(finding(
-                sf,
-                idx,
-                "ordering-rationale",
-                "atomic Ordering:: site without an adjacent `// ordering:` rationale",
-            ));
-        }
-    }
-}
-
 /// The panicking constructs the no-panics rules look for. These
 /// literals are invisible to the scanner itself: string contents are
 /// stripped before matching.
@@ -691,8 +664,9 @@ fn design_section_numbers(root: &Path) -> Result<Vec<u32>, String> {
         .collect())
 }
 
-/// Rule (per-site half): `unsafe` outside the deny-listed crates must be
-/// in `sketch` and justified by an adjacent `// SAFETY:` comment.
+/// Rule (per-site half): `unsafe` must be in `sketch` (whose crate root
+/// denies it outside fn-level opt-ins) and justified by an adjacent
+/// `// SAFETY:` comment.
 fn check_unsafe_sites(sf: &SourceFile, findings: &mut Vec<Finding>) {
     for (idx, line) in sf.code.iter().enumerate() {
         if !has_word(line, "unsafe") {
@@ -911,8 +885,8 @@ fn check_audit_registry_coherence(
     }
 }
 
-/// Rule (crate-root half): the unsafe-free crates pin that with
-/// `#![deny(unsafe_code)]` in every crate root (lib.rs and main.rs).
+/// Rule (crate-root half): every crate pins `#![deny(unsafe_code)]` in
+/// each crate root (lib.rs and main.rs).
 fn check_crate_root_attrs(root: &Path, findings: &mut Vec<Finding>) {
     for name in DENY_UNSAFE_CRATES {
         for entry in ["lib.rs", "main.rs"] {
@@ -984,9 +958,9 @@ mod tests {
 
     #[test]
     fn comments_view_keeps_comments_but_not_strings() {
-        let (_, com) = strip_non_code("let x = \"ordering: fake\"; // ordering: real reason\n");
-        assert!(com.contains("// ordering: real reason"));
-        assert!(!com.contains("ordering: fake"));
+        let (_, com) = strip_non_code("let x = \"SAFETY: fake\"; // SAFETY: real reason\n");
+        assert!(com.contains("// SAFETY: real reason"));
+        assert!(!com.contains("SAFETY: fake"));
     }
 
     #[test]
@@ -1028,26 +1002,6 @@ mod tests {
         check_suppression_rationales(&file, &mut f);
         assert_eq!(f.len(), 1);
         assert_eq!(f[0].rule, "suppression");
-    }
-
-    #[test]
-    fn cmp_ordering_is_not_flagged() {
-        let file = sf("fn a() { let _ = 1.cmp(&2) == std::cmp::Ordering::Less; }\n");
-        let mut f = Vec::new();
-        check_ordering_rationale(&file, &mut f);
-        assert!(f.is_empty(), "{f:?}");
-    }
-
-    #[test]
-    fn atomic_ordering_needs_rationale() {
-        let file = sf("fn a(c: &AtomicU64) { c.load(Ordering::Relaxed); }\n");
-        let mut f = Vec::new();
-        check_ordering_rationale(&file, &mut f);
-        assert_eq!(f.len(), 1);
-        let ok = sf("fn a(c: &AtomicU64) {\n    // ordering: test rationale.\n    c.load(Ordering::Relaxed);\n}\n");
-        let mut f2 = Vec::new();
-        check_ordering_rationale(&ok, &mut f2);
-        assert!(f2.is_empty(), "{f2:?}");
     }
 
     #[test]

@@ -6,11 +6,6 @@
 //!   hot-path crates and verify every `// audit: kernel(...)` annotation
 //!   against the artifact's call graph, ratcheting retained bounds
 //!   checks via the committed `AUDIT.json` (DESIGN.md §14).
-//! * `xtask check [--seed N] [--schedules N] [--min-distinct N]` — run
-//!   the concurrency model-check harness suite. When this binary was
-//!   built without the `model-check` feature (the default, so plain
-//!   workspace builds stay uninstrumented), it re-execs itself through
-//!   cargo with the feature enabled.
 
 #![deny(unsafe_code)]
 #![warn(clippy::all)]
@@ -22,12 +17,8 @@ fn main() -> ExitCode {
     match args.first().map(String::as_str) {
         Some("lint") => run_lint(),
         Some("audit") => run_audit(&args[1..]),
-        Some("check") => run_check(&args[1..]),
         _ => {
-            eprintln!(
-                "usage: xtask <lint | audit [--write-baseline] | check [--seed N] \
-                 [--schedules N] [--min-distinct N]>"
-            );
+            eprintln!("usage: xtask <lint | audit [--write-baseline]>");
             ExitCode::from(2)
         }
     }
@@ -93,137 +84,6 @@ fn run_lint() -> ExitCode {
         }
         Err(e) => {
             eprintln!("xtask lint: {e}");
-            ExitCode::FAILURE
-        }
-    }
-}
-
-struct CheckArgs {
-    seed: u64,
-    schedules: usize,
-    min_distinct: u64,
-}
-
-fn parse_check_args(args: &[String]) -> Result<CheckArgs, String> {
-    let mut out = CheckArgs {
-        seed: 7,
-        schedules: 2_000,
-        min_distinct: 10_000,
-    };
-    let mut it = args.iter();
-    while let Some(flag) = it.next() {
-        let mut take = || -> Result<&String, String> {
-            it.next().ok_or_else(|| format!("{flag} needs a value"))
-        };
-        match flag.as_str() {
-            "--seed" => out.seed = parse_num(take()?)?,
-            "--schedules" => out.schedules = parse_num(take()?)? as usize,
-            "--min-distinct" => out.min_distinct = parse_num(take()?)?,
-            other => return Err(format!("unknown flag {other}")),
-        }
-    }
-    Ok(out)
-}
-
-fn parse_num(s: &str) -> Result<u64, String> {
-    s.parse().map_err(|_| format!("not a number: {s}"))
-}
-
-#[cfg(feature = "model-check")]
-fn run_check(args: &[String]) -> ExitCode {
-    let cfg = match parse_check_args(args) {
-        Ok(c) => c,
-        Err(e) => {
-            eprintln!("xtask check: {e}");
-            return ExitCode::from(2);
-        }
-    };
-    let runs = xtask::harness::run_all(cfg.seed, cfg.schedules);
-    let mut distinct_total = 0u64;
-    let mut failed = false;
-    println!(
-        "{:<24} {:<7} {:>10} {:>10}  {:<9} outcome",
-        "harness", "mode", "schedules", "distinct", "exhausted"
-    );
-    for run in &runs {
-        distinct_total += run.report.distinct;
-        let outcome = match (&run.report.violation, run.expect_violation) {
-            (Some(v), true) => format!("violation caught as required: {}", v.message),
-            (Some(v), false) => format!("VIOLATION: {} (schedule {:?})", v.message, v.schedule),
-            (None, true) => "MISSED: seeded violation not found".to_owned(),
-            (None, false) => "clean".to_owned(),
-        };
-        if !run.ok() {
-            failed = true;
-        }
-        println!(
-            "{:<24} {:<7} {:>10} {:>10}  {:<9} {}",
-            run.name,
-            run.mode,
-            run.report.schedules,
-            run.report.distinct,
-            run.report.exhausted,
-            outcome
-        );
-    }
-    println!("total distinct schedules: {distinct_total}");
-    if distinct_total < cfg.min_distinct {
-        eprintln!(
-            "xtask check: explored {distinct_total} distinct schedules, below the \
-             {} floor — raise --schedules",
-            cfg.min_distinct
-        );
-        failed = true;
-    }
-    if failed {
-        eprintln!("xtask check: FAILED");
-        ExitCode::FAILURE
-    } else {
-        println!(
-            "xtask check: ok (seed {}, {} random schedules per harness)",
-            cfg.seed, cfg.schedules
-        );
-        ExitCode::SUCCESS
-    }
-}
-
-/// Built without the instrumented shim: hand off to a `model-check`
-/// build of ourselves so `cargo run -p xtask -- check` just works.
-#[cfg(not(feature = "model-check"))]
-fn run_check(args: &[String]) -> ExitCode {
-    // Validate flags before paying for the rebuild.
-    if let Err(e) = parse_check_args(args) {
-        eprintln!("xtask check: {e}");
-        return ExitCode::from(2);
-    }
-    if std::env::var_os("XTASK_MODEL_CHECK_REEXEC").is_some() {
-        eprintln!(
-            "xtask check: re-exec loop — the child build still lacks the \
-             model-check feature"
-        );
-        return ExitCode::FAILURE;
-    }
-    let cargo = std::env::var("CARGO").unwrap_or_else(|_| "cargo".to_owned());
-    let status = std::process::Command::new(cargo)
-        .args([
-            "run",
-            "--release",
-            "-p",
-            "xtask",
-            "--features",
-            "model-check",
-            "--",
-            "check",
-        ])
-        .args(args)
-        .env("XTASK_MODEL_CHECK_REEXEC", "1")
-        .current_dir(xtask::workspace_root())
-        .status();
-    match status {
-        Ok(s) if s.success() => ExitCode::SUCCESS,
-        Ok(_) => ExitCode::FAILURE,
-        Err(e) => {
-            eprintln!("xtask check: failed to re-exec cargo: {e}");
             ExitCode::FAILURE
         }
     }

@@ -1,7 +1,7 @@
 //! The workspace must lint clean (DESIGN.md §10): this test makes
-//! `xtask lint` part of the tier-1 gate, so a new unjustified
-//! `Ordering::` site, panic path, narrowing cast, sink bypass, stale
-//! design citation, or unsafe block fails `cargo test` directly.
+//! `xtask lint` part of the tier-1 gate, so a new panic path,
+//! unjustified narrowing cast, sink bypass, stale design citation, or
+//! unsafe block fails `cargo test` directly.
 
 #[test]
 fn workspace_lints_clean() {
