@@ -39,7 +39,7 @@ fn bench_query(c: &mut Criterion) {
             black_box(gl.estimate(black_box(sets.edges[i])))
         })
     });
-    // The batched engine, amortized per query: one slot-sorted batch
+    // The batched engine, amortized per query: one in-order batch
     // over the whole query set per iteration.
     let mut out = Vec::with_capacity(sets.edges.len());
     g.bench_function("gsketch_edge_query_batched", |b| {
@@ -80,8 +80,8 @@ criterion_group!(benches, bench_query);
 /// uniform-over-distinct-edges query set (cold cells; an
 /// arrival-proportional workload is Zipf-headed and largely
 /// cache-resident either way). Scalar reads then hop randomly across
-/// the slab, while the batched path walks it one slot-sorted,
-/// prefetch-overlapped run at a time.
+/// the slab, while the batched path overlaps a block of prefetched
+/// cell loads at a time.
 fn record_trajectory() {
     use gsketch_bench::trajectory::{rate_of, record_section, Throughput as Rates};
     use serde::Value;

@@ -294,7 +294,7 @@ impl AdaptiveGSketch {
 
     /// Batched [`estimate`](Self::estimate): the warm-up component is
     /// answered as one key run and (after switchover) the partitioned
-    /// component as one slot-sorted batch, then the two are summed per
+    /// component as one batch, then the two are summed per
     /// query. `out` is overwritten with one estimate per edge, in query
     /// order; bit-identical to the scalar path.
     pub fn estimate_batch(&self, edges: &[Edge], out: &mut Vec<u64>) {

@@ -30,7 +30,7 @@ impl GlobalSketch {
         self.inner.estimate(edge.key())
     }
 
-    /// Answer a whole query batch. One sketch means no slot sort — the
+    /// Answer a whole query batch. One sketch means no routing — the
     /// keys are mixed once and handed to the synopsis in a single run
     /// (a plain scalar pass for the CountMin backend; the baseline has
     /// no arena to batch into, which is exactly what the batched-vs-

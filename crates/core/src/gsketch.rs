@@ -27,70 +27,19 @@ use sketch::{BlockedBloom, CmArena, CountMinSketch, FrequencySketch, SketchBank,
 /// are charged against the same `--memory` budget as the counters.
 const PREFILTER_SHARE: usize = 16;
 
-/// Answer one slot run of point queries through a membership mask:
-/// absent keys (mask `false`) are answered `0` without touching a
-/// counter row; present keys are gathered, probed through `probe` in
-/// one batched kernel pass, and scattered back. When every key is
-/// present the run is passed through untouched, so present-key answers
-/// are bit-identical to the unfiltered path (per-key estimates do not
-/// depend on batch grouping).
-pub(crate) fn filtered_run(
-    mask: &[bool],
-    keys: &[u64],
-    probe: impl FnOnce(&[u64], &mut Vec<u64>),
-    out: &mut Vec<u64>,
-) {
-    // A mixed mask is adversarial for the branch predictor (an absent
-    // fraction near 50% is a coin flip per key), so every pass below is
-    // written mask-as-arithmetic rather than mask-as-branch.
-    // cast: bool -> usize, exactly 0 or 1.
-    let absent: usize = mask.iter().map(|&m| !m as usize).sum();
-    if absent == 0 {
-        probe(keys, out);
-        return;
-    }
-    // Sparse absence: probing the full run and zeroing the few absent
-    // answers afterwards is cheaper than a gather/scatter round trip,
-    // and the absent answers are still exactly 0.
-    if absent * 8 < keys.len() {
-        probe(keys, out);
-        for (o, &m) in out.iter_mut().zip(mask) {
-            // cast: bool -> u64, exactly 0 or 1; zeroes absent answers.
-            *o *= m as u64;
-        }
-        return;
-    }
-    // Branch-free gather: write every key at the cursor, advance only on
-    // present ones — an absent key's slot is overwritten by the next
-    // present key, and the tail past the cursor is truncated away.
-    let mut present: Vec<u64> = vec![0; keys.len()];
-    let mut j = 0;
-    for (&k, &m) in keys.iter().zip(mask) {
-        // `j` advances at most once per key, so it stays in bounds; the
-        // guard keeps the kernel free of panic edges (`xtask audit`).
-        if let Some(p) = present.get_mut(j) {
-            *p = k;
-        }
-        // cast: bool -> usize, exactly 0 or 1.
-        j += m as usize;
-    }
-    present.truncate(j);
-    let mut vals = Vec::with_capacity(present.len() + 1);
-    probe(&present, &mut vals);
-    // Sentinel so the branch-free scatter can always read `vals[j]`:
-    // once the cursor passes the last present value, absent keys read
-    // the sentinel and multiply it by 0. The read is `get`-guarded all
-    // the same (a short `probe` answer degrades to 0, never a panic).
-    vals.push(0);
-    out.clear();
-    out.reserve(keys.len());
-    let mut j = 0;
-    out.extend(mask.iter().map(|&m| {
-        let v = vals.get(j).copied().unwrap_or(0);
-        // cast: bool -> usize / u64, exactly 0 or 1.
-        j += m as usize;
-        v * m as u64
-    }));
+/// Edges per chunk of the batched read path: routing, counter gather
+/// and filter gather each run over one chunk at a time, so the scratch
+/// stays a few tens of KiB however long the batch is.
+const READ_CHUNK: usize = 2048;
+
+/// Reused per-chunk scratch of the batched read path: each edge's slot
+/// and key, its answer, and whether the pre-filter admitted it.
+#[derive(Default)]
+struct ReadChunk {
+    slots: Vec<u32>,
+    keys: Vec<u64>,
+    vals: Vec<u64>,
+    present: Vec<bool>,
 }
 
 /// Builder-style configuration for a [`GSketch`].
@@ -804,48 +753,54 @@ impl<B: FrequencySketch> GSketch<B> {
         self.bank.estimate(slot, key)
     }
 
-    /// Answer a whole query batch: the read-side mirror of
-    /// [`ingest_batch`](crate::EdgeSink::ingest_batch). Queries are
-    /// counting-sorted by router slot so each slot's counter block is
-    /// probed in one contiguous run (the arena backend answers each run
-    /// through its batched kernel — shared hash folds, fastmod range
-    /// reduction, block-prefetched cells, duplicate coalescing). `out`
-    /// is overwritten with one estimate per edge, in query order;
-    /// answers are bit-identical to [`estimate`](Self::estimate) per
-    /// edge (pinned by the `backend_parity` proptests).
-    /// With the pre-filter active each slot run is first tested through
-    /// one [`BlockedBloom::contains_batch`] pass (one cache line per
-    /// distinct key): absent keys are answered `0` without touching a
-    /// counter row, and only the surviving keys flow through the
-    /// counter kernel — present-key answers stay bit-identical.
+    /// Answer a whole query batch in query order. The batch is walked in
+    /// chunks of `READ_CHUNK` (2048) edges: each chunk is routed into reused
+    /// slot and key buffers, then the bank answers it through one
+    /// in-order gather (the arena's kernel computes and prefetches every
+    /// row cell of a block of queries before reading any), and with the
+    /// pre-filter active one membership gather zeroes the answers of
+    /// keys proven absent with a branch-free mask multiply. `out` is
+    /// overwritten with one estimate per edge; answers are bit-identical
+    /// to [`estimate`](Self::estimate) per edge (pinned by the
+    /// `backend_parity` proptests), because a per-key estimate never
+    /// depends on what else is in the batch.
     // audit: kernel(bounds-free)
     pub fn estimate_batch(&self, edges: &[Edge], out: &mut Vec<u64>) {
-        if let Some(f) = self.read_filter() {
-            let mut mask = Vec::new();
-            crate::query::estimate_batch_by_slot(
-                edges,
-                self.bank.num_slots(),
-                |src| self.router.slot(src),
-                |slot, keys, vals| {
-                    f.contains_batch(slot, keys, &mut mask);
-                    filtered_run(
-                        &mask,
-                        keys,
-                        |ks, vs| self.bank.estimate_batch(slot, ks, vs),
-                        vals,
-                    );
-                },
-                out,
-            );
-            return;
+        out.clear();
+        out.reserve(edges.len());
+        let mut chunk = ReadChunk::default();
+        for edges in edges.chunks(READ_CHUNK) {
+            self.read_chunk(edges, &mut chunk);
+            out.extend_from_slice(&chunk.vals);
         }
-        crate::query::estimate_batch_by_slot(
-            edges,
-            self.bank.num_slots(),
-            |src| self.router.slot(src),
-            |slot, keys, vals| self.bank.estimate_batch(slot, keys, vals),
-            out,
-        );
+    }
+
+    /// The body of the batched read path for one chunk of edges: fill
+    /// `chunk` with every edge's slot, key, answer and filter verdict
+    /// (all `true` when the filter is not read). Absent answers are
+    /// already zeroed.
+    fn read_chunk(&self, edges: &[Edge], chunk: &mut ReadChunk) {
+        chunk.slots.clear();
+        chunk
+            .slots
+            .extend(edges.iter().map(|e| self.router.slot(e.src)));
+        chunk.keys.clear();
+        chunk.keys.extend(edges.iter().map(|e| e.key()));
+        self.bank
+            .estimate_gather(&chunk.slots, &chunk.keys, &mut chunk.vals);
+        match self.read_filter() {
+            Some(f) => {
+                f.contains_gather(&chunk.slots, &chunk.keys, &mut chunk.present);
+                for (v, &p) in chunk.vals.iter_mut().zip(&chunk.present) {
+                    // cast: bool -> u64, exactly 0 or 1; zeroes absent answers.
+                    *v *= p as u64;
+                }
+            }
+            None => {
+                chunk.present.clear();
+                chunk.present.resize(edges.len(), true);
+            }
+        }
     }
 
     /// Estimate with the answering sketch's error bound and confidence
@@ -877,38 +832,37 @@ impl<B: FrequencySketch> GSketch<B> {
     }
 
     /// Batched [`estimate_detailed`](Self::estimate_detailed): `out` is
-    /// overwritten with one [`Estimate`] per edge, in query order. The
-    /// values ride [`estimate_batch`](Self::estimate_batch) (slot
-    /// counting-sort + the backend's batched read kernel) and the
-    /// quality attributes — per-slot error bound, bank-wide confidence,
+    /// overwritten with one [`Estimate`] per edge, in query order. It
+    /// walks the same chunks as [`estimate_batch`](Self::estimate_batch)
+    /// and takes each edge's slot and filter verdict from the chunk
+    /// scratch, so no edge is routed or filter-probed twice. The quality
+    /// attributes — per-slot error bound, bank-wide confidence,
     /// answering [`SketchId`] — are constants of the routing, computed
     /// once per slot instead of once per query. One pass answers values
     /// *and* confidence intervals, so workload replay reports both
     /// without re-probing the synopsis. Rows are bit-identical to the
     /// scalar [`estimate_detailed`](Self::estimate_detailed) per edge.
     pub fn estimate_detailed_batch(&self, edges: &[Edge], out: &mut Vec<Estimate>) {
-        let mut vals = Vec::with_capacity(edges.len());
-        self.estimate_batch(edges, &mut vals);
         let confidence = self.bank.confidence();
         let bounds: Vec<f64> = (0..self.bank.num_slots())
             .map(|s| self.bank.slot_error_bound(s as u32))
             .collect();
         out.clear();
-        out.extend(edges.iter().zip(&vals).map(|(e, &value)| {
-            let slot = self.router.slot(e.src);
-            let absent = self
-                .read_filter()
-                .is_some_and(|f| !f.contains(slot, e.key()));
-            Estimate {
+        out.reserve(edges.len());
+        let mut chunk = ReadChunk::default();
+        for edges in edges.chunks(READ_CHUNK) {
+            self.read_chunk(edges, &mut chunk);
+            let rows = chunk.slots.iter().zip(&chunk.vals).zip(&chunk.present);
+            out.extend(rows.map(|((&slot, &value), &present)| Estimate {
                 value,
                 // Filter-proven absence is exact (see
                 // `estimate_detailed`); the slot's confidence still
                 // describes the answering synopsis.
-                error_bound: if absent { 0.0 } else { bounds[slot as usize] },
+                error_bound: if present { bounds[slot as usize] } else { 0.0 },
                 confidence,
                 sketch: self.router.id_of_slot(slot),
-            }
-        }));
+            }));
+        }
     }
 
     /// Which sketch would answer a query on `edge`.
@@ -1215,6 +1169,64 @@ mod tests {
         let total: u64 = stream.iter().map(|s| s.weight).sum();
         let global_bound = std::f64::consts::E * total as f64 / (g.bytes() as f64 / 8.0 / 3.0);
         assert!(light.error_bound <= global_bound * 10.0);
+    }
+
+    /// The batched detailed path answers row for row like the scalar
+    /// `estimate_detailed` — value, error bound, confidence and sketch —
+    /// with the filter read, with reads switched off, and on a build
+    /// without a filter, at batch lengths around the read chunk. Absent
+    /// probes ride along, and every key the filter proves absent reports
+    /// an exact zero bound.
+    #[test]
+    fn detailed_batch_matches_scalar_rows() {
+        let stream = skewed_stream();
+        let build = |prefilter: bool| {
+            let mut g = GSketch::builder()
+                .memory_bytes(1 << 16)
+                .min_width(64)
+                .prefilter(prefilter)
+                .build_from_sample(&stream[..200])
+                .unwrap();
+            g.ingest(&stream);
+            g
+        };
+        // Present edges interleaved with never-ingested ones.
+        let batch: Vec<Edge> = stream
+            .iter()
+            .cycle()
+            .enumerate()
+            .map(|(i, se)| {
+                if i % 4 == 3 {
+                    Edge::new(se.edge.src, 1_000_000u32 + i as u32)
+                } else {
+                    se.edge
+                }
+            })
+            .take(READ_CHUNK + 1)
+            .collect();
+        let filtered = build(true);
+        let mut unread = filtered.clone();
+        unread.set_prefilter(false);
+        let mut proven_absent = 0usize;
+        for g in [&filtered, &unread, &build(false)] {
+            for len in [READ_CHUNK - 1, READ_CHUNK, READ_CHUNK + 1] {
+                let mut rows = Vec::new();
+                g.estimate_detailed_batch(&batch[..len], &mut rows);
+                assert_eq!(rows.len(), len);
+                for (&e, row) in batch.iter().zip(&rows) {
+                    assert_eq!(*row, g.estimate_detailed(e), "edge {e:?}");
+                    if let Some(f) = g.read_filter() {
+                        if !f.contains(g.router.slot(e.src), e.key()) {
+                            assert_eq!(row.value, 0);
+                            assert_eq!(row.error_bound, 0.0);
+                            proven_absent += 1;
+                        }
+                    }
+                }
+            }
+        }
+        assert!(filtered.prefilter_enabled() && !unread.prefilter_enabled());
+        assert!(proven_absent > 0, "no probe was proven absent");
     }
 
     #[test]

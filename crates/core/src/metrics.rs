@@ -51,8 +51,8 @@ impl Accuracy {
 /// Evaluate an estimator over an edge query set against exact truth.
 /// The whole query set is answered as **one batch** through
 /// [`EdgeEstimator::estimate_edges`] — on the partitioned estimators
-/// that replays the workload slot-sorted through the batched bank
-/// kernels, which is what makes §6-scale evaluation (10⁴–10⁶ queries per
+/// that replays the workload through the chunked, prefetched bank
+/// gather, which is what makes §6-scale evaluation (10⁴–10⁶ queries per
 /// configuration) cheap enough to re-run per memory point.
 pub fn evaluate_edge_queries<E: EdgeEstimator + ?Sized>(
     estimator: &E,

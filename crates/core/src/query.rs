@@ -4,12 +4,12 @@
 //!
 //! The write path batches aggressively (slot-grouped counting sort, span
 //! commits, prefetch — DESIGN.md §11); this module gives the read path
-//! the same discipline. [`EdgeEstimator::estimate_edges`] answers a
-//! whole query batch at once: the partitioned estimators counting-sort
-//! the batch by router slot so each slot's counter block is walked once,
-//! and the arena backend answers each slot run through its batched read
-//! kernel (shared per-key hash folds, fastmod range reduction,
-//! block-prefetched cells, duplicate coalescing). Everything downstream —
+//! its batched surface. [`EdgeEstimator::estimate_edges`] answers a
+//! whole query batch at once: the partitioned estimators route each
+//! query in place and answer the batch in query order, chunk by chunk,
+//! through the arena's gather kernel (one hash fold per key, fastmod
+//! range reduction, block-prefetched cells), with no sort by slot and
+//! no scatter back. Everything downstream —
 //! subgraph aggregation, workload replay, the accuracy metrics, the
 //! structural queries — drives this surface instead of scalar loops, and
 //! [`ParallelQuery`] fans a large batch out across the same clamped
@@ -17,7 +17,6 @@
 //! the scalar path (pinned by the `backend_parity` proptests).
 
 use gstream::edge::Edge;
-use gstream::vertex::VertexId;
 use gstream::workload::SubgraphQuery;
 
 /// Anything that can answer edge-frequency point queries — scalar or
@@ -39,9 +38,9 @@ pub trait EdgeEstimator {
 
     /// Batched point queries: `out` is cleared and receives one estimate
     /// per entry of `edges`, in order. This provided default is the
-    /// scalar loop; the partitioned estimators override it to
-    /// counting-sort the batch by router slot before hitting the
-    /// synopsis bank. Answers are bit-identical either way.
+    /// scalar loop; the partitioned estimators override it with the
+    /// chunked in-order gather over the synopsis bank. Answers are
+    /// bit-identical either way.
     fn estimate_edges(&self, edges: &[Edge], out: &mut Vec<u64>) {
         out.clear();
         out.extend(edges.iter().map(|&e| self.estimate_edge(e)));
@@ -82,78 +81,6 @@ impl<T: EdgeEstimator + ?Sized> EdgeEstimator for &T {
     }
 }
 
-/// Counting-sort a query batch by destination slot and answer each slot
-/// run through one batched bank probe — the read-side mirror of the
-/// ingest path's slot-grouped batching, shared by every partitioned
-/// estimator (sequential and concurrent banks differ only in the
-/// `run_estimator` they pass in). `out` is overwritten with one answer
-/// per query, in query order.
-///
-/// `slot_of` contractually returns values below `n_slots`; the scatter
-/// indices it feeds are nevertheless guarded (`get`/`get_mut` — a rogue
-/// slot drops its queries to answer `0` instead of panicking), so the
-/// monomorphized kernels this body lands in stay panic-free in the
-/// compiled artifact (`xtask audit`).
-pub(crate) fn estimate_batch_by_slot<S, R>(
-    edges: &[Edge],
-    n_slots: usize,
-    slot_of: S,
-    mut run_estimator: R,
-    out: &mut Vec<u64>,
-) where
-    S: Fn(VertexId) -> u32,
-    R: FnMut(u32, &[u64], &mut Vec<u64>),
-{
-    out.clear();
-    out.resize(edges.len(), 0);
-    // Route each query once; counting-sort (key, origin) pairs by slot.
-    let slots: Vec<u32> = edges.iter().map(|e| slot_of(e.src)).collect();
-    let mut counts = vec![0usize; n_slots];
-    for &s in &slots {
-        if let Some(c) = counts.get_mut(s as usize) {
-            *c += 1;
-        }
-    }
-    let mut cursors = Vec::with_capacity(n_slots);
-    let mut acc = 0usize;
-    for &c in &counts {
-        cursors.push(acc);
-        acc += c;
-    }
-    let starts = cursors.clone();
-    let mut keys: Vec<u64> = vec![0; edges.len()];
-    let mut origin: Vec<usize> = vec![0; edges.len()];
-    for (i, (e, &s)) in edges.iter().zip(&slots).enumerate() {
-        let Some(at) = cursors.get_mut(s as usize) else {
-            continue;
-        };
-        if let Some(k) = keys.get_mut(*at) {
-            *k = e.key();
-        }
-        if let Some(o) = origin.get_mut(*at) {
-            *o = i;
-        }
-        *at += 1;
-    }
-    // One batched bank probe per non-empty slot run, scattered back to
-    // query order.
-    let mut vals = Vec::new();
-    for (slot, (&start, &count)) in starts.iter().zip(&counts).enumerate() {
-        if count == 0 {
-            continue;
-        }
-        let Some(run) = keys.get(start..start + count) else {
-            continue;
-        };
-        run_estimator(slot as u32, run, &mut vals);
-        for (&v, &o) in vals.iter().zip(origin.iter().skip(start).take(count)) {
-            if let Some(slot_out) = out.get_mut(o) {
-                *slot_out = v;
-            }
-        }
-    }
-}
-
 impl<B: sketch::FrequencySketch> EdgeEstimator for crate::GSketch<B> {
     fn estimate_edge(&self, edge: Edge) -> u64 {
         self.estimate(edge)
@@ -176,7 +103,7 @@ impl EdgeEstimator for crate::GlobalSketch {
 
 /// The adaptive estimator answers a batch as the sum of its two
 /// components: the warm-up sketch's batched estimates plus (after
-/// switchover) the partitioned sketch's slot-sorted batch.
+/// switchover) the partitioned sketch's batch.
 impl EdgeEstimator for crate::AdaptiveGSketch {
     fn estimate_edge(&self, edge: Edge) -> u64 {
         self.estimate(edge)
@@ -226,7 +153,7 @@ impl EdgeEstimator for gstream::ExactCounter {
 
 /// Embarrassingly parallel read fan-out: a large query batch is split
 /// into contiguous spans, each answered by one worker through the
-/// estimator's batched surface (slot sort and all), writing into
+/// estimator's batched surface (chunked gather and all), writing into
 /// disjoint regions of the output. Workers are clamped to the host's
 /// available parallelism by the same rule as the ingest engine's
 /// owner pool (DESIGN.md §11); answers are bit-identical to a sequential
@@ -301,14 +228,14 @@ impl<'e, E: EdgeEstimator + crate::SlotRouted + Sync> ParallelQuery<'e, E> {
     /// query order.
     ///
     /// Where the span fan-out of [`estimate_edges`](Self::estimate_edges)
-    /// hands every worker a slot-mixed chunk (each worker's internal
-    /// counting sort then touches the whole bank), this shape aligns the
+    /// hands every worker a slot-mixed chunk (each worker's gather then
+    /// touches the whole bank), this shape aligns the
     /// read path with the sharded write path: a worker only walks counter
     /// blocks inside its own slot range — the same contiguous arena bytes
     /// it committed during ingest, warm in its cache and local on its
     /// NUMA node. Answers are bit-identical to a sequential
     /// [`EdgeEstimator::estimate_edges`] call because every query is
-    /// answered independently by the same batched slot kernel (pinned by
+    /// answered independently by the same batched read kernel (pinned by
     /// the `backend_parity` proptests).
     pub fn estimate_edges_routed(&self, edges: &[Edge], out: &mut Vec<u64>) {
         let workers = self.effective_threads();

@@ -183,7 +183,7 @@ impl<S: EdgeEstimator + WriteLocalized> ReplayEngine<S> {
     /// Answer a query batch through the memo: hits are served from
     /// resident lines, misses are answered as **one batch** through the
     /// estimator's own [`estimate_edges`](EdgeEstimator::estimate_edges)
-    /// (slot sort, batched kernels and all) and then inserted. `out` is
+    /// (chunked gather, batched kernels and all) and then inserted. `out` is
     /// overwritten with one estimate per edge, in query order —
     /// bit-identical to an uncached batch.
     pub fn estimate_edges(&mut self, edges: &[Edge], out: &mut Vec<u64>) {

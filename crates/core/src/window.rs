@@ -459,7 +459,7 @@ impl<B: FrequencySketch> WindowedGSketch<B> {
 
     /// Batched [`estimate_interval`](Self::estimate_interval): each
     /// overlapping window answers the whole batch through its sketch's
-    /// slot-sorted [`estimate_batch`](GSketch::estimate_batch) (tiers
+    /// in-order [`estimate_batch`](GSketch::estimate_batch) (tiers
     /// through the backend's batched read kernel), and the per-edge
     /// fractional contributions are accumulated across spans in span
     /// order — the same additions in the same order as the scalar path,

@@ -140,9 +140,10 @@ proptest! {
     /// scalar loop on **every backend and every estimator** — for any
     /// stream, seed, and query batch, including duplicate keys (each
     /// query repeated `dup` times) and shuffled order. This pins the
-    /// whole read-path refactor: counting-sort by slot, the arena's
-    /// batched kernel (fold hoisting, fastmod, prefetch blocks,
-    /// duplicate coalescing), and the provided defaults all answer bit
+    /// whole read path: the chunked in-order gather, the arena's gather
+    /// kernel (fold hoisting, fastmod, prefetch blocks), the one-slot
+    /// batched kernel (duplicate coalescing), and the provided defaults
+    /// all answer bit
     /// for bit what `estimate_edge` answers.
     #[test]
     fn batched_queries_match_scalar_queries(

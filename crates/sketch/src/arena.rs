@@ -48,6 +48,8 @@ pub struct CmArena {
     hashes: Vec<PairwiseHash>,
     /// Per-slot absorbed weight.
     totals: Vec<u64>,
+    /// Per-slot width reducers (derived from `spans`, never serialized).
+    rems: Vec<FastRem>,
 }
 
 impl CmArena {
@@ -75,6 +77,7 @@ impl CmArena {
         let mut rng = StdRng::seed_from_u64(seed);
         let hashes = (0..depth).map(|_| PairwiseHash::random(&mut rng)).collect();
         Ok(Self {
+            rems: rems_of(&spans),
             spans,
             depth,
             cells: vec![0; offset],
@@ -132,13 +135,96 @@ impl CmArena {
     /// panic-free from the compiled artifact (`xtask audit`).
     // audit: kernel(bounds-free)
     pub fn estimate_batch_slot(&self, slot: u32, keys: &[u64], out: &mut Vec<u64>) {
-        let Some(&span) = self.spans.get(slot as usize) else {
+        let (Some(&span), Some(&rem)) =
+            (self.spans.get(slot as usize), self.rems.get(slot as usize))
+        else {
             out.clear();
             out.extend(std::iter::repeat_n(u64::MAX, keys.len()));
             return;
         };
-        let rem = FastRem::new(span.width as u64);
         batch_read(&self.hashes, &self.cells, span, rem, keys, out);
+    }
+
+    /// Answer point queries that each carry their own slot: `out` is
+    /// cleared and receives the estimate of `keys[i]` in `slots[i]` for
+    /// every pair, in order (the two slices are zipped, so the shorter
+    /// one sets the length). The kernel is the blocked structure of
+    /// [`estimate_batch_slot`](Self::estimate_batch_slot) — each block of
+    /// pairs first computes and prefetches every row cell, then takes the
+    /// row minima out of now-resident lines — except that the span and
+    /// width reducer are looked up per pair, so a batch in arrival order
+    /// needs no grouping by slot. Answers are bit-identical to
+    /// [`estimate_slot`](Self::estimate_slot) per pair.
+    ///
+    /// A pair with an out-of-range slot (impossible through the router)
+    /// answers `u64::MAX`, as in `estimate_batch_slot`, instead of
+    /// panicking; the kernel is audited panic-free from the compiled
+    /// artifact (`xtask audit`).
+    // audit: kernel(bounds-free)
+    pub fn estimate_gather(&self, slots: &[u32], keys: &[u64], out: &mut Vec<u64>) {
+        let load = |cell: usize| self.cells.get(cell).copied().unwrap_or(u64::MAX);
+        // Cell indices of one pair's rows; an out-of-range slot keeps the
+        // past-the-slab sentinel, which `load` answers `u64::MAX`.
+        let cells_of = |slot: u32, key: u64, row_cells: &mut [usize; 8]| {
+            *row_cells = [usize::MAX; 8];
+            let (Some(&span), Some(&rem)) =
+                (self.spans.get(slot as usize), self.rems.get(slot as usize))
+            else {
+                return;
+            };
+            let folded = PairwiseHash::fold(key);
+            let mut idx = span.offset;
+            for (cell, h) in row_cells.iter_mut().zip(&self.hashes) {
+                // cast: u64 -> usize; `rem.rem` reduces the hash below the slot
+                // width, which is a usize-sized cell count.
+                *cell = idx + rem.rem(h.eval_folded(folded)) as usize;
+                if let Some(c) = self.cells.get(*cell) {
+                    crate::prefetch(c);
+                }
+                idx += span.width;
+            }
+        };
+        let depth = self.hashes.len();
+        out.clear();
+        out.resize(slots.len().min(keys.len()), u64::MAX);
+        if depth > 8 {
+            // Unblocked fallback for depths past the scratch budget.
+            for ((answer, &slot), &key) in out.iter_mut().zip(slots).zip(keys) {
+                let (Some(&span), Some(&rem)) =
+                    (self.spans.get(slot as usize), self.rems.get(slot as usize))
+                else {
+                    continue;
+                };
+                let folded = PairwiseHash::fold(key);
+                let mut idx = span.offset;
+                for h in &self.hashes {
+                    // cast: u64 -> usize; `rem.rem` reduces the hash below the
+                    // slot width, which is a usize-sized cell count.
+                    *answer = (*answer).min(load(idx + rem.rem(h.eval_folded(folded)) as usize));
+                    idx += span.width;
+                }
+            }
+            return;
+        }
+        // Blocked path (depth ≤ 8): `targets[pair][row]`, both bounds
+        // discharged statically by the zips.
+        let mut targets: [[usize; 8]; READ_BLOCK] = [[0; 8]; READ_BLOCK];
+        for ((answers, slot_block), key_block) in out
+            .chunks_mut(READ_BLOCK)
+            .zip(slots.chunks(READ_BLOCK))
+            .zip(keys.chunks(READ_BLOCK))
+        {
+            // Phase 1: compute and prefetch every row cell of the block.
+            for ((row_cells, &slot), &key) in targets.iter_mut().zip(slot_block).zip(key_block) {
+                cells_of(slot, key, row_cells);
+            }
+            // Phase 2: row minima out of now-resident lines.
+            for (answer, row_cells) in answers.iter_mut().zip(&targets) {
+                for &cell in row_cells.iter().take(depth) {
+                    *answer = (*answer).min(load(cell));
+                }
+            }
+        }
     }
 
     /// Commit a whole slot run in one pass. Consecutive entries with the
@@ -159,10 +245,11 @@ impl CmArena {
     /// artifact (`xtask audit`).
     // audit: kernel(bounds-free)
     pub fn add_batch_saturating(&mut self, slot: u32, run: &[(u64, u64)]) {
-        let Some(&span) = self.spans.get(slot as usize) else {
+        let (Some(&span), Some(&rem)) =
+            (self.spans.get(slot as usize), self.rems.get(slot as usize))
+        else {
             return;
         };
-        let rem = FastRem::new(span.width as u64);
         let total = commit_run(&self.hashes, &mut self.cells, span, rem, run);
         if let Some(t) = self.totals.get_mut(slot as usize) {
             *t = t.saturating_add(total);
@@ -188,22 +275,19 @@ impl CmArena {
             .collect();
         let cells = split_ranges(&mut self.cells, &cell_ranges);
         let totals = split_ranges(&mut self.totals, &slots);
-        let (spans, hashes) = (&self.spans, &self.hashes);
+        let (spans, rems, hashes) = (&self.spans, &self.rems, &self.hashes);
         slots
             .iter()
             .zip(&cell_ranges)
             .zip(cells.into_iter().zip(totals))
-            .map(|((&(lo, hi), &(base, _)), (cells, totals))| {
-                let spans = spans.get(lo..hi).unwrap_or_default();
-                CmArenaSlice {
-                    lo,
-                    spans,
-                    rems: spans.iter().map(|s| FastRem::new(s.width as u64)).collect(),
-                    base,
-                    cells,
-                    totals,
-                    hashes,
-                }
+            .map(|((&(lo, hi), &(base, _)), (cells, totals))| CmArenaSlice {
+                lo,
+                spans: spans.get(lo..hi).unwrap_or_default(),
+                rems: rems.get(lo..hi).unwrap_or_default(),
+                base,
+                cells,
+                totals,
+                hashes,
             })
             .collect()
     }
@@ -270,11 +354,13 @@ impl CmArena {
             }
         }
         let total = self.totals.iter().fold(0u64, |a, &t| a.saturating_add(t));
+        let spans = vec![SlotSpan {
+            offset: 0,
+            width: quantum,
+        }];
         Ok(Self {
-            spans: vec![SlotSpan {
-                offset: 0,
-                width: quantum,
-            }],
+            rems: rems_of(&spans),
+            spans,
             depth: self.depth,
             cells,
             hashes: self.hashes.clone(),
@@ -304,8 +390,8 @@ impl SketchBank for CmArena {
     }
 
     #[inline]
-    fn estimate_batch(&self, slot: u32, keys: &[u64], out: &mut Vec<u64>) {
-        self.estimate_batch_slot(slot, keys, out);
+    fn estimate_gather(&self, slots: &[u32], keys: &[u64], out: &mut Vec<u64>) {
+        CmArena::estimate_gather(self, slots, keys, out);
     }
 
     fn slot_total(&self, slot: u32) -> u64 {
@@ -483,6 +569,7 @@ impl Deserialize for CmArena {
             )));
         }
         Ok(Self {
+            rems: rems_of(&spans),
             spans,
             depth,
             cells,
@@ -491,6 +578,19 @@ impl Deserialize for CmArena {
         })
     }
 }
+
+/// One width reducer per slot span.
+fn rems_of(spans: &[SlotSpan]) -> Vec<FastRem> {
+    spans.iter().map(|s| FastRem::new(s.width as u64)).collect()
+}
+
+/// Keys per prefetch block of the read kernels (`batch_read`,
+/// [`CmArena::estimate_gather`] and the filter's membership tests).
+/// Wider than the write side's block (16): reads are pure loads with no
+/// store traffic competing for fill buffers, so more overlapped misses
+/// keep paying — 48 keys × depth ≤ 8 cells stays within a ~4 KiB stack
+/// stash, and the 64 MiB-slab read bench plateaus here.
+pub(crate) const READ_BLOCK: usize = 48;
 
 /// Exact remainder by a runtime-invariant divisor via Lemire's fastmod
 /// (Lemire, Kaser & Kurz, 2019): `rem(x) == x % d` for every `x: u64`,
@@ -556,12 +656,6 @@ fn batch_read(
     out: &mut Vec<u64>,
 ) {
     let load = |cell: usize| cells.get(cell).copied().unwrap_or(u64::MAX);
-    /// Distinct keys per prefetch block. Wider than the write side's
-    /// block (16): reads are pure loads with no store traffic competing
-    /// for fill buffers, so more overlapped misses keep paying — 48
-    /// keys × depth ≤ 8 cells stays within a ~4 KiB stack stash, and
-    /// the 64 MiB-slab read bench plateaus here.
-    const BLOCK: usize = 48;
     let depth = hashes.len();
     out.clear();
     out.reserve(keys.len());
@@ -591,18 +685,18 @@ fn batch_read(
         return;
     }
     // Blocked path (depth ≤ 8). The scratch is indexed as
-    // `targets[block][row]` with `block < BLOCK` from the fill-loop guard
+    // `targets[block][row]` with `block < READ_BLOCK` from the fill-loop guard
     // and `row < 8` from `take(8)`, so the compiler can discharge every
     // scratch bound statically — no residual checks in the artifact.
-    let mut targets: [[usize; 8]; BLOCK] = [[0; 8]; BLOCK];
-    let mut reps: [usize; BLOCK] = [0; BLOCK];
+    let mut targets: [[usize; 8]; READ_BLOCK] = [[0; 8]; READ_BLOCK];
+    let mut reps: [usize; READ_BLOCK] = [0; READ_BLOCK];
     let mut i = 0;
     while i < keys.len() {
-        // Phase 1: coalesce the next `BLOCK` distinct keys (one probe
+        // Phase 1: coalesce the next `READ_BLOCK` distinct keys (one probe
         // per run of adjacent equal keys), then compute and prefetch
         // their cells.
         let mut filled = 0usize;
-        while filled < BLOCK && i < keys.len() {
+        while filled < READ_BLOCK && i < keys.len() {
             let key = keys[i];
             let mut n = 0usize;
             while i < keys.len() && keys[i] == key {
@@ -782,8 +876,8 @@ pub struct CmArenaSlice<'a> {
     lo: usize,
     /// Spans of the range's slots (offsets are whole-slab offsets).
     spans: &'a [SlotSpan],
-    /// Per-slot width reducers, computed once per split.
-    rems: Vec<FastRem>,
+    /// Width reducers of the range's slots.
+    rems: &'a [FastRem],
     /// Whole-slab offset of `cells[0]`.
     base: usize,
     cells: &'a mut [u64],
@@ -1077,6 +1171,59 @@ mod tests {
                 assert_eq!(out.len(), keys.len());
                 for (&k, &v) in keys.iter().zip(&out) {
                     assert_eq!(v, arena.estimate_slot(slot, k), "depth {depth} key {k}");
+                }
+            }
+        }
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(48))]
+
+        /// The gather kernels answer exactly like the scalar probes, pair
+        /// by pair: `estimate_gather` like `estimate_slot` and
+        /// `contains_gather` like `contains`. Slots run past the slot
+        /// count (out-of-range pairs answer `u64::MAX` / `false`), keys
+        /// repeat both adjacently and scattered, every blocked depth
+        /// 1..=8 and the depth > 8 fallback are built, and batch lengths
+        /// cover 0, 1 and one below, at and above the prefetch block.
+        #[test]
+        fn gather_kernels_match_scalar_probes(
+            widths in proptest::collection::vec(1usize..200, 1..6),
+            ingest in proptest::collection::vec((0u32..6, 0u64..64, 1u64..5), 0..300),
+            pairs in proptest::collection::vec((0u32..8, 0u64..96), 3 * READ_BLOCK..3 * READ_BLOCK + 1),
+            seed in proptest::prelude::any::<u64>(),
+        ) {
+            use crate::BlockedBloom;
+            // A key divisible by 3 is asked twice in a row.
+            let batch: Vec<(u32, u64)> = pairs
+                .iter()
+                .flat_map(|&p| std::iter::repeat_n(p, if p.1 % 3 == 0 { 2 } else { 1 }))
+                .collect();
+            let blocks: Vec<usize> = widths.iter().map(|w| w % 7 + 1).collect();
+            for depth in 1..=9 {
+                let mut arena = CmArena::with_slots(&widths, depth, seed).unwrap();
+                let mut filter = BlockedBloom::with_blocks(&blocks, seed).unwrap();
+                for &(slot, key, weight) in ingest.iter().filter(|i| (i.0 as usize) < widths.len()) {
+                    arena.update_slot(slot, key, weight);
+                    filter.insert(slot, key);
+                }
+                for len in [0, 1, READ_BLOCK - 1, READ_BLOCK, READ_BLOCK + 1, batch.len()] {
+                    let (slots, keys): (Vec<u32>, Vec<u64>) = batch[..len].iter().copied().unzip();
+                    let mut vals = vec![7u64];
+                    arena.estimate_gather(&slots, &keys, &mut vals);
+                    let mut hits = vec![true];
+                    filter.contains_gather(&slots, &keys, &mut hits);
+                    proptest::prop_assert_eq!(vals.len(), len);
+                    proptest::prop_assert_eq!(hits.len(), len);
+                    for (((&slot, &key), &v), &hit) in slots.iter().zip(&keys).zip(&vals).zip(&hits) {
+                        if (slot as usize) < widths.len() {
+                            proptest::prop_assert_eq!(v, arena.estimate_slot(slot, key));
+                            proptest::prop_assert_eq!(hit, filter.contains(slot, key));
+                        } else {
+                            proptest::prop_assert_eq!(v, u64::MAX);
+                            proptest::prop_assert!(!hit);
+                        }
+                    }
                 }
             }
         }

@@ -187,35 +187,17 @@ pub trait SketchBank: Sized + Clone + std::fmt::Debug + Serialize + Deserialize 
     /// Estimate the total weight recorded for `key` in `slot`.
     fn estimate(&self, slot: u32, key: u64) -> u64;
 
-    /// Answer a whole slot run of point queries: `out` is cleared and
-    /// receives one estimate per entry of `keys`, in order. Equivalent
-    /// to estimating each key in turn; banks with a batched read kernel
-    /// (the arena) override it — the query-side mirror of
-    /// [`add_batch`](Self::add_batch), with bit-identical answers.
-    fn estimate_batch(&self, slot: u32, keys: &[u64], out: &mut Vec<u64>) {
+    /// Answer point queries that each carry their own slot: `out` is
+    /// cleared and receives the estimate of `keys[i]` in `slots[i]` for
+    /// every pair, in order (the shorter slice sets the length). This
+    /// provided default is the scalar loop; the arena overrides it with
+    /// a blocked, prefetched gather, so a batch in query order needs no
+    /// grouping by slot — the query-side counterpart of
+    /// [`add_batch`](Self::add_batch). Answers are bit-identical either
+    /// way.
+    fn estimate_gather(&self, slots: &[u32], keys: &[u64], out: &mut Vec<u64>) {
         out.clear();
-        out.extend(keys.iter().map(|&k| self.estimate(slot, k)));
-    }
-
-    /// Batched [`estimate`](Self::estimate) over one slot run with the
-    /// slot's quality attributes attached: `out` is cleared and receives
-    /// one [`DetailedRow`] per entry of `keys`, in order. The bound
-    /// (`slot_error_bound`) and confidence are per-*slot* constants, so
-    /// they are computed once per call and the estimates ride the
-    /// batched read kernel — one pass answers values *and* confidence
-    /// intervals (the read-side contract the replay engine's detailed
-    /// reporting drives).
-    fn estimate_detailed_batch(&self, slot: u32, keys: &[u64], out: &mut Vec<DetailedRow>) {
-        let mut vals = Vec::with_capacity(keys.len());
-        self.estimate_batch(slot, keys, &mut vals);
-        let error_bound = self.slot_error_bound(slot);
-        let confidence = self.confidence();
-        out.clear();
-        out.extend(vals.into_iter().map(|estimate| DetailedRow {
-            estimate,
-            error_bound,
-            confidence,
-        }));
+        out.extend(slots.iter().zip(keys).map(|(&s, &k)| self.estimate(s, k)));
     }
 
     /// Total weight absorbed by `slot`.
@@ -582,6 +564,16 @@ mod tests {
         twin.update(0, 1, 5);
         bank.merge(&twin).unwrap();
         assert!(bank.estimate(0, 1) >= 6); // 1 (slot 0) + 5 merged
+
+        // A gather answers each (slot, key) pair like `estimate`.
+        let slots: Vec<u32> = (0..90u32).map(|i| i % 3).collect();
+        let keys: Vec<u64> = (0..90u64).map(|k| k % 60).collect();
+        let mut vals = Vec::new();
+        bank.estimate_gather(&slots, &keys, &mut vals);
+        assert_eq!(vals.len(), keys.len());
+        for ((&s, &k), &v) in slots.iter().zip(&keys).zip(&vals) {
+            assert_eq!(v, bank.estimate(s, k));
+        }
         let other_shape = B::build(&[64, 128], 3, 7).unwrap();
         assert!(bank.merge(&other_shape).is_err());
     }
@@ -612,34 +604,11 @@ mod tests {
         exercise_bank::<crate::CmArena>();
     }
 
-    /// The detailed batch is the plain batch plus the synopsis's (or
-    /// slot's) constant attributes — row for row, on both traits and on
-    /// both bank layouts.
+    /// The detailed batch is the plain batch plus the synopsis's
+    /// constant attributes, row for row: bound = e·N/w, confidence =
+    /// 1 − e^{−d}.
     #[test]
     fn detailed_batch_matches_plain_batch_plus_attributes() {
-        fn exercise_detailed_bank<B: SketchBank>() {
-            let mut bank = B::build(&[64, 32], 3, 17).unwrap();
-            for k in 0..400u64 {
-                bank.update((k % 2) as u32, k * 7, k % 5 + 1);
-            }
-            let keys: Vec<u64> = (0..100u64).map(|k| (k % 37) * 7).collect();
-            let mut rows = Vec::new();
-            let mut vals = Vec::new();
-            for slot in 0..2u32 {
-                bank.estimate_detailed_batch(slot, &keys, &mut rows);
-                bank.estimate_batch(slot, &keys, &mut vals);
-                assert_eq!(rows.len(), keys.len());
-                for (row, &v) in rows.iter().zip(&vals) {
-                    assert_eq!(row.estimate, v);
-                    assert_eq!(row.error_bound, bank.slot_error_bound(slot));
-                    assert_eq!(row.confidence, bank.confidence());
-                }
-            }
-        }
-        exercise_detailed_bank::<crate::CmArena>();
-        exercise_detailed_bank::<SketchVec<CountMinSketch>>();
-
-        // Single-synopsis surface: bound = e·N/w, confidence = 1 − e^{−d}.
         let mut s = crate::CmArena::new(128, 3, 5).unwrap();
         for k in 0..200u64 {
             FrequencySketch::update(&mut s, k, 2);

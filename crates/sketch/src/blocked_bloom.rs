@@ -24,7 +24,7 @@
 //! the run is walked in small blocks that first compute and prefetch
 //! every target line, then test bits out of now-resident lines.
 
-use crate::arena::{clip_ranges, split_ranges, FastRem};
+use crate::arena::{clip_ranges, split_ranges, FastRem, READ_BLOCK};
 use crate::error::SketchError;
 use crate::hash::mix64;
 use serde::{Deserialize, Serialize};
@@ -207,6 +207,43 @@ impl BlockedBloom {
         contains_batch_kernel(&self.words, self.seed, rem, span, keys, out);
     }
 
+    /// Test keys that each carry their own slot — the membership mirror
+    /// of [`CmArena::estimate_gather`](crate::CmArena::estimate_gather):
+    /// `out` is cleared and receives whether `keys[i]` may be a member of
+    /// `slots[i]` for every pair, in order (the shorter slice sets the
+    /// length). Each block of pairs first computes and prefetches every
+    /// target line, then tests bits out of now-resident lines. Answers
+    /// are identical to [`contains`](Self::contains) per pair; an
+    /// out-of-range slot has no members, so its pair answers `false` —
+    /// no panic; the kernel is audited panic-free from the compiled
+    /// artifact (`xtask audit`).
+    // audit: kernel(bounds-free)
+    pub fn contains_gather(&self, slots: &[u32], keys: &[u64], out: &mut Vec<bool>) {
+        out.clear();
+        out.resize(slots.len().min(keys.len()), false);
+        // An out-of-range slot probes past the word array with a full
+        // mask, which the test below answers `false`.
+        let mut probes: [(usize, u64); READ_BLOCK] = [(0, 0); READ_BLOCK];
+        for ((answers, slot_block), key_block) in out
+            .chunks_mut(READ_BLOCK)
+            .zip(slots.chunks(READ_BLOCK))
+            .zip(keys.chunks(READ_BLOCK))
+        {
+            for ((probe, &slot), &key) in probes.iter_mut().zip(slot_block).zip(key_block) {
+                *probe = match (self.rems.get(slot as usize), self.spans.get(slot as usize)) {
+                    (Some(&rem), Some(&span)) => probe_of(self.seed, rem, span, key),
+                    _ => (usize::MAX, u64::MAX),
+                };
+                if let Some(w) = self.words.get(probe.0) {
+                    crate::prefetch(w);
+                }
+            }
+            for (answer, &(word, mask)) in answers.iter_mut().zip(&probes) {
+                *answer = self.words.get(word).copied().unwrap_or(0) & mask == mask;
+            }
+        }
+    }
+
     /// Forget every member, keeping the layout and seed (the windowed
     /// rotation path clears membership when a window seals).
     pub fn clear(&mut self) {
@@ -369,24 +406,22 @@ fn contains_batch_kernel(
     keys: &[u64],
     out: &mut Vec<bool>,
 ) {
-    /// Distinct keys per prefetch block. Each key touches exactly one
-    /// cache line (vs. `depth` for the counter kernel), so the same
-    /// 48-wide block used by `CmArena::batch_read` overlaps 48 misses.
-    const BLOCK: usize = 48;
+    // Each key touches exactly one cache line (vs. `depth` for the
+    // counter kernel), so a block overlaps `READ_BLOCK` misses.
     out.clear();
     out.resize(keys.len(), false);
     let answers = &mut out[..];
-    let mut targets: [usize; BLOCK] = [0; BLOCK];
-    let mut masks: [u64; BLOCK] = [0; BLOCK];
-    let mut ends: [usize; BLOCK] = [0; BLOCK];
+    let mut targets: [usize; READ_BLOCK] = [0; READ_BLOCK];
+    let mut masks: [u64; READ_BLOCK] = [0; READ_BLOCK];
+    let mut ends: [usize; READ_BLOCK] = [0; READ_BLOCK];
     let mut i = 0;
     while i < keys.len() {
         // Phase 1: coalesce and probe. Scratch writes index with
-        // `filled < BLOCK` straight from the fill-loop guard, so the
+        // `filled < READ_BLOCK` straight from the fill-loop guard, so the
         // compiler discharges the bounds statically.
         let mut from = i;
         let mut filled = 0usize;
-        while filled < BLOCK && i < keys.len() {
+        while filled < READ_BLOCK && i < keys.len() {
             let key = keys[i];
             while i < keys.len() && keys[i] == key {
                 i += 1;

@@ -255,8 +255,10 @@ fn committed_baseline_parses_and_covers_the_hot_kernels() {
     let b = parse_baseline(&text).unwrap();
     for key in [
         "sketch::CmArena::estimate_batch_slot",
+        "sketch::CmArena::estimate_gather",
         "sketch::CmArenaSlice::add_batch_saturating",
         "sketch::BlockedBloom::contains_batch",
+        "sketch::BlockedBloom::contains_gather",
         "gsketch::OwnerWorker::commit_evicted",
         "gsketch::GSketch::estimate_batch",
     ] {
