@@ -1,19 +1,12 @@
-//! Time-window experiments: the paper's §5 coarse interval scheme
-//! (per-window gSketches seeded by reservoir hand-off, `WindowedGSketch`)
-//! against the ECM-sketch (CountMin over exponential histograms), which
-//! answers *arbitrary* windows from one structure.
-//!
-//! The two make opposite trades: windowed gSketch pays memory per sealed
-//! window but keeps gSketch's partitioning accuracy inside each; the
-//! ECM-sketch has no window boundaries at all but pays the EH space
-//! overhead per cell and adds the `(1 ± ε)` window error.
+//! Time-window experiment: the paper's §5 coarse interval scheme
+//! (per-window gSketches seeded by reservoir hand-off, `WindowedGSketch`),
+//! reporting the per-interval edge-query error against exact counts.
 
 use gsketch::{GSketch, WindowConfig, WindowedGSketch};
 use gsketch_bench::harness::EXPERIMENT_SEED;
 use gsketch_bench::*;
 use gstream::transform::window as cut_window;
 use gstream::ExactCounter;
-use sketch::EcmSketch;
 
 fn main() {
     let bundle = load(Dataset::IpAttack);
@@ -38,24 +31,10 @@ fn main() {
         windowed.try_insert(*se).expect("in-order stream");
     }
 
-    // ECM-sketch with the same total byte budget across all windows
-    // (counters only; EH bucket overhead reported separately).
-    let total_bytes = per_window_bytes * n_windows as usize;
-    let width = total_bytes / 8 / 2; // depth 2, 8-byte cells equivalent
-    let mut ecm = EcmSketch::new(width, 2, 0.2, EXPERIMENT_SEED).expect("valid ECM sketch");
-    for se in stream {
-        ecm.update(se.edge.key(), se.ts, se.weight);
-    }
-
     // Query: per-edge frequency inside each aligned interval.
     let mut t = Table::new(
-        "Window — per-interval edge-query avg rel err: windowed gSketch vs ECM-sketch (IP Attack)",
-        &[
-            "interval",
-            "windowed gSketch",
-            "ECM-sketch",
-            "interval arrivals",
-        ],
+        "Window — per-interval edge-query avg rel err: windowed gSketch (IP Attack)",
+        &["interval", "windowed gSketch", "interval arrivals"],
     );
     let mut rng_seed = EXPERIMENT_SEED;
     for w in 0..n_windows {
@@ -73,29 +52,16 @@ fn main() {
         let queries: Vec<_> = queries.into_iter().step_by(step).collect();
 
         let mut err_w = 0.0f64;
-        let mut err_e = 0.0f64;
         for &q in &queries {
             let f = truth.frequency(q) as f64;
             err_w += (windowed.estimate_interval(q, t0, t1) - f).abs() / f;
-            // The ECM-sketch answers suffix windows [start, now]; an
-            // interval is the difference of two suffixes.
-            let interval_est = ecm
-                .estimate(q.key(), t0)
-                .saturating_sub(ecm.estimate(q.key(), t1)) as f64;
-            err_e += (interval_est - f).abs() / f;
         }
         let n = queries.len() as f64;
         t.row(vec![
             format!("[{t0}, {t1})"),
             fmt_f(err_w / n),
-            fmt_f(err_e / n),
             slice.len().to_string(),
         ]);
     }
     t.print();
-    println!(
-        "ECM live buckets: {} (~{} bytes of EH state)",
-        ecm.live_buckets(),
-        ecm.live_buckets() * 16,
-    );
 }

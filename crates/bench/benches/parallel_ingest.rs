@@ -1,8 +1,7 @@
 //! Owner-sharded ingest benchmark (DESIGN.md §11): the
 //! [`ShardedIngest`] engine over per-owner arena slices vs. the
-//! single-threaded slot-grouped `ingest_batch` baseline, on the same
-//! R-MAT (GTGraph) traffic stream and build parameters as
-//! `backend_micro`.
+//! single-threaded slot-grouped `ingest_batch` baseline (the
+//! `cm-arena/batched` row), on an R-MAT (GTGraph) traffic stream.
 //!
 //! The engine's win has two independent components: owner parallelism
 //! (scatter by router slot, plain-store commits into exclusively-owned

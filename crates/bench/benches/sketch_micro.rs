@@ -171,19 +171,13 @@ fn record_trajectory() {
         black_box(mask.last().copied());
     });
 
-    // The tiering merge kernel (DESIGN.md §13): by-reference saturating
-    // `merge` vs the owned `merge_assign` fast path (the no-wrap proof
-    // from the slot totals drops the per-cell saturation branch) over
-    // the same 64 MiB slab. The clone feeding the owned merge is made
-    // outside the timed region; rates are counter cells per second.
-    use sketch::FrequencySketch;
+    // The tiering merge kernel (DESIGN.md §13): the owned `merge_assign`
+    // (the no-wrap proof from the slot totals drops the per-cell
+    // saturation branch) over the same 64 MiB slab. The clone feeding it
+    // is made outside the timed region; the rate is counter cells per
+    // second.
     let cells = (big_width * 3) as u64;
-    let twin = big.clone();
-    let merge_saturating = rate_of(cells, || {
-        big.merge(black_box(&twin)).unwrap();
-        black_box(big.estimate_slot(0, 1));
-    });
-    let spare = twin.clone();
+    let spare = big.clone();
     let merge_owned = rate_of(cells, || {
         big.merge_assign(black_box(spare)).unwrap();
         black_box(big.estimate_slot(0, 1));
@@ -198,16 +192,14 @@ fn record_trajectory() {
             Rates::sequential("gsketch/cm-arena/1MiB", gs_updates, gs_estimates),
             read_row("cm-arena/64MiB/scalar-reads", arena_scalar),
             read_row("cm-arena/64MiB/batched-reads", arena_batched),
-            read_row("cm-arena/64MiB/merge-saturating", merge_saturating),
             read_row("cm-arena/64MiB/merge-assign-owned", merge_owned),
             read_row("prefilter/4MiB/scalar-probes", bloom_scalar),
             read_row("prefilter/4MiB/batched-probes", bloom_batched),
         ],
     );
     println!(
-        "trajectory: countmin {cm_updates:.0} u/s, gsketch {gs_updates:.0} u/s, arena reads scalar {arena_scalar:.0} vs batched {arena_batched:.0} q/s ({:.2}x), merge saturating {merge_saturating:.0} vs owned {merge_owned:.0} cells/s ({:.2}x), prefilter probes scalar {bloom_scalar:.0} vs batched {bloom_batched:.0} q/s ({:.2}x) → {}",
+        "trajectory: countmin {cm_updates:.0} u/s, gsketch {gs_updates:.0} u/s, arena reads scalar {arena_scalar:.0} vs batched {arena_batched:.0} q/s ({:.2}x), merge owned {merge_owned:.0} cells/s, prefilter probes scalar {bloom_scalar:.0} vs batched {bloom_batched:.0} q/s ({:.2}x) → {}",
         arena_batched / arena_scalar,
-        merge_owned / merge_saturating,
         bloom_batched / bloom_scalar,
         gsketch_bench::trajectory::bench_file().display()
     );

@@ -1,10 +1,10 @@
 //! Criterion micro-benchmarks for the extended synopsis substrate:
-//! CountSketch, Space-Saving, exponential histograms, the ECM-sketch,
-//! and the structural estimators' per-arrival costs.
+//! CountSketch, Space-Saving, and the structural estimators' per-arrival
+//! costs.
 
 use criterion::{black_box, criterion_group, criterion_main, Criterion, Throughput};
 use gstream::edge::Edge;
-use sketch::{CountSketch, EcmSketch, ExpHist, SpaceSaving, WeightedExpHist};
+use sketch::{CountSketch, SpaceSaving};
 use structural::{ExactTriangleCounter, HeavyVertexTracker, PathSketch, TriangleEstimator};
 
 fn bench_countsketch(c: &mut Criterion) {
@@ -43,48 +43,6 @@ fn bench_spacesaving(c: &mut Criterion) {
     g.finish();
 }
 
-fn bench_exphist(c: &mut Criterion) {
-    let mut g = c.benchmark_group("exphist");
-    g.throughput(Throughput::Elements(1));
-    let mut eh = ExpHist::new(0.1).unwrap();
-    let mut t = 0u64;
-    g.bench_function("add_unit", |b| {
-        b.iter(|| {
-            t += 1;
-            eh.add(black_box(t));
-        })
-    });
-    g.bench_function("estimate_readonly", |b| {
-        b.iter(|| black_box(eh.estimate_readonly(black_box(t / 2))))
-    });
-    let mut wh = WeightedExpHist::new(0.1).unwrap();
-    let mut tw = 0u64;
-    g.bench_function("add_weighted", |b| {
-        b.iter(|| {
-            tw += 1;
-            wh.add(black_box(tw), black_box(tw % 13 + 1));
-        })
-    });
-    g.finish();
-}
-
-fn bench_ecm(c: &mut Criterion) {
-    let mut g = c.benchmark_group("ecm_sketch");
-    g.throughput(Throughput::Elements(1));
-    let mut ecm = EcmSketch::new(4096, 2, 0.2, 7).unwrap();
-    let mut t = 0u64;
-    g.bench_function("update", |b| {
-        b.iter(|| {
-            t += 1;
-            ecm.update(black_box(t % 10_000), t, 1);
-        })
-    });
-    g.bench_function("window_estimate", |b| {
-        b.iter(|| black_box(ecm.estimate(black_box(t % 10_000), t.saturating_sub(1000))))
-    });
-    g.finish();
-}
-
 fn bench_structural(c: &mut Criterion) {
     let mut g = c.benchmark_group("structural");
     g.throughput(Throughput::Elements(1));
@@ -116,6 +74,6 @@ fn bench_structural(c: &mut Criterion) {
 criterion_group! {
     name = benches;
     config = Criterion::default().sample_size(10);
-    targets = bench_countsketch, bench_spacesaving, bench_exphist, bench_ecm, bench_structural
+    targets = bench_countsketch, bench_spacesaving, bench_structural
 }
 criterion_main!(benches);

@@ -156,33 +156,8 @@ pub fn probe_outlier_fraction(
     (uncovered as f64 / probed as f64).clamp(0.02, 0.6)
 }
 
-/// Estimate the outlier sketch's expected load profile in the units the
-/// builder expects (see `GSketchBuilder::outlier_profile`): the number
-/// of distinct sample-uncovered source vertices, scaled by
-/// `1/sample_rate` — i.e. what those vertices *would* have contributed
-/// to the sample statistics had each been sampled once. Uncovered
-/// traffic is dominated by frequency-≈1 edges, so the same figure serves
-/// as both the frequency-mass and error-factor component.
-pub fn probe_outlier_profile(
-    stream: &[gstream::StreamEdge],
-    data_sample: &[gstream::StreamEdge],
-) -> (u64, u64) {
-    use gstream::fxhash::FxHashSet;
-    use gstream::VertexId;
-    let covered: FxHashSet<VertexId> = data_sample.iter().map(|se| se.edge.src).collect();
-    let mut uncovered: FxHashSet<VertexId> = FxHashSet::default();
-    for se in stream {
-        if !covered.contains(&se.edge.src) {
-            uncovered.insert(se.edge.src);
-        }
-    }
-    let rate = (data_sample.len() as f64 / stream.len().max(1) as f64).clamp(1e-6, 1.0);
-    let pseudo = ((uncovered.len() as f64) / rate) as u64;
-    (pseudo.max(1), pseudo.max(1))
-}
-
 /// A strided, unbiased calibration probe over the stream (capped at ~1M
-/// arrivals) for `build_*_calibrated`.
+/// arrivals) for `build_from_sample_calibrated`.
 pub fn calibration_probe(stream: &[gstream::StreamEdge]) -> Vec<gstream::StreamEdge> {
     let stride = (stream.len() / 1_000_000).max(1);
     stream.iter().step_by(stride).copied().collect()

@@ -4,10 +4,9 @@
 //! (§6). Each `benches/exp_*.rs` target is a `harness = false` binary
 //! that prints the corresponding figure's series as an aligned table;
 //! `benches/{sketch_micro,construction,query_time}.rs` are Criterion
-//! micro-benchmarks and `benches/backend_micro.rs` compares the synopsis
-//! backends. See DESIGN.md §3 for the experiment index;
-//! `sketch_micro` and `backend_micro` additionally append their headline
-//! throughput to `BENCH_ingest.json` via [`trajectory`].
+//! micro-benchmarks. See DESIGN.md §3 for the experiment index;
+//! `sketch_micro` and `parallel_ingest` additionally append their
+//! headline throughput to `BENCH_ingest.json` via [`trajectory`].
 
 #![deny(unsafe_code)]
 #![warn(missing_docs)]

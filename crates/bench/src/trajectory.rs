@@ -9,7 +9,7 @@
 //! {
 //!   "schema": 1,
 //!   "benches": {
-//!     "backend_micro": {
+//!     "parallel_ingest": {
 //!       "dataset": "...", "arrivals": 2000000,
 //!       "results": [
 //!         {"name": "cm-arena/batched", "updates_per_sec": 1.0e8,

@@ -4,9 +4,9 @@
 use crate::args::{parse_bytes, ArgError, ParsedArgs};
 use gsketch::{
     evaluate_edge_queries, load_windowed, load_windowed_horizon, save_gsketch, save_windowed,
-    AdaptiveConfig, AdaptiveGSketch, CmArena, CountSketch, EdgeEstimator, EdgeSink,
-    FrequencySketch, GSketch, GSketchBuilder, GlobalSketch, IntervalEstimate, ParallelQuery,
-    ReplayEngine, ShardedIngest, WindowConfig, WindowedGSketch, WindowedReplay, DEFAULT_G0,
+    AdaptiveConfig, AdaptiveGSketch, EdgeSink, GSketch, GlobalSketch, IntervalEstimate,
+    ParallelQuery, ReplayEngine, ShardedIngest, WindowConfig, WindowedGSketch, WindowedReplay,
+    DEFAULT_G0,
 };
 use gstream::gen::{
     dblp, ipattack, DblpConfig, ErdosRenyiConfig, ErdosRenyiGenerator, IpAttackConfig, RmatConfig,
@@ -63,14 +63,12 @@ USAGE:
       models: rmat | rmat-traffic | dblp | ipattack | erdos | smallworld
   gsketch stats <stream-file> [--top K]
   gsketch build <stream-file> --memory SIZE --out SNAPSHOT
-      [--sample-frac F] [--depth D] [--min-width W] [--seed S]
-      [--backend arena|countsketch] [--threads N]
+      [--sample-frac F] [--depth D] [--min-width W] [--seed S] [--threads N]
       (--threads > 1 ingests through the owner-sharded engine — each
-       worker owns a contiguous slot range; requires the arena backend)
+       worker owns a contiguous slot range)
   gsketch query <snapshot> <src> <dst> [<src> <dst> ...] [--stream FILE]
       [--prefilter on|off]
       (--stream adds exact ground truth next to each estimate;
-       the snapshot's synopsis backend is detected automatically;
        --prefilter off bypasses the zero-frequency pre-filter, so
        absent keys report collision noise instead of exact zeros)
   gsketch query <snapshot> --workload FILE [--stream FILE] [--threads N] [--chunk N]
@@ -118,7 +116,7 @@ USAGE:
        start drawn over multiples of ALIGN, default SPAN — the windowed
        rows `query --snapshot`/`--window-span` replay)
   gsketch compare <stream-file> --memory SIZE [--queries N] [--depth D] [--seed S]
-      [--backend arena|countsketch] [--threads N]
+      [--threads N]
   gsketch adaptive <stream-file> --memory SIZE [--warmup N] [--queries N] [--seed S]
       [--threads N]
       (sample-free: the stream prefix replaces the data sample; the
@@ -245,49 +243,11 @@ fn cmd_stats<W: Write>(raw: &[String], out: &mut W) -> Result<(), CliError> {
     Ok(())
 }
 
-/// Which synopsis backend a CLI command should build on
-/// (`--backend`, DESIGN.md §2).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum Backend {
-    /// Contiguous counter slab (the default).
-    Arena,
-    /// Unbiased CountSketch estimates (ablation).
-    CountSketch,
-}
-
-impl Backend {
-    fn parse(a: &ParsedArgs) -> Result<Self, CliError> {
-        match a.get("backend").unwrap_or(CmArena::KIND) {
-            "arena" => Ok(Backend::Arena),
-            k if k == CmArena::KIND => Ok(Backend::Arena),
-            k if k == CountSketch::KIND => Ok(Backend::CountSketch),
-            other => Err(CliError::Args(ArgError(format!(
-                "unknown backend `{other}` (arena, countsketch)"
-            )))),
-        }
-    }
-
-    fn name(self) -> &'static str {
-        match self {
-            Backend::Arena => CmArena::KIND,
-            Backend::CountSketch => CountSketch::KIND,
-        }
-    }
-}
-
-/// Parse `--threads` (default 1, clamped to at least 1) and reject the
-/// combinations sharded ingest cannot serve: `ShardedIngest` splits the
-/// arena into owner-exclusive slices, so only the arena backend shards.
-fn parse_threads(a: &ParsedArgs, backend: Backend) -> Result<usize, CliError> {
-    let threads: usize = a.get_or("threads", 1)?;
-    if threads > 1 && backend != Backend::Arena {
-        return Err(CliError::Args(ArgError(format!(
-            "--threads {threads} needs the arena backend (sharded ingest gives each \
-             owner an exclusive slice of the counter arena); drop --backend {}",
-            backend.name()
-        ))));
-    }
-    Ok(threads.max(1))
+/// Parse `--threads` (default 1, clamped to at least 1). More than one
+/// thread ingests through the owner-sharded engine, which splits the
+/// counter arena into owner-exclusive slices.
+fn parse_threads(a: &ParsedArgs) -> Result<usize, CliError> {
+    Ok(a.get_or::<usize>("threads", 1)?.max(1))
 }
 
 fn cmd_build<W: Write>(raw: &[String], out: &mut W) -> Result<(), CliError> {
@@ -300,7 +260,6 @@ fn cmd_build<W: Write>(raw: &[String], out: &mut W) -> Result<(), CliError> {
             "depth",
             "min-width",
             "seed",
-            "backend",
             "threads",
         ],
     )?;
@@ -316,8 +275,7 @@ fn cmd_build<W: Write>(raw: &[String], out: &mut W) -> Result<(), CliError> {
     let depth: usize = a.get_or("depth", 1)?;
     let min_width: usize = a.get_or("min-width", 64)?;
     let seed: u64 = a.get_or("seed", 42)?;
-    let backend = Backend::parse(&a)?;
-    let threads = parse_threads(&a, backend)?;
+    let threads = parse_threads(&a)?;
     // The pipeline clamps its worker pool to available cores; report
     // what actually ran, not what was requested.
     let mut threads_used = 1usize;
@@ -335,39 +293,23 @@ fn cmd_build<W: Write>(raw: &[String], out: &mut W) -> Result<(), CliError> {
         .sample_rate(sample_frac)
         .seed(seed);
 
-    fn build_ingest_save<B: FrequencySketch>(
-        builder: GSketchBuilder,
-        sample: &[StreamEdge],
-        stream: &[StreamEdge],
-        path: &str,
-    ) -> Result<(usize, usize), CliError> {
-        let mut sketch: GSketch<B> = builder.build_from_sample_backend(sample).map_err(run_err)?;
+    let mut sketch = builder.build_from_sample(&sample).map_err(run_err)?;
+    if threads > 1 {
+        threads_used = ShardedIngest::new(&mut sketch, threads)
+            .run_slice(&stream)
+            .workers;
+    } else {
         // Batched ingest groups arrivals by partition slot for locality.
         for chunk in stream.chunks(1 << 16) {
             sketch.ingest_batch(chunk);
         }
-        save_gsketch(path, &sketch).map_err(run_err)?;
-        Ok((sketch.num_partitions(), sketch.bytes()))
     }
-
-    let (partitions, bytes) = match backend {
-        Backend::Arena if threads > 1 => {
-            let mut sketch = builder.build_from_sample(&sample).map_err(run_err)?;
-            threads_used = ShardedIngest::new(&mut sketch, threads)
-                .run_slice(&stream)
-                .workers;
-            save_gsketch(&snapshot_path, &sketch).map_err(run_err)?;
-            (sketch.num_partitions(), sketch.bytes())
-        }
-        Backend::Arena => build_ingest_save::<CmArena>(builder, &sample, &stream, &snapshot_path)?,
-        Backend::CountSketch => {
-            build_ingest_save::<CountSketch>(builder, &sample, &stream, &snapshot_path)?
-        }
-    };
+    save_gsketch(&snapshot_path, &sketch).map_err(run_err)?;
     writeln!(
         out,
-        "built {partitions} partitions ({} backend) over {bytes} bytes from a {}-edge sample; ingested {} arrivals over {threads_used} worker(s) ({threads} requested); snapshot: {snapshot_path}",
-        backend.name(),
+        "built {} partitions over {} bytes from a {}-edge sample; ingested {} arrivals over {threads_used} worker(s) ({threads} requested); snapshot: {snapshot_path}",
+        sketch.num_partitions(),
+        sketch.bytes(),
         sample.len(),
         stream.len(),
     )
@@ -446,123 +388,43 @@ fn cmd_snapshot<W: Write>(raw: &[String], out: &mut W) -> Result<(), CliError> {
     Ok(())
 }
 
-/// A snapshot restored with whichever backend it was built on.
-enum AnySnapshot {
-    Arena(Box<GSketch<CmArena>>),
-    CountSketch(Box<GSketch<CountSketch>>),
-}
-
-impl AnySnapshot {
-    /// Parse the snapshot envelope once, dispatch on its kind tag, and
-    /// decode the body exactly once under the matching backend. Unknown
-    /// kinds are rejected here, naming the kind found, the kinds this
-    /// command accepts, and the file — they must not fall through to a
-    /// backend decode whose error would blame the wrong layer.
-    fn load(path: &str) -> Result<Self, CliError> {
-        let raw = match gsketch::RawSnapshot::open(path) {
-            Ok(raw) => raw,
-            Err(e) => {
-                // A windowed snapshot is a line-oriented file the flat
-                // envelope parser cannot read; peeking its first line
-                // turns a parse error into a usable redirect.
-                if let Some(kind) = peek_windowed_kind(path) {
-                    return Err(CliError::Run(format!(
-                        "{path}: `{kind}` is a windowed snapshot; \
-                         query it with `query --snapshot {path}`"
-                    )));
-                }
-                return Err(CliError::Run(format!("{path}: {e}")));
+/// Restore a flat snapshot. A file of any other kind is rejected before
+/// its body decodes, naming the kind found, the kind expected and the
+/// file; a windowed snapshot gets a redirect to `query --snapshot`.
+fn load_snapshot(path: &str) -> Result<GSketch, CliError> {
+    let raw = match gsketch::RawSnapshot::open(path) {
+        Ok(raw) => raw,
+        Err(e) => {
+            // A windowed snapshot is a line-oriented file the flat
+            // envelope parser cannot read; peeking its first line turns
+            // a parse error into a usable redirect.
+            if let Some(kind) = peek_windowed_kind(path) {
+                return Err(CliError::Run(format!(
+                    "{path}: `{kind}` is a windowed snapshot; \
+                     query it with `query --snapshot {path}`"
+                )));
             }
-        };
-        let ctx = |e: gsketch::PersistError| CliError::Run(format!("{path}: {e}"));
-        match raw.kind() {
-            k if k == format!("gsketch:{}", CmArena::KIND) => Ok(AnySnapshot::Arena(Box::new(
-                raw.decode_gsketch().map_err(ctx)?,
-            ))),
-            k if k == format!("gsketch:{}", CountSketch::KIND) => Ok(AnySnapshot::CountSketch(
-                Box::new(raw.decode_gsketch().map_err(ctx)?),
-            )),
-            other => Err(CliError::Run(format!(
-                "{path}: unknown snapshot kind `{other}` (expected gsketch:{} or gsketch:{})",
-                CmArena::KIND,
-                CountSketch::KIND,
-            ))),
+            return Err(CliError::Run(format!("{path}: {e}")));
         }
-    }
-
-    /// Toggle read-side use of the zero-frequency pre-filter (the
-    /// `--prefilter` flag). A no-op on snapshots built without one.
-    fn set_prefilter(&mut self, on: bool) {
-        match self {
-            AnySnapshot::Arena(g) => g.set_prefilter(on),
-            AnySnapshot::CountSketch(g) => g.set_prefilter(on),
-        }
-    }
-
-    fn estimate_detailed(&self, edge: Edge) -> gsketch::Estimate {
-        match self {
-            AnySnapshot::Arena(g) => g.estimate_detailed(edge),
-            AnySnapshot::CountSketch(g) => g.estimate_detailed(edge),
-        }
-    }
-
-    /// Batched detailed queries: values plus per-slot confidence
-    /// intervals in one kernel pass (DESIGN.md §9).
-    fn estimate_detailed_batch(&self, edges: &[Edge], out: &mut Vec<gsketch::Estimate>) {
-        match self {
-            AnySnapshot::Arena(g) => g.estimate_detailed_batch(edges, out),
-            AnySnapshot::CountSketch(g) => g.estimate_detailed_batch(edges, out),
-        }
-    }
-
-    /// Answer a query batch through the batched engine, fanning out over
-    /// up to `threads` workers (clamped like every pool in the
-    /// workspace). Returns the worker count that actually served the
-    /// batch.
-    fn estimate_edges_parallel(&self, edges: &[Edge], threads: usize, out: &mut Vec<u64>) -> usize {
-        fn go<B: FrequencySketch>(
-            g: &GSketch<B>,
-            edges: &[Edge],
-            threads: usize,
-            out: &mut Vec<u64>,
-        ) -> usize
-        where
-            GSketch<B>: Sync,
-        {
-            let pq = ParallelQuery::new(g, threads);
-            let workers = pq.effective_threads();
-            pq.estimate_edges(edges, out);
-            workers
-        }
-        match self {
-            AnySnapshot::Arena(g) => go(g, edges, threads, out),
-            AnySnapshot::CountSketch(g) => go(g, edges, threads, out),
-        }
-    }
+    };
+    raw.decode_gsketch()
+        .map_err(|e| CliError::Run(format!("{path}: {e}")))
 }
 
-/// A restored snapshot answers like its underlying sketch, so the
-/// replay engine can front it directly.
-impl EdgeEstimator for AnySnapshot {
-    fn estimate_edge(&self, edge: Edge) -> u64 {
-        match self {
-            AnySnapshot::Arena(g) => g.estimate(edge),
-            AnySnapshot::CountSketch(g) => g.estimate(edge),
-        }
-    }
-
-    fn estimate_edges(&self, edges: &[Edge], out: &mut Vec<u64>) {
-        match self {
-            AnySnapshot::Arena(g) => g.estimate_batch(edges, out),
-            AnySnapshot::CountSketch(g) => g.estimate_batch(edges, out),
-        }
-    }
+/// Answer a query batch through the batched engine, fanning out over up
+/// to `threads` workers (clamped like every pool in the workspace).
+/// Returns the worker count that actually served the batch.
+fn estimate_parallel(
+    sketch: &GSketch,
+    edges: &[Edge],
+    threads: usize,
+    out: &mut Vec<u64>,
+) -> usize {
+    let pq = ParallelQuery::new(sketch, threads);
+    let workers = pq.effective_threads();
+    pq.estimate_edges(edges, out);
+    workers
 }
-
-/// A snapshot is read-only for the whole replay — no write ever reaches
-/// it, so the safe single-domain default (which would invalidate the
-/// whole memo on a write) is trivially correct.
-impl gsketch::WriteLocalized for AnySnapshot {}
 
 /// The kind tag of a windowed snapshot's envelope line, if `path` holds
 /// one. Used only to improve errors: flat and windowed snapshots are
@@ -586,9 +448,8 @@ fn peek_windowed_kind(path: &str) -> Option<String> {
 
 /// Restore a windowed snapshot fronted by the interval-keyed replay
 /// memo — optionally loading only the sealed windows overlapping
-/// `load_span` through the footer index. `snapshot` writes only the
-/// arena backend; the loader rejects any other windowed kind, naming
-/// both.
+/// `load_span` through the footer index. The loader rejects any other
+/// windowed kind, naming both.
 fn load_windowed_replay(
     path: &str,
     load_span: Option<(u64, u64)>,
@@ -600,9 +461,9 @@ fn load_windowed_replay(
         return match gsketch::RawSnapshot::open(path) {
             Ok(raw) => Err(CliError::Run(format!(
                 "{path}: `{}` is not a windowed snapshot (expected \
-                 gsketch-windowed:{}); query flat snapshots without --snapshot",
+                 {}); query flat snapshots without --snapshot",
                 raw.kind(),
-                CmArena::KIND,
+                gsketch::WINDOWED_KIND,
             ))),
             Err(e) => Err(CliError::Run(format!("{path}: {e}"))),
         };
@@ -638,7 +499,7 @@ fn parse_switch(a: &ParsedArgs, name: &str, default: bool) -> Result<bool, CliEr
 /// buffer).
 fn replay_workload<W: Write>(
     a: &ParsedArgs,
-    sketch: &AnySnapshot,
+    sketch: &GSketch,
     workload_path: &str,
     truth: Option<&ExactCounter>,
     out: &mut W,
@@ -709,11 +570,11 @@ fn replay_workload<W: Write>(
             // fan out over the worker pool as one batch.
             let mut miss_workers = workers;
             engine.estimate_edges_with(&buf, &mut ests, |miss, vals| {
-                miss_workers = sketch.estimate_edges_parallel(miss, threads, vals);
+                miss_workers = estimate_parallel(sketch, miss, threads, vals);
             });
             workers = miss_workers;
         } else {
-            workers = sketch.estimate_edges_parallel(&buf, threads, &mut ests);
+            workers = estimate_parallel(sketch, &buf, threads, &mut ests);
         }
         queries += buf.len() as u64;
         chunks += 1;
@@ -1190,7 +1051,7 @@ fn cmd_query<W: Write>(raw: &[String], out: &mut W) -> Result<(), CliError> {
             }
         }
     }
-    let mut sketch = AnySnapshot::load(snapshot_path)?;
+    let mut sketch = load_snapshot(snapshot_path)?;
     sketch.set_prefilter(parse_switch(&a, "prefilter", true)?);
     let sketch = sketch;
     let truth = match a.get("stream") {
@@ -1345,7 +1206,6 @@ fn cmd_compare<W: Write>(raw: &[String], out: &mut W) -> Result<(), CliError> {
             "depth",
             "seed",
             "sample-frac",
-            "backend",
             "threads",
         ],
     )?;
@@ -1355,8 +1215,7 @@ fn cmd_compare<W: Write>(raw: &[String], out: &mut W) -> Result<(), CliError> {
     let depth: usize = a.get_or("depth", 1)?;
     let seed: u64 = a.get_or("seed", 42)?;
     let sample_frac: f64 = a.get_or("sample-frac", 0.05)?;
-    let backend = Backend::parse(&a)?;
-    let threads = parse_threads(&a, backend)?;
+    let threads = parse_threads(&a)?;
 
     let stream = load_stream(stream_path).map_err(run_err)?;
     let truth = ExactCounter::from_stream(&stream);
@@ -1377,37 +1236,15 @@ fn cmd_compare<W: Write>(raw: &[String], out: &mut W) -> Result<(), CliError> {
 
     let queries = uniform_distinct_queries(&truth, n_queries, &mut rng);
 
-    fn eval_backend<B: FrequencySketch>(
-        builder: GSketchBuilder,
-        sample: &[StreamEdge],
-        stream: &[StreamEdge],
-        queries: &[Edge],
-        truth: &ExactCounter,
-    ) -> Result<(gsketch::Accuracy, usize), CliError> {
-        let mut gs: GSketch<B> = builder.build_from_sample_backend(sample).map_err(run_err)?;
+    let mut gs = builder.build_from_sample(&sample).map_err(run_err)?;
+    if threads > 1 {
+        ShardedIngest::new(&mut gs, threads).run_slice(&stream);
+    } else {
         for chunk in stream.chunks(1 << 16) {
             gs.ingest_batch(chunk);
         }
-        Ok((
-            evaluate_edge_queries(&gs, queries, truth, DEFAULT_G0),
-            gs.num_partitions(),
-        ))
     }
-
-    let (acc_gs, partitions) = match backend {
-        Backend::Arena if threads > 1 => {
-            let mut gs = builder.build_from_sample(&sample).map_err(run_err)?;
-            ShardedIngest::new(&mut gs, threads).run_slice(&stream);
-            (
-                evaluate_edge_queries(&gs, &queries, &truth, DEFAULT_G0),
-                gs.num_partitions(),
-            )
-        }
-        Backend::Arena => eval_backend::<CmArena>(builder, &sample, &stream, &queries, &truth)?,
-        Backend::CountSketch => {
-            eval_backend::<CountSketch>(builder, &sample, &stream, &queries, &truth)?
-        }
-    };
+    let acc_gs = evaluate_edge_queries(&gs, &queries, &truth, DEFAULT_G0);
     let acc_gl = evaluate_edge_queries(&gl, &queries, &truth, DEFAULT_G0);
     writeln!(
         out,
@@ -1417,12 +1254,11 @@ fn cmd_compare<W: Write>(raw: &[String], out: &mut W) -> Result<(), CliError> {
     .map_err(run_err)?;
     writeln!(
         out,
-        "gSketch: avg rel err {:.3}, effective {} / {}  ({} partitions, {} backend)",
+        "gSketch: avg rel err {:.3}, effective {} / {}  ({} partitions)",
         acc_gs.avg_relative_error,
         acc_gs.effective_queries,
         acc_gs.total_queries,
-        partitions,
-        backend.name(),
+        gs.num_partitions(),
     )
     .map_err(run_err)?;
     writeln!(
@@ -2238,8 +2074,8 @@ mod tests {
     }
 
     #[test]
-    fn build_query_round_trips_every_backend() {
-        let stream = tmp("backends.txt");
+    fn build_query_round_trips() {
+        let stream = tmp("round_trip.txt");
         run(&[
             "generate",
             "smallworld",
@@ -2251,59 +2087,21 @@ mod tests {
             "100",
         ])
         .unwrap();
-        for backend in ["arena", "countsketch"] {
-            let snap = tmp(&format!("backends.{backend}.json"));
-            let built = run(&[
-                "build",
-                &stream,
-                "--memory",
-                "64K",
-                "--out",
-                &snap,
-                "--sample-frac",
-                "0.2",
-                "--backend",
-                backend,
-            ])
-            .unwrap();
-            let tag = if backend == "arena" {
-                "cm-arena"
-            } else {
-                backend
-            };
-            assert!(built.contains(tag), "{backend}: {built}");
-            // Query auto-detects the snapshot's backend.
-            let q = run(&["query", &snap, "0", "1", "--stream", &stream]).unwrap();
-            assert!(q.contains("estimate"), "{backend}: {q}");
-        }
-    }
-
-    #[test]
-    fn compare_accepts_backend_flag() {
-        let stream = tmp("compare_backend.txt");
-        run(&[
-            "generate",
-            "smallworld",
-            "--out",
-            &stream,
-            "--arrivals",
-            "10000",
-            "--vertices",
-            "100",
-        ])
-        .unwrap();
-        let text = run(&[
-            "compare",
+        let snap = tmp("round_trip.json");
+        let built = run(&[
+            "build",
             &stream,
             "--memory",
-            "16K",
-            "--queries",
-            "500",
-            "--backend",
-            "countsketch",
+            "64K",
+            "--out",
+            &snap,
+            "--sample-frac",
+            "0.2",
         ])
         .unwrap();
-        assert!(text.contains("countsketch backend"));
+        assert!(built.contains("partitions over"), "{built}");
+        let q = run(&["query", &snap, "0", "1", "--stream", &stream]).unwrap();
+        assert!(q.contains("estimate"), "{q}");
     }
 
     #[test]
@@ -2375,38 +2173,17 @@ mod tests {
         assert!(text.contains("gain"));
     }
 
+    /// There is one synopsis, so `--backend` is an unknown option on
+    /// both commands that used to take it.
     #[test]
-    fn threads_require_arena_backend() {
-        let e = run(&[
-            "build",
-            "x.txt",
-            "--memory",
-            "64K",
-            "--out",
-            "y.json",
-            "--backend",
-            "countsketch",
-            "--threads",
-            "4",
-        ])
-        .unwrap_err();
-        assert!(e.to_string().contains("arena"), "{e}");
-    }
-
-    #[test]
-    fn unknown_backend_rejected() {
-        let e = run(&[
-            "build",
-            "x.txt",
-            "--memory",
-            "64K",
-            "--out",
-            "y.json",
-            "--backend",
-            "bogus",
-        ])
-        .unwrap_err();
-        assert!(e.to_string().contains("bogus"));
+    fn backend_flag_is_gone() {
+        let build = ["build", "x.txt", "--memory", "64K", "--out", "y.json"];
+        let compare = ["compare", "x.txt", "--memory", "64K"];
+        for args in [&build[..], &compare[..]] {
+            let args: Vec<&str> = args.iter().copied().chain(["--backend", "arena"]).collect();
+            let e = run(&args).unwrap_err();
+            assert!(e.to_string().contains("unknown option `--backend`"), "{e}");
+        }
     }
 
     #[test]
@@ -2725,40 +2502,42 @@ mod tests {
         let e = run(&["query", &bogus, "0", "1"]).unwrap_err();
         let msg = e.to_string();
         assert!(msg.contains("gsketch:bogus"), "{msg}");
-        assert!(msg.contains("expected gsketch:cm-arena"), "{msg}");
+        assert!(msg.contains("expected `gsketch:cm-arena`"), "{msg}");
         assert!(msg.contains("snap_kinds.bogus.json"), "{msg}");
-        // Retired flat kind: a library-built per-partition CountMin
-        // snapshot is an unknown kind to the CLI.
-        let edges = gstream::load_stream(&stream).unwrap();
-        let countmin = tmp("snap_kinds.countmin.json");
-        let g: GSketch<gsketch::CountMinSketch> = GSketch::builder()
-            .memory_bytes(16 << 10)
-            .build_from_sample_backend(&edges[..500])
-            .unwrap();
-        save_gsketch(&countmin, &g).unwrap();
-        let e = run(&["query", &countmin, "0", "1"]).unwrap_err();
-        let msg = e.to_string();
-        assert!(msg.contains("gsketch:countmin"), "{msg}");
-        assert!(msg.contains("snap_kinds.countmin.json"), "{msg}");
-        // Retired windowed kind: the loader names found and expected.
+        // Fresh snapshots carry exactly the arena kind tags.
+        let flat_text = std::fs::read_to_string(&flat).unwrap();
+        let wsnap_text = std::fs::read_to_string(&wsnap).unwrap();
+        let tag = |kind: &str| format!("\"kind\":\"{kind}\"");
+        assert!(flat_text.contains(&tag("gsketch:cm-arena")));
+        assert!(wsnap_text
+            .lines()
+            .next()
+            .unwrap()
+            .contains(&tag("gsketch-windowed:cm-arena")));
+        // Retired kinds: a real snapshot whose tag names a deleted
+        // layout is refused by kind, naming the kind found and the file.
+        for retired in ["gsketch:countmin", "gsketch:countsketch"] {
+            let path = tmp(&format!("snap_kinds.{retired}.json"));
+            let text = flat_text.replacen(&tag("gsketch:cm-arena"), &tag(retired), 1);
+            std::fs::write(&path, text).unwrap();
+            let e = run(&["query", &path, "0", "1"]).unwrap_err();
+            let msg = e.to_string();
+            assert!(msg.contains(retired), "{msg}");
+            assert!(msg.contains("expected `gsketch:cm-arena`"), "{msg}");
+            assert!(msg.contains(&path), "{msg}");
+        }
         let wcs = tmp("snap_kinds.wcs.json");
-        let _ = std::fs::remove_file(&wcs);
-        let mut w = WindowedGSketch::<CountSketch>::new_backend(
-            WindowConfig {
-                span: 1000,
-                memory_bytes_per_window: 16 << 10,
-                sample_capacity: 256,
-                seed: 42,
-            },
-            GSketch::builder().min_width(64),
-        )
-        .unwrap();
-        w.ingest(&edges);
-        save_windowed(&wcs, &w).unwrap();
+        let text = wsnap_text.replacen(
+            &tag("gsketch-windowed:cm-arena"),
+            &tag("gsketch-windowed:countsketch"),
+            1,
+        );
+        std::fs::write(&wcs, text).unwrap();
         let e = run(&["query", "--snapshot", &wcs, "0", "1"]).unwrap_err();
         let msg = e.to_string();
         assert!(msg.contains("gsketch-windowed:countsketch"), "{msg}");
         assert!(msg.contains("gsketch-windowed:cm-arena"), "{msg}");
+        assert!(msg.contains(&wcs), "{msg}");
         // Snapshot-only flags are rejected outside --snapshot.
         let e = run(&["query", &flat, "0", "1", "--t-start", "5"]).unwrap_err();
         assert!(e.to_string().contains("--snapshot"), "{e}");

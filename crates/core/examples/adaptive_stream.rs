@@ -2,7 +2,7 @@
 //! the stream prefix — no pre-collected data sample required (the §7
 //! future-work scenario).
 //!
-//! Run with: `cargo run --release -p gsketch --example adaptive_stream`
+//! Run with: `cargo run --release -p gsketch-core --example adaptive_stream`
 
 use gsketch::adaptive::Phase;
 use gsketch::{AdaptiveConfig, AdaptiveGSketch, EdgeSink, GlobalSketch};

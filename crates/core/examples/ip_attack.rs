@@ -4,7 +4,7 @@
 //! the outlier sketch: IPs never seen in the data sample still get
 //! estimates.
 //!
-//! Run with: `cargo run --release -p gsketch --example ip_attack`
+//! Run with: `cargo run --release -p gsketch-core --example ip_attack`
 
 use gsketch::{evaluate_edge_queries, EdgeSink, GSketch, GlobalSketch, SketchId, DEFAULT_G0};
 use gstream::gen::{ipattack, IpAttackConfig};

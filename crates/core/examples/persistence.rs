@@ -1,7 +1,7 @@
 //! Persistence: snapshot a live gSketch to disk and restore it in a
 //! "new process", with estimates and routing intact.
 //!
-//! Run with: `cargo run --release -p gsketch --example persistence`
+//! Run with: `cargo run --release -p gsketch-core --example persistence`
 
 use gsketch::{load_gsketch, save_gsketch, EdgeSink, GSketch};
 use gstream::gen::{SmallWorldConfig, SmallWorldGenerator};

@@ -1,7 +1,7 @@
 //! Quickstart: build a gSketch from a data sample, stream edges through
 //! it, and answer edge + subgraph queries.
 //!
-//! Run with: `cargo run --release -p gsketch --example quickstart`
+//! Run with: `cargo run --release -p gsketch-core --example quickstart`
 
 use gsketch::{estimate_subgraph, Aggregator, EdgeSink, GSketch, GlobalSketch};
 use gstream::workload::SubgraphQuery;

@@ -3,7 +3,7 @@
 //! DBLP-like co-authorship stream, comparing gSketch with the Global
 //! Sketch baseline at a tight memory budget.
 //!
-//! Run with: `cargo run --release -p gsketch --example social_network`
+//! Run with: `cargo run --release -p gsketch-core --example social_network`
 
 use gsketch::{
     evaluate_edge_queries, evaluate_subgraph_queries, Aggregator, EdgeSink, GSketch, GlobalSketch,

@@ -3,7 +3,7 @@
 //! partitioning of every window is driven by a reservoir sample of the
 //! previous one. Interval queries extrapolate across overlapping windows.
 //!
-//! Run with: `cargo run --release -p gsketch --example time_windows`
+//! Run with: `cargo run --release -p gsketch-core --example time_windows`
 
 use gsketch::{GSketch, WindowConfig, WindowedGSketch};
 use gstream::{Edge, StreamEdge};

@@ -293,14 +293,13 @@ impl AdaptiveGSketch {
     }
 
     /// Batched [`estimate`](Self::estimate): the warm-up component is
-    /// answered as one key run and (after switchover) the partitioned
+    /// answered key by key and (after switchover) the partitioned
     /// component as one batch, then the two are summed per
     /// query. `out` is overwritten with one estimate per edge, in query
     /// order; bit-identical to the scalar path.
     pub fn estimate_batch(&self, edges: &[Edge], out: &mut Vec<u64>) {
-        use sketch::FrequencySketch;
-        let keys: Vec<u64> = edges.iter().map(|e| e.key()).collect();
-        self.warmup.estimate_batch(&keys, out);
+        out.clear();
+        out.extend(edges.iter().map(|e| self.warmup.estimate(e.key())));
         if let State::Partitioned(gs) = &self.state {
             let mut tail = Vec::with_capacity(edges.len());
             gs.estimate_batch(edges, &mut tail);

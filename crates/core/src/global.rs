@@ -30,16 +30,13 @@ impl GlobalSketch {
         self.inner.estimate(edge.key())
     }
 
-    /// Answer a whole query batch. One sketch means no routing — the
-    /// keys are mixed once and handed to the synopsis in a single run
-    /// (a plain scalar pass for the CountMin backend; the baseline has
-    /// no arena to batch into, which is exactly what the batched-vs-
-    /// scalar bench rows measure against). `out` is overwritten with one
-    /// estimate per edge, in query order.
+    /// Answer a whole query batch. One sketch means no routing, and the
+    /// baseline has no arena to batch into — a plain scalar pass, which
+    /// is exactly what the batched-vs-scalar bench rows measure against.
+    /// `out` is overwritten with one estimate per edge, in query order.
     pub fn estimate_batch(&self, edges: &[Edge], out: &mut Vec<u64>) {
-        use sketch::FrequencySketch;
-        let keys: Vec<u64> = edges.iter().map(|e| e.key()).collect();
-        self.inner.estimate_batch(&keys, out);
+        out.clear();
+        out.extend(edges.iter().map(|e| self.inner.estimate(e.key())));
     }
 
     /// Counter memory in bytes.

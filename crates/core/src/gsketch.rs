@@ -1,17 +1,12 @@
 //! The gSketch structure: a set of localized frequency sketches plus an
 //! outlier sketch, built by sample-driven partitioning (§4–§5).
 //!
-//! Since the arena refactor (DESIGN.md §2) the synopsis storage is
-//! pluggable: [`GSketch<B>`] is generic over a
-//! [`FrequencySketch`] backend and stores all
-//! slots in that backend's [`SketchBank`]. The default backend is
-//! [`CmArena`] — every partition's counters plus the
-//! outlier's in one contiguous slab with a single shared per-row hash
-//! family — and the classic one-allocation-per-partition CountMin layout
-//! remains available as `GSketch<CountMinSketch>`. Both layouts produce
-//! **bit-identical estimates** at equal build parameters (the
-//! `backend_parity` proptests pin this), so the choice is purely about
-//! memory behaviour.
+//! Every slot lives in one [`CmArena`] (DESIGN.md §2): each partition's
+//! CountMin counters plus the outlier's in one contiguous slab with a
+//! single shared per-row hash family. The arena answers bit-identically
+//! to one standalone CountMin sketch per slot of the same widths and
+//! seed (the `backend_parity` proptests pin this against such a model),
+//! so every estimate keeps CountMin's one-sided `e·N_i/w_i` bound.
 
 use crate::partition::{partition, Objective, PartitionConfig, PartitionPlan, WidthAllocation};
 use crate::pipeline::OwnerShare;
@@ -19,7 +14,7 @@ use crate::router::{OwnerMap, Router, SketchId};
 use crate::vstats::SampleStats;
 use gstream::edge::{Edge, StreamEdge};
 use serde::{Deserialize, Serialize};
-use sketch::{BlockedBloom, CmArena, CountMinSketch, FrequencySketch, SketchBank, SketchError};
+use sketch::{BlockedBloom, CmArena, CountMinSketch, SketchError};
 
 /// Fraction of the memory budget carved out for the zero-frequency
 /// pre-filter (DESIGN.md §12): `1/PREFILTER_SHARE` of `memory_bytes`.
@@ -58,7 +53,6 @@ pub struct GSketchBuilder {
     redistribute: bool,
     sample_rate: f64,
     allocation: WidthAllocation,
-    outlier_profile: Option<(u64, u64)>,
     prefilter: bool,
     seed: u64,
     width_quantum: usize,
@@ -75,7 +69,6 @@ impl Default for GSketchBuilder {
             redistribute: true,
             sample_rate: 1.0,
             allocation: WidthAllocation::Optimal,
-            outlier_profile: None,
             prefilter: true,
             seed: 0x6_5EED,
             width_quantum: 1,
@@ -97,13 +90,6 @@ impl GSketchBuilder {
     #[must_use]
     pub fn depth(mut self, depth: usize) -> Self {
         self.depth = depth;
-        self
-    }
-
-    /// Set the depth from a failure probability: `d = ⌈ln 1/δ⌉`.
-    #[must_use]
-    pub fn delta(mut self, delta: f64) -> Self {
-        self.depth = CountMinSketch::depth_for_delta(delta).unwrap_or(3);
         self
     }
 
@@ -154,27 +140,6 @@ impl GSketchBuilder {
         self
     }
 
-    /// Expected `(frequency mass, error factor)` of the traffic that
-    /// will route to the outlier sketch (vertices absent from the data
-    /// sample). When provided — e.g. from an online coverage probe — the
-    /// outlier sketch is sized by the same optimal `√(F̃·A)` rule as the
-    /// partitions instead of the fixed
-    /// [`outlier_fraction`](Self::outlier_fraction). Only honoured under
-    /// [`WidthAllocation::Optimal`].
-    ///
-    /// **Units.** Leaf scores are built from sample-*conditioned* vertex
-    /// statistics: a vertex enters the statistics only once sampled, so
-    /// its extrapolated `f̃v` is at least `1/sample_rate`. For the width
-    /// contest to be apples-to-apples, quote the outlier's profile in
-    /// the same currency: `uncovered_vertices / sample_rate` for both
-    /// components is the estimate consistent with how an uncovered
-    /// vertex *would* have scored had it been sampled once.
-    #[must_use]
-    pub fn outlier_profile(mut self, freq_mass: u64, degree_mass: u64) -> Self {
-        self.outlier_profile = Some((freq_mass, degree_mass));
-        self
-    }
-
     /// Final width assignment policy
     /// ([`WidthAllocation::Optimal`] by default; `EqualSplit` is the
     /// paper's literal halving scheme, kept for the ablation bench).
@@ -221,14 +186,6 @@ impl GSketchBuilder {
 
     /// Scenario 1 (§4.1): partition using a data sample only.
     pub fn build_from_sample(self, data_sample: &[StreamEdge]) -> Result<GSketch, SketchError> {
-        self.build_from_sample_backend::<CmArena>(data_sample)
-    }
-
-    /// [`Self::build_from_sample`] with an explicit synopsis backend.
-    pub fn build_from_sample_backend<B: FrequencySketch>(
-        self,
-        data_sample: &[StreamEdge],
-    ) -> Result<GSketch<B>, SketchError> {
         let stats = SampleStats::from_data_sample(data_sample);
         self.build(stats, Objective::DataOnly, None)
     }
@@ -238,14 +195,6 @@ impl GSketchBuilder {
     /// ([`crate::adaptive`]), whose warm-up phase accumulates the
     /// statistics online; it uses the scenario-1 objective (Eq. 9).
     pub fn build_from_stats(self, stats: SampleStats) -> Result<GSketch, SketchError> {
-        self.build_from_stats_backend::<CmArena>(stats)
-    }
-
-    /// [`Self::build_from_stats`] with an explicit synopsis backend.
-    pub fn build_from_stats_backend<B: FrequencySketch>(
-        self,
-        stats: SampleStats,
-    ) -> Result<GSketch<B>, SketchError> {
         self.build(stats, Objective::DataOnly, None)
     }
 
@@ -256,15 +205,6 @@ impl GSketchBuilder {
         data_sample: &[StreamEdge],
         workload_sample: &[Edge],
     ) -> Result<GSketch, SketchError> {
-        self.build_with_workload_backend::<CmArena>(data_sample, workload_sample)
-    }
-
-    /// [`Self::build_with_workload`] with an explicit synopsis backend.
-    pub fn build_with_workload_backend<B: FrequencySketch>(
-        self,
-        data_sample: &[StreamEdge],
-        workload_sample: &[Edge],
-    ) -> Result<GSketch<B>, SketchError> {
         let stats = SampleStats::from_samples(data_sample, workload_sample);
         self.build(stats, Objective::DataWorkload, None)
     }
@@ -284,47 +224,16 @@ impl GSketchBuilder {
         data_sample: &[StreamEdge],
         probe: &[StreamEdge],
     ) -> Result<GSketch, SketchError> {
-        self.build_from_sample_calibrated_backend::<CmArena>(data_sample, probe)
-    }
-
-    /// [`Self::build_from_sample_calibrated`] with an explicit backend.
-    pub fn build_from_sample_calibrated_backend<B: FrequencySketch>(
-        self,
-        data_sample: &[StreamEdge],
-        probe: &[StreamEdge],
-    ) -> Result<GSketch<B>, SketchError> {
         let stats = SampleStats::from_data_sample(data_sample);
         self.build(stats, Objective::DataOnly, Some(probe))
     }
 
-    /// Scenario 2 with a calibration probe
-    /// (see [`Self::build_from_sample_calibrated`]).
-    pub fn build_with_workload_calibrated(
-        self,
-        data_sample: &[StreamEdge],
-        workload_sample: &[Edge],
-        probe: &[StreamEdge],
-    ) -> Result<GSketch, SketchError> {
-        self.build_with_workload_calibrated_backend::<CmArena>(data_sample, workload_sample, probe)
-    }
-
-    /// [`Self::build_with_workload_calibrated`] with an explicit backend.
-    pub fn build_with_workload_calibrated_backend<B: FrequencySketch>(
-        self,
-        data_sample: &[StreamEdge],
-        workload_sample: &[Edge],
-        probe: &[StreamEdge],
-    ) -> Result<GSketch<B>, SketchError> {
-        let stats = SampleStats::from_samples(data_sample, workload_sample);
-        self.build(stats, Objective::DataWorkload, Some(probe))
-    }
-
-    fn build<B: FrequencySketch>(
+    fn build(
         self,
         mut stats: SampleStats,
         objective: Objective,
         probe: Option<&[StreamEdge]>,
-    ) -> Result<GSketch<B>, SketchError> {
+    ) -> Result<GSketch, SketchError> {
         if !(0.0..1.0).contains(&self.outlier_fraction) {
             return Err(SketchError::InvalidAccuracy {
                 what: "outlier_fraction",
@@ -358,56 +267,25 @@ impl GSketchBuilder {
             }
         }
 
-        let (plan, outlier_width) = match (self.outlier_profile, self.allocation) {
-            (Some((f_out, d_out)), WidthAllocation::Optimal) => {
-                // The outlier sketch competes for width as a pseudo-leaf
-                // under the same √(F̃·A) rule as every partition.
-                let mut pcfg = PartitionConfig::new(total_width);
-                pcfg.min_width = self.min_width.min(total_width).max(2);
-                pcfg.collision_factor = self.collision_factor;
-                pcfg.objective = objective;
-                pcfg.redistribute = self.redistribute;
-                pcfg.allocation = self.allocation;
-                let mut plan = partition(&stats, &pcfg);
-                let ow = crate::partition::outlier_share(&plan, total_width, f_out, d_out);
-                // Rescale the leaves into the width the outlier left over.
-                let remaining = total_width.saturating_sub(ow).max(2);
-                let used: usize = plan.leaves.iter().map(|l| l.width).sum();
-                if used > 0 {
-                    let scale = remaining as f64 / used as f64;
-                    for leaf in &mut plan.leaves {
-                        // cast: f64 -> usize truncation; scale <= 1 shrinks each width, and
-                        // `.max(2)` keeps the result a legal sketch width.
-                        leaf.width = ((leaf.width as f64 * scale) as usize).max(2);
-                    }
-                }
-                let ow = if plan.is_empty() { total_width } else { ow };
-                (plan, ow)
-            }
-            _ => {
-                // cast: f64 -> usize truncation; outlier_fraction is validated in
-                // (0, 1), so the product is below total_width.
-                let outlier_width = ((total_width as f64 * self.outlier_fraction) as usize).max(2);
-                let partition_width = total_width - outlier_width;
-                let mut pcfg = PartitionConfig::new(partition_width.max(2));
-                pcfg.min_width = self.min_width.min(partition_width.max(2)).max(2);
-                pcfg.collision_factor = self.collision_factor;
-                pcfg.objective = objective;
-                pcfg.redistribute = self.redistribute;
-                pcfg.allocation = self.allocation;
-                let plan = partition(&stats, &pcfg);
-                // Width the partitions did not claim (all-leaves-shrunk
-                // case, or rounding) flows to the outlier sketch:
-                // unsampled vertices get the benefit and the byte budget
-                // is never silently wasted.
-                let unclaimed = partition_width.saturating_sub(plan.total_width());
-                let outlier_width = if plan.is_empty() {
-                    total_width
-                } else {
-                    outlier_width + unclaimed
-                };
-                (plan, outlier_width)
-            }
+        // cast: f64 -> usize truncation; outlier_fraction is validated in
+        // [0, 1), so the product is below total_width.
+        let outlier_width = ((total_width as f64 * self.outlier_fraction) as usize).max(2);
+        let partition_width = total_width - outlier_width;
+        let mut pcfg = PartitionConfig::new(partition_width.max(2));
+        pcfg.min_width = self.min_width.min(partition_width.max(2)).max(2);
+        pcfg.collision_factor = self.collision_factor;
+        pcfg.objective = objective;
+        pcfg.redistribute = self.redistribute;
+        pcfg.allocation = self.allocation;
+        let plan = partition(&stats, &pcfg);
+        // Width the partitions did not claim (all-leaves-shrunk case, or
+        // rounding) flows to the outlier sketch: unsampled vertices get
+        // the benefit and the byte budget is never silently wasted.
+        let unclaimed = partition_width.saturating_sub(plan.total_width());
+        let outlier_width = if plan.is_empty() {
+            total_width
+        } else {
+            outlier_width + unclaimed
         };
 
         self.materialize(plan, outlier_width, None)
@@ -439,12 +317,12 @@ impl GSketchBuilder {
     /// slot layout, proportionally to slot widths, within the reserved
     /// byte carve. A budget too small to give every slot its one-block
     /// floor skips the filter rather than overshooting `memory_bytes`.
-    fn materialize<B: FrequencySketch>(
+    fn materialize(
         self,
         plan: PartitionPlan,
         outlier_width: usize,
         router: Option<Router>,
-    ) -> Result<GSketch<B>, SketchError> {
+    ) -> Result<GSketch, SketchError> {
         let q = self.width_quantum.max(1);
         let widths: Vec<usize> = plan
             .leaves
@@ -455,7 +333,7 @@ impl GSketchBuilder {
             // `width_quantum`); `q == 1` is the identity.
             .map(|w| (w / q).max(1) * q)
             .collect();
-        let bank = B::Bank::build(&widths, self.depth, self.seed)?;
+        let bank = CmArena::with_slots(&widths, self.depth, self.seed)?;
         let router = router.unwrap_or_else(|| Router::from_plan(&plan));
         let filter = if self.prefilter {
             BlockedBloom::for_widths(&widths, self.filter_budget(), self.seed)
@@ -474,13 +352,13 @@ impl GSketchBuilder {
 }
 
 impl GSketchBuilder {
-    fn build_calibrated<B: FrequencySketch>(
+    fn build_calibrated(
         self,
         stats: SampleStats,
         objective: Objective,
         probe: &[StreamEdge],
         total_width: usize,
-    ) -> Result<GSketch<B>, SketchError> {
+    ) -> Result<GSketch, SketchError> {
         use gstream::fxhash::FxHashSet;
 
         let mut pcfg = PartitionConfig::new(total_width);
@@ -534,8 +412,8 @@ impl GSketchBuilder {
 /// different depending upon the sketches that they are assigned to").
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Estimate {
-    /// The estimated frequency (never below the true frequency, w.h.p.
-    /// exactly per Equation 1, for the CountMin-family backends).
+    /// The estimated frequency: never below the true frequency, and
+    /// within `error_bound` of it w.h.p. (Equation 1).
     pub value: u64,
     /// Additive error bound `e·N_i/w_i` of the answering sketch.
     pub error_bound: f64,
@@ -546,15 +424,12 @@ pub struct Estimate {
 }
 
 /// The gSketch synopsis: partitioned localized sketches plus an outlier
-/// sketch in one [`SketchBank`], with a vertex router deciding placement.
-///
-/// Generic over the synopsis backend `B`; the default [`CmArena`] stores
-/// every slot in one contiguous counter slab (see the module docs).
+/// sketch in one [`CmArena`], with a vertex router deciding placement.
 #[derive(Debug, Clone)]
-pub struct GSketch<B: FrequencySketch = CmArena> {
+pub struct GSketch {
     /// Slot `i < num_partitions` is partition `i`; the last slot is the
     /// outlier sketch (the router uses the same convention).
-    bank: B::Bank,
+    bank: CmArena,
     router: Router,
     plan: PartitionPlan,
     depth: usize,
@@ -567,10 +442,9 @@ pub struct GSketch<B: FrequencySketch = CmArena> {
     filter_reads: bool,
 }
 
-// The vendored serde derive cannot express the `B::Bank: Serialize`
-// bound, so the impls are written out; they mirror what the derive would
-// generate for the four fields.
-impl<B: FrequencySketch> serde::Serialize for GSketch<B> {
+// Written out instead of derived: the filter key is optional, and a
+// decode checks that the independently decoded fields agree in shape.
+impl serde::Serialize for GSketch {
     fn to_value(&self) -> serde::Value {
         let mut fields = vec![
             ("bank".to_owned(), self.bank.to_value()),
@@ -588,7 +462,7 @@ impl<B: FrequencySketch> serde::Serialize for GSketch<B> {
     }
 }
 
-impl<B: FrequencySketch> serde::Deserialize for GSketch<B> {
+impl serde::Deserialize for GSketch {
     fn from_value(v: &serde::Value) -> Result<Self, serde::Error> {
         let filter = match serde::value_field(v, "filter") {
             Ok(fv) => Some(serde::Deserialize::from_value(fv)?),
@@ -634,8 +508,7 @@ impl<B: FrequencySketch> serde::Deserialize for GSketch<B> {
 }
 
 impl GSketch {
-    /// Start building a gSketch (arena backend by default; pick another
-    /// with the builder's `*_backend` methods).
+    /// Start building a gSketch.
     pub fn builder() -> GSketchBuilder {
         GSketchBuilder::default()
     }
@@ -645,7 +518,7 @@ impl GSketch {
 /// disjoint, so the router slot is a sound invalidation domain for the
 /// replay engine: a write to slot `s` can only move estimates of edges
 /// whose source routes to `s`.
-impl<B: FrequencySketch> crate::replay::WriteLocalized for GSketch<B> {
+impl crate::replay::WriteLocalized for GSketch {
     fn write_domains(&self) -> usize {
         self.bank.num_slots()
     }
@@ -659,7 +532,7 @@ impl<B: FrequencySketch> crate::replay::WriteLocalized for GSketch<B> {
 /// The routing view the owner-sharded engine shares between writes and
 /// reads (DESIGN.md §11): the slot-routed parallel query groups a miss
 /// batch by these slots so each owner answers only its own arena slice.
-impl<B: FrequencySketch> crate::sink::SlotRouted for GSketch<B> {
+impl crate::sink::SlotRouted for GSketch {
     fn num_slots(&self) -> usize {
         self.bank.num_slots()
     }
@@ -677,7 +550,7 @@ impl<B: FrequencySketch> crate::sink::SlotRouted for GSketch<B> {
 /// time instead of hopping across the whole synopsis (the arena's
 /// contiguous layout turns that into cache-line reuse). Estimates are
 /// identical either way — counters are commutative.
-impl<B: FrequencySketch> crate::EdgeSink for GSketch<B> {
+impl crate::EdgeSink for GSketch {
     #[inline]
     fn update(&mut self, se: StreamEdge) {
         let slot = self.router.slot(se.edge.src);
@@ -685,7 +558,7 @@ impl<B: FrequencySketch> crate::EdgeSink for GSketch<B> {
         if let Some(f) = &mut self.filter {
             f.insert(slot, key);
         }
-        self.bank.update(slot, key, se.weight);
+        self.bank.update_slot(slot, key, se.weight);
     }
 
     fn ingest_batch(&mut self, batch: &[StreamEdge]) {
@@ -720,13 +593,13 @@ impl<B: FrequencySketch> crate::EdgeSink for GSketch<B> {
                 if let Some(f) = &mut self.filter {
                     f.insert_run(slot as u32, run);
                 }
-                self.bank.add_batch(slot as u32, run);
+                self.bank.add_batch_saturating(slot as u32, run);
             }
         }
     }
 }
 
-impl<B: FrequencySketch> GSketch<B> {
+impl GSketch {
     /// The active read-side filter, if any.
     #[inline]
     fn read_filter(&self) -> Option<&BlockedBloom> {
@@ -750,7 +623,7 @@ impl<B: FrequencySketch> GSketch<B> {
                 return 0;
             }
         }
-        self.bank.estimate(slot, key)
+        self.bank.estimate_slot(slot, key)
     }
 
     /// Answer a whole query batch in query order. The batch is walked in
@@ -804,9 +677,7 @@ impl<B: FrequencySketch> GSketch<B> {
     }
 
     /// Estimate with the answering sketch's error bound and confidence
-    /// (the CountMin attributes of Equation 1; for a `CountSketch`
-    /// backend the bound is the conservative L1 form, not the tighter L2
-    /// bound that backend actually obeys).
+    /// (the CountMin attributes of Equation 1).
     /// A key the pre-filter proves absent reports value `0` with error
     /// bound `0.0` — the answer is exact, not a one-sided estimate —
     /// while keeping the answering slot's confidence and identity.
@@ -824,7 +695,7 @@ impl<B: FrequencySketch> GSketch<B> {
             }
         }
         Estimate {
-            value: self.bank.estimate(slot, key),
+            value: self.bank.estimate_slot(slot, key),
             error_bound: self.bank.slot_error_bound(slot),
             confidence: self.bank.confidence(),
             sketch: self.router.id_of_slot(slot),
@@ -842,6 +713,7 @@ impl<B: FrequencySketch> GSketch<B> {
     /// *and* confidence intervals, so workload replay reports both
     /// without re-probing the synopsis. Rows are bit-identical to the
     /// scalar [`estimate_detailed`](Self::estimate_detailed) per edge.
+    #[inline]
     pub fn estimate_detailed_batch(&self, edges: &[Edge], out: &mut Vec<Estimate>) {
         let confidence = self.bank.confidence();
         let bounds: Vec<f64> = (0..self.bank.num_slots())
@@ -943,50 +815,8 @@ impl<B: FrequencySketch> GSketch<B> {
             .collect()
     }
 
-    /// Merge another gSketch into this one (cell-wise), enabling
-    /// *distributed ingest*: clone one built (empty) sketch to `k`
-    /// workers, split the stream arbitrarily among them, and merge the
-    /// results — the counters are linear, so the merged sketch is
-    /// bit-identical to one that ingested the whole stream serially.
-    ///
-    /// Both sketches must come from the same build (identical slot
-    /// layout, seed, and routing); anything else is rejected before any
-    /// counter is touched, because merging differently-partitioned
-    /// sketches would silently mix unrelated counters.
-    pub fn merge(&mut self, other: &Self) -> Result<(), SketchError> {
-        if self.bank.num_slots() != other.bank.num_slots() {
-            return Err(SketchError::IncompatibleMerge {
-                reason: format!(
-                    "slot count {} vs {}",
-                    self.bank.num_slots(),
-                    other.bank.num_slots()
-                ),
-            });
-        }
-        // Membership must merge with the counters: dropping the other
-        // side's filter bits would manufacture false negatives for keys
-        // only the other worker ingested. Identical builds have
-        // identical filter layouts, so a presence mismatch means a
-        // different build.
-        match (&mut self.filter, &other.filter) {
-            (Some(mine), Some(theirs)) => mine.union_check(theirs)?,
-            (None, None) => {}
-            _ => {
-                return Err(SketchError::IncompatibleMerge {
-                    reason: "one side has a pre-filter, the other does not (different builds)"
-                        .into(),
-                });
-            }
-        }
-        self.bank.merge(&other.bank)?;
-        if let (Some(mine), Some(theirs)) = (&mut self.filter, &other.filter) {
-            mine.union(theirs);
-        }
-        Ok(())
-    }
-
     /// Fold the whole synopsis — every partition slot plus the outlier —
-    /// into one standalone width-`quantum` backend sketch summarizing
+    /// into one standalone width-`quantum` one-slot arena summarizing
     /// the union of everything this sketch absorbed. Requires every slot
     /// width to be a multiple of `quantum` (build with
     /// [`GSketchBuilder::width_quantum`]); the fold is exact in the
@@ -995,12 +825,16 @@ impl<B: FrequencySketch> GSketch<B> {
     /// This is the windowed deployment's coarsening kernel (DESIGN.md
     /// §13): expired windows fold to tiers, and tiers built from the
     /// same seed and depth merge with each other.
-    pub fn fold(&self, quantum: usize) -> Result<B, SketchError> {
-        B::fold_bank(&self.bank, quantum)
+    pub fn fold(&self, quantum: usize) -> Result<CmArena, SketchError> {
+        self.bank.fold_slots(quantum)
     }
-}
 
-impl GSketch {
+    /// The counter arena holding every slot (read-only): partition `i`
+    /// is slot `i` and the outlier is the last slot.
+    pub fn arena(&self) -> &CmArena {
+        &self.bank
+    }
+
     /// Split the synopsis for the owner-sharded engine (DESIGN.md §11):
     /// one exclusive [`OwnerShare`] per owner range of `map` — that
     /// range's counter cells, totals and filter words, cut with
@@ -1299,113 +1133,6 @@ mod tests {
         }
         assert_eq!(batched.total_weight(), streaming.total_weight());
         assert_eq!(batched.outlier_weight(), streaming.outlier_weight());
-    }
-
-    #[test]
-    fn merge_equals_serial_ingest() {
-        let stream = skewed_stream();
-        let build = || {
-            GSketch::builder()
-                .memory_bytes(1 << 15)
-                .min_width(64)
-                .seed(5)
-                .build_from_sample(&stream)
-                .unwrap()
-        };
-        let mut serial = build();
-        serial.ingest(&stream);
-
-        let mid = stream.len() / 2;
-        let mut worker_a = build();
-        let mut worker_b = build();
-        worker_a.ingest(&stream[..mid]);
-        worker_b.ingest(&stream[mid..]);
-        worker_a.merge(&worker_b).unwrap();
-
-        for se in &stream {
-            assert_eq!(worker_a.estimate(se.edge), serial.estimate(se.edge));
-        }
-        assert_eq!(worker_a.total_weight(), serial.total_weight());
-    }
-
-    #[test]
-    fn merge_rejects_different_builds() {
-        let stream = skewed_stream();
-        let mut a = GSketch::builder()
-            .memory_bytes(1 << 15)
-            .min_width(64)
-            .seed(5)
-            .build_from_sample(&stream)
-            .unwrap();
-        // Different memory → different shapes.
-        let b = GSketch::builder()
-            .memory_bytes(1 << 14)
-            .min_width(64)
-            .seed(5)
-            .build_from_sample(&stream)
-            .unwrap();
-        assert!(a.merge(&b).is_err());
-        // Different seed → same shapes, different hash families.
-        let c = GSketch::builder()
-            .memory_bytes(1 << 15)
-            .min_width(64)
-            .seed(6)
-            .build_from_sample(&stream)
-            .unwrap();
-        assert!(a.merge(&c).is_err());
-    }
-
-    #[test]
-    fn merge_failure_leaves_receiver_untouched() {
-        let stream = skewed_stream();
-        let mut a = GSketch::builder()
-            .memory_bytes(1 << 15)
-            .min_width(64)
-            .seed(5)
-            .build_from_sample(&stream)
-            .unwrap();
-        a.ingest(&stream);
-        let before: Vec<u64> = stream.iter().map(|se| a.estimate(se.edge)).collect();
-        let b = GSketch::builder()
-            .memory_bytes(1 << 14)
-            .min_width(64)
-            .seed(5)
-            .build_from_sample(&stream)
-            .unwrap();
-        let _ = a.merge(&b);
-        let after: Vec<u64> = stream.iter().map(|se| a.estimate(se.edge)).collect();
-        assert_eq!(before, after, "failed merge must not mutate");
-    }
-
-    #[test]
-    fn countmin_backend_builds_and_answers() {
-        let stream = skewed_stream();
-        let mut g = GSketch::builder()
-            .memory_bytes(1 << 16)
-            .min_width(64)
-            .build_from_sample_backend::<CountMinSketch>(&stream)
-            .unwrap();
-        g.ingest(&stream);
-        for sev in &stream {
-            assert!(g.estimate(sev.edge) >= sev.weight);
-        }
-        assert!(g.num_partitions() >= 1);
-    }
-
-    #[test]
-    fn countsketch_backend_builds_and_answers() {
-        use sketch::CountSketch;
-        let stream = skewed_stream();
-        let mut g = GSketch::builder()
-            .memory_bytes(1 << 16)
-            .min_width(64)
-            .build_from_sample_backend::<CountSketch>(&stream)
-            .unwrap();
-        g.ingest(&stream);
-        // CountSketch is unbiased, not one-sided: require ballpark.
-        let heavy = g.estimate(Edge::new(100u32, 300u32));
-        assert!(heavy >= 125, "heavy edge estimate collapsed: {heavy}");
-        assert_eq!(g.total_weight(), stream.iter().map(|s| s.weight).sum());
     }
 
     #[test]

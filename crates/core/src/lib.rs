@@ -55,16 +55,16 @@
 //! | beyond the paper: owner-sharded ingest | [`pipeline`] |
 //! | beyond the paper: memoized query replay | [`replay`] |
 //!
-//! ## Synopsis backends
+//! ## The synopsis
 //!
-//! [`GSketch`] is generic over a [`FrequencySketch`] backend
-//! (DESIGN.md §2). The default, [`CmArena`], keeps every partition's
-//! counters plus the outlier's in **one contiguous slab** with a single
-//! shared per-row hash family; `GSketch<CountMinSketch>` is the classic
-//! one-allocation-per-partition layout, and `GSketch<CountSketch>` swaps
-//! in unbiased L2-error estimates for the ablation benches. Arena and
-//! per-partition layouts return bit-identical estimates at equal build
-//! parameters (pinned by the `backend_parity` proptests).
+//! [`GSketch`] keeps every partition's CountMin counters plus the
+//! outlier's in one [`CmArena`] (DESIGN.md §2): **one contiguous slab**
+//! with a single shared per-row hash family. Its estimates are
+//! bit-identical to one standalone [`CountMinSketch`] per slot of the
+//! same widths and seed (pinned by the `backend_parity` proptests), so
+//! every deployment keeps CountMin's one-sided `e·N_i/w_i` bound.
+//! [`CountMinSketch`] itself remains as the [`GlobalSketch`] baseline and
+//! the adaptive deployment's warm-up sketch.
 
 #![deny(unsafe_code)]
 #![warn(missing_docs)]
@@ -94,9 +94,8 @@ pub use metrics::{
 };
 pub use partition::{Objective, PartitionConfig, PartitionPlan, WidthAllocation};
 pub use persist::{
-    load_gsketch, load_gsketch_backend, load_windowed, load_windowed_backend,
-    load_windowed_horizon, load_windowed_horizon_backend, save_gsketch, save_windowed,
-    PersistError, RawSnapshot, FORMAT_VERSION, WINDOWED_FORMAT_VERSION,
+    load_gsketch, load_windowed, load_windowed_horizon, save_gsketch, save_windowed, PersistError,
+    RawSnapshot, FORMAT_VERSION, GSKETCH_KIND, WINDOWED_FORMAT_VERSION, WINDOWED_KIND,
 };
 pub use pipeline::{IngestReport, ShardedIngest};
 pub use query::{
@@ -105,6 +104,6 @@ pub use query::{
 pub use replay::{ReplayEngine, ReplayStats, WindowedReplay, WriteLocalized};
 pub use router::{OwnerMap, Router, SketchId};
 pub use sink::{EdgeSink, SlotRouted};
-pub use sketch::{CmArena, CountMinSketch, CountSketch, DetailedRow, FrequencySketch, SketchBank};
+pub use sketch::{CmArena, CountMinSketch};
 pub use vstats::SampleStats;
 pub use window::{IntervalEstimate, WindowConfig, WindowedGSketch};

@@ -312,35 +312,6 @@ pub fn partition(stats: &SampleStats, cfg: &PartitionConfig) -> PartitionPlan {
     }
 }
 
-/// Compute the optimal width share of an *extra* pseudo-leaf (the
-/// outlier sketch) alongside a plan's leaves: the same
-/// `w ∝ √(F̃·A)` rule, where the outlier's error factor is approximated
-/// by its expected distinct-edge count (uncovered traffic is dominated
-/// by frequency-1 edges, for which `Σ d̃²/f̃v = Σ d̃`). Returns the
-/// width (of `total_width`) the outlier should receive.
-pub fn outlier_share(
-    plan: &PartitionPlan,
-    total_width: usize,
-    outlier_freq_mass: u64,
-    outlier_degree_mass: u64,
-) -> usize {
-    let outlier_score = (outlier_freq_mass as f64 * outlier_degree_mass as f64).sqrt();
-    let leaf_scores: f64 = plan
-        .leaves
-        .iter()
-        .map(|l| (l.freq_mass as f64 * l.error_factor).sqrt())
-        .sum();
-    let denom = outlier_score + leaf_scores;
-    if denom <= 0.0 {
-        return (total_width / 10).max(2);
-    }
-    // cast: f64 -> usize truncation; outlier_score/denom <= 1, so the
-    // ideal width never exceeds total_width.
-    let ideal = (total_width as f64 * outlier_score / denom) as usize;
-    // Cap like any leaf: no more than two cells per expected edge.
-    ideal.clamp(2, (outlier_degree_mass as usize * 2).max(2))
-}
-
 /// Assign widths minimizing `Σ_i F̃_i·A_i/w_i` subject to `Σ w_i = W`:
 /// the Lagrange optimum is `w_i ∝ √(F̃_i·A_i)`. Each width is capped at
 /// `2·Σ d̃(m)` (beyond two cells per estimated distinct edge, extra width

@@ -18,19 +18,23 @@
 use crate::global::GlobalSketch;
 use crate::gsketch::GSketch;
 use serde::{Deserialize, Serialize};
-use sketch::FrequencySketch;
 use std::fmt;
 use std::fs::File;
 use std::io::{self, BufWriter, Read, Write};
 use std::path::Path;
 
-/// Current snapshot format version. Version 2 is the arena-backend
-/// layout: the `GSketch` body is a synopsis *bank* (slot widths + one
-/// slab or one sketch per slot) instead of version 1's
-/// partitions/outlier pair, and the envelope kind carries the backend
-/// (`gsketch:cm-arena`, `gsketch:countmin`, ...), so snapshots built
-/// with one backend cannot be silently decoded as another.
+/// Current snapshot format version. Version 2 is the arena layout: the
+/// `GSketch` body is one counter arena (slot spans + one slab) instead of
+/// version 1's partitions/outlier pair, and the envelope kind names the
+/// synopsis ([`GSKETCH_KIND`]), so a file holding any other layout is
+/// rejected by kind instead of being mis-decoded.
 pub const FORMAT_VERSION: u32 = 2;
+
+/// Envelope kind tag of a flat [`GSketch`] snapshot.
+pub const GSKETCH_KIND: &str = "gsketch:cm-arena";
+
+/// Envelope kind tag of a windowed snapshot (format v3).
+pub const WINDOWED_KIND: &str = "gsketch-windowed:cm-arena";
 
 /// Snapshot format version for **windowed** deployments (DESIGN.md §13).
 /// A v3 file is line-oriented: a header line (config + builder + tiering
@@ -57,8 +61,8 @@ pub enum PersistError {
         /// Version this build understands.
         expected: u32,
     },
-    /// The snapshot holds a different kind of sketch (or a different
-    /// synopsis backend) than requested.
+    /// The snapshot holds a different kind of sketch (or a retired
+    /// synopsis layout) than requested.
     KindMismatch {
         /// Kind found in the file.
         found: String,
@@ -162,14 +166,9 @@ fn check_header(
     Ok(())
 }
 
-/// The envelope kind tag for a `GSketch` with backend `B`.
-fn gsketch_kind<B: FrequencySketch>() -> String {
-    format!("gsketch:{}", B::KIND)
-}
-
 /// A snapshot whose envelope has been parsed but whose body has not been
-/// decoded yet. Lets callers inspect [`kind`](Self::kind) — e.g. to pick
-/// the right `GSketch` backend — and then decode the body exactly once,
+/// decoded yet. Lets callers inspect [`kind`](Self::kind) — e.g. to name
+/// a wrong-kind file in an error — and then decode the body exactly once,
 /// instead of speculatively decoding megabytes of counters under the
 /// wrong layout.
 pub struct RawSnapshot {
@@ -232,15 +231,9 @@ impl RawSnapshot {
         self.version
     }
 
-    /// Decode the body as a [`GSketch`] with backend `B`, verifying the
-    /// header first.
-    pub fn decode_gsketch<B: FrequencySketch>(&self) -> Result<GSketch<B>, PersistError> {
-        check_header(
-            self.version,
-            &[FORMAT_VERSION],
-            &self.kind,
-            &gsketch_kind::<B>(),
-        )?;
+    /// Decode the body as a [`GSketch`], verifying the header first.
+    pub fn decode_gsketch(&self) -> Result<GSketch, PersistError> {
+        check_header(self.version, &[FORMAT_VERSION], &self.kind, GSKETCH_KIND)?;
         serde::Deserialize::from_value(&self.body).map_err(|e| PersistError::Format(e.into()))
     }
 
@@ -253,18 +246,14 @@ impl RawSnapshot {
     }
 }
 
-/// Serialize a [`GSketch`] snapshot to `w`. Works for any backend; the
-/// envelope kind records which one (`gsketch:cm-arena` for the default).
-pub fn write_gsketch<W: Write, B: FrequencySketch>(
-    w: W,
-    sketch: &GSketch<B>,
-) -> Result<(), PersistError> {
+/// Serialize a [`GSketch`] snapshot to `w`, tagged [`GSKETCH_KIND`].
+pub fn write_gsketch<W: Write>(w: W, sketch: &GSketch) -> Result<(), PersistError> {
     let mut out = BufWriter::new(w);
     serde_json::to_writer(
         &mut out,
         &Envelope {
             format_version: FORMAT_VERSION,
-            kind: gsketch_kind::<B>(),
+            kind: GSKETCH_KIND.to_owned(),
             sketch,
         },
     )?;
@@ -272,37 +261,22 @@ pub fn write_gsketch<W: Write, B: FrequencySketch>(
     Ok(())
 }
 
-/// Deserialize a [`GSketch`] snapshot from `r`. The snapshot must have
-/// been written with the same backend `B` — the kind tag is checked
-/// *before* the body decodes, so a wrong-backend load reports
+/// Deserialize a [`GSketch`] snapshot from `r`. The kind tag is checked
+/// *before* the body decodes, so a file of another kind (a global
+/// sketch, or a retired `gsketch:countmin` layout) reports
 /// [`PersistError::KindMismatch`] rather than an opaque parse failure.
-pub fn read_gsketch_backend<R: Read, B: FrequencySketch>(r: R) -> Result<GSketch<B>, PersistError> {
+pub fn read_gsketch<R: Read>(r: R) -> Result<GSketch, PersistError> {
     RawSnapshot::read(r)?.decode_gsketch()
 }
 
-/// Deserialize a default-backend [`GSketch`] snapshot from `r`.
-pub fn read_gsketch<R: Read>(r: R) -> Result<GSketch, PersistError> {
-    read_gsketch_backend(r)
-}
-
-/// Save a [`GSketch`] snapshot (any backend) to the file at `path`.
-pub fn save_gsketch<P: AsRef<Path>, B: FrequencySketch>(
-    path: P,
-    sketch: &GSketch<B>,
-) -> Result<(), PersistError> {
+/// Save a [`GSketch`] snapshot to the file at `path`.
+pub fn save_gsketch<P: AsRef<Path>>(path: P, sketch: &GSketch) -> Result<(), PersistError> {
     write_gsketch(File::create(path)?, sketch)
 }
 
-/// Load a default-backend [`GSketch`] snapshot from the file at `path`.
+/// Load a [`GSketch`] snapshot from the file at `path`.
 pub fn load_gsketch<P: AsRef<Path>>(path: P) -> Result<GSketch, PersistError> {
     read_gsketch(File::open(path)?)
-}
-
-/// Load a [`GSketch`] snapshot with an explicit backend from `path`.
-pub fn load_gsketch_backend<P: AsRef<Path>, B: FrequencySketch>(
-    path: P,
-) -> Result<GSketch<B>, PersistError> {
-    read_gsketch_backend(File::open(path)?)
 }
 
 /// Serialize a [`GlobalSketch`] snapshot to `w`.
@@ -341,7 +315,7 @@ pub fn load_global<P: AsRef<Path>>(path: P) -> Result<GlobalSketch, PersistError
 //
 // Layout (one JSON document per line):
 //
-//   line 0   {"format_version":3,"kind":"gsketch-windowed:<backend>","header":{...}}
+//   line 0   {"format_version":3,"kind":"gsketch-windowed:cm-arena","header":{...}}
 //   line 1.. one record per sealed window: {"start":..,"end":..,"sketch":{...}}
 //   tail     {"tiers":[...],"current":{...},"reservoir":{...},"rng":[...],...}
 //   footer   {"windows":[[start,end,byte_offset],...],"tail_offset":N}
@@ -356,13 +330,7 @@ pub fn load_global<P: AsRef<Path>>(path: P) -> Result<GlobalSketch, PersistError
 // span.
 
 use crate::window::WindowedGSketch;
-use sketch::CmArena;
 use std::io::Seek;
-
-/// The envelope kind tag for a windowed deployment with backend `B`.
-fn windowed_kind<B: FrequencySketch>() -> String {
-    format!("gsketch-windowed:{}", B::KIND)
-}
 
 fn format_err(msg: impl Into<String>) -> PersistError {
     PersistError::Format(serde::Error(msg.into()).into())
@@ -460,6 +428,26 @@ fn parse_windowed_framing(
     })
 }
 
+/// `header` with its builder decoded and encoded again. A header written
+/// by an older build can carry a builder field this build has since
+/// retired (`outlier_profile`); the round trip drops it, so the file
+/// still accepts appends from the deployment it describes.
+fn canonical_header(header: &serde::Value) -> Result<serde::Value, PersistError> {
+    let serde::Value::Map(fields) = header else {
+        return Err(format_err("snapshot header is not an object"));
+    };
+    let mut out = Vec::with_capacity(fields.len());
+    for (key, value) in fields {
+        let value = if key == "builder" {
+            crate::GSketchBuilder::from_value(value)?.to_value()
+        } else {
+            value.clone()
+        };
+        out.push((key.clone(), value));
+    }
+    Ok(serde::Value::Map(out))
+}
+
 /// Render one line-framed snapshot section (record, tail) as JSON.
 fn encode_line(v: &serde::Value) -> Result<String, PersistError> {
     Ok(serde_json::to_string(v)?)
@@ -487,10 +475,7 @@ fn encode_footer(windows: &[(u64, u64, u64)], tail_offset: u64) -> String {
 /// last save are written, followed by a fresh tail and footer — the
 /// write cost is O(new windows), independent of how much history the
 /// file already holds.
-pub fn save_windowed<P: AsRef<Path>, B: FrequencySketch>(
-    path: P,
-    w: &WindowedGSketch<B>,
-) -> Result<(), PersistError> {
+pub fn save_windowed<P: AsRef<Path>>(path: P, w: &WindowedGSketch) -> Result<(), PersistError> {
     if w.is_partial() {
         return Err(PersistError::PartialInstance);
     }
@@ -500,7 +485,10 @@ pub fn save_windowed<P: AsRef<Path>, B: FrequencySketch>(
             "format_version".to_owned(),
             serde::Value::U64(u64::from(WINDOWED_FORMAT_VERSION)),
         ),
-        ("kind".to_owned(), serde::Value::Str(windowed_kind::<B>())),
+        (
+            "kind".to_owned(),
+            serde::Value::Str(WINDOWED_KIND.to_owned()),
+        ),
         ("header".to_owned(), w.encode_header()),
     ]);
     let spans = w.sealed_spans();
@@ -509,8 +497,8 @@ pub fn save_windowed<P: AsRef<Path>, B: FrequencySketch>(
     // the byte position appends start from; `None` means a fresh write.
     let existing = if path.exists() {
         let text = std::fs::read_to_string(path)?;
-        let framing = parse_windowed_framing(&text, &windowed_kind::<B>())?;
-        if framing.header != w.encode_header() {
+        let framing = parse_windowed_framing(&text, WINDOWED_KIND)?;
+        if canonical_header(&framing.header)? != w.encode_header() {
             return Err(PersistError::AppendMismatch(
                 "file header (config/builder/horizon) differs from this instance".to_owned(),
             ));
@@ -591,11 +579,11 @@ pub fn save_windowed<P: AsRef<Path>, B: FrequencySketch>(
     Ok(())
 }
 
-fn decode_windowed<B: FrequencySketch>(
+fn decode_windowed(
     text: &str,
     framing: &WindowedFraming,
     span_filter: Option<(u64, u64)>,
-) -> Result<WindowedGSketch<B>, PersistError> {
+) -> Result<WindowedGSketch, PersistError> {
     let tail = serde_json::parse(line_at(text, framing.tail_offset)?)?;
     // Records already absorbed into the tail's tiers are history: skip
     // the (expensive) sketch decode, the tiers answer for that span.
@@ -622,21 +610,14 @@ fn decode_windowed<B: FrequencySketch>(
         }
         records.push(serde_json::parse(line_at(text, off)?)?);
     }
-    WindowedGSketch::<B>::from_snapshot(&framing.header, &records, &tail, skipped_any)
+    WindowedGSketch::from_snapshot(&framing.header, &records, &tail, skipped_any)
         .map_err(|e| PersistError::Format(e.into()))
 }
 
-/// Load a full windowed snapshot (default backend) from `path`.
+/// Load a full windowed snapshot from `path`.
 pub fn load_windowed<P: AsRef<Path>>(path: P) -> Result<WindowedGSketch, PersistError> {
-    load_windowed_backend::<P, CmArena>(path)
-}
-
-/// [`load_windowed`] with an explicit synopsis backend.
-pub fn load_windowed_backend<P: AsRef<Path>, B: FrequencySketch>(
-    path: P,
-) -> Result<WindowedGSketch<B>, PersistError> {
     let text = std::fs::read_to_string(path)?;
-    let framing = parse_windowed_framing(&text, &windowed_kind::<B>())?;
+    let framing = parse_windowed_framing(&text, WINDOWED_KIND)?;
     decode_windowed(&text, &framing, None)
 }
 
@@ -652,17 +633,8 @@ pub fn load_windowed_horizon<P: AsRef<Path>>(
     t_start: u64,
     t_end: u64,
 ) -> Result<WindowedGSketch, PersistError> {
-    load_windowed_horizon_backend::<P, CmArena>(path, t_start, t_end)
-}
-
-/// [`load_windowed_horizon`] with an explicit synopsis backend.
-pub fn load_windowed_horizon_backend<P: AsRef<Path>, B: FrequencySketch>(
-    path: P,
-    t_start: u64,
-    t_end: u64,
-) -> Result<WindowedGSketch<B>, PersistError> {
     let text = std::fs::read_to_string(path)?;
-    let framing = parse_windowed_framing(&text, &windowed_kind::<B>())?;
+    let framing = parse_windowed_framing(&text, WINDOWED_KIND)?;
     decode_windowed(&text, &framing, Some((t_start, t_end)))
 }
 
@@ -821,30 +793,38 @@ mod tests {
         assert!(matches!(err, PersistError::Io(_)));
     }
 
+    /// Rewrite the first `"kind":"…"` tag of a snapshot's text.
+    fn retag(text: &str, from: &str, to: &str) -> String {
+        let needle = format!("\"kind\":\"{from}\"");
+        assert!(text.contains(&needle), "no `{from}` tag to rewrite");
+        text.replacen(&needle, &format!("\"kind\":\"{to}\""), 1)
+    }
+
+    /// Fresh snapshots carry exactly the arena kind tags, and files of
+    /// the retired `countmin`/`countsketch` layouts are refused by kind
+    /// before any body decode, with an error naming both kinds.
     #[test]
     fn backend_round_trip_and_cross_backend_rejection() {
-        use sketch::CountMinSketch;
-        let stream = sample_stream();
-        let mut g = GSketch::builder()
-            .memory_bytes(1 << 14)
-            .min_width(32)
-            .build_from_sample_backend::<CountMinSketch>(&stream)
-            .unwrap();
-        g.ingest(&stream);
+        let g = built_gsketch();
         let mut buf = Vec::new();
         write_gsketch(&mut buf, &g).unwrap();
-        let back: GSketch<CountMinSketch> = read_gsketch_backend(&buf[..]).unwrap();
-        for se in &stream {
-            assert_eq!(g.estimate(se.edge), back.estimate(se.edge));
-        }
-        // The same snapshot refuses to decode as the arena backend: the
-        // kind tag rejects it before the body is ever decoded.
-        let err = read_gsketch(&buf[..]).unwrap_err();
-        assert!(matches!(err, PersistError::KindMismatch { .. }));
-        // The raw envelope exposes the tag for backend dispatch.
         let raw = RawSnapshot::read(&buf[..]).unwrap();
-        assert_eq!(raw.kind(), "gsketch:countmin");
+        assert_eq!(raw.kind(), "gsketch:cm-arena");
+        assert_eq!(raw.kind(), GSKETCH_KIND);
         assert_eq!(raw.version(), FORMAT_VERSION);
+        let text = String::from_utf8(buf).unwrap();
+        for retired in ["gsketch:countmin", "gsketch:countsketch"] {
+            let err = read_gsketch(retag(&text, GSKETCH_KIND, retired).as_bytes()).unwrap_err();
+            match &err {
+                PersistError::KindMismatch { found, expected } => {
+                    assert_eq!(found, retired);
+                    assert_eq!(expected, GSKETCH_KIND);
+                }
+                other => panic!("expected a kind mismatch, got {other}"),
+            }
+            let msg = err.to_string();
+            assert!(msg.contains(retired) && msg.contains(GSKETCH_KIND), "{msg}");
+        }
     }
 
     #[test]
@@ -907,11 +887,7 @@ mod tests {
 
     /// Every interval answer — plain and detailed — must be
     /// bit-identical between the two instances across a spread of spans.
-    fn assert_windowed_answers_identical<B: FrequencySketch>(
-        a: &WindowedGSketch<B>,
-        b: &WindowedGSketch<B>,
-        ctx: &str,
-    ) {
+    fn assert_windowed_answers_identical(a: &WindowedGSketch, b: &WindowedGSketch, ctx: &str) {
         let edges = query_edges();
         let (mut va, mut vb) = (Vec::new(), Vec::new());
         let (mut ra, mut rb) = (Vec::new(), Vec::new());
@@ -963,7 +939,7 @@ mod tests {
         }
         save_windowed(&path, &w).unwrap();
         let first = std::fs::read_to_string(&path).unwrap();
-        let framing = parse_windowed_framing(&first, &windowed_kind::<sketch::CmArena>()).unwrap();
+        let framing = parse_windowed_framing(&first, WINDOWED_KIND).unwrap();
         assert_eq!(framing.windows.len(), 3);
 
         for se in wstream(350..900) {
@@ -975,12 +951,49 @@ mod tests {
         // byte-for-byte unchanged — old records were not rewritten.
         let old_tail = usize::try_from(framing.tail_offset).unwrap();
         assert_eq!(&first[..old_tail], &second[..old_tail]);
-        let framing2 =
-            parse_windowed_framing(&second, &windowed_kind::<sketch::CmArena>()).unwrap();
+        let framing2 = parse_windowed_framing(&second, WINDOWED_KIND).unwrap();
         assert_eq!(framing2.windows.len(), 8);
 
         let back = load_windowed(&path).unwrap();
         assert_windowed_answers_identical(&w, &back, "after append + load");
+        std::fs::remove_file(&path).unwrap();
+    }
+
+    /// A file whose header still records the retired
+    /// `outlier_profile: null` builder field loads, and accepts appends
+    /// from the deployment it describes.
+    #[test]
+    fn windowed_append_accepts_header_with_retired_builder_field() {
+        let path = temp_path("retired_field.json");
+        let mut w = WindowedGSketch::new(wcfg(), wbuilder()).unwrap();
+        for se in wstream(0..350) {
+            w.try_insert(se).unwrap();
+        }
+        save_windowed(&path, &w).unwrap();
+        let text = std::fs::read_to_string(&path).unwrap();
+        let (header, rest) = text.split_once('\n').unwrap();
+        let old_header =
+            header.replace("\"prefilter\":", "\"outlier_profile\":null,\"prefilter\":");
+        assert_ne!(old_header, header);
+        // The footer indexes byte offsets, so shift them by the growth.
+        let grown = (old_header.len() - header.len()) as u64;
+        let framing = parse_windowed_framing(&text, WINDOWED_KIND).unwrap();
+        let windows: Vec<(u64, u64, u64)> = framing
+            .windows
+            .iter()
+            .map(|&(s, e, off)| (s, e, off + grown))
+            .collect();
+        let body = &rest[..rest.trim_end().rfind('\n').unwrap() + 1];
+        let footer = encode_footer(&windows, framing.tail_offset + grown);
+        std::fs::write(&path, format!("{old_header}\n{body}{footer}\n")).unwrap();
+        let back = load_windowed(&path).unwrap();
+        assert_windowed_answers_identical(&w, &back, "retired-field load");
+        for se in wstream(350..700) {
+            w.try_insert(se).unwrap();
+        }
+        save_windowed(&path, &w).unwrap();
+        let again = load_windowed(&path).unwrap();
+        assert_windowed_answers_identical(&w, &again, "retired-field append");
         std::fs::remove_file(&path).unwrap();
     }
 
@@ -1069,22 +1082,36 @@ mod tests {
 
     #[test]
     fn windowed_cross_backend_and_flat_kind_rejected() {
-        use sketch::CountMinSketch;
         let path = temp_path("kind.json");
-        let mut w = WindowedGSketch::<CountMinSketch>::new_backend(wcfg(), wbuilder()).unwrap();
+        let mut w = WindowedGSketch::new(wcfg(), wbuilder()).unwrap();
         for se in wstream(0..250) {
             w.try_insert(se).unwrap();
         }
         save_windowed(&path, &w).unwrap();
-        // Round trip under the right backend works…
-        let back = load_windowed_backend::<_, CountMinSketch>(&path).unwrap();
-        assert_windowed_answers_identical(&w, &back, "countmin windowed");
-        // …the default backend refuses, naming both kinds…
+        let text = std::fs::read_to_string(&path).unwrap();
+        let first = text.lines().next().unwrap();
+        assert!(
+            first.contains("\"kind\":\"gsketch-windowed:cm-arena\""),
+            "{first}"
+        );
+        assert_eq!(WINDOWED_KIND, "gsketch-windowed:cm-arena");
+        // A retired windowed layout is refused by kind, naming both.
+        let retired = "gsketch-windowed:countsketch";
+        std::fs::write(&path, retag(&text, WINDOWED_KIND, retired)).unwrap();
         let err = load_windowed(&path).unwrap_err();
         let msg = err.to_string();
-        assert!(matches!(err, PersistError::KindMismatch { .. }));
-        assert!(msg.contains("gsketch-windowed:countmin"), "{msg}");
-        assert!(msg.contains("gsketch-windowed:cm-arena"), "{msg}");
+        match &err {
+            PersistError::KindMismatch { found, expected } => {
+                assert_eq!(found, retired);
+                assert_eq!(expected, WINDOWED_KIND);
+            }
+            other => panic!("expected a kind mismatch, got {other}"),
+        }
+        assert!(
+            msg.contains(retired) && msg.contains(WINDOWED_KIND),
+            "{msg}"
+        );
+        assert!(load_windowed_horizon(&path, 0, u64::MAX).is_err());
         // …and a flat snapshot is rejected by kind, not by parse chaos.
         let flat = temp_path("flat.json");
         save_gsketch(&flat, &built_gsketch()).unwrap();

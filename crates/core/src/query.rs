@@ -61,7 +61,7 @@ pub trait EdgeEstimator {
 /// Estimators answer through shared references, so a borrow is as good
 /// as the estimator itself — this is what lets the replay engine front
 /// a deployment it merely borrows (e.g. one also driven by a
-/// [`ParallelQuery`] pool). Every method forwards, so backend-specific
+/// [`ParallelQuery`] pool). Every method forwards, so estimator-specific
 /// batch overrides are preserved.
 impl<T: EdgeEstimator + ?Sized> EdgeEstimator for &T {
     fn estimate_edge(&self, edge: Edge) -> u64 {
@@ -81,7 +81,7 @@ impl<T: EdgeEstimator + ?Sized> EdgeEstimator for &T {
     }
 }
 
-impl<B: sketch::FrequencySketch> EdgeEstimator for crate::GSketch<B> {
+impl EdgeEstimator for crate::GSketch {
     fn estimate_edge(&self, edge: Edge) -> u64 {
         self.estimate(edge)
     }

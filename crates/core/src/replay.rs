@@ -89,7 +89,7 @@ impl WriteLocalized for crate::AdaptiveGSketch {}
 
 /// A write may rotate windows (rebuilding the current router), so no
 /// per-slot localization is sound across the write stream.
-impl<B: sketch::FrequencySketch> WriteLocalized for crate::WindowedGSketch<B> {}
+impl WriteLocalized for crate::WindowedGSketch {}
 
 /// Exact truth: a write to edge `e` only changes `e`, but the exact
 /// counter is a hash map — memoizing in front of it buys nothing, so it
@@ -517,7 +517,6 @@ impl std::fmt::Debug for IvalSet {
 
 use crate::window::IntervalEstimate;
 use crate::WindowedGSketch;
-use sketch::{CmArena, FrequencySketch};
 
 /// A replay engine for **time-travel queries** over a windowed
 /// deployment: a set-associative memo keyed by `(edge pair, interval)`
@@ -554,8 +553,8 @@ use sketch::{CmArena, FrequencySketch};
 /// the memo when the snapshot's history extends the current one, so a
 /// warmed replay survives process handoff through the snapshot file.
 #[derive(Debug)]
-pub struct WindowedReplay<B: FrequencySketch = CmArena> {
-    inner: WindowedGSketch<B>,
+pub struct WindowedReplay {
+    inner: WindowedGSketch,
     sets: Box<[IvalSet]>,
     shift: u32,
     /// Dense id per distinct queried interval (grows with the number of
@@ -576,15 +575,15 @@ pub struct WindowedReplay<B: FrequencySketch = CmArena> {
     stats: ReplayStats,
 }
 
-impl<B: FrequencySketch> WindowedReplay<B> {
+impl WindowedReplay {
     /// Front `inner` with an interval memo of the default capacity.
-    pub fn new(inner: WindowedGSketch<B>) -> Self {
+    pub fn new(inner: WindowedGSketch) -> Self {
         Self::with_capacity(inner, DEFAULT_ENTRIES)
     }
 
     /// Front `inner` with a memo of at least `entries` cached answers
     /// (rounded up to a power-of-two set count).
-    pub fn with_capacity(inner: WindowedGSketch<B>, entries: usize) -> Self {
+    pub fn with_capacity(inner: WindowedGSketch, entries: usize) -> Self {
         let sets = (entries.max(4) / 4).next_power_of_two().max(2);
         Self {
             inner,
@@ -805,7 +804,7 @@ impl<B: FrequencySketch> WindowedReplay<B> {
     ///   counters have no such guarantee.
     ///
     /// Returns whether sealed answers were preserved.
-    pub fn replace_inner(&mut self, new: WindowedGSketch<B>) -> bool {
+    pub fn replace_inner(&mut self, new: WindowedGSketch) -> bool {
         let old_spans = self.inner.sealed_spans();
         let new_spans = new.sealed_spans();
         let preserved = !self.inner.is_partial()
@@ -835,14 +834,14 @@ impl<B: FrequencySketch> WindowedReplay<B> {
     }
 
     /// Read-only access to the fronted deployment.
-    pub fn inner(&self) -> &WindowedGSketch<B> {
+    pub fn inner(&self) -> &WindowedGSketch {
         &self.inner
     }
 
     /// Unwrap the deployment. (No `inner_mut`, for the same reason as
     /// [`ReplayEngine::into_inner`]: a mutable handle could write
     /// without invalidating.)
-    pub fn into_inner(self) -> WindowedGSketch<B> {
+    pub fn into_inner(self) -> WindowedGSketch {
         self.inner
     }
 }
@@ -850,7 +849,7 @@ impl<B: FrequencySketch> WindowedReplay<B> {
 /// Writes invalidate the live domain before touching the deployment;
 /// if the write triggered coarsening (the only mutation of sealed
 /// history), the sealed domain is invalidated too.
-impl<B: FrequencySketch> EdgeSink for WindowedReplay<B> {
+impl EdgeSink for WindowedReplay {
     fn update(&mut self, se: StreamEdge) {
         self.bump_live();
         let before = self.inner.coarsenings();

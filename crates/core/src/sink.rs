@@ -21,7 +21,7 @@
 //! now goes through them, so "ingest a stream into X" means the same
 //! thing for every estimator.
 //!
-//! Implementors: [`GSketch`](crate::GSketch) (any backend),
+//! Implementors: [`GSketch`](crate::GSketch),
 //! [`GlobalSketch`](crate::GlobalSketch),
 //! [`AdaptiveGSketch`](crate::AdaptiveGSketch) and
 //! [`WindowedGSketch`](crate::WindowedGSketch). Parallel ingest is not a
@@ -39,8 +39,7 @@ use gstream::vertex::VertexId;
 /// [`OwnerMap`](crate::router::OwnerMap) from `num_slots`, and both the
 /// scatter stage (writes) and the slot-routed parallel query (reads)
 /// group work by `slot_of` so each slot's cache lines are only ever
-/// touched by the slot's owner. Implementor: `GSketch<B>` (any
-/// backend).
+/// touched by the slot's owner. Implementor: [`GSketch`](crate::GSketch).
 pub trait SlotRouted {
     /// Total number of slots (partitions + outlier).
     fn num_slots(&self) -> usize;

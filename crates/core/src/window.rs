@@ -16,7 +16,7 @@
 //! * **Exponential tiering** — with a horizon
 //!   ([`WindowedGSketch::with_horizon`]), sealed windows older than the
 //!   `keep` most recent are *coarsened*: each expiring window's synopsis
-//!   is folded down to one width-`quantum` backend sketch
+//!   is folded down to one width-`quantum` one-slot arena
 //!   ([`GSketch::fold`]), and adjacent tiers holding equally many
 //!   windows merge pairwise, so `n` expired windows occupy `O(log n)`
 //!   tiers. Tier answers carry the correspondingly widened
@@ -30,7 +30,7 @@ use gstream::sample::Reservoir;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use serde::{Deserialize, Serialize};
-use sketch::{CmArena, FrequencySketch, SketchError};
+use sketch::{CmArena, SketchError};
 
 /// Configuration of the windowed synopsis.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
@@ -72,24 +72,24 @@ pub struct IntervalEstimate {
 
 /// One sealed (read-only) window.
 #[derive(Debug, Clone)]
-struct SealedWindow<B: FrequencySketch> {
+struct SealedWindow {
     start: u64,
     /// Exclusive end.
     end: u64,
-    sketch: GSketch<B>,
+    sketch: GSketch,
 }
 
 /// One coarsened tier: `windows` consecutive expired windows folded and
-/// merged into a single width-`quantum` backend sketch summarizing their
+/// merged into a single width-`quantum` one-slot arena summarizing their
 /// union. Tiers are kept oldest-first and never overlap.
 #[derive(Debug, Clone)]
-struct Tier<B: FrequencySketch> {
+struct Tier {
     start: u64,
     /// Exclusive end.
     end: u64,
     /// How many full-fidelity windows this tier absorbed.
     windows: u64,
-    sketch: B,
+    sketch: CmArena,
 }
 
 /// Tiering parameters fixed at construction (see
@@ -105,24 +105,23 @@ struct HorizonCfg {
 
 /// The synopsis answering one time span: a full-fidelity window or a
 /// coarsened tier.
-enum SpanSketch<'a, B: FrequencySketch> {
-    Window(&'a GSketch<B>),
-    Tier(&'a B),
+enum SpanSketch<'a> {
+    Window(&'a GSketch),
+    Tier(&'a CmArena),
 }
 
-/// A time-windowed gSketch, generic over the synopsis backend like
-/// [`GSketch`] itself (arena by default; the `*_backend` constructors
-/// pick another).
+/// A time-windowed gSketch: one [`GSketch`] per window, plus coarsened
+/// tiers when a horizon is set.
 #[derive(Debug)]
-pub struct WindowedGSketch<B: FrequencySketch = CmArena> {
+pub struct WindowedGSketch {
     cfg: WindowConfig,
     builder: GSketchBuilder,
     horizon: Option<HorizonCfg>,
     /// Coarsened history, oldest first, entirely before every sealed
     /// window.
-    tiers: Vec<Tier<B>>,
-    sealed: Vec<SealedWindow<B>>,
-    current: GSketch<B>,
+    tiers: Vec<Tier>,
+    sealed: Vec<SealedWindow>,
+    current: GSketch,
     current_start: u64,
     /// Sample of the current window, used to partition the NEXT window.
     reservoir: Reservoir<StreamEdge>,
@@ -139,24 +138,34 @@ pub struct WindowedGSketch<B: FrequencySketch = CmArena> {
 }
 
 impl WindowedGSketch {
-    /// Create a windowed synopsis starting at timestamp 0 with the
-    /// default (arena) backend. The first window has no predecessor
-    /// sample, so its sketch is outlier-only — exactly the §5 bootstrap
-    /// situation.
+    /// Create a windowed synopsis starting at timestamp 0. The first
+    /// window has no predecessor sample, so its sketch is outlier-only —
+    /// exactly the §5 bootstrap situation.
     pub fn new(cfg: WindowConfig, builder: GSketchBuilder) -> Result<Self, SketchError> {
-        Self::new_backend(cfg, builder)
+        Self::build(cfg, builder, None)
     }
 
-    /// [`Self::new`] with exponential tiering: the `keep` most recent
-    /// sealed windows stay at full fidelity, older ones coarsen into
-    /// tiers (default backend; see
-    /// [`with_horizon_backend`](Self::with_horizon_backend)).
+    /// [`Self::new`] with exponential tiering: keep the `keep` most
+    /// recent sealed windows at full fidelity and coarsen older ones
+    /// into exponentially-merged tiers.
+    ///
+    /// Tiering constrains the build two ways, both applied here once:
+    /// every window's slot widths are rounded to multiples of the fold
+    /// quantum (so expiring windows fold legally), and every window
+    /// shares one hash-family seed (`cfg.seed`) instead of the default
+    /// per-window reseed — folded tiers can only merge when their hash
+    /// families agree. Estimates therefore differ from an un-tiered
+    /// instance even over recent windows; what tiering preserves is the
+    /// snapshot contract (save/load/append stay bit-identical to a
+    /// rebuild under the *same* configuration).
     pub fn with_horizon(
         cfg: WindowConfig,
         builder: GSketchBuilder,
         keep: usize,
     ) -> Result<Self, SketchError> {
-        Self::with_horizon_backend(cfg, builder, keep)
+        let quantum = builder.fold_quantum();
+        let builder = builder.width_quantum(quantum).seed(cfg.seed);
+        Self::build(cfg, builder, Some(HorizonCfg { keep, quantum }))
     }
 
     /// Ingest a materialized stream through the **owner-sharded engine**
@@ -239,36 +248,6 @@ impl WindowedGSketch {
         }
         Ok(report)
     }
-}
-
-impl<B: FrequencySketch> WindowedGSketch<B> {
-    /// [`WindowedGSketch::new`] with an explicit synopsis backend.
-    pub fn new_backend(cfg: WindowConfig, builder: GSketchBuilder) -> Result<Self, SketchError> {
-        Self::build(cfg, builder, None)
-    }
-
-    /// [`WindowedGSketch::with_horizon`] with an explicit backend: keep
-    /// the `keep` most recent sealed windows at full fidelity and
-    /// coarsen older ones into exponentially-merged tiers.
-    ///
-    /// Tiering constrains the build two ways, both applied here once:
-    /// every window's slot widths are rounded to multiples of the fold
-    /// quantum (so expiring windows fold legally), and every window
-    /// shares one hash-family seed (`cfg.seed`) instead of the default
-    /// per-window reseed — folded tiers can only merge when their hash
-    /// families agree. Estimates therefore differ from an un-tiered
-    /// instance even over recent windows; what tiering preserves is the
-    /// snapshot contract (save/load/append stay bit-identical to a
-    /// rebuild under the *same* configuration).
-    pub fn with_horizon_backend(
-        cfg: WindowConfig,
-        builder: GSketchBuilder,
-        keep: usize,
-    ) -> Result<Self, SketchError> {
-        let quantum = builder.fold_quantum();
-        let builder = builder.width_quantum(quantum).seed(cfg.seed);
-        Self::build(cfg, builder, Some(HorizonCfg { keep, quantum }))
-    }
 
     fn build(
         cfg: WindowConfig,
@@ -278,7 +257,7 @@ impl<B: FrequencySketch> WindowedGSketch<B> {
         cfg.validate();
         let current = builder
             .memory_bytes(cfg.memory_bytes_per_window)
-            .build_from_sample_backend::<B>(&[])?;
+            .build_from_sample(&[])?;
         Ok(Self {
             cfg,
             builder,
@@ -310,6 +289,7 @@ impl<B: FrequencySketch> WindowedGSketch<B> {
     /// of sealed windows. A window abutting `u64::MAX` simply never
     /// rotates again (its exclusive end does not fit in the timestamp
     /// domain).
+    #[inline]
     pub fn try_insert(&mut self, se: StreamEdge) -> Result<(), SketchError> {
         // lint: allow(no-panics) — documented precondition: window configuration is validated once at construction; misuse must fail fast, release builds included.
         assert!(
@@ -346,10 +326,10 @@ impl<B: FrequencySketch> WindowedGSketch<B> {
         let mut b = self.builder.memory_bytes(self.cfg.memory_bytes_per_window);
         if self.horizon.is_none() {
             // Per-window reseed (the historical default). Tiered
-            // instances keep one family — see `with_horizon_backend`.
+            // instances keep one family — see `with_horizon`.
             b = b.seed(self.cfg.seed.wrapping_add(self.windows_sealed + 1));
         }
-        let next = b.build_from_sample_backend::<B>(&sample)?;
+        let next = b.build_from_sample(&sample)?;
         let finished = std::mem::replace(&mut self.current, next);
         self.sealed.push(SealedWindow {
             start: self.current_start,
@@ -411,7 +391,7 @@ impl<B: FrequencySketch> WindowedGSketch<B> {
     /// window) with their time spans, oldest first. The current window's
     /// exclusive end saturates: a window abutting `u64::MAX` covers the
     /// rest of the timestamp domain.
-    fn spans(&self) -> impl Iterator<Item = (u64, u64, SpanSketch<'_, B>)> {
+    fn spans(&self) -> impl Iterator<Item = (u64, u64, SpanSketch<'_>)> {
         self.tiers
             .iter()
             .map(|t| (t.start, t.end, SpanSketch::Tier(&t.sketch)))
@@ -450,7 +430,7 @@ impl<B: FrequencySketch> WindowedGSketch<B> {
             let fraction = (hi - lo) as f64 / (we - ws) as f64;
             let v = match syn {
                 SpanSketch::Window(g) => g.estimate(edge),
-                SpanSketch::Tier(t) => t.estimate(key),
+                SpanSketch::Tier(t) => t.estimate_slot(0, key),
             };
             total += v as f64 * fraction;
         }
@@ -460,12 +440,13 @@ impl<B: FrequencySketch> WindowedGSketch<B> {
     /// Batched [`estimate_interval`](Self::estimate_interval): each
     /// overlapping window answers the whole batch through its sketch's
     /// in-order [`estimate_batch`](GSketch::estimate_batch) (tiers
-    /// through the backend's batched read kernel), and the per-edge
+    /// through the arena's batched read kernel), and the per-edge
     /// fractional contributions are accumulated across spans in span
     /// order — the same additions in the same order as the scalar path,
     /// so the sums are bit-identical. `out` is overwritten with one
     /// **unrounded** fractional estimate per edge: rounding is the
     /// caller's, once, at its aggregation boundary.
+    #[inline]
     pub fn estimate_interval_batch(
         &self,
         edges: &[Edge],
@@ -490,7 +471,7 @@ impl<B: FrequencySketch> WindowedGSketch<B> {
                 SpanSketch::Window(g) => g.estimate_batch(edges, &mut window_vals),
                 SpanSketch::Tier(t) => {
                     let keys = keys.get_or_insert_with(|| edges.iter().map(|e| e.key()).collect());
-                    t.estimate_batch(keys, &mut window_vals);
+                    t.estimate_batch_slot(0, keys, &mut window_vals);
                 }
             }
             for (acc, &v) in out.iter_mut().zip(&window_vals) {
@@ -515,6 +496,7 @@ impl<B: FrequencySketch> WindowedGSketch<B> {
     /// bound of its folded sketch — `N_tier` is the union mass of every
     /// window the tier absorbed and `quantum` is far below a window's
     /// total width, so coarse history honestly reports its coarseness.
+    #[inline]
     pub fn estimate_interval_detailed_batch(
         &self,
         edges: &[Edge],
@@ -527,7 +509,7 @@ impl<B: FrequencySketch> WindowedGSketch<B> {
         out.clear();
         out.resize(edges.len(), IntervalEstimate::default());
         let mut window_rows = Vec::new();
-        let mut tier_rows = Vec::new();
+        let mut tier_vals = Vec::new();
         let mut keys: Option<Vec<u64>> = None;
         let mut miss_probability = 0.0f64;
         let mut covered = false;
@@ -549,12 +531,13 @@ impl<B: FrequencySketch> WindowedGSketch<B> {
                 }
                 SpanSketch::Tier(t) => {
                     let keys = keys.get_or_insert_with(|| edges.iter().map(|e| e.key()).collect());
-                    t.estimate_detailed_batch(keys, &mut tier_rows);
-                    for (acc, row) in out.iter_mut().zip(&tier_rows) {
-                        acc.value += row.estimate as f64 * fraction;
-                        acc.error_bound += row.error_bound * fraction;
+                    t.estimate_batch_slot(0, keys, &mut tier_vals);
+                    let bound = t.slot_error_bound(0);
+                    for (acc, &v) in out.iter_mut().zip(&tier_vals) {
+                        acc.value += v as f64 * fraction;
+                        acc.error_bound += bound * fraction;
                     }
-                    tier_rows.first().map(|r| r.confidence)
+                    Some(t.confidence())
                 }
             };
             // All rows of one span share the span's confidence.
@@ -652,7 +635,7 @@ impl<B: FrequencySketch> WindowedGSketch<B> {
 // file I/O live in `crate::persist`.
 // ---------------------------------------------------------------------------
 
-impl<B: FrequencySketch> WindowedGSketch<B> {
+impl WindowedGSketch {
     /// The immutable snapshot header body: everything needed to verify
     /// that an append targets the same deployment and to resume
     /// rotations identically (config, builder, tiering parameters).
@@ -760,14 +743,14 @@ impl<B: FrequencySketch> WindowedGSketch<B> {
                     "snapshot tier [{start}, {end}) with {windows} windows is malformed"
                 )));
             }
-            if let Some(prev_end) = tiers.last().map(|t: &Tier<B>| t.end) {
+            if let Some(prev_end) = tiers.last().map(|t: &Tier| t.end) {
                 if start < prev_end {
                     return Err(serde::Error(format!(
                         "snapshot tiers out of order at [{start}, {end})"
                     )));
                 }
             }
-            let sketch = B::from_value(serde::value_field(tv, "sketch")?)?;
+            let sketch = CmArena::from_value(serde::value_field(tv, "sketch")?)?;
             tiers.push(Tier {
                 start,
                 end,
@@ -777,7 +760,7 @@ impl<B: FrequencySketch> WindowedGSketch<B> {
         }
         let tiers_end = tiers.last().map_or(0, |t| t.end);
 
-        let mut sealed: Vec<SealedWindow<B>> = Vec::new();
+        let mut sealed: Vec<SealedWindow> = Vec::new();
         for wv in windows {
             let start = u64::from_value(serde::value_field(wv, "start")?)?;
             let end = u64::from_value(serde::value_field(wv, "end")?)?;
@@ -799,11 +782,11 @@ impl<B: FrequencySketch> WindowedGSketch<B> {
                     )));
                 }
             }
-            let sketch = GSketch::<B>::from_value(serde::value_field(wv, "sketch")?)?;
+            let sketch = GSketch::from_value(serde::value_field(wv, "sketch")?)?;
             sealed.push(SealedWindow { start, end, sketch });
         }
 
-        let current = GSketch::<B>::from_value(serde::value_field(tail, "current")?)?;
+        let current = GSketch::from_value(serde::value_field(tail, "current")?)?;
         let current_start = u64::from_value(serde::value_field(tail, "current_start")?)?;
         if let Some(last) = sealed.last() {
             if current_start < last.end {
@@ -841,7 +824,8 @@ impl<B: FrequencySketch> WindowedGSketch<B> {
     }
 }
 
-impl<B: FrequencySketch> EdgeSink for WindowedGSketch<B> {
+impl EdgeSink for WindowedGSketch {
+    #[inline]
     fn update(&mut self, se: StreamEdge) {
         self.try_insert(se)
             // lint: allow(no-panics) — `try_insert` only errors on a config the
@@ -1223,23 +1207,23 @@ mod tests {
         }
     }
 
-    /// The generic backends drive the same tiering machinery: folded
-    /// tiers merge and answers keep the coarsened mass visible.
+    /// With tiers participating, the detailed rows carry exactly the
+    /// plain batch's values, and every interval reaching into coarsened
+    /// history reports a positive error bound.
     #[test]
-    fn tiering_works_across_backends() {
-        fn exercise<B: FrequencySketch>() {
-            let mut w = WindowedGSketch::<B>::with_horizon_backend(cfg(), builder(), 2).unwrap();
-            for ts in 0..1_000u64 {
-                w.try_insert(wedge((ts % 5) as u32, 8, ts)).unwrap();
+    fn tiered_detailed_rows_match_plain_batch() {
+        let w = tiered(2, 12);
+        assert!(w.num_tiers() >= 1);
+        let edges: Vec<Edge> = (0..5u32).map(|v| Edge::new(v, 8u32)).collect();
+        let (mut plain, mut rows) = (Vec::new(), Vec::new());
+        for (ts, te) in [(0u64, 1_199u64), (50, 450), (0, u64::MAX)] {
+            w.estimate_interval_batch(&edges, ts, te, &mut plain);
+            w.estimate_interval_detailed_batch(&edges, ts, te, &mut rows);
+            for (&p, r) in plain.iter().zip(&rows) {
+                assert_eq!(p.to_bits(), r.value.to_bits());
+                assert!(r.error_bound > 0.0, "[{ts}, {te}]");
+                assert!(r.confidence > 0.0 && r.confidence <= 1.0);
             }
-            assert_eq!(w.sealed_windows(), 2);
-            assert!(w.num_tiers() >= 1);
-            let e = Edge::new(1u32, 8u32);
-            let est = w.estimate_interval(e, 0, 999);
-            assert!(est > 0.0, "{} lost the coarsened mass", B::KIND);
         }
-        exercise::<CmArena>();
-        exercise::<sketch::CountMinSketch>();
-        exercise::<sketch::CountSketch>();
     }
 }

@@ -1,15 +1,18 @@
-//! Property tests pinning the arena refactor's central invariant: the
-//! contiguous-slab backend ([`CmArena`]) is *observationally identical*
-//! to the per-partition CountMin layout it replaces — for any stream and
-//! any seed, every estimate, total, route, and merge result agrees bit
-//! for bit. This is what makes the arena a pure layout optimization
-//! (DESIGN.md §2): both banks share one per-row hash family seeded from
-//! the builder seed, so slot `i` of the arena holds exactly the cells
-//! partition `i`'s standalone sketch would hold.
+//! Property tests pinning the arena's central invariant: a `GSketch`'s
+//! contiguous counter slab ([`gsketch::CmArena`]) is *observationally
+//! identical* to an independent reference — one standalone
+//! [`CountMinSketch`] per slot, of the built sketch's slot widths, the
+//! builder's depth and seed, routed by the sketch's own router. For any
+//! stream and any seed, every estimate, total, route and load agrees bit
+//! for bit (DESIGN.md §2): the arena shares one per-row hash family
+//! seeded from the builder seed, so slot `i` holds exactly the cells
+//! slot `i`'s standalone sketch would hold. The remaining properties pin
+//! every batched, sharded, routed and memoized path against the scalar
+//! sequential one.
 
 use gsketch::{
-    AdaptiveConfig, AdaptiveGSketch, CmArena, CountMinSketch, CountSketch, EdgeEstimator, EdgeSink,
-    GSketch, GSketchBuilder, GlobalSketch, ParallelQuery, ReplayEngine, ShardedIngest,
+    AdaptiveConfig, AdaptiveGSketch, CountMinSketch, EdgeEstimator, EdgeSink, GSketch,
+    GSketchBuilder, GlobalSketch, ParallelQuery, ReplayEngine, ShardedIngest, SketchId, SlotRouted,
     WindowConfig, WindowedGSketch,
 };
 use gstream::edge::{Edge, StreamEdge};
@@ -69,12 +72,39 @@ fn assert_batch_parity<E: EdgeEstimator>(est: &E, queries: &[Edge]) {
     }
 }
 
+/// The reference layout: one standalone `CountMinSketch` per slot of
+/// `gs`, with the slot widths read from the built sketch and the depth
+/// and seed of its builder. Arrivals route through `gs`'s router.
+struct PerSlotModel {
+    slots: Vec<CountMinSketch>,
+}
+
+impl PerSlotModel {
+    fn of(gs: &GSketch, depth: usize, seed: u64) -> Self {
+        let arena = gs.arena();
+        let slots = (0..arena.num_slots() as u32)
+            .map(|s| CountMinSketch::new(arena.slot_width(s), depth, seed).unwrap())
+            .collect();
+        Self { slots }
+    }
+
+    fn update(&mut self, gs: &GSketch, se: StreamEdge) {
+        self.slots[gs.slot_of(se.edge.src) as usize].update(se.edge.key(), se.weight);
+    }
+
+    fn estimate(&self, gs: &GSketch, e: Edge) -> u64 {
+        self.slots[gs.slot_of(e.src) as usize].estimate(e.key())
+    }
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
-    /// For any stream and seed, `GSketch<CmArena>` returns bit-identical
-    /// estimates (and routes, totals, loads) to the per-partition
-    /// `GSketch<CountMinSketch>` layout.
+    /// For any stream and seed, a `GSketch` returns bit-identical
+    /// estimates (and routes, totals, loads) to the per-slot CountMin
+    /// model. The sketch is built without the pre-filter so raw counters
+    /// are compared, absent probes included; the filter's own contract
+    /// is pinned by `tests/prefilter.rs`.
     #[test]
     fn arena_estimates_match_per_partition_layout(
         sample in vec((0u32..40, 0u32..40, 0u8..8), 1..120),
@@ -86,37 +116,52 @@ proptest! {
         let stream: Vec<StreamEdge> =
             sample.iter().chain(&stream_of(&tail)).copied().collect();
 
-        let mut arena: GSketch<CmArena> = builder(1 << 13, depth, seed)
-            .build_from_sample_backend(&sample)
+        let mut gs = builder(1 << 13, depth, seed)
+            .prefilter(false)
+            .build_from_sample(&sample)
             .unwrap();
-        let mut pervec: GSketch<CountMinSketch> = builder(1 << 13, depth, seed)
-            .build_from_sample_backend(&sample)
-            .unwrap();
+        let mut model = PerSlotModel::of(&gs, depth, seed);
 
-        prop_assert_eq!(arena.num_partitions(), pervec.num_partitions());
-        prop_assert_eq!(arena.bytes(), pervec.bytes());
+        prop_assert_eq!(model.slots.len(), gs.num_partitions() + 1);
+        prop_assert_eq!(
+            gs.bytes(),
+            model.slots.iter().map(CountMinSketch::bytes).sum::<usize>()
+        );
 
-        arena.ingest(&stream);
-        pervec.ingest(&stream);
+        gs.ingest(&stream);
+        for se in &stream {
+            model.update(&gs, *se);
+        }
 
         for se in &stream {
-            prop_assert_eq!(arena.route(se.edge), pervec.route(se.edge));
-            prop_assert_eq!(arena.estimate(se.edge), pervec.estimate(se.edge));
+            let slot = gs.slot_of(se.edge.src);
+            let route = if slot as usize == gs.num_partitions() {
+                SketchId::Outlier
+            } else {
+                SketchId::Partition(slot)
+            };
+            prop_assert_eq!(gs.route(se.edge), route);
+            prop_assert_eq!(gs.estimate(se.edge), model.estimate(&gs, se.edge));
         }
         // Also probe edges that never arrived (pure collision noise must
         // agree too — same hash family, same cells).
         for v in 0..60u32 {
             let e = Edge::new(v, 999u32);
-            prop_assert_eq!(arena.estimate(e), pervec.estimate(e));
+            prop_assert_eq!(gs.estimate(e), model.estimate(&gs, e));
         }
-        prop_assert_eq!(arena.total_weight(), pervec.total_weight());
-        prop_assert_eq!(arena.outlier_weight(), pervec.outlier_weight());
-        prop_assert_eq!(arena.partition_loads(), pervec.partition_loads());
+        let (outlier, partitions) = model.slots.split_last().unwrap();
+        prop_assert_eq!(
+            gs.total_weight(),
+            model.slots.iter().map(CountMinSketch::total).sum::<u64>()
+        );
+        prop_assert_eq!(gs.outlier_weight(), outlier.total());
+        let loads: Vec<(usize, u64)> = partitions.iter().map(|cm| (cm.width(), cm.total())).collect();
+        prop_assert_eq!(gs.partition_loads(), loads);
     }
 
-    /// Batched ingest is estimate-identical to streaming ingest on both
-    /// backends (counting-sort grouping must not reorder *within* a
-    /// slot's saturating adds in any observable way).
+    /// Batched ingest is estimate-identical to streaming ingest
+    /// (counting-sort grouping must not reorder *within* a slot's
+    /// saturating adds in any observable way).
     #[test]
     fn batched_ingest_matches_streaming(
         sample in vec((0u32..30, 0u32..30, 0u8..8), 1..80),
@@ -124,8 +169,8 @@ proptest! {
         seed in any::<u64>(),
     ) {
         let stream = stream_of(&sample);
-        let mut streaming: GSketch<CmArena> = builder(1 << 12, depth, seed)
-            .build_from_sample_backend(&stream)
+        let mut streaming = builder(1 << 12, depth, seed)
+            .build_from_sample(&stream)
             .unwrap();
         let mut batched = streaming.clone();
         streaming.ingest(&stream);
@@ -137,7 +182,7 @@ proptest! {
     }
 
     /// The batched query engine is observationally identical to the
-    /// scalar loop on **every backend and every estimator** — for any
+    /// scalar loop on **every estimator** — for any
     /// stream, seed, and query batch, including duplicate keys (each
     /// query repeated `dup` times) and shuffled order. This pins the
     /// whole read path: the chunked in-order gather, the arena's gather
@@ -171,22 +216,25 @@ proptest! {
         }
         shuffle_edges(&mut queries, shuffle_seed);
 
-        // GSketch over every backend.
-        let mut arena: GSketch<CmArena> = builder(1 << 13, depth, seed)
-            .build_from_sample_backend(&sample)
-            .unwrap();
-        arena.ingest(&stream);
-        assert_batch_parity(&arena, &queries);
-        let mut pervec: GSketch<CountMinSketch> = builder(1 << 13, depth, seed)
-            .build_from_sample_backend(&sample)
-            .unwrap();
-        pervec.ingest(&stream);
-        assert_batch_parity(&pervec, &queries);
-        let mut csketch: GSketch<CountSketch> = builder(1 << 13, depth, seed)
-            .build_from_sample_backend(&sample)
-            .unwrap();
-        csketch.ingest(&stream);
-        assert_batch_parity(&csketch, &queries);
+        // GSketch, with the pre-filter read and without a filter.
+        for prefilter in [true, false] {
+            let mut gs = builder(1 << 13, depth, seed)
+                .prefilter(prefilter)
+                .build_from_sample(&sample)
+                .unwrap();
+            gs.ingest(&stream);
+            assert_batch_parity(&gs, &queries);
+            // Parallel fan-out answers bit-identically to the sequential
+            // batch, with real oversubscribed threads.
+            let mut sequential = Vec::new();
+            gs.estimate_edges(&queries, &mut sequential);
+            for threads in [2usize, 5] {
+                let pq = ParallelQuery::new(&gs, threads).oversubscribe(true);
+                let mut parallel = Vec::new();
+                pq.estimate_edges(&queries, &mut parallel);
+                prop_assert_eq!(&parallel, &sequential, "{} workers", threads);
+            }
+        }
 
         // The global baseline.
         let mut global = GlobalSketch::new(1 << 12, depth, seed).unwrap();
@@ -225,17 +273,6 @@ proptest! {
         .unwrap();
         adaptive.ingest(&stream);
         assert_batch_parity(&adaptive, &queries);
-
-        // Parallel fan-out answers bit-identically to the sequential
-        // batch, with real oversubscribed threads.
-        let mut sequential = Vec::new();
-        arena.estimate_edges(&queries, &mut sequential);
-        for threads in [2usize, 5] {
-            let pq = ParallelQuery::new(&arena, threads).oversubscribe(true);
-            let mut parallel = Vec::new();
-            pq.estimate_edges(&queries, &mut parallel);
-            prop_assert_eq!(&parallel, &sequential, "{} workers", threads);
-        }
     }
 
     /// The windowed deployment's batched interval surface is
@@ -305,11 +342,10 @@ proptest! {
     }
 
     /// Replay-cache invalidation interleavings: a `ReplayEngine`
-    /// wrapping each backend must stay **bit-identical to the uncached
+    /// wrapping a `GSketch` must stay **bit-identical to the uncached
     /// path** across arbitrary ingest/query/ingest sequences — writes
-    /// through the engine invalidate exactly enough of the memo that no
-    /// stale answer survives, on the slot-localized backends and the
-    /// rest alike.
+    /// through the engine invalidate exactly enough of the memo (one
+    /// router slot per write) that no stale answer survives.
     #[test]
     fn replay_cache_interleavings_match_uncached(
         sample in vec((0u32..40, 0u32..40, 0u8..8), 1..80),
@@ -326,92 +362,39 @@ proptest! {
         cuts.sort_unstable();
         cuts.push(tail.len());
 
-        fn check<B: gsketch::FrequencySketch>(
-            sample: &[StreamEdge],
-            tail: &[StreamEdge],
-            cuts: &[usize],
-            depth: usize,
-            seed: u64,
-        ) {
-            let empty: GSketch<B> = GSketch::builder()
-                .memory_bytes(1 << 13)
-                .depth(depth)
-                .min_width(16)
-                .seed(seed)
-                .build_from_sample_backend(sample)
-                .unwrap();
-            let mut bare = empty.clone();
-            let mut engine = ReplayEngine::with_capacity(empty, 256);
-            let queries: Vec<Edge> = sample
-                .iter()
-                .chain(tail)
-                .map(|se| se.edge)
-                .chain((0..8u32).map(|v| Edge::new(v, 999u32)))
-                .collect();
-            let mut cached_out = Vec::new();
-            let mut bare_out = Vec::new();
-            let mut at = 0usize;
-            for &cut in cuts {
-                let chunk = &tail[at..cut];
-                at = cut;
-                engine.ingest_batch(chunk);
-                bare.ingest_batch(chunk);
-                // Replay twice so the second pass reads memoized
-                // answers (and must still agree bit for bit).
-                for _ in 0..2 {
-                    engine.estimate_edges(&queries, &mut cached_out);
-                    bare.estimate_edges(&queries, &mut bare_out);
-                    assert_eq!(cached_out, bare_out);
-                }
+        let empty = GSketch::builder()
+            .memory_bytes(1 << 13)
+            .depth(depth)
+            .min_width(16)
+            .seed(seed)
+            .build_from_sample(&sample)
+            .unwrap();
+        let mut bare = empty.clone();
+        let mut engine = ReplayEngine::with_capacity(empty, 256);
+        let queries: Vec<Edge> = sample
+            .iter()
+            .chain(&tail)
+            .map(|se| se.edge)
+            .chain((0..8u32).map(|v| Edge::new(v, 999u32)))
+            .collect();
+        let mut cached_out = Vec::new();
+        let mut bare_out = Vec::new();
+        let mut at = 0usize;
+        for &cut in &cuts {
+            let chunk = &tail[at..cut];
+            at = cut;
+            engine.ingest_batch(chunk);
+            bare.ingest_batch(chunk);
+            // Replay twice so the second pass reads memoized answers
+            // (and must still agree bit for bit).
+            for _ in 0..2 {
+                engine.estimate_edges(&queries, &mut cached_out);
+                bare.estimate_edges(&queries, &mut bare_out);
+                prop_assert_eq!(&cached_out, &bare_out);
             }
-            // The engine actually exercised the memo.
-            assert!(engine.stats().hits > 0);
         }
-
-        check::<CmArena>(&sample, &tail, &cuts, depth, seed);
-        check::<CountMinSketch>(&sample, &tail, &cuts, depth, seed);
-        check::<CountSketch>(&sample, &tail, &cuts, depth, seed);
-    }
-
-    /// Merge on the backend trait agrees with sequential ingest: split
-    /// any stream across two workers, merge, and get the bit-exact
-    /// serial sketch — on the arena and on the per-partition layout.
-    #[test]
-    fn merge_agrees_with_sequential_ingest(
-        sample in vec((0u32..40, 0u32..40, 0u8..8), 1..100),
-        at_frac in 0.0f64..1.0,
-        depth in 1usize..4,
-        seed in any::<u64>(),
-    ) {
-        let stream = stream_of(&sample);
-        let mid = ((stream.len() as f64) * at_frac) as usize;
-
-        fn check<B>(stream: &[StreamEdge], mid: usize, depth: usize, seed: u64)
-        where
-            B: gsketch::FrequencySketch,
-        {
-            let empty: GSketch<B> = GSketch::builder()
-                .memory_bytes(1 << 12)
-                .depth(depth)
-                .min_width(16)
-                .seed(seed)
-                .build_from_sample_backend(stream)
-                .unwrap();
-            let mut serial = empty.clone();
-            serial.ingest(stream);
-            let mut a = empty.clone();
-            let mut b = empty;
-            a.ingest(&stream[..mid]);
-            b.ingest(&stream[mid..]);
-            a.merge(&b).unwrap();
-            for se in stream {
-                assert_eq!(a.estimate(se.edge), serial.estimate(se.edge));
-            }
-            assert_eq!(a.total_weight(), serial.total_weight());
-        }
-
-        check::<CmArena>(&stream, mid, depth, seed);
-        check::<CountMinSketch>(&stream, mid, depth, seed);
+        // The engine actually exercised the memo.
+        prop_assert!(engine.stats().hits > 0);
     }
 
     /// The owner-sharded engine (scatter → channel handoff → per-owner
@@ -432,8 +415,8 @@ proptest! {
         let sample = stream_of(&sample);
         let stream: Vec<StreamEdge> =
             sample.iter().chain(&stream_of(&tail)).copied().collect();
-        let empty: GSketch<CmArena> = builder(1 << 13, depth, seed)
-            .build_from_sample_backend(&sample)
+        let empty = builder(1 << 13, depth, seed)
+            .build_from_sample(&sample)
             .unwrap();
 
         let mut serial = empty.clone();
@@ -461,7 +444,7 @@ proptest! {
     }
 
     /// The slot-routed read path answers bit-identically to the
-    /// sequential batch on **every backend**: counting-sorting a query
+    /// sequential batch: counting-sorting a query
     /// batch by router slot and fanning owner-aligned spans out over
     /// real oversubscribed threads regroups independent per-edge
     /// answers, nothing more (DESIGN.md §11).
@@ -489,35 +472,20 @@ proptest! {
         }
         shuffle_edges(&mut queries, shuffle_seed);
 
-        fn check<B: gsketch::FrequencySketch>(
-            sample: &[StreamEdge],
-            stream: &[StreamEdge],
-            queries: &[Edge],
-            threads: usize,
-            depth: usize,
-            seed: u64,
-        ) where
-            GSketch<B>: Sync,
-        {
-            let mut gs: GSketch<B> = GSketch::builder()
-                .memory_bytes(1 << 13)
-                .depth(depth)
-                .min_width(16)
-                .seed(seed)
-                .build_from_sample_backend(sample)
-                .unwrap();
-            gs.ingest(stream);
-            let mut sequential = Vec::new();
-            gs.estimate_edges(queries, &mut sequential);
-            let pq = ParallelQuery::new(&gs, threads).oversubscribe(true);
-            let mut routed = Vec::new();
-            pq.estimate_edges_routed(queries, &mut routed);
-            assert_eq!(routed, sequential, "routed read path diverged");
-        }
-
-        check::<CmArena>(&sample, &stream, &queries, threads, depth, seed);
-        check::<CountMinSketch>(&sample, &stream, &queries, threads, depth, seed);
-        check::<CountSketch>(&sample, &stream, &queries, threads, depth, seed);
+        let mut gs = GSketch::builder()
+            .memory_bytes(1 << 13)
+            .depth(depth)
+            .min_width(16)
+            .seed(seed)
+            .build_from_sample(&sample)
+            .unwrap();
+        gs.ingest(&stream);
+        let mut sequential = Vec::new();
+        gs.estimate_edges(&queries, &mut sequential);
+        let pq = ParallelQuery::new(&gs, threads).oversubscribe(true);
+        let mut routed = Vec::new();
+        pq.estimate_edges_routed(&queries, &mut routed);
+        prop_assert_eq!(routed, sequential, "routed read path diverged");
     }
 
     /// Windowed epoch handoff: sharded ingest with rotations mid-stream

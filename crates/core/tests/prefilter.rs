@@ -7,8 +7,8 @@
 //! starts each window with empty membership.
 
 use gsketch::{
-    persist, CmArena, CountMinSketch, CountSketch, EdgeEstimator, EdgeSink, GSketch,
-    GSketchBuilder, ReplayEngine, ShardedIngest, WindowConfig, WindowedGSketch,
+    persist, EdgeEstimator, EdgeSink, GSketch, GSketchBuilder, ReplayEngine, ShardedIngest,
+    WindowConfig, WindowedGSketch,
 };
 use gstream::edge::{Edge, StreamEdge};
 use gstream::exact::ExactCounter;
@@ -149,33 +149,6 @@ fn windowed_rotation_clears_membership() {
     assert!(w.estimate_interval(hot, 0, 9) >= 450.0);
 }
 
-/// Merge unions membership: a key ingested only on one worker stays
-/// answerable (no false negative) after merging into the other, and
-/// merging a filtered sketch with a filterless one is rejected rather
-/// than silently dropping membership.
-#[test]
-fn merge_unions_membership_and_rejects_mismatch() {
-    let stream = stream_of(&[(1, 2, 3), (3, 4, 5), (5, 6, 7), (7, 8, 2)]);
-    let empty = builder(16 << 10, 9).build_from_sample(&stream).unwrap();
-    let mut a = empty.clone();
-    let mut b = empty.clone();
-    a.ingest(&stream[..2]);
-    b.ingest(&stream[2..]);
-    a.merge(&b).unwrap();
-    let mut serial = empty;
-    serial.ingest(&stream);
-    for se in &stream {
-        assert_eq!(a.estimate(se.edge), serial.estimate(se.edge));
-    }
-    // Filtered × filterless is a build mismatch, not a silent union.
-    let mut filterless = builder(16 << 10, 9)
-        .prefilter(false)
-        .build_from_sample(&stream)
-        .unwrap();
-    assert!(a.merge(&filterless).is_err());
-    assert!(filterless.merge(&a).is_err());
-}
-
 /// Multi-owner sharded ingest maintains membership — each owner sets
 /// the filter bits of its own slot range — and the read-side toggle
 /// works on the result: absent keys answer 0 with the filter on and at
@@ -244,7 +217,7 @@ fn sparse_workload_are_no_worse_with_filter() {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
-    /// The accuracy contract, on every backend, for any stream and seed:
+    /// The accuracy contract, for any stream and seed:
     /// present-key answers are bit-identical with the filter on or off
     /// (positives fall through to the same counters), absent keys only
     /// ever decrease (to 0 on a true negative, unchanged on a false
@@ -252,7 +225,7 @@ proptest! {
     /// count — Bloom membership has no false negatives, so the CountMin
     /// one-sided guarantee survives the short-circuit.
     #[test]
-    fn filter_preserves_present_answers_on_every_backend(
+    fn filter_preserves_present_answers(
         sample in vec((0u32..40, 0u32..40, 0u8..8), 1..100),
         tail in vec((0u32..60, 0u32..60, 0u8..8), 0..150),
         seed in any::<u64>(),
@@ -261,60 +234,41 @@ proptest! {
         let stream: Vec<StreamEdge> =
             sample.iter().chain(&stream_of(&tail)).copied().collect();
 
-        fn check<B: gsketch::FrequencySketch>(
-            sample: &[StreamEdge],
-            stream: &[StreamEdge],
-            seed: u64,
-            one_sided: bool,
-        ) {
-            let mut on: GSketch<B> = GSketch::builder()
-                .memory_bytes(1 << 13)
-                .depth(3)
-                .min_width(16)
-                .seed(seed)
-                .build_from_sample_backend(sample)
-                .unwrap();
-            on.ingest(stream);
-            // The read-side toggle on identical state — the CLI's
-            // `--prefilter off` — so counters and layout are shared and
-            // any divergence is the filter's doing.
-            let mut off = on.clone();
-            off.set_prefilter(false);
-            let truth = ExactCounter::from_stream(stream);
+        let mut on = GSketch::builder()
+            .memory_bytes(1 << 13)
+            .depth(3)
+            .min_width(16)
+            .seed(seed)
+            .build_from_sample(&sample)
+            .unwrap();
+        on.ingest(&stream);
+        // The read-side toggle on identical state — the CLI's
+        // `--prefilter off` — so counters and layout are shared and
+        // any divergence is the filter's doing.
+        let mut off = on.clone();
+        off.set_prefilter(false);
+        let truth = ExactCounter::from_stream(&stream);
 
-            // Present keys: scalar and batched answers bit-identical,
-            // and never below the exact count.
-            let present: Vec<Edge> = stream.iter().map(|se| se.edge).collect();
-            let (mut a, mut b) = (Vec::new(), Vec::new());
-            on.estimate_edges(&present, &mut a);
-            off.estimate_edges(&present, &mut b);
-            assert_eq!(a, b, "present-key batch diverged with filter on");
-            for (edge, f) in truth.iter() {
-                assert_eq!(on.estimate(edge), off.estimate(edge));
-                // CountSketch's median estimator is two-sided, so the
-                // never-underestimate check only applies to the
-                // CountMin-family backends. (A filter false negative
-                // would already trip the equality above: the filtered
-                // answer would drop to 0 while the unfiltered one
-                // reflects the key's real counts.)
-                if one_sided {
-                    assert!(on.estimate(edge) >= f, "false negative on {edge}");
-                }
-            }
-
-            // Absent keys: filtered answer is 0 or the unfiltered
-            // answer (false positives fall through untouched).
-            for p in absent_probes(64) {
-                let filtered = on.estimate(p);
-                let unfiltered = off.estimate(p);
-                assert!(filtered == 0 || filtered == unfiltered,
-                    "absent {p}: filtered {filtered} vs unfiltered {unfiltered}");
-            }
+        // Present keys: scalar and batched answers bit-identical,
+        // and never below the exact count.
+        let present: Vec<Edge> = stream.iter().map(|se| se.edge).collect();
+        let (mut a, mut b) = (Vec::new(), Vec::new());
+        on.estimate_edges(&present, &mut a);
+        off.estimate_edges(&present, &mut b);
+        assert_eq!(a, b, "present-key batch diverged with filter on");
+        for (edge, f) in truth.iter() {
+            assert_eq!(on.estimate(edge), off.estimate(edge));
+            assert!(on.estimate(edge) >= f, "false negative on {edge}");
         }
 
-        check::<CmArena>(&sample, &stream, seed, true);
-        check::<CountMinSketch>(&sample, &stream, seed, true);
-        check::<CountSketch>(&sample, &stream, seed, false);
+        // Absent keys: filtered answer is 0 or the unfiltered
+        // answer (false positives fall through untouched).
+        for p in absent_probes(64) {
+            let filtered = on.estimate(p);
+            let unfiltered = off.estimate(p);
+            assert!(filtered == 0 || filtered == unfiltered,
+                "absent {p}: filtered {filtered} vs unfiltered {unfiltered}");
+        }
     }
 
     /// The replay engine's miss batches inherit the short-circuit: for
@@ -330,12 +284,12 @@ proptest! {
     ) {
         let sample = stream_of(&sample);
         let tail = stream_of(&tail);
-        let empty: GSketch<CmArena> = GSketch::builder()
+        let empty = GSketch::builder()
             .memory_bytes(1 << 13)
             .depth(3)
             .min_width(16)
             .seed(seed)
-            .build_from_sample_backend(&sample)
+            .build_from_sample(&sample)
             .unwrap();
         let mut bare = empty.clone();
         let mut engine = ReplayEngine::with_capacity(empty, 256);

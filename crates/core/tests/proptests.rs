@@ -156,10 +156,7 @@ proptest! {
 // Windowed snapshot round-trips (DESIGN.md §13)
 // ---------------------------------------------------------------------------
 
-use gsketch::{
-    load_windowed_backend, save_windowed, CmArena, CountMinSketch, CountSketch, FrequencySketch,
-    WindowConfig, WindowedGSketch,
-};
+use gsketch::{load_windowed, save_windowed, WindowConfig, WindowedGSketch};
 
 fn temp_snapshot_path(tag: &str) -> std::path::PathBuf {
     use std::sync::atomic::{AtomicU64, Ordering};
@@ -177,11 +174,7 @@ fn temp_snapshot_path(tag: &str) -> std::path::PathBuf {
 /// and require bit-identical interval answers — then resume ingest on
 /// BOTH instances (pinning reservoir + RNG fidelity through the
 /// snapshot) and require identity again.
-fn exercise_windowed_round_trip<B: FrequencySketch>(
-    stream: &[StreamEdge],
-    seed: u64,
-    keep: Option<usize>,
-) {
+fn exercise_windowed_round_trip(stream: &[StreamEdge], seed: u64, keep: Option<usize>) {
     let cfg = WindowConfig {
         span: 16,
         memory_bytes_per_window: 8 << 10,
@@ -189,12 +182,12 @@ fn exercise_windowed_round_trip<B: FrequencySketch>(
         seed,
     };
     let builder = GSketch::builder().min_width(8);
-    let mut live: WindowedGSketch<B> = match keep {
-        Some(k) => WindowedGSketch::with_horizon_backend(cfg, builder, k),
-        None => WindowedGSketch::new_backend(cfg, builder),
+    let mut live = match keep {
+        Some(k) => WindowedGSketch::with_horizon(cfg, builder, k),
+        None => WindowedGSketch::new(cfg, builder),
     }
     .unwrap();
-    let path = temp_snapshot_path(B::KIND);
+    let path = temp_snapshot_path("windowed");
     let half = stream.len() / 2;
     for se in &stream[..half] {
         live.try_insert(*se).unwrap();
@@ -204,7 +197,7 @@ fn exercise_windowed_round_trip<B: FrequencySketch>(
         live.try_insert(*se).unwrap();
     }
     save_windowed(&path, &live).unwrap(); // incremental append
-    let mut loaded: WindowedGSketch<B> = load_windowed_backend(&path).unwrap();
+    let mut loaded = load_windowed(&path).unwrap();
     std::fs::remove_file(&path).ok();
 
     let edges: Vec<Edge> = stream.iter().take(24).map(|se| se.edge).collect();
@@ -212,7 +205,8 @@ fn exercise_windowed_round_trip<B: FrequencySketch>(
     let intervals = [
         (0, u64::MAX),
         (0, 7),
-        (5, t_max),
+        // Clamped: a stream shorter than six arrivals ends before t = 5.
+        (5.min(t_max), t_max),
         (t_max / 2, t_max / 2 + 3),
     ];
     let (mut a, mut b) = (Vec::new(), Vec::new());
@@ -220,17 +214,10 @@ fn exercise_windowed_round_trip<B: FrequencySketch>(
     for &(ts, te) in &intervals {
         live.estimate_interval_batch(&edges, ts, te, &mut a);
         loaded.estimate_interval_batch(&edges, ts, te, &mut b);
-        prop_assert_eq!(&a, &b, "plain mismatch over [{}, {}] ({})", ts, te, B::KIND);
+        prop_assert_eq!(&a, &b, "plain mismatch over [{}, {}]", ts, te);
         live.estimate_interval_detailed_batch(&edges, ts, te, &mut da);
         loaded.estimate_interval_detailed_batch(&edges, ts, te, &mut db);
-        prop_assert_eq!(
-            &da,
-            &db,
-            "detailed mismatch over [{}, {}] ({})",
-            ts,
-            te,
-            B::KIND
-        );
+        prop_assert_eq!(&da, &db, "detailed mismatch over [{}, {}]", ts, te);
     }
     // Resume: the restored instance must continue exactly like the live
     // one — window rotations, reservoir offers, and (with a horizon)
@@ -243,14 +230,7 @@ fn exercise_windowed_round_trip<B: FrequencySketch>(
     for &(ts, te) in &intervals {
         live.estimate_interval_detailed_batch(&edges, ts, te, &mut da);
         loaded.estimate_interval_detailed_batch(&edges, ts, te, &mut db);
-        prop_assert_eq!(
-            &da,
-            &db,
-            "post-resume mismatch over [{}, {}] ({})",
-            ts,
-            te,
-            B::KIND
-        );
+        prop_assert_eq!(&da, &db, "post-resume mismatch over [{}, {}]", ts, te);
     }
 }
 
@@ -259,9 +239,9 @@ proptest! {
 
     /// For ANY stream, seed, and horizon setting, a windowed snapshot —
     /// fresh or appended — restores an instance bit-identical to the
-    /// live one, across all three synopsis backends.
+    /// live one.
     #[test]
-    fn windowed_snapshots_round_trip_across_backends(
+    fn windowed_snapshots_round_trip(
         raw in vec((0u16..20, 0u16..20, any::<u8>()), 2..160),
         seed in any::<u64>(),
         keep_raw in 0usize..4,
@@ -269,8 +249,6 @@ proptest! {
         let stream = to_stream(&raw);
         // 0 means "no horizon"; 1..4 coarsen sealed history into tiers.
         let keep = (keep_raw > 0).then_some(keep_raw);
-        exercise_windowed_round_trip::<CmArena>(&stream, seed, keep);
-        exercise_windowed_round_trip::<CountMinSketch>(&stream, seed, keep);
-        exercise_windowed_round_trip::<CountSketch>(&stream, seed, keep);
+        exercise_windowed_round_trip(&stream, seed, keep);
     }
 }

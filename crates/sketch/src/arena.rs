@@ -1,19 +1,23 @@
 //! `CmArena`: all of a gSketch's CountMin counters in **one contiguous
-//! slab** (DESIGN.md §2).
+//! slab** (DESIGN.md §2) — the synopsis every `GSketch` builds over.
 //!
-//! The per-partition layout allocates each localized sketch its own
-//! `Vec<u64>` and its own hash family. That scatters a budget that is
-//! logically one array across the heap and re-derives `d` hash functions
-//! per partition. The arena restores the layout the partitioning already
-//! implies: one `Vec<u64>` holding every slot's `depth × width` block
-//! back-to-back, per-slot [`SlotSpan`]s saying where each block starts,
-//! and **one** shared per-row Carter–Wegman family (sound by the paper's
-//! §4.1 shared-depth property; see `backend.rs`). Within a block the
-//! cells are row-major, exactly like a standalone
-//! [`CountMinSketch`](crate::CountMinSketch) —
-//! which is why a one-slot arena *is* a CountMin sketch and the arena
-//! estimates are bit-identical to the per-partition layout at equal
-//! seeds.
+//! gSketch carves one memory budget into many localized sketches. The
+//! arena keeps that budget one array: a single `Vec<u64>` holding every
+//! slot's `depth × width` block back-to-back, per-slot [`SlotSpan`]s
+//! saying where each block starts, and **one** shared per-row
+//! Carter–Wegman family. Within a block the cells are row-major,
+//! exactly like a standalone [`CountMinSketch`](crate::CountMinSketch),
+//! which is why a one-slot arena *is* a CountMin sketch, and why an
+//! arena is cell-for-cell identical to one `CountMinSketch` per slot
+//! built from the same seed (the core crate's `backend_parity`
+//! proptests pin this against such a model).
+//!
+//! **Shared hash families.** Every slot derives its rows from the same
+//! seed. The paper's §4.1 shared-depth property makes this sound:
+//! partitions keep the global depth `d`, the key sets routed to
+//! different partitions are disjoint, and the per-partition collision
+//! bound only depends on the family being pairwise independent *within*
+//! a slot.
 //!
 //! [`CmArena::split_slots`] cuts the slab into [`CmArenaSlice`]s: one
 //! exclusive `&mut` view per contiguous slot range. Slot blocks sit
@@ -21,7 +25,6 @@
 //! disjoint ranges commit in parallel with plain stores. The borrow
 //! checker, not a caller contract, keeps each owner inside its range.
 
-use crate::backend::{FrequencySketch, SketchBank};
 use crate::error::SketchError;
 use crate::hash::PairwiseHash;
 use rand::rngs::StdRng;
@@ -369,108 +372,64 @@ impl CmArena {
     }
 }
 
-impl SketchBank for CmArena {
-    fn build(widths: &[usize], depth: usize, seed: u64) -> Result<Self, SketchError> {
-        Self::with_slots(widths, depth, seed)
-    }
-
+impl CmArena {
+    /// Total weight absorbed by `slot`.
     #[inline]
-    fn update(&mut self, slot: u32, key: u64, weight: u64) {
-        self.update_slot(slot, key, weight);
-    }
-
-    #[inline]
-    fn add_batch(&mut self, slot: u32, run: &[(u64, u64)]) {
-        self.add_batch_saturating(slot, run);
-    }
-
-    #[inline]
-    fn estimate(&self, slot: u32, key: u64) -> u64 {
-        self.estimate_slot(slot, key)
-    }
-
-    #[inline]
-    fn estimate_gather(&self, slots: &[u32], keys: &[u64], out: &mut Vec<u64>) {
-        CmArena::estimate_gather(self, slots, keys, out);
-    }
-
-    fn slot_total(&self, slot: u32) -> u64 {
+    pub fn slot_total(&self, slot: u32) -> u64 {
         self.totals[slot as usize]
     }
 
-    fn slot_width(&self, slot: u32) -> usize {
+    /// Width (cells per row) of `slot`.
+    #[inline]
+    pub fn slot_width(&self, slot: u32) -> usize {
         self.spans[slot as usize].width
     }
 
-    fn num_slots(&self) -> usize {
+    /// Number of slots.
+    #[inline]
+    pub fn num_slots(&self) -> usize {
         self.spans.len()
     }
 
-    fn depth(&self) -> usize {
+    /// Shared depth `d`.
+    #[inline]
+    pub fn depth(&self) -> usize {
         self.depth
     }
 
-    fn byte_size(&self) -> usize {
+    /// Total counter memory across all slots, in bytes.
+    pub fn byte_size(&self) -> usize {
         self.cells.len() * std::mem::size_of::<u64>()
     }
 
-    fn merge(&mut self, other: &Self) -> Result<(), SketchError> {
-        self.check_merge(other)?;
-        for (c, o) in self.cells.iter_mut().zip(&other.cells) {
-            *c = c.saturating_add(*o);
-        }
-        for (t, o) in self.totals.iter_mut().zip(&other.totals) {
-            *t = t.saturating_add(*o);
-        }
-        Ok(())
-    }
-}
-
-/// A one-slot arena is interchangeable with a
-/// [`CountMinSketch`](crate::CountMinSketch) of the same shape and seed —
-/// same hash family, same row-major cells, same estimates.
-impl FrequencySketch for CmArena {
-    type Bank = CmArena;
-    const KIND: &'static str = "cm-arena";
-
-    fn with_shape(width: usize, depth: usize, seed: u64) -> Result<Self, SketchError> {
-        Self::new(width, depth, seed)
-    }
-
+    /// Additive error bound `e·N_i/w_i` of `slot`'s estimates (Equation 1
+    /// of the paper); it agrees with [`CountMinSketch`]'s own
+    /// [`error_bound`](crate::CountMinSketch::error_bound) for a
+    /// standalone sketch of the same width and load.
+    ///
+    /// [`CountMinSketch`]: crate::CountMinSketch
     #[inline]
-    fn update(&mut self, key: u64, weight: u64) {
-        self.update_slot(0, key, weight);
+    pub fn slot_error_bound(&self, slot: u32) -> f64 {
+        std::f64::consts::E * self.slot_total(slot) as f64 / self.slot_width(slot) as f64
     }
 
+    /// Probability the per-slot bound holds: `1 − e^{−d}`.
     #[inline]
-    fn estimate(&self, key: u64) -> u64 {
-        self.estimate_slot(0, key)
+    pub fn confidence(&self) -> f64 {
+        1.0 - (-(self.depth as f64)).exp()
     }
 
-    #[inline]
-    fn estimate_batch(&self, keys: &[u64], out: &mut Vec<u64>) {
-        self.estimate_batch_slot(0, keys, out);
-    }
-
-    fn total(&self) -> u64 {
-        self.totals.iter().fold(0u64, |a, &t| a.saturating_add(t))
-    }
-
-    fn mergeable_with(&self, other: &Self) -> bool {
-        self.check_merge(other).is_ok()
-    }
-
-    fn merge(&mut self, other: &Self) -> Result<(), SketchError> {
-        SketchBank::merge(self, other)
-    }
-
-    /// The owned-merge fast path: when the combined per-slot totals prove
-    /// no counter can wrap (every cell is bounded by its slot total, so
-    /// `total_a + total_b < u64::MAX` rules out per-cell overflow — and a
-    /// previously saturated counter forces its total to saturate too,
+    /// Merge an **owned** arena of the identical build (same spans,
+    /// depth and hash family) into this one, cell-wise; mismatches are
+    /// rejected before any cell is touched. The windowed tiering layer
+    /// drives this when it collapses coarsened windows into exponential
+    /// tiers. When the combined per-slot totals prove no counter can
+    /// wrap (every cell is bounded by its slot total, so
+    /// `total_a + total_b < u64::MAX` rules out per-cell overflow — and
+    /// a previously saturated counter forces its total to saturate too,
     /// which fails the same check), the slab is summed with plain adds
     /// that vectorize cleanly instead of one saturation branch per cell.
-    fn merge_assign(&mut self, other: Self) -> Result<(), SketchError> {
+    pub fn merge_assign(&mut self, other: Self) -> Result<(), SketchError> {
         self.check_merge(&other)?;
         let no_wrap = self
             .totals
@@ -493,22 +452,6 @@ impl FrequencySketch for CmArena {
             }
         }
         Ok(())
-    }
-
-    fn fold_bank(bank: &Self::Bank, quantum: usize) -> Result<Self, SketchError> {
-        bank.fold_slots(quantum)
-    }
-
-    fn byte_size(&self) -> usize {
-        SketchBank::byte_size(self)
-    }
-
-    fn width(&self) -> usize {
-        self.spans.first().map_or(0, |s| s.width)
-    }
-
-    fn depth(&self) -> usize {
-        self.depth
     }
 }
 
@@ -925,17 +868,14 @@ mod tests {
         let mut cm = CountMinSketch::new(97, 4, 0xABCD).unwrap();
         for k in 0..2_000u64 {
             let w = k % 5 + 1;
-            FrequencySketch::update(&mut arena, k * 31, w);
+            arena.update_slot(0, k * 31, w);
             cm.update(k * 31, w);
         }
         for k in 0..2_000u64 {
-            assert_eq!(
-                FrequencySketch::estimate(&arena, k * 31),
-                cm.estimate(k * 31)
-            );
+            assert_eq!(arena.estimate_slot(0, k * 31), cm.estimate(k * 31));
         }
-        assert_eq!(FrequencySketch::total(&arena), cm.total());
-        assert_eq!(FrequencySketch::byte_size(&arena), cm.bytes());
+        assert_eq!(arena.slot_total(0), cm.total());
+        assert_eq!(arena.byte_size(), cm.bytes());
     }
 
     #[test]
@@ -966,10 +906,10 @@ mod tests {
     #[test]
     fn saturating_counters_do_not_wrap() {
         let mut arena = CmArena::new(4, 1, 3).unwrap();
-        FrequencySketch::update(&mut arena, 1, u64::MAX);
-        FrequencySketch::update(&mut arena, 1, u64::MAX);
-        assert_eq!(FrequencySketch::estimate(&arena, 1), u64::MAX);
-        assert_eq!(FrequencySketch::total(&arena), u64::MAX);
+        arena.update_slot(0, 1, u64::MAX);
+        arena.update_slot(0, 1, u64::MAX);
+        assert_eq!(arena.estimate_slot(0, 1), u64::MAX);
+        assert_eq!(arena.slot_total(0), u64::MAX);
     }
 
     /// The owned-merge fast path must fall back to saturation when the
@@ -980,13 +920,122 @@ mod tests {
         let mut a = CmArena::new(4, 1, 3).unwrap();
         let b = {
             let mut b = CmArena::new(4, 1, 3).unwrap();
-            FrequencySketch::update(&mut b, 1, u64::MAX - 5);
+            b.update_slot(0, 1, u64::MAX - 5);
             b
         };
-        FrequencySketch::update(&mut a, 1, 100);
-        FrequencySketch::merge_assign(&mut a, b).unwrap();
-        assert_eq!(FrequencySketch::estimate(&a, 1), u64::MAX);
-        assert_eq!(FrequencySketch::total(&a), u64::MAX);
+        a.update_slot(0, 1, 100);
+        a.merge_assign(b).unwrap();
+        assert_eq!(a.estimate_slot(0, 1), u64::MAX);
+        assert_eq!(a.slot_total(0), u64::MAX);
+    }
+
+    /// `merge_assign` of an identical build adds the two arenas cell for
+    /// cell (the result answers like one arena fed both streams) and
+    /// rejects another seed or another layout.
+    #[test]
+    fn merge_assign_sums_identical_builds() {
+        let widths = [128usize, 64];
+        let mut a = CmArena::with_slots(&widths, 3, 5).unwrap();
+        let mut b = CmArena::with_slots(&widths, 3, 5).unwrap();
+        let mut both = CmArena::with_slots(&widths, 3, 5).unwrap();
+        for k in 0..200u64 {
+            let slot = (k % 2) as u32;
+            a.update_slot(slot, k * 7, k % 9 + 1);
+            b.update_slot(slot, k * 13, 2);
+            both.update_slot(slot, k * 7, k % 9 + 1);
+            both.update_slot(slot, k * 13, 2);
+        }
+        a.merge_assign(b).unwrap();
+        assert_eq!(a.cells, both.cells);
+        assert_eq!(a.totals, both.totals);
+        let other_seed = CmArena::with_slots(&widths, 3, 6).unwrap();
+        assert!(a.merge_assign(other_seed).is_err());
+        let other_shape = CmArena::with_slots(&[128], 3, 5).unwrap();
+        assert!(a.merge_assign(other_shape).is_err());
+        assert_eq!(a.cells, both.cells, "a rejected merge must not mutate");
+    }
+
+    #[test]
+    fn bank_contract() {
+        let widths = [64usize, 128, 32];
+        let mut bank = CmArena::with_slots(&widths, 3, 7).unwrap();
+        assert_eq!(bank.num_slots(), 3);
+        assert_eq!(bank.depth(), 3);
+        assert_eq!(bank.slot_width(1), 128);
+        assert_eq!(bank.byte_size(), (64 + 128 + 32) * 3 * 8);
+        for slot in 0..3u32 {
+            for k in 0..50u64 {
+                bank.update_slot(slot, k, u64::from(slot) + 1);
+            }
+            assert_eq!(bank.slot_total(slot), 50 * (u64::from(slot) + 1));
+        }
+        // Slots are independent: a key updated only in slot 2 does not
+        // move slot 0's total.
+        bank.update_slot(2, 999_999, 1_000_000);
+        assert_eq!(bank.slot_total(0), 50);
+        // A gather answers each (slot, key) pair like `estimate_slot`.
+        let slots: Vec<u32> = (0..90u32).map(|i| i % 3).collect();
+        let keys: Vec<u64> = (0..90u64).map(|k| k % 60).collect();
+        let mut vals = Vec::new();
+        bank.estimate_gather(&slots, &keys, &mut vals);
+        assert_eq!(vals.len(), keys.len());
+        for ((&s, &k), &v) in slots.iter().zip(&keys).zip(&vals) {
+            assert_eq!(v, bank.estimate_slot(s, k));
+        }
+    }
+
+    /// The per-slot bound formula agrees with the standalone CountMin
+    /// definition of Equation 1 for a sketch of the slot's width and load.
+    #[test]
+    fn slot_error_bound_matches_countmin_definition() {
+        let widths = [64usize, 128];
+        let mut bank = CmArena::with_slots(&widths, 3, 9).unwrap();
+        let mut standalone: Vec<CountMinSketch> = widths
+            .iter()
+            .map(|&w| CountMinSketch::new(w, 3, 9).unwrap())
+            .collect();
+        for k in 0..500u64 {
+            let slot = (k % 2) as u32;
+            bank.update_slot(slot, k, k % 7 + 1);
+            standalone[slot as usize].update(k, k % 7 + 1);
+        }
+        for (slot, cm) in standalone.iter().enumerate() {
+            assert_eq!(bank.slot_error_bound(slot as u32), cm.error_bound());
+            assert_eq!(bank.confidence(), cm.confidence());
+        }
+    }
+
+    /// An arena and one `CountMinSketch` per slot, built with the same
+    /// widths, depth and seed, hold identical counters under the same
+    /// update sequence.
+    #[test]
+    fn per_slot_countmin_and_arena_agree_cell_for_cell() {
+        let widths = [32usize, 96, 16, 64];
+        let mut per_slot: Vec<CountMinSketch> = widths
+            .iter()
+            .map(|&w| CountMinSketch::new(w, 4, 0xFEED).unwrap())
+            .collect();
+        let mut arena = CmArena::with_slots(&widths, 4, 0xFEED).unwrap();
+        let mut x = 1u64;
+        let mut keys = Vec::new();
+        for i in 0..5_000u64 {
+            x = x
+                .wrapping_mul(6364136223846793005)
+                .wrapping_add(1442695040888963407);
+            let slot = (i % widths.len() as u64) as u32;
+            per_slot[slot as usize].update(x, 1 + i % 7);
+            arena.update_slot(slot, x, 1 + i % 7);
+            keys.push((slot, x));
+        }
+        for &(slot, key) in &keys {
+            assert_eq!(
+                per_slot[slot as usize].estimate(key),
+                arena.estimate_slot(slot, key)
+            );
+        }
+        for (slot, cm) in per_slot.iter().enumerate() {
+            assert_eq!(cm.total(), arena.slot_total(slot as u32));
+        }
     }
 
     /// `fold_slots` folds multi-slot state into the same one-slot arena a
@@ -999,21 +1048,15 @@ mod tests {
         for i in 0..900u64 {
             let key = i.wrapping_mul(0x2545_F491_4F6C_DD1D);
             big.update_slot((i % 3) as u32, key, i % 7 + 1);
-            FrequencySketch::update(&mut small, key, i % 7 + 1);
+            small.update_slot(0, key, i % 7 + 1);
         }
         let folded = big.fold_slots(32).unwrap();
         assert_eq!(folded.spans().len(), 1);
         for i in 0..900u64 {
             let key = i.wrapping_mul(0x2545_F491_4F6C_DD1D);
-            assert_eq!(
-                FrequencySketch::estimate(&folded, key),
-                FrequencySketch::estimate(&small, key)
-            );
+            assert_eq!(folded.estimate_slot(0, key), small.estimate_slot(0, key));
         }
-        assert_eq!(
-            FrequencySketch::total(&folded),
-            FrequencySketch::total(&small)
-        );
+        assert_eq!(folded.slot_total(0), small.slot_total(0));
         assert!(big.fold_slots(0).is_err());
         assert!(big.fold_slots(48).is_err());
     }

@@ -250,34 +250,6 @@ impl BlockedBloom {
         self.words.fill(0);
     }
 
-    /// Check that `other` has the identical layout and seed, the
-    /// precondition for [`union`](Self::union). Filters built from the
-    /// same plan with the same seed always pass; anything else would
-    /// scatter the same key to different bits and a bitwise OR would be
-    /// meaningless.
-    pub fn union_check(&self, other: &Self) -> Result<(), SketchError> {
-        if self.spans != other.spans || self.seed != other.seed {
-            return Err(SketchError::IncompatibleMerge {
-                reason: "pre-filter layout or seed mismatch".into(),
-            });
-        }
-        Ok(())
-    }
-
-    /// Fold `other`'s membership into `self` (bitwise OR), so the union
-    /// answers `contains` for every key inserted into either side — the
-    /// membership mirror of counter `merge`. Callers must have verified
-    /// compatibility with [`union_check`](Self::union_check);
-    /// incompatible layouts are left untouched rather than unioned.
-    pub fn union(&mut self, other: &Self) {
-        if self.union_check(other).is_err() {
-            return;
-        }
-        for (w, o) in self.words.iter_mut().zip(&other.words) {
-            *w |= o;
-        }
-    }
-
     /// Memory held by the filter's bit array, in bytes.
     pub fn byte_size(&self) -> usize {
         self.words.len() * std::mem::size_of::<u64>()

@@ -195,12 +195,6 @@ impl CountMinSketch {
         1.0 - (-(self.depth as f64)).exp()
     }
 
-    /// Whether `other` was built identically (same shape *and* hash
-    /// family), i.e. [`merge`](Self::merge) would succeed.
-    pub fn mergeable_with(&self, other: &Self) -> bool {
-        self.width == other.width && self.depth == other.depth && self.hashes == other.hashes
-    }
-
     /// Merge another sketch into this one (cell-wise saturating add).
     ///
     /// Both sketches must have identical dimensions *and* hash functions
@@ -230,48 +224,6 @@ impl CountMinSketch {
     pub fn clear(&mut self) {
         self.cells.fill(0);
         self.total = 0;
-    }
-
-    /// Fold this sketch down to width `quantum`, keeping the hash family.
-    ///
-    /// Requires `quantum` to divide the width: bucketing is `h(x) mod w`,
-    /// so `(h(x) mod w) mod quantum == h(x) mod quantum` and summing cell
-    /// `j` into folded cell `j mod quantum` per row yields exactly the
-    /// width-`quantum` sketch the same update stream would have built —
-    /// still a one-sided overestimate, with the error bound widened to
-    /// `e·N/quantum`. The windowed tiering layer folds expiring windows
-    /// this way before merging them into coarse tiers.
-    pub fn fold_width(&self, quantum: usize) -> Result<Self, SketchError> {
-        if quantum == 0 {
-            return Err(SketchError::InvalidDimension {
-                what: "fold quantum",
-                value: quantum,
-            });
-        }
-        if !self.width.is_multiple_of(quantum) {
-            return Err(SketchError::IncompatibleMerge {
-                reason: format!(
-                    "width {} is not a multiple of fold quantum {quantum}",
-                    self.width
-                ),
-            });
-        }
-        let mut cells = vec![0u64; quantum * self.depth];
-        for row in 0..self.depth {
-            let src = &self.cells[row * self.width..(row + 1) * self.width];
-            let dst = &mut cells[row * quantum..(row + 1) * quantum];
-            for (j, &c) in src.iter().enumerate() {
-                dst[j % quantum] = dst[j % quantum].saturating_add(c);
-            }
-        }
-        Ok(Self {
-            width: quantum,
-            depth: self.depth,
-            cells,
-            hashes: self.hashes.clone(),
-            total: self.total,
-            policy: self.policy,
-        })
     }
 
     /// Inner-product estimate of two frequency vectors (upper bound):

@@ -223,15 +223,6 @@ impl CountSketch {
         })
     }
 
-    /// Whether `other` was built identically (same shape *and* hash
-    /// families), i.e. [`merge`](Self::merge) would succeed.
-    pub fn mergeable_with(&self, other: &Self) -> bool {
-        self.width == other.width
-            && self.depth == other.depth
-            && self.buckets == other.buckets
-            && self.signs == other.signs
-    }
-
     /// Merge another sketch into this one (cell-wise saturating add).
     /// Requires identical dimensions and seeds.
     pub fn merge(&mut self, other: &Self) -> Result<(), SketchError> {
@@ -259,45 +250,6 @@ impl CountSketch {
     pub fn clear(&mut self) {
         self.cells.fill(0);
         self.total = 0;
-    }
-
-    /// Fold this sketch down to width `quantum`, keeping both hash
-    /// families. Requires `quantum` to divide the width (bucketing is
-    /// `h(x) mod w`, so the fold relocates every key's signed counts to
-    /// exactly the cells a width-`quantum` sketch would use); the sign
-    /// hash is per-key and width-independent, so the folded estimate
-    /// stays unbiased with variance widened by the narrower rows.
-    pub fn fold_width(&self, quantum: usize) -> Result<Self, SketchError> {
-        if quantum == 0 {
-            return Err(SketchError::InvalidDimension {
-                what: "fold quantum",
-                value: quantum,
-            });
-        }
-        if !self.width.is_multiple_of(quantum) {
-            return Err(SketchError::IncompatibleMerge {
-                reason: format!(
-                    "width {} is not a multiple of fold quantum {quantum}",
-                    self.width
-                ),
-            });
-        }
-        let mut cells = vec![0i64; quantum * self.depth];
-        for row in 0..self.depth {
-            let src = &self.cells[row * self.width..(row + 1) * self.width];
-            let dst = &mut cells[row * quantum..(row + 1) * quantum];
-            for (j, &c) in src.iter().enumerate() {
-                dst[j % quantum] = dst[j % quantum].saturating_add(c);
-            }
-        }
-        Ok(Self {
-            width: quantum,
-            depth: self.depth,
-            cells,
-            buckets: self.buckets.clone(),
-            signs: self.signs.clone(),
-            total: self.total,
-        })
     }
 }
 

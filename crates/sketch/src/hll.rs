@@ -188,9 +188,8 @@ impl DegreeSketch {
 
     /// Batched form of [`estimate`](Self::estimate): `out` is cleared
     /// and receives one degree estimate per entry of `vertices`, in
-    /// order — the distinct-degree mirror of the frequency backends'
-    /// `estimate_batch`, so batched consumers (the structural query
-    /// layer) drive every sketch through one surface.
+    /// order, so batched consumers (the structural query layer) drive
+    /// every sketch through one batched surface.
     pub fn estimate_batch(&self, vertices: &[u64], out: &mut Vec<f64>) {
         out.clear();
         out.reserve(vertices.len());

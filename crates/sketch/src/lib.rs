@@ -4,27 +4,22 @@
 //! gSketch paper builds on or cites as interchangeable bases:
 //!
 //! * [`CountMinSketch`] — the synopsis gSketch partitions (Cormode &
-//!   Muthukrishnan 2005; paper §3.2 and Figure 1);
+//!   Muthukrishnan 2005; paper §3.2 and Figure 1), kept standalone as the
+//!   global-sketch baseline and the adaptive deployment's warm-up;
 //! * [`CountSketch`] — unbiased L2-error point estimates (Charikar, Chen
-//!   & Farach-Colton 2002), the substrate for join-size style structural
+//!   & Farach-Colton 2002), the substrate of the structural crate's path
 //!   queries;
 //! * [`SpaceSaving`] — guaranteed heavy hitters (Metwally et al. 2005),
 //!   powering heavy-vertex detection and the sample-free partitioner;
-//! * [`ExpHist`] / [`WeightedExpHist`] — sliding-window counting (Datar
-//!   et al. 2002);
 //! * [`HyperLogLog`] / [`DegreeSketch`] — distinct counting and
 //!   per-vertex distinct-degree estimation for multigraph streams
 //!   (Flajolet et al. 2007; Cormode & Muthukrishnan 2005, the paper's
 //!   ref. \[15\]);
-//! * [`EcmSketch`] — CountMin with per-cell sliding windows (Papapetrou
-//!   et al. 2012), the principled version of the paper's §5 time-window
-//!   scheme;
 //! * [`hash`] — the Carter–Wegman pairwise / 4-wise independent hash
 //!   families over GF(2^61 − 1) underpinning all of the above;
-//! * [`FrequencySketch`] / [`SketchBank`] — the synopsis-backend traits
-//!   the core crate's `GSketch<B>` is generic over, and [`CmArena`] —
-//!   all partitions' counters in one contiguous slab with a shared
-//!   per-row hash family, split into exclusive per-owner
+//! * [`CmArena`] — the synopsis the core crate's `GSketch` builds over:
+//!   all partitions' CountMin counters in one contiguous slab with a
+//!   shared per-row hash family, split into exclusive per-owner
 //!   [`CmArenaSlice`]s for parallel ingest (DESIGN.md §2).
 //!
 //! All synopses share a few conventions: keys are `u64` (callers intern or
@@ -46,17 +41,14 @@
 #![warn(clippy::all)]
 
 pub mod arena;
-pub mod backend;
 pub mod blocked_bloom;
 pub mod countmin;
 pub mod countsketch;
 pub mod error;
-pub mod exphist;
 pub mod hash;
 pub mod hll;
 pub mod slab;
 pub mod spacesaving;
-pub mod windowed;
 
 /// Best-effort prefetch of the cache line holding `p` (no-op off
 /// x86_64). Used by the batched ingest hot loops here and in the core
@@ -75,12 +67,9 @@ pub fn prefetch<T>(p: *const T) {
     let _ = p;
 }
 pub use arena::{CmArena, CmArenaSlice, SlotSpan};
-pub use backend::{DetailedRow, FrequencySketch, SketchBank, SketchVec};
 pub use blocked_bloom::{BlockSpan, BlockedBloom, BlockedBloomSlice};
 pub use countmin::{CountMinSketch, UpdatePolicy};
 pub use countsketch::CountSketch;
 pub use error::SketchError;
-pub use exphist::{ExpHist, WeightedExpHist};
 pub use hll::{DegreeSketch, HyperLogLog};
 pub use spacesaving::{Counter, SpaceSaving};
-pub use windowed::EcmSketch;

@@ -159,10 +159,9 @@ impl SpaceSaving {
     }
 
     /// Batched form of [`estimate`](Self::estimate): `out` is cleared and
-    /// receives one upper bound per entry of `keys`, in order — the
-    /// summary-level mirror of the synopsis backends' `estimate_batch`,
-    /// so batched consumers (the structural query layer) drive every
-    /// sketch through one surface.
+    /// receives one upper bound per entry of `keys`, in order, so batched
+    /// consumers (the structural query layer) drive every sketch through
+    /// one batched surface.
     pub fn estimate_batch(&self, keys: &[u64], out: &mut Vec<u64>) {
         out.clear();
         out.extend(keys.iter().map(|&k| self.estimate(k)));

@@ -2,9 +2,7 @@
 
 use proptest::collection::vec;
 use proptest::prelude::*;
-use sketch::{
-    CountMinSketch, CountSketch, EcmSketch, ExpHist, SpaceSaving, UpdatePolicy, WeightedExpHist,
-};
+use sketch::{CountMinSketch, CountSketch, SpaceSaving, UpdatePolicy};
 use std::collections::HashMap;
 
 fn truth_of(updates: &[(u64, u16)]) -> HashMap<u64, u64> {
@@ -177,182 +175,6 @@ proptest! {
             if f > n / k as u64 {
                 prop_assert!(ss.estimate(key) >= f, "heavy key {key} lost");
             }
-        }
-    }
-
-    /// Exponential histogram: estimates stay within ε of the true window
-    /// count for arbitrary monotone arrival patterns.
-    #[test]
-    fn exphist_window_error_bounded(
-        gaps in vec(0u64..5, 10..2000),
-        eps_hundredths in 10u32..100,
-    ) {
-        let eps = eps_hundredths as f64 / 100.0;
-        let mut eh = ExpHist::new(eps).unwrap();
-        let mut times = Vec::with_capacity(gaps.len());
-        let mut t = 0u64;
-        for &g in &gaps {
-            t += g;
-            eh.add(t);
-            times.push(t);
-        }
-        let horizon = t;
-        for &start in &[0u64, horizon / 3, horizon / 2, horizon] {
-            let truth = times.iter().filter(|&&x| x >= start).count() as u64;
-            if truth == 0 { continue; }
-            let est = eh.estimate_readonly(start);
-            let rel = (est as f64 - truth as f64).abs() / truth as f64;
-            prop_assert!(rel <= eps + 1e-9, "rel err {} > {} (truth {})", rel, eps, truth);
-        }
-    }
-
-    /// Weighted EH inherits the ε bound for weighted arrivals.
-    #[test]
-    fn weighted_exphist_error_bounded(
-        arrivals in vec((0u64..3, 1u64..100), 10..500),
-        eps_hundredths in 10u32..100,
-    ) {
-        let eps = eps_hundredths as f64 / 100.0;
-        let mut wh = WeightedExpHist::new(eps).unwrap();
-        let mut log: Vec<(u64, u64)> = Vec::with_capacity(arrivals.len());
-        let mut t = 0u64;
-        for &(gap, w) in &arrivals {
-            t += gap;
-            wh.add(t, w);
-            log.push((t, w));
-        }
-        for &start in &[0u64, t / 2, t] {
-            let truth: u64 = log.iter().filter(|&&(x, _)| x >= start).map(|&(_, w)| w).sum();
-            if truth == 0 { continue; }
-            let est = wh.estimate_readonly(start);
-            let rel = (est as f64 - truth as f64).abs() / truth as f64;
-            prop_assert!(rel <= eps + 1e-9, "rel err {} > {} (truth {})", rel, eps, truth);
-        }
-    }
-
-    /// ECM sketch: the lifetime estimate is sandwiched between the EH
-    /// lower relaxation and the CountMin upper bound.
-    #[test]
-    fn ecm_lifetime_sandwich(
-        updates in vec((0u64..50, 1u64..5), 1..300),
-        seed in any::<u64>(),
-    ) {
-        let mut ecm = EcmSketch::new(256, 3, 0.1, seed).unwrap();
-        let mut cm = CountMinSketch::new(256, 3, seed).unwrap();
-        let mut truth: HashMap<u64, u64> = HashMap::new();
-        for (t, &(k, w)) in updates.iter().enumerate() {
-            ecm.update(k, t as u64, w);
-            cm.update(k, w);
-            *truth.entry(k).or_insert(0) += w;
-        }
-        for (&k, &f) in &truth {
-            let est = ecm.estimate_lifetime(k);
-            // Lower: EH may shave at most eps of the cell count.
-            prop_assert!(est as f64 >= f as f64 * 0.9 - 1.0,
-                "lifetime estimate {} too far below truth {}", est, f);
-            // Upper: the same cells as CountMin, relaxed upward by eps.
-            prop_assert!(est as f64 <= cm.estimate(k) as f64 * 1.1 + 1.0,
-                "lifetime estimate {} above CountMin bound {}", est, cm.estimate(k));
-        }
-    }
-
-    /// Exponential histogram vs an exact sliding counter: the estimate is
-    /// within the (1+ε) multiplicative guarantee of the true window count
-    /// at *every* cut point of the arrival sequence, not just a few
-    /// sampled horizons — the tiering substrate's core contract.
-    #[test]
-    fn exphist_one_plus_eps_vs_exact_counter(
-        gaps in vec(0u64..4, 20..800),
-        eps_hundredths in 10u32..100,
-    ) {
-        let eps = eps_hundredths as f64 / 100.0;
-        let mut eh = ExpHist::new(eps).unwrap();
-        // The exact sliding counter: every arrival time, in order.
-        let mut exact: Vec<u64> = Vec::with_capacity(gaps.len());
-        let mut t = 0u64;
-        for &g in &gaps {
-            t += g;
-            eh.add(t);
-            exact.push(t);
-        }
-        for &start in exact.iter().chain([t + 1].iter()) {
-            let truth = exact.iter().filter(|&&x| x >= start).count() as u64;
-            let est = eh.estimate_readonly(start);
-            prop_assert!(est as f64 <= (1.0 + eps) * truth as f64 + 1e-9,
-                "window [{start}..): est {est} above (1+ε)·{truth}");
-            prop_assert!(est as f64 >= (1.0 - eps) * truth as f64 - 1e-9,
-                "window [{start}..): est {est} below (1-ε)·{truth}");
-        }
-    }
-
-    /// Expiry monotonicity: shrinking the window never grows the answer,
-    /// and expiring buckets older than a cutoff never changes any answer
-    /// for windows inside the retained horizon.
-    #[test]
-    fn exphist_expiry_monotone(
-        gaps in vec(0u64..6, 10..500),
-        eps_hundredths in 10u32..100,
-        cut_permille in 0u32..1000,
-    ) {
-        let eps = eps_hundredths as f64 / 100.0;
-        let mut eh = ExpHist::new(eps).unwrap();
-        let mut t = 0u64;
-        for &g in &gaps {
-            t += g;
-            eh.add(t);
-        }
-        // Monotone in the window start.
-        let mut starts: Vec<u64> = (0..=t.min(200)).collect();
-        starts.extend([t / 2, t, t + 1]);
-        starts.sort_unstable();
-        let mut prev = u64::MAX;
-        for &start in &starts {
-            let est = eh.estimate_readonly(start);
-            prop_assert!(est <= prev,
-                "estimate grew as the window shrank at start {start}");
-            prev = est;
-        }
-        // Expiry below a cutoff preserves every answer at or above it,
-        // and strictly never grows the retained total.
-        let cutoff = t * cut_permille as u64 / 1000;
-        let before_total = eh.total();
-        let answers: Vec<u64> = (cutoff..=cutoff.saturating_add(20).min(t + 1))
-            .map(|s| eh.estimate_readonly(s))
-            .collect();
-        let removed = eh.expire(cutoff);
-        prop_assert_eq!(eh.total(), before_total - removed);
-        for (i, s) in (cutoff..=cutoff.saturating_add(20).min(t + 1)).enumerate() {
-            prop_assert_eq!(eh.estimate_readonly(s), answers[i],
-                "expire({cutoff}) changed the answer for window [{s}..)");
-        }
-    }
-
-    /// Weighted EH vs an exact sliding counter: the (1+ε) guarantee on
-    /// weighted window sums, plus expiry monotonicity of the estimate.
-    #[test]
-    fn weighted_exphist_one_plus_eps_and_monotone(
-        arrivals in vec((0u64..3, 1u64..200), 10..300),
-        eps_hundredths in 10u32..100,
-    ) {
-        let eps = eps_hundredths as f64 / 100.0;
-        let mut wh = WeightedExpHist::new(eps).unwrap();
-        let mut exact: Vec<(u64, u64)> = Vec::with_capacity(arrivals.len());
-        let mut t = 0u64;
-        for &(gap, w) in &arrivals {
-            t += gap;
-            wh.add(t, w);
-            exact.push((t, w));
-        }
-        let mut prev = u64::MAX;
-        for &(start, _) in exact.iter().chain([(t + 1, 0)].iter()) {
-            let truth: u64 = exact.iter().filter(|&&(x, _)| x >= start).map(|&(_, w)| w).sum();
-            let est = wh.estimate_readonly(start);
-            prop_assert!(est as f64 <= (1.0 + eps) * truth as f64 + 1e-9,
-                "window [{start}..): est {est} above (1+ε)·{truth}");
-            prop_assert!(est as f64 >= (1.0 - eps) * truth as f64 - 1e-9,
-                "window [{start}..): est {est} below (1-ε)·{truth}");
-            prop_assert!(est <= prev, "weighted estimate grew as the window shrank");
-            prev = est;
         }
     }
 }

@@ -22,7 +22,7 @@
 use gstream::edge::{Edge, StreamEdge};
 use gstream::fxhash::FxHashMap;
 use gstream::vertex::VertexId;
-use sketch::{CountSketch, FrequencySketch, SketchError};
+use sketch::{CountSketch, SketchError};
 
 /// Exact per-vertex 2-path accounting.
 #[derive(Debug, Clone, Default)]
@@ -120,39 +120,27 @@ impl PathAggregator {
     }
 }
 
-/// Sketched 2-path accounting with memory independent of `|V|`.
-///
-/// Generic over the synopsis-backend trait of the arena refactor
-/// (DESIGN.md §2): any [`FrequencySketch`] can hold the in- and
-/// out-frequency vectors. The default [`CountSketch`] backend keeps the
-/// classic unbiased estimates and is the only backend offering the
-/// inner-product [`total_paths`](PathSketch::total_paths); a CountMin
-/// backend (`PathSketch<CountMinSketch>`) trades that for strictly
-/// one-sided per-vertex flows.
+/// Sketched 2-path accounting with memory independent of `|V|`: two
+/// [`CountSketch`]es hold the in- and out-frequency vectors. Per-vertex
+/// weights are the clamped median estimates (unbiased, two-sided), and
+/// the signed cells give the inner-product
+/// [`total_paths`](PathSketch::total_paths).
 #[derive(Debug, Clone)]
-pub struct PathSketch<B: FrequencySketch = CountSketch> {
+pub struct PathSketch {
     /// Out-frequency vector, keyed by source vertex.
-    out: B,
+    out: CountSketch,
     /// In-frequency vector, keyed by destination vertex — same seed as
     /// `out` so inner products are meaningful.
-    inc: B,
+    inc: CountSketch,
     weight: u64,
 }
 
 impl PathSketch {
-    /// Create a path sketch of the given CountSketch dimensions (the
-    /// default backend; see [`PathSketch::with_backend`]).
+    /// Create a path sketch of the given CountSketch dimensions.
     pub fn new(width: usize, depth: usize, seed: u64) -> Result<Self, SketchError> {
-        Self::with_backend(width, depth, seed)
-    }
-}
-
-impl<B: FrequencySketch> PathSketch<B> {
-    /// Create a path sketch over an explicit synopsis backend.
-    pub fn with_backend(width: usize, depth: usize, seed: u64) -> Result<Self, SketchError> {
         Ok(Self {
-            out: B::with_shape(width, depth, seed)?,
-            inc: B::with_shape(width, depth, seed)?,
+            out: CountSketch::new(width, depth, seed)?,
+            inc: CountSketch::new(width, depth, seed)?,
             weight: 0,
         })
     }
@@ -173,27 +161,25 @@ impl<B: FrequencySketch> PathSketch<B> {
 
     /// Estimated weighted out-frequency of `v` (clamped at 0).
     pub fn out_weight(&self, v: VertexId) -> u64 {
-        self.out.estimate(v.as_u64())
+        self.out.estimate_non_negative(v.as_u64())
     }
 
     /// Estimated weighted in-frequency of `v` (clamped at 0).
     pub fn in_weight(&self, v: VertexId) -> u64 {
-        self.inc.estimate(v.as_u64())
+        self.inc.estimate_non_negative(v.as_u64())
     }
 
     /// Batched [`out_weight`](Self::out_weight): `out` is cleared and
-    /// receives one estimate per vertex, in order, answered through the
-    /// backend's batched read kernel (one pass over the out-frequency
-    /// synopsis instead of a scalar probe per vertex).
+    /// receives one estimate per vertex, in order.
     pub fn out_weights(&self, vertices: &[VertexId], out: &mut Vec<u64>) {
-        let keys: Vec<u64> = vertices.iter().map(|v| v.as_u64()).collect();
-        self.out.estimate_batch(&keys, out);
+        out.clear();
+        out.extend(vertices.iter().map(|&v| self.out_weight(v)));
     }
 
     /// Batched [`in_weight`](Self::in_weight).
     pub fn in_weights(&self, vertices: &[VertexId], out: &mut Vec<u64>) {
-        let keys: Vec<u64> = vertices.iter().map(|v| v.as_u64()).collect();
-        self.inc.estimate_batch(&keys, out);
+        out.clear();
+        out.extend(vertices.iter().map(|&v| self.in_weight(v)));
     }
 
     /// Estimated 2-path count through `v`.
@@ -239,14 +225,11 @@ impl<B: FrequencySketch> PathSketch<B> {
 
     /// Counter memory in bytes.
     pub fn bytes(&self) -> usize {
-        self.out.byte_size() + self.inc.byte_size()
+        self.out.bytes() + self.inc.bytes()
     }
-}
 
-impl PathSketch<CountSketch> {
     /// Estimated total 2-path count: the inner product of the in- and
-    /// out-frequency vectors (unbiased; clamped at 0). CountSketch-only —
-    /// the inner product needs the signed cells the trait surface hides.
+    /// out-frequency vectors (unbiased; clamped at 0).
     pub fn total_paths(&self) -> f64 {
         self.inc
             .inner_product(&self.out)
@@ -350,30 +333,6 @@ mod tests {
     }
 
     #[test]
-    fn countmin_backend_flows_are_one_sided() {
-        use sketch::{CmArena, CountMinSketch};
-        let stream: Vec<StreamEdge> = (0..500u64)
-            .map(|t| StreamEdge::unit(Edge::new((t % 40) as u32, ((t + 3) % 40) as u32), t))
-            .collect();
-        let mut exact = PathAggregator::new();
-        exact.ingest(&stream);
-        let mut cm: PathSketch<CountMinSketch> = PathSketch::with_backend(512, 4, 7).unwrap();
-        cm.ingest(&stream);
-        let mut arena: PathSketch<CmArena> = PathSketch::with_backend(512, 4, 7).unwrap();
-        arena.ingest(&stream);
-        for v in 0..40u32 {
-            // CountMin flows never underestimate, and the arena backend
-            // agrees with the classic layout cell for cell.
-            assert!(cm.out_weight(VertexId(v)) >= exact.out_weight(VertexId(v)));
-            assert!(cm.through_flow(VertexId(v)) >= exact.through_flow(VertexId(v)));
-            assert_eq!(arena.out_weight(VertexId(v)), cm.out_weight(VertexId(v)));
-            assert_eq!(arena.in_weight(VertexId(v)), cm.in_weight(VertexId(v)));
-        }
-        assert_eq!(cm.weight(), exact.weight());
-        assert_eq!(cm.bytes(), 2 * 512 * 4 * 8);
-    }
-
-    #[test]
     fn sketch_total_tracks_truth_under_collisions() {
         // 2 000 vertices into a width-256 sketch: heavy collisions, the
         // inner product must still land near the truth.
@@ -416,19 +375,15 @@ mod tests {
         assert_eq!(p.total_paths(), 0);
     }
 
-    /// The batched flow surface answers exactly like the scalar probes,
-    /// on the CountSketch default and the arena backend alike.
+    /// The batched flow surface answers exactly like the scalar probes.
     #[test]
     fn batched_flows_match_scalar_probes() {
-        use sketch::CmArena;
         let stream: Vec<StreamEdge> = (0..2_000u64)
             .map(|t| StreamEdge::unit(Edge::new((t % 80) as u32, ((t * 3 + 1) % 80) as u32), t))
             .collect();
         let vs: Vec<VertexId> = (0..100u32).map(VertexId).collect(); // incl. absent
         let mut cs = PathSketch::new(512, 5, 7).unwrap();
         cs.ingest(&stream);
-        let mut arena: PathSketch<CmArena> = PathSketch::with_backend(512, 4, 7).unwrap();
-        arena.ingest(&stream);
         let mut outw = Vec::new();
         let mut inw = Vec::new();
         cs.out_weights(&vs, &mut outw);
@@ -438,10 +393,6 @@ mod tests {
             assert_eq!(outw[i], cs.out_weight(v));
             assert_eq!(inw[i], cs.in_weight(v));
             assert_eq!(flows[i], cs.through_flow(v));
-        }
-        arena.out_weights(&vs, &mut outw);
-        for (i, &v) in vs.iter().enumerate() {
-            assert_eq!(outw[i], arena.out_weight(v));
         }
     }
 

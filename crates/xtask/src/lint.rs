@@ -1069,7 +1069,7 @@ mod tests {
     #[test]
     fn multiline_decode_declaration_is_tracked() {
         let file = sf(
-            "pub fn read_gsketch_backend<R: Read, B: FrequencySketch>(\n    r: R,\n) -> Result<GSketch<B>, PersistError> {\n    buf.pop().expect(\"nonempty\");\n    Ok(g)\n}\n",
+            "pub fn read_gsketch<R: Read>(\n    r: R,\n) -> Result<GSketch, PersistError> {\n    buf.pop().expect(\"nonempty\");\n    Ok(g)\n}\n",
         );
         let mut f = Vec::new();
         check_decode_no_panics(&file, &mut f);

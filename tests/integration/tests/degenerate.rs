@@ -5,7 +5,7 @@
 use gsketch::{AdaptiveConfig, AdaptiveGSketch, EdgeSink, GSketch, GlobalSketch, SketchId};
 use gstream::gen::{ErdosRenyiConfig, ErdosRenyiGenerator};
 use gstream::{read_stream, Edge, ExactCounter, StreamEdge};
-use sketch::{CountMinSketch, CountSketch, EcmSketch, ExpHist, SpaceSaving};
+use sketch::{CountMinSketch, CountSketch, SpaceSaving};
 use structural::{ExactTriangleCounter, PathAggregator, TriangleEstimator};
 
 fn unit(s: u32, d: u32, t: u64) -> StreamEdge {
@@ -261,34 +261,6 @@ fn windowed_workload_degenerate_rows_rejected_with_position() {
     // A single instant is legal.
     let wl = read_workload("1 2 7 7\n".as_bytes()).unwrap();
     assert_eq!(wl[0].window, Some((7, 7)));
-}
-
-#[test]
-fn exphist_all_arrivals_at_same_instant() {
-    let mut eh = ExpHist::new(0.1).unwrap();
-    for _ in 0..10_000 {
-        eh.add(42);
-    }
-    assert_eq!(eh.total(), 10_000);
-    // The whole mass is at t = 42: a window starting there sees all...
-    let est = eh.estimate_readonly(42);
-    let rel = (est as f64 - 10_000.0).abs() / 10_000.0;
-    assert!(rel <= 0.1 + 1e-9, "same-instant mass mis-windowed: {est}");
-    // ... and a window starting later sees none.
-    assert_eq!(eh.estimate_readonly(43), 0);
-}
-
-#[test]
-fn ecm_sketch_with_constant_timestamps() {
-    let mut ecm = EcmSketch::new(256, 2, 0.2, 3).unwrap();
-    for i in 0..1_000u64 {
-        ecm.update(i % 7, 100, 1);
-    }
-    for k in 0..7u64 {
-        let est = ecm.estimate(k, 100);
-        assert!(est >= 100, "key {k} lost same-instant mass: {est}");
-    }
-    assert_eq!(ecm.estimate(0, 101), 0);
 }
 
 // -------------------------------------------------- adversarial shapes

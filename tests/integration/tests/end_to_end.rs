@@ -132,7 +132,7 @@ fn workload_scenario_builds_and_answers() {
         .memory_bytes(128 << 10)
         .min_width(32)
         .sample_rate(rate)
-        .build_with_workload_calibrated(&sample, &workload, &stream)
+        .build_with_workload(&sample, &workload)
         .expect("build");
     gs.ingest(&stream);
     for &q in &queries {
