@@ -1,4 +1,4 @@
-//! Replay-engine bench (DESIGN.md §9): cached vs uncached workload
+//! Replay-engine bench (DESIGN.md §9): dedup-front vs bare workload
 //! replay on the memory-bound configuration, recorded as the `replay`
 //! section of `BENCH_ingest.json`.
 //!
@@ -7,14 +7,12 @@
 //! uncached point read is memory-bound — but the workload is the one
 //! the replay engine exists for: **Zipf(1.1) by frequency rank** over
 //! the distinct edges (the paper's §6.4 skewed-workload model, s = 1.1
-//! — a fat head that repeats constantly). Three rows:
+//! — a fat head that repeats constantly). Two rows:
 //!
-//! * `replay/uncached-batched` — the PR 4 baseline: every chunk
-//!   answered by the batched engine, no memo;
-//! * `replay/cached-cold` — first pass through an empty memo (misses
-//!   dominate: the baseline plus probe/fill overhead);
-//! * `replay/cached-warm` — steady state with the head resident: the
-//!   acceptance row, required ≥ 1.5× the uncached baseline.
+//! * `replay/uncached-batched` — every batch answered by the bare
+//!   batched engine;
+//! * `replay/dedup` — every batch through [`ReplayEngine`]: each
+//!   distinct edge answered once, repeats copied.
 //!
 //! A third pass times the **windowed snapshot store** (DESIGN.md §13)
 //! over a 2M-arrival windowed history: time-to-queryable for a cold
@@ -88,17 +86,10 @@ fn main() {
         }
     });
 
-    // Cold: one pass through an empty memo (measured alone so fills are
-    // not amortized away).
+    // Dedup front: every pass deduplicates the batch and answers each
+    // distinct edge once.
     let mut engine = ReplayEngine::new(&gs);
-    let cold = rate_of(queries.len() as u64, || {
-        engine.estimate_edges(black_box(&queries), &mut out);
-        sink = sink.wrapping_add(out.last().copied().unwrap_or(0));
-    });
-
-    // Warm: the head is resident; every further pass replays through
-    // the memo.
-    let warm = rate_of(n, || {
+    let dedup = rate_of(n, || {
         for _ in 0..PASSES {
             engine.estimate_edges(black_box(&queries), &mut out);
             sink = sink.wrapping_add(out.last().copied().unwrap_or(0));
@@ -106,14 +97,14 @@ fn main() {
     });
     let stats = engine.stats();
 
-    // Sanity: cached answers are bit-identical to the uncached batch.
+    // Sanity: deduplicated answers are bit-identical to the bare batch.
     let mut bare = Vec::new();
     gs.estimate_edges(&queries, &mut bare);
-    let mut cached = Vec::new();
-    engine.estimate_edges(&queries, &mut cached);
+    let mut deduped = Vec::new();
+    engine.estimate_edges(&queries, &mut deduped);
     assert_eq!(
-        cached, bare,
-        "memoized replay diverged from the batched engine"
+        deduped, bare,
+        "dedup replay diverged from the batched engine"
     );
 
     let row = |name: &str, rate: f64| Throughput::sequential(name, 0.0, rate);
@@ -130,14 +121,13 @@ fn main() {
         ],
         &[
             row("replay/uncached-batched", uncached),
-            row("replay/cached-cold", cold),
-            row("replay/cached-warm", warm),
+            row("replay/dedup", dedup),
         ],
     );
     println!(
-        "replay: uncached {uncached:.0} q/s, cached cold {cold:.0} q/s, cached warm {warm:.0} q/s \
-         ({:.2}x uncached, {:.1}% hit rate) → {} [sink {sink}]",
-        warm / uncached,
+        "replay: uncached {uncached:.0} q/s, dedup {dedup:.0} q/s \
+         ({:.2}x uncached, {:.1}% repeats) → {} [sink {sink}]",
+        dedup / uncached,
         stats.hits as f64 * 100.0 / (stats.hits + stats.misses).max(1) as f64,
         gsketch_bench::trajectory::bench_file().display()
     );

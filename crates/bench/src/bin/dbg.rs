@@ -5,7 +5,7 @@
 //! * `dbg --shard-smoke N [--arrivals M]` — owner-sharded smoke: drive
 //!   the stream through `ShardedIngest` with `N` real (oversubscribed)
 //!   owners and bit-compare against sequential ingest; check the
-//!   slot-routed read path and a routed-miss replay front; then replay
+//!   slot-routed read path and a routed dedup replay front; then replay
 //!   the windowed deployment through epoch handoff and bit-compare its
 //!   interval answers (DESIGN.md §11). Exits non-zero on any mismatch —
 //!   the sharded-engine CI smoke step.
@@ -22,8 +22,8 @@
 //!   — batched-query smoke: build a sketch, draw a shuffled
 //!   duplicate-heavy workload, and compare the scalar loop, the batched
 //!   engine, and an `N`-worker [`ParallelQuery`] fan-out answer by
-//!   answer; then bit-compare a [`ReplayEngine`]-cached replay against
-//!   the uncached engine under interleaved ingest batches, and replay
+//!   answer; then bit-compare a [`ReplayEngine`] dedup-front replay
+//!   against the bare engine under interleaved ingest batches, and replay
 //!   windowed intervals through the batched detailed surface against
 //!   the scalar interval path. Exits non-zero on any mismatch — the
 //!   query-path CI smoke step.
@@ -41,7 +41,7 @@ const DEPTH: usize = 1;
 /// Owner-sharded smoke (DESIGN.md §11): drive the same stream through
 /// [`gsketch::ShardedIngest`] with `N` real (oversubscribed) owners and
 /// bit-compare against sequential ingest; answer a workload through the
-/// slot-routed read path and a routed-miss [`ReplayEngine`] front; then
+/// slot-routed read path and a routed dedup [`ReplayEngine`] front; then
 /// replay the windowed deployment through epoch handoff and bit-compare
 /// its interval answers. Exits non-zero on any mismatch.
 fn smoke_sharded(threads: usize, arrivals: usize) {
@@ -86,7 +86,7 @@ fn smoke_sharded(threads: usize, arrivals: usize) {
     println!("sharded smoke: estimates bit-identical to sequential ingest — OK");
 
     // The slot-routed read path: owner-aligned spans answered by the
-    // worker that owns those slots, plus a routed-miss replay front.
+    // worker that owns those slots, plus a routed dedup replay front.
     let queries: Vec<gstream::Edge> = stream.iter().step_by(7).map(|se| se.edge).collect();
     let mut sequential = Vec::new();
     sharded.estimate_edges(&queries, &mut sequential);
@@ -95,16 +95,16 @@ fn smoke_sharded(threads: usize, arrivals: usize) {
     pq.estimate_edges_routed(&queries, &mut routed);
     assert_eq!(routed, sequential, "routed answers diverged from batch");
     let mut engine = ReplayEngine::new(&sharded);
-    let mut cached = Vec::new();
+    let mut deduped = Vec::new();
     for _ in 0..2 {
-        engine.estimate_edges_with(&queries, &mut cached, |miss, vals| {
-            pq.estimate_edges_routed(miss, vals);
+        engine.estimate_edges_with(&queries, &mut deduped, |distinct, vals| {
+            pq.estimate_edges_routed(distinct, vals);
         });
-        assert_eq!(cached, sequential, "routed replay diverged from batch");
+        assert_eq!(deduped, sequential, "routed replay diverged from batch");
     }
-    assert!(engine.stats().hits > 0, "memo never hit on the second pass");
+    check_replay_counters(engine.stats(), &queries, 2);
     println!(
-        "sharded smoke: slot-routed query + routed-miss replay bit-identical \
+        "sharded smoke: slot-routed query + routed dedup replay bit-identical \
          ({} workers) — OK",
         pq.effective_threads()
     );
@@ -228,7 +228,7 @@ fn smoke_query(threads: usize, arrivals: usize, n_queries: usize, memory_kb: usi
     );
 
     smoke_prefilter(&stream, n_queries);
-    smoke_replay_cache(&stream, &queries);
+    smoke_replay_dedup(&stream, &queries);
     smoke_windowed_replay(&stream);
 }
 
@@ -318,11 +318,37 @@ fn smoke_prefilter(stream: &[gstream::StreamEdge], n_queries: usize) {
     }
 }
 
-/// Cached-vs-uncached replay bit-compare under interleaved writes: a
+/// Assert a [`ReplayEngine`]'s counters after `passes` batches of
+/// `queries`: every query is counted once, each batch sends every
+/// distinct edge to the synopsis once, and every repeat is a hit.
+fn check_replay_counters(stats: gsketch::ReplayStats, queries: &[gstream::Edge], passes: u64) {
+    let distinct = queries
+        .iter()
+        .collect::<std::collections::HashSet<_>>()
+        .len() as u64;
+    let repeats = queries.len() as u64 - distinct;
+    assert_eq!(
+        stats.hits + stats.misses,
+        passes * queries.len() as u64,
+        "replay counters lost a query: {stats:?}"
+    );
+    assert_eq!(
+        stats.misses,
+        passes * distinct,
+        "distinct edges miscounted: {stats:?}"
+    );
+    assert_eq!(
+        stats.hits,
+        passes * repeats,
+        "repeats miscounted: {stats:?}"
+    );
+}
+
+/// Dedup-vs-bare replay bit-compare under interleaved writes: a
 /// `ReplayEngine` front must answer exactly like the bare batched
 /// engine across repeated query passes with ingest batches between
-/// them (the memo invalidation protocol under real traffic).
-fn smoke_replay_cache(stream: &[gstream::StreamEdge], queries: &[gstream::Edge]) {
+/// them, and its counters must match the repeats in the query list.
+fn smoke_replay_dedup(stream: &[gstream::StreamEdge], queries: &[gstream::Edge]) {
     let sample = &stream[..stream.len() / 20];
     let build = || {
         GSketch::builder()
@@ -337,25 +363,27 @@ fn smoke_replay_cache(stream: &[gstream::StreamEdge], queries: &[gstream::Edge])
     let mut bare = build();
     let mut engine = ReplayEngine::new(build());
     let mut bare_out = Vec::new();
-    let mut cached_out = Vec::new();
+    let mut deduped_out = Vec::new();
+    let mut passes = 0u64;
     for chunk in stream.chunks(stream.len() / 4 + 1) {
         bare.ingest_batch(chunk);
         engine.ingest_batch(chunk);
         for _ in 0..2 {
             bare.estimate_edges(queries, &mut bare_out);
-            engine.estimate_edges(queries, &mut cached_out);
+            engine.estimate_edges(queries, &mut deduped_out);
             assert_eq!(
-                cached_out, bare_out,
-                "cached replay diverged from uncached under interleaved writes"
+                deduped_out, bare_out,
+                "dedup replay diverged from the bare engine under interleaved writes"
             );
+            passes += 1;
         }
     }
     let stats = engine.stats();
-    assert!(stats.hits > 0, "memo never hit on a repeat-heavy workload");
+    check_replay_counters(stats, queries, passes);
     println!(
-        "replay smoke: cached replay bit-identical under interleaved writes \
-         ({} hits / {} misses, {} invalidations) — OK",
-        stats.hits, stats.misses, stats.invalidations
+        "replay smoke: dedup replay bit-identical under interleaved writes \
+         ({} repeats answered / {} distinct sent) — OK",
+        stats.hits, stats.misses
     );
 }
 

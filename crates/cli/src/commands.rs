@@ -74,12 +74,13 @@ USAGE:
   gsketch query <snapshot> --workload FILE [--stream FILE] [--threads N] [--chunk N]
       [--cache on|off] [--detailed on|off] [--show K] [--prefilter on|off]
       (replays a query-workload file — one `src dst` query per line —
-       through the batched engine, fronted by the hot-answer replay
-       cache unless --cache off; --threads fans miss batches out over
-       the clamped worker pool; --stream reports accuracy vs exact
-       truth; --detailed replays through the sequential detailed batch
-       instead — no --cache/--threads — and reports per-query
-       confidence intervals, first K rows shown, default 10)
+       through the batched engine; unless --cache off, each chunk is
+       deduplicated so a repeated edge is answered once; --threads fans
+       the distinct edges out over the clamped worker pool; --stream
+       reports accuracy vs exact truth; --detailed replays through the
+       sequential detailed batch instead — no --cache/--threads — and
+       reports per-query confidence intervals, first K rows shown,
+       default 10)
   gsketch query <stream-file> --workload FILE --window-span S
       [--window-memory SIZE] [--seed N] [--chunk N] [--show K] [--threads N]
       (windowed replay: builds a time-windowed synopsis of span S over
@@ -507,10 +508,10 @@ fn replay_workload<W: Write>(
     let threads: usize = a.get_or("threads", 1)?;
     let chunk: usize = a.get_or::<usize>("chunk", 1 << 20)?.max(1);
     let detailed = parse_switch(a, "detailed", false)?;
-    // The hot-answer memo fronts the replay by default; --cache off is
-    // the uncached baseline (what `dbg --query-smoke` bit-compares
+    // The per-chunk dedup front is on by default; --cache off is the
+    // bare batched engine (what `dbg --query-smoke` bit-compares
     // against). --detailed answers through the detailed batch, whose
-    // rows carry per-slot bounds the memo does not cache.
+    // rows carry per-slot bounds the dedup front does not copy.
     let cached = parse_switch(a, "cache", !detailed)?;
     if detailed && cached {
         return Err(CliError::Args(ArgError(
@@ -566,13 +567,14 @@ fn replay_workload<W: Write>(
                 }
             }
         } else if let Some(engine) = engine.as_mut() {
-            // Memoized replay: the head answers from the memo, misses
-            // fan out over the worker pool as one batch.
-            let mut miss_workers = workers;
-            engine.estimate_edges_with(&buf, &mut ests, |miss, vals| {
-                miss_workers = estimate_parallel(sketch, miss, threads, vals);
+            // Deduplicated replay: the chunk's distinct edges fan out
+            // over the worker pool as one batch; repeats copy their
+            // answers.
+            let mut distinct_workers = workers;
+            engine.estimate_edges_with(&buf, &mut ests, |distinct, vals| {
+                distinct_workers = estimate_parallel(sketch, distinct, threads, vals);
             });
-            workers = miss_workers;
+            workers = distinct_workers;
         } else {
             workers = estimate_parallel(sketch, &buf, threads, &mut ests);
         }
@@ -1632,8 +1634,8 @@ mod tests {
         assert!(e.to_string().contains("drop the inline"), "{e}");
     }
 
-    /// Cached replay must report the same sums as the uncached baseline
-    /// (bit-exact), and hit the memo on a repeat-heavy workload.
+    /// The dedup front must report the same sums as the bare baseline
+    /// (bit-exact), and answer repeats on a repeat-heavy workload.
     #[test]
     fn cached_replay_matches_uncached_replay() {
         let stream = tmp("cached.txt");
@@ -1673,7 +1675,8 @@ mod tests {
         assert_eq!(sum_line(&uncached), sum_line(&cached));
         assert!(!uncached.contains("cache:"), "{uncached}");
         assert!(cached.contains("hit rate"), "{cached}");
-        // A Zipf workload repeats its head: the memo must actually hit.
+        // A Zipf workload repeats its head within a chunk: the dedup
+        // front must answer repeats.
         let hits: u64 = cached
             .lines()
             .find(|l| l.starts_with("cache:"))

@@ -514,21 +514,6 @@ impl GSketch {
     }
 }
 
-/// A write routes to exactly one slot, and slot counter spans are
-/// disjoint, so the router slot is a sound invalidation domain for the
-/// replay engine: a write to slot `s` can only move estimates of edges
-/// whose source routes to `s`.
-impl crate::replay::WriteLocalized for GSketch {
-    fn write_domains(&self) -> usize {
-        self.bank.num_slots()
-    }
-
-    #[inline]
-    fn write_domain(&self, src: gstream::vertex::VertexId) -> u32 {
-        self.router.slot(src)
-    }
-}
-
 /// The routing view the owner-sharded engine shares between writes and
 /// reads (DESIGN.md §11): the slot-routed parallel query groups a miss
 /// batch by these slots so each owner answers only its own arena slice.

@@ -53,7 +53,7 @@
 //! | §5 time-windowed deployment | [`window`] |
 //! | beyond the paper: unified ingest surface | [`sink`] |
 //! | beyond the paper: owner-sharded ingest | [`pipeline`] |
-//! | beyond the paper: memoized query replay | [`replay`] |
+//! | beyond the paper: deduplicated and interval-memoized query replay | [`replay`] |
 //!
 //! ## The synopsis
 //!
@@ -101,7 +101,7 @@ pub use pipeline::{IngestReport, ShardedIngest};
 pub use query::{
     estimate_subgraph, estimate_subgraph_with, Aggregator, EdgeEstimator, ParallelQuery,
 };
-pub use replay::{ReplayEngine, ReplayStats, WindowedReplay, WriteLocalized};
+pub use replay::{ReplayEngine, ReplayStats, WindowedReplay};
 pub use router::{OwnerMap, Router, SketchId};
 pub use sink::{EdgeSink, SlotRouted};
 pub use sketch::{CmArena, CountMinSketch};

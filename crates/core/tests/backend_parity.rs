@@ -7,7 +7,7 @@
 //! for bit (DESIGN.md §2): the arena shares one per-row hash family
 //! seeded from the builder seed, so slot `i` holds exactly the cells
 //! slot `i`'s standalone sketch would hold. The remaining properties pin
-//! every batched, sharded, routed and memoized path against the scalar
+//! every batched, sharded, routed and deduplicated path against the scalar
 //! sequential one.
 
 use gsketch::{
@@ -341,11 +341,11 @@ proptest! {
         }
     }
 
-    /// Replay-cache invalidation interleavings: a `ReplayEngine`
-    /// wrapping a `GSketch` must stay **bit-identical to the uncached
-    /// path** across arbitrary ingest/query/ingest sequences — writes
-    /// through the engine invalidate exactly enough of the memo (one
-    /// router slot per write) that no stale answer survives.
+    /// Dedup-front interleavings: a `ReplayEngine` wrapping a `GSketch`
+    /// must stay **bit-identical to the bare engine** across arbitrary
+    /// ingest/query/ingest sequences, and its counters must agree with
+    /// the queries at every step: each batch sends every distinct edge
+    /// to the synopsis once and counts every other query as a hit.
     #[test]
     fn replay_cache_interleavings_match_uncached(
         sample in vec((0u32..40, 0u32..40, 0u8..8), 1..80),
@@ -370,31 +370,37 @@ proptest! {
             .build_from_sample(&sample)
             .unwrap();
         let mut bare = empty.clone();
-        let mut engine = ReplayEngine::with_capacity(empty, 256);
+        let mut engine = ReplayEngine::new(empty);
         let queries: Vec<Edge> = sample
             .iter()
             .chain(&tail)
             .map(|se| se.edge)
             .chain((0..8u32).map(|v| Edge::new(v, 999u32)))
             .collect();
+        let distinct = queries.iter().collect::<std::collections::HashSet<_>>().len() as u64;
         let mut cached_out = Vec::new();
         let mut bare_out = Vec::new();
         let mut at = 0usize;
+        let mut asked = 0u64;
+        let mut sent = 0u64;
         for &cut in &cuts {
             let chunk = &tail[at..cut];
             at = cut;
             engine.ingest_batch(chunk);
             bare.ingest_batch(chunk);
-            // Replay twice so the second pass reads memoized answers
-            // (and must still agree bit for bit).
+            // Replay twice: no answer may carry over from the first pass.
             for _ in 0..2 {
                 engine.estimate_edges(&queries, &mut cached_out);
                 bare.estimate_edges(&queries, &mut bare_out);
                 prop_assert_eq!(&cached_out, &bare_out);
+                asked += queries.len() as u64;
+                sent += distinct;
+                let stats = engine.stats();
+                prop_assert_eq!(stats.hits + stats.misses, asked);
+                prop_assert_eq!(stats.misses, sent);
+                prop_assert_eq!(stats.invalidations, 0);
             }
         }
-        // The engine actually exercised the memo.
-        prop_assert!(engine.stats().hits > 0);
     }
 
     /// The owner-sharded engine (scatter → channel handoff → per-owner

@@ -52,7 +52,10 @@ impl<T> Reservoir<T> {
         })
     }
 
-    /// Offer one stream item (Algorithm R).
+    /// Offer one stream item (Algorithm R). Inline: this is the
+    /// per-arrival step of every sampling loop, and an out-of-line call
+    /// passes each item through memory.
+    #[inline]
     pub fn offer<R: Rng + ?Sized>(&mut self, item: T, rng: &mut R) {
         self.seen += 1;
         if self.items.len() < self.capacity {

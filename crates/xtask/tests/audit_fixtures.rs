@@ -238,7 +238,7 @@ fn baseline_round_trips() {
         },
     );
     b.insert(
-        "gsketch::AnswerMemo::insert".into(),
+        "fixture::PanicFreeKernel::insert".into(),
         BaselineEntry {
             mode: Mode::PanicFree,
             bounds_checks: 1,
@@ -265,7 +265,4 @@ fn committed_baseline_parses_and_covers_the_hot_kernels() {
         assert_eq!(b[key].mode, Mode::BoundsFree, "{key}");
         assert_eq!(b[key].bounds_checks, 0, "{key}");
     }
-    // The one panic-free kernel: the replay memo's constructor-proven
-    // set index, retained and counted.
-    assert_eq!(b["gsketch::AnswerMemo::insert"].mode, Mode::PanicFree);
 }
