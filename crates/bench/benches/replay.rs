@@ -19,7 +19,7 @@
 //! stream rebuild vs a `load_windowed` of the same state (the
 //! acceptance ratio, target ≥ 5× — the load decodes sealed windows
 //! instead of replaying arrivals), then interval workload replay
-//! uncached vs through a warmed `WindowedReplay` memo, all answers
+//! uncached vs through a `WindowedReplay` dedup front, all answers
 //! bit-compared along the way. Recorded as the `windowed_snapshot`
 //! section.
 //!
@@ -192,7 +192,7 @@ fn main() {
 
     // Windowed snapshot section (DESIGN.md §13): time-to-queryable for
     // a cold rebuild vs a snapshot load of the same windowed history,
-    // then interval replay uncached vs memo-warm.
+    // then interval replay uncached vs through the dedup front.
     const W_ARRIVALS: usize = 2_000_000;
     const W_QUERIES: usize = 1 << 16;
     let mut wgen = {
@@ -273,13 +273,7 @@ fn main() {
         }
     });
     let mut wreplay = WindowedReplay::new(loaded);
-    // One untimed pass fills the memo; every interval here is sealed or
-    // live-stable, so the timed passes replay from resident lines.
-    for (ts, te) in intervals {
-        wreplay.estimate_interval_detailed_batch(&wqueries, ts, te, &mut wrows);
-        assert_eq!(rrows.len(), wrows.len());
-    }
-    let wwarm = rate_of(wn, || {
+    let wdedup = rate_of(wn, || {
         for _ in 0..PASSES {
             for (ts, te) in intervals {
                 wreplay.estimate_interval_detailed_batch(black_box(&wqueries), ts, te, &mut wrows);
@@ -292,7 +286,7 @@ fn main() {
         wreplay.estimate_interval_detailed_batch(&wqueries, ts, te, &mut wrows);
         assert_eq!(
             rrows, wrows,
-            "memoized interval replay diverged on [{ts}, {te}]"
+            "dedup interval replay diverged on [{ts}, {te}]"
         );
     }
     let wstats = wreplay.stats();
@@ -316,15 +310,15 @@ fn main() {
             row("windowed/cold-rebuild", rebuild),
             row("windowed/snapshot-load", load),
             row("windowed/uncached-intervals", wuncached),
-            row("windowed/memo-warm", wwarm),
+            row("windowed/dedup", wdedup),
         ],
     );
     println!(
         "windowed snapshot: rebuild {rebuild:.0} vs load {load:.0} arrivals-covered/s \
-         ({:.1}x, {snap_bytes}B file), intervals uncached {wuncached:.0} vs memo-warm {wwarm:.0} q/s \
+         ({:.1}x, {snap_bytes}B file), intervals uncached {wuncached:.0} vs dedup {wdedup:.0} q/s \
          ({:.1}x, {:.1}% hit rate) → {} [sink {wsink}]",
         load / rebuild,
-        wwarm / wuncached,
+        wdedup / wuncached,
         wstats.hits as f64 * 100.0 / (wstats.hits + wstats.misses).max(1) as f64,
         gsketch_bench::trajectory::bench_file().display()
     );

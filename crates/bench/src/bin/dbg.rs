@@ -13,8 +13,9 @@
 //!   smoke: build windowed deployments (plain and tiered), save a fresh
 //!   snapshot mid-stream, append the rest, reload (full and
 //!   horizon-bounded), and bit-compare interval answers against the
-//!   live instance; warm a [`gsketch::WindowedReplay`] memo off the
-//!   reload and bit-compare cached vs uncached; then sweep every
+//!   live instance; replay the intervals through a
+//!   [`gsketch::WindowedReplay`] dedup front over the reload and
+//!   bit-compare it and its hit/miss counters; then sweep every
 //!   truncation point of a small snapshot and require a clean `Err`
 //!   (never a panic) from the decoder (DESIGN.md §13). Exits non-zero
 //!   on any mismatch — the persistence CI smoke step.
@@ -441,10 +442,11 @@ fn smoke_windowed_replay(stream: &[gstream::StreamEdge]) {
 /// incremental append must restore bit-identical interval answers
 /// (plain and tiered builds), horizon-bounded loads must answer
 /// identically inside the resident span, a [`gsketch::WindowedReplay`]
-/// memo warmed off the reload must bit-match uncached answers with a
-/// non-zero hit rate, and truncating the snapshot at EVERY byte
-/// boundary must yield a clean `Err` — never a panic — from the
-/// decoder. Exits non-zero on any mismatch.
+/// dedup front over the reload must bit-match uncached answers and
+/// count each batch's distinct edges as misses and its repeats as hits,
+/// and truncating the snapshot at EVERY byte boundary must yield a
+/// clean `Err` — never a panic — from the decoder. Exits non-zero on
+/// any mismatch.
 fn smoke_snapshot(arrivals: usize) {
     use gsketch::{
         load_windowed, load_windowed_horizon, save_windowed, IntervalEstimate, WindowConfig,
@@ -530,20 +532,23 @@ fn smoke_snapshot(arrivals: usize) {
             );
         }
 
-        // Warm an interval memo off the reload: two passes, cached
-        // answers bit-identical to the live instance, hits on pass two.
+        // Dedup replay over the reload: two passes, answers
+        // bit-identical to the live instance, and every interval batch
+        // answers its distinct edges once with nothing carried over.
         let mut replay = WindowedReplay::new(loaded);
+        let mut batches = 0u64;
         for _ in 0..2 {
             for (ts, te) in intervals {
                 live.estimate_interval_detailed_batch(&edges, ts, te, &mut a);
                 replay.estimate_interval_detailed_batch(&edges, ts, te, &mut b);
-                assert_eq!(a, b, "{tag} memoized replay diverged on [{ts}, {te}]");
+                assert_eq!(a, b, "{tag} dedup replay diverged on [{ts}, {te}]");
+                batches += 1;
+                check_replay_counters(replay.stats(), &edges, batches);
             }
         }
         let stats = replay.stats();
-        assert!(stats.hits > 0, "interval memo never hit on pass two");
         println!(
-            "snapshot smoke ({tag}): memo-warm replay bit-identical \
+            "snapshot smoke ({tag}): dedup replay bit-identical \
              ({} hits / {} misses) — OK",
             stats.hits, stats.misses
         );

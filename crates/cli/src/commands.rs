@@ -102,8 +102,8 @@ USAGE:
       [--cache on|off] [--load-span A,B]
       (time-travel queries from a windowed snapshot — no rebuild, no
        stream: answers any inclusive `[t_start, t_end]` interval with a
-       confidence interval; workload replay fronts the deployment with
-       the interval-keyed memo unless --cache off; --load-span loads
+       confidence interval; workload replay answers each batch's
+       distinct edges once unless --cache off; --load-span loads
        only the sealed windows overlapping `A,B` via the snapshot's
        byte-offset index — answers outside it are not valid)
   gsketch workload <stream-file> --out FILE [--queries N] [--zipf A]
@@ -447,8 +447,8 @@ fn peek_windowed_kind(path: &str) -> Option<String> {
     kind.starts_with("gsketch-windowed:").then_some(kind)
 }
 
-/// Restore a windowed snapshot fronted by the interval-keyed replay
-/// memo — optionally loading only the sealed windows overlapping
+/// Restore a windowed snapshot fronted by the per-batch dedup replay
+/// engine — optionally loading only the sealed windows overlapping
 /// `load_span` through the footer index. The loader rejects any other
 /// windowed kind, naming both.
 fn load_windowed_replay(
@@ -812,9 +812,9 @@ fn parse_pairs(pairs: &[String]) -> Result<Vec<Edge>, CliError> {
 /// `query --snapshot`: time-travel queries from a durable windowed
 /// snapshot — no stream, no rebuild. The deployment is decoded from the
 /// file (optionally only the sealed windows overlapping `--load-span`,
-/// through the footer's byte-offset index) and fronted by the
-/// interval-keyed replay memo, so a workload that repeats `(pair,
-/// interval)` questions pays for each answer once.
+/// through the footer's byte-offset index) and fronted by the per-batch
+/// dedup replay engine, so an interval batch that repeats an edge pays
+/// for its answer once.
 fn query_windowed_snapshot<W: Write>(
     a: &ParsedArgs,
     path: &str,
@@ -927,7 +927,7 @@ fn query_windowed_snapshot<W: Write>(
     };
 
     // Workload replay: each interval group is one detailed batch,
-    // memoized unless --cache off.
+    // deduplicated unless --cache off.
     let cached = parse_switch(a, "cache", true)?;
     let chunk: usize = a.get_or::<usize>("chunk", 1 << 20)?.max(1);
     let show: usize = a.get_or("show", 10)?;
@@ -2213,7 +2213,7 @@ mod tests {
 
     /// The full durable-windowed pipeline: snapshot a stream, append the
     /// grown stream to the same file, and answer time-travel queries
-    /// from the snapshot — inline pairs and a memoized workload replay.
+    /// from the snapshot — inline pairs and a deduplicated workload replay.
     #[test]
     fn snapshot_build_append_and_time_travel_query() {
         let full = tmp("snap_pipeline.txt");
@@ -2299,8 +2299,8 @@ mod tests {
     }
 
     /// `workload --intervals` + `query --snapshot --workload`: the
-    /// interval-keyed memo answers repeats, and the cached replay is
-    /// bit-identical to the uncached baseline.
+    /// dedup front answers repeats within each interval batch, and the
+    /// cached replay is bit-identical to the uncached baseline.
     #[test]
     fn snapshot_workload_replay_hits_interval_memo() {
         let stream = tmp("snap_wl.txt");
@@ -2363,7 +2363,7 @@ mod tests {
         assert_eq!(sum_line(&cached), sum_line(&uncached));
         assert!(cached.contains("hit rate"), "{cached}");
         assert!(!uncached.contains("cache:"), "{uncached}");
-        // Zipf head × few distinct intervals ⇒ the memo must hit.
+        // A Zipf head repeats within each interval batch ⇒ hits.
         let hits: u64 = cached
             .lines()
             .find(|l| l.starts_with("cache:"))

@@ -53,7 +53,7 @@
 //! | §5 time-windowed deployment | [`window`] |
 //! | beyond the paper: unified ingest surface | [`sink`] |
 //! | beyond the paper: owner-sharded ingest | [`pipeline`] |
-//! | beyond the paper: deduplicated and interval-memoized query replay | [`replay`] |
+//! | beyond the paper: per-batch deduplicated query replay (flat and interval) | [`replay`] |
 //!
 //! ## The synopsis
 //!

@@ -1,30 +1,30 @@
 //! The query-replay engines (DESIGN.md §9, §13).
 //!
-//! [`ReplayEngine`] is a **per-batch dedup front** for a flat
-//! deployment. Query workloads are Zipf-headed (scenario 2 of the
+//! Both engines are a **per-batch dedup front**: [`ReplayEngine`] for a
+//! flat deployment, [`WindowedReplay`] for interval queries over a
+//! windowed one. Query workloads are Zipf-headed (scenario 2 of the
 //! paper is built on that assumption: the partitioner discounts
 //! never-queried vertices because query streams concentrate on a
-//! head), so one batch repeats its hot edges many times. The engine
+//! head), so one batch repeats its hot edges many times. An engine
 //! deduplicates each batch by the raw `(src, dst)` endpoint pair,
-//! answers the distinct edges **once** through the estimator's batched
-//! surface (the in-order gather, DESIGN.md §8), and copies each answer
-//! back to every repeat. Nothing is kept across batches, so there is
-//! nothing to invalidate: writes through the engine's [`EdgeSink`]
-//! impl are a plain forward, and answers are bit-identical to the bare
-//! engine under any interleaving of ingest and query batches.
+//! answers the distinct edges **once** through the deployment's batched
+//! surface (for a flat deployment the in-order gather, DESIGN.md §8),
+//! and copies each answer back to every repeat. Nothing is kept across
+//! batches, so there is nothing to invalidate: writes through an
+//! engine's [`EdgeSink`] impl are a plain forward, and answers are
+//! bit-identical to the bare deployment under any interleaving of
+//! ingest and query batches.
 //!
-//! A cross-batch answer memo was measured and removed: on the
-//! live-serving workload every write chunk touches nearly every router
-//! slot, so memoized answers were dead before the next query batch, and
-//! almost every "hit" was a within-batch repeat the dedup already
-//! answers (DESIGN.md §9).
-//!
-//! [`WindowedReplay`] keeps an interval-keyed memo in front of the
-//! windowed deployment: sealed intervals never change without
-//! coarsening, so their answers stay valid across batches.
+//! Cross-batch answer memos were measured and removed (DESIGN.md §9,
+//! §13): on the live-serving workload every write chunk touches nearly
+//! every router slot, so memoized answers were dead before the next
+//! query batch, and on every recorded workload almost every "hit" was a
+//! within-batch repeat the dedup already answers.
 
 use crate::query::EdgeEstimator;
 use crate::sink::EdgeSink;
+use crate::window::IntervalEstimate;
+use crate::WindowedGSketch;
 use gstream::edge::{Edge, StreamEdge};
 
 /// What a replay engine did so far (monotone counters; useful for
@@ -33,13 +33,13 @@ use gstream::edge::{Edge, StreamEdge};
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct ReplayStats {
     /// Queries answered without asking the synopsis: repeats of an
-    /// edge already asked in the same batch, plus (windowed engine)
-    /// answers served from the interval memo.
+    /// edge already asked in the same batch.
     pub hits: u64,
     /// Distinct edges sent to the synopsis's batched surface.
     pub misses: u64,
-    /// Memo invalidations. Always 0 for [`ReplayEngine`], which keeps
-    /// no memo; [`WindowedReplay`] counts one per domain bump.
+    /// Always 0: neither engine keeps an answer across batches, so
+    /// nothing is ever invalidated. Kept so counter readers stay
+    /// source-compatible.
     pub invalidations: u64,
 }
 
@@ -54,53 +54,37 @@ fn edge_pair(e: Edge) -> u64 {
 /// batches so the steady state allocates nothing.
 #[derive(Debug, Default)]
 struct BatchDedup<V> {
-    /// The batch's distinct unanswered edges, in first-occurrence order.
+    /// The batch's distinct edges, in first-occurrence order.
     edges: Vec<Edge>,
     /// One answer per entry of `edges`.
     vals: Vec<V>,
-    /// `(distinct index, output position)` per query left to the
-    /// answerer.
-    occ: Vec<(usize, usize)>,
+    /// Per query, in query order: its index into `edges`.
+    slots: Vec<usize>,
     /// Endpoint pair → index into `edges`.
     index: gstream::fxhash::FxHashMap<u64, usize>,
 }
 
-impl<V: Copy + Default> BatchDedup<V> {
-    /// Overwrite `out` with one answer per edge, in query order.
-    /// `probe` may answer a query on the spot (the windowed memo; the
-    /// flat engine never does). Every other query is deduplicated by
-    /// its endpoint pair: the distinct edges reach `answer` once, in
-    /// first-occurrence order (it must fill one value per edge, in
-    /// order), and every repeat is copied from that answer. The
-    /// distinct edges count as `stats.misses`, every other query as
-    /// `stats.hits`.
-    fn run<P, F>(
-        &mut self,
-        edges: &[Edge],
-        out: &mut Vec<V>,
-        stats: &mut ReplayStats,
-        mut probe: P,
-        answer: F,
-    ) where
-        P: FnMut(u64) -> Option<V>,
+impl<V: Copy> BatchDedup<V> {
+    /// Overwrite `out` with one answer per edge, in query order. The
+    /// queries are deduplicated by endpoint pair: the distinct edges
+    /// reach `answer` once, in first-occurrence order (it must fill one
+    /// value per edge, in order), and every repeat is copied from that
+    /// answer. The distinct edges count as `stats.misses`, every other
+    /// query as `stats.hits`.
+    fn run<F>(&mut self, edges: &[Edge], out: &mut Vec<V>, stats: &mut ReplayStats, answer: F)
+    where
         F: FnOnce(&[Edge], &mut Vec<V>),
     {
         out.clear();
-        out.resize(edges.len(), V::default());
         self.edges.clear();
-        self.occ.clear();
+        self.slots.clear();
         self.index.clear();
-        for (i, &e) in edges.iter().enumerate() {
-            let pair = edge_pair(e);
-            if let Some(v) = probe(pair) {
-                out[i] = v;
-                continue;
-            }
-            let slot = *self.index.entry(pair).or_insert_with(|| {
+        for &e in edges {
+            let slot = *self.index.entry(edge_pair(e)).or_insert_with(|| {
                 self.edges.push(e);
                 self.edges.len() - 1
             });
-            self.occ.push((slot, i));
+            self.slots.push(slot);
         }
         let misses = self.edges.len() as u64;
         stats.misses += misses;
@@ -110,15 +94,7 @@ impl<V: Copy + Default> BatchDedup<V> {
         }
         answer(&self.edges, &mut self.vals);
         debug_assert_eq!(self.vals.len(), self.edges.len());
-        for &(slot, i) in &self.occ {
-            out[i] = self.vals[slot];
-        }
-    }
-
-    /// The distinct edges of the last [`run`](Self::run), each with its
-    /// answer.
-    fn answered(&self) -> impl Iterator<Item = (Edge, V)> + '_ {
-        self.edges.iter().copied().zip(self.vals.iter().copied())
+        out.extend(self.slots.iter().map(|&slot| self.vals[slot]));
     }
 }
 
@@ -157,13 +133,10 @@ impl<S: EdgeEstimator> ReplayEngine<S> {
     /// batch.
     pub fn estimate_edges(&mut self, edges: &[Edge], out: &mut Vec<u64>) {
         let inner = &self.inner;
-        self.dedup.run(
-            edges,
-            out,
-            &mut self.stats,
-            |_| None,
-            |distinct, vals| inner.estimate_edges(distinct, vals),
-        );
+        self.dedup
+            .run(edges, out, &mut self.stats, |distinct, vals| {
+                inner.estimate_edges(distinct, vals)
+            });
     }
 
     /// [`estimate_edges`](Self::estimate_edges) with a caller-supplied
@@ -176,8 +149,7 @@ impl<S: EdgeEstimator> ReplayEngine<S> {
     where
         F: FnOnce(&[Edge], &mut Vec<u64>),
     {
-        self.dedup
-            .run(edges, out, &mut self.stats, |_| None, answer);
+        self.dedup.run(edges, out, &mut self.stats, answer);
     }
 
     /// Cumulative hit/miss counters (`invalidations` stays 0).
@@ -212,251 +184,38 @@ impl<S: EdgeSink> EdgeSink for ReplayEngine<S> {
     }
 }
 
-// ---------------------------------------------------------------------------
-// Interval-keyed replay for windowed deployments (DESIGN.md §13)
-// ---------------------------------------------------------------------------
-
-/// Memo set index for a key: one Fibonacci multiply — the memo only
-/// needs spread, not pairwise independence.
-#[inline]
-fn set_index(key: u64, shift: u32) -> usize {
-    // cast: u64 -> usize; `>> shift` leaves at most (64 - shift) bits,
-    // the set-count bit width, so the index fits and is in range.
-    ((key ^ (key >> 29)).wrapping_mul(0x9E37_79B9_7F4A_7C15) >> shift) as usize
-}
-
-/// Default memo capacity: 2^14 sets × 4 ways ≈ 64k answers — sized so a
-/// Zipf-headed workload's head (plus warm tail) stays resident while
-/// the memo itself stays a few MiB, far below the synopses it fronts.
-const DEFAULT_ENTRIES: usize = 1 << 16;
-
-/// One 4-way interval-memo set: ways are tagged by the `(pair, interval)`
-/// key and cache the full [`IntervalEstimate`] row (value, bound,
-/// confidence), so the plain and detailed query surfaces share one memo.
-struct IvalSet {
-    pairs: [u64; 4],
-    ivals: [u32; 4],
-    values: [f64; 4],
-    bounds: [f64; 4],
-    confs: [f64; 4],
-    stamps: [u64; 4],
-    hits: [u32; 4],
-}
-
-const EMPTY_IVAL_SET: IvalSet = IvalSet {
-    pairs: [0; 4],
-    ivals: [0; 4],
-    values: [0.0; 4],
-    bounds: [0.0; 4],
-    confs: [0.0; 4],
-    stamps: [0; 4],
-    hits: [0; 4],
-};
-
-impl std::fmt::Debug for IvalSet {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("IvalSet").finish_non_exhaustive()
-    }
-}
-
-use crate::window::IntervalEstimate;
-use crate::WindowedGSketch;
-
-/// A replay engine for **time-travel queries** over a windowed
-/// deployment: a set-associative memo keyed by `(edge pair, interval)`
-/// in front of [`WindowedGSketch::estimate_interval_detailed_batch`].
-///
-/// The point of a separate engine is the **two-domain invalidation
-/// protocol**, which is what makes historical answers effectively
-/// immortal:
-///
-/// * An interval is **sealed** iff its inclusive end lies before the
-///   currently open window (`t_end < current_window_start()`). A sealed
-///   interval's answer is computed entirely from sealed windows and
-///   tiers — the live window cannot overlap it — and window rotation
-///   cannot change it either (the newly sealed window starts at the old
-///   live boundary, past the interval's end). The only event that moves
-///   a sealed answer is **coarsening** (folding expired windows into
-///   tiers), which the engine detects through the deployment's monotone
-///   [`coarsenings`](WindowedGSketch::coarsenings) counter. Without a
-///   horizon that never happens: sealed hits survive any amount of
-///   further ingest.
-/// * A **live** interval (overlapping the open window) is invalidated
-///   by every write batch.
-///
-/// Classification is monotone — `current_window_start` never decreases,
-/// so a sealed interval can never become live again — and both domain
-/// generations are drawn from one strictly-increasing counter, so a
-/// stale live-domain stamp can never collide with a sealed-domain
-/// generation (no ABA resurrection).
-///
-/// Combined with [`crate::persist::load_windowed`], this gives
-/// O(workload) time travel: [`replace_inner`](Self::replace_inner)
-/// swaps in a snapshot-loaded deployment and *keeps* the sealed half of
-/// the memo when the snapshot's history extends the current one, so a
-/// warmed replay survives process handoff through the snapshot file.
+/// The same per-batch dedup front as [`ReplayEngine`], for
+/// **time-travel queries** over a windowed deployment: each interval
+/// batch's distinct edges are answered once through
+/// [`WindowedGSketch::estimate_interval_detailed_batch`] and every
+/// repeat is copied from the first answer. Nothing outlives its batch,
+/// so writes through the [`EdgeSink`] impl need no invalidation and
+/// answers are bit-identical to the bare deployment under any
+/// interleaving of ingest (rotations and coarsening included) and query
+/// batches.
 #[derive(Debug)]
 pub struct WindowedReplay {
     inner: WindowedGSketch,
-    memo: IvalMemo,
-    /// Dense id per distinct queried interval (grows with the number of
-    /// distinct `[t_start, t_end]` spans the workload uses — a handful
-    /// in practice; ids are never recycled).
-    interval_ids: gstream::fxhash::FxHashMap<(u64, u64), u32>,
-    /// Generation of the sealed domain (bumped only by coarsening).
-    sealed_gen: u64,
-    /// Generation of the live domain (bumped by every write batch).
-    live_gen: u64,
-    /// Strictly increasing stamp source shared by both domains.
-    next_gen: u64,
-    /// Dedup scratch for the memo's misses.
     dedup: BatchDedup<IntervalEstimate>,
     stats: ReplayStats,
 }
 
-/// The interval memo's sets. Split from [`WindowedReplay`] so a batch
-/// can probe it while the deployment answers the misses.
-#[derive(Debug)]
-struct IvalMemo {
-    sets: Box<[IvalSet]>,
-    /// `64 − log2(sets.len())`: the set-index shift.
-    shift: u32,
-}
-
-impl IvalMemo {
-    /// Set index for a `(pair, interval)` key: mix the interval id into
-    /// the pair before the Fibonacci spread so the same edge under
-    /// different intervals lands in different sets.
-    #[inline]
-    fn set_of(&mut self, pair: u64, ival: u32) -> &mut IvalSet {
-        let idx = set_index(
-            pair ^ u64::from(ival).wrapping_mul(0xA24B_AED4_963E_E407),
-            self.shift,
-        );
-        &mut self.sets[idx]
-    }
-
-    /// The cached row for `(pair, interval)` if it carries stamp `gen`;
-    /// a hit bumps the way's hit counter (its eviction weight).
-    #[inline]
-    fn probe(&mut self, pair: u64, ival: u32, gen: u64) -> Option<IntervalEstimate> {
-        let set = self.set_of(pair, ival);
-        for j in 0..4 {
-            if set.pairs[j] == pair
-                && set.ivals[j] == ival
-                && set.hits[j] != 0
-                && set.stamps[j] == gen
-            {
-                set.hits[j] = set.hits[j].saturating_add(1);
-                return Some(IntervalEstimate {
-                    value: set.values[j],
-                    error_bound: set.bounds[j],
-                    confidence: set.confs[j],
-                });
-            }
-        }
-        None
-    }
-
-    /// Cache a row stamped `gen`. An existing way holding the same key
-    /// is refreshed in place; otherwise the lightest way is displaced,
-    /// where ways stamped by neither current generation weigh nothing.
-    fn insert(&mut self, pair: u64, ival: u32, gen: u64, row: IntervalEstimate, live: [u64; 2]) {
-        let set = self.set_of(pair, ival);
-        let mut victim = 0usize;
-        let mut victim_weight = u32::MAX;
-        for j in 0..4 {
-            if set.pairs[j] == pair && set.ivals[j] == ival && set.hits[j] != 0 {
-                victim = j;
-                break;
-            }
-            // Eviction weight only: a way stamped by neither current
-            // generation is certainly dead (weightless). A stale way
-            // that happens to match one is merely over-weighted — the
-            // probe's exact stamp check keeps correctness.
-            let alive = set.hits[j] != 0 && live.contains(&set.stamps[j]);
-            let weight = if alive { set.hits[j] } else { 0 };
-            if weight < victim_weight {
-                victim = j;
-                victim_weight = weight;
-            }
-        }
-        set.pairs[victim] = pair;
-        set.ivals[victim] = ival;
-        set.values[victim] = row.value;
-        set.bounds[victim] = row.error_bound;
-        set.confs[victim] = row.confidence;
-        set.stamps[victim] = gen;
-        set.hits[victim] = 1;
-    }
-}
-
 impl WindowedReplay {
-    /// Front `inner` with an interval memo of the default capacity.
+    /// Wrap `inner` in a dedup front.
     pub fn new(inner: WindowedGSketch) -> Self {
-        Self::with_capacity(inner, DEFAULT_ENTRIES)
-    }
-
-    /// Front `inner` with a memo of at least `entries` cached answers
-    /// (rounded up to a power-of-two set count).
-    pub fn with_capacity(inner: WindowedGSketch, entries: usize) -> Self {
-        let sets = (entries.max(4) / 4).next_power_of_two().max(2);
         Self {
             inner,
-            memo: IvalMemo {
-                sets: (0..sets).map(|_| EMPTY_IVAL_SET).collect(),
-                shift: 64 - sets.trailing_zeros(),
-            },
-            interval_ids: gstream::fxhash::FxHashMap::default(),
-            sealed_gen: 0,
-            live_gen: 1,
-            next_gen: 1,
             dedup: BatchDedup::default(),
             stats: ReplayStats::default(),
         }
     }
 
-    /// The dense id of interval `(t_start, t_end)`.
-    fn interval_id(&mut self, t_start: u64, t_end: u64) -> u32 {
-        let next = self.interval_ids.len();
-        // cast: interval count is bounded by distinct workload spans,
-        // far below u32::MAX; a truncated id would only cause extra
-        // misses, never a wrong answer.
-        *self
-            .interval_ids
-            .entry((t_start, t_end))
-            .or_insert(next as u32)
-    }
-
-    /// The generation an entry for this interval must carry to be live
-    /// *now*: sealed intervals check against the sealed domain, live
-    /// ones against the live domain.
-    fn current_gen(&self, t_end: u64) -> u64 {
-        if t_end < self.inner.current_window_start() {
-            self.sealed_gen
-        } else {
-            self.live_gen
-        }
-    }
-
-    fn bump_live(&mut self) {
-        self.next_gen += 1;
-        self.live_gen = self.next_gen;
-        self.stats.invalidations += 1;
-    }
-
-    fn bump_sealed(&mut self) {
-        self.next_gen += 1;
-        self.sealed_gen = self.next_gen;
-        self.stats.invalidations += 1;
-    }
-
-    /// Memoized
+    /// Deduplicated
     /// [`estimate_interval_detailed_batch`](WindowedGSketch::estimate_interval_detailed_batch):
-    /// hits are served from resident `(pair, interval)` lines, the
-    /// distinct misses are answered as one batch through the deployment
-    /// and inserted. Bit-identical to the uncached batch, in query
-    /// order.
+    /// the batch's distinct edges go once, as one batch, through the
+    /// deployment, and every repeat is copied from the first answer.
+    /// `out` is overwritten with one row per edge, in query order,
+    /// bit-identical to the bare batch.
     pub fn estimate_interval_detailed_batch(
         &mut self,
         edges: &[Edge],
@@ -464,90 +223,14 @@ impl WindowedReplay {
         t_end: u64,
         out: &mut Vec<IntervalEstimate>,
     ) {
-        let ival = self.interval_id(t_start, t_end);
-        let gen = self.current_gen(t_end);
-        let (memo, inner) = (&mut self.memo, &self.inner);
-        self.dedup.run(
-            edges,
-            out,
-            &mut self.stats,
-            |pair| memo.probe(pair, ival, gen),
-            |miss, rows| inner.estimate_interval_detailed_batch(miss, t_start, t_end, rows),
-        );
-        let live = [self.sealed_gen, self.live_gen];
-        for (e, row) in self.dedup.answered() {
-            self.memo.insert(edge_pair(e), ival, gen, row, live);
-        }
+        let inner = &self.inner;
+        self.dedup
+            .run(edges, out, &mut self.stats, |distinct, rows| {
+                inner.estimate_interval_detailed_batch(distinct, t_start, t_end, rows)
+            });
     }
 
-    /// Memoized
-    /// [`estimate_interval_batch`](WindowedGSketch::estimate_interval_batch):
-    /// the plain surface shares the detailed memo (the windowed
-    /// deployment pins plain and detailed values bit-identical).
-    pub fn estimate_interval_batch(
-        &mut self,
-        edges: &[Edge],
-        t_start: u64,
-        t_end: u64,
-        out: &mut Vec<f64>,
-    ) {
-        let mut rows = Vec::new();
-        self.estimate_interval_detailed_batch(edges, t_start, t_end, &mut rows);
-        out.clear();
-        out.extend(rows.iter().map(|r| r.value));
-    }
-
-    /// Fallible single-arrival ingest (the windowed counterpart of
-    /// [`WindowedGSketch::try_insert`]), with invalidation.
-    pub fn try_insert(&mut self, se: StreamEdge) -> Result<(), sketch::SketchError> {
-        self.bump_live();
-        let before = self.inner.coarsenings();
-        let r = self.inner.try_insert(se);
-        if self.inner.coarsenings() != before {
-            self.bump_sealed();
-        }
-        r
-    }
-
-    /// Swap in a replacement deployment — typically one loaded from a
-    /// snapshot file — and keep as much of the memo as is sound:
-    ///
-    /// * the **sealed** half survives iff the replacement provably
-    ///   extends the current deployment's history (same configuration
-    ///   and horizon, same coarsening count, current sealed spans a
-    ///   prefix of the replacement's, neither instance partial): every
-    ///   synopsis a sealed interval was answered from is still present
-    ///   and unchanged, and the replacement's extra windows all start at
-    ///   or past the old live boundary, outside every sealed interval;
-    /// * the **live** half is always invalidated — the open window's
-    ///   counters have no such guarantee.
-    ///
-    /// Returns whether sealed answers were preserved.
-    pub fn replace_inner(&mut self, new: WindowedGSketch) -> bool {
-        let old_spans = self.inner.sealed_spans();
-        let new_spans = new.sealed_spans();
-        let preserved = !self.inner.is_partial()
-            && !new.is_partial()
-            && self.inner.config() == new.config()
-            && self.inner.horizon_keep() == new.horizon_keep()
-            && self.inner.coarsenings() == new.coarsenings()
-            && new_spans.len() >= old_spans.len()
-            && old_spans == new_spans[..old_spans.len()];
-        self.inner = new;
-        self.bump_live();
-        if !preserved {
-            self.bump_sealed();
-        }
-        preserved
-    }
-
-    /// Drop every cached answer.
-    pub fn invalidate_all(&mut self) {
-        self.bump_live();
-        self.bump_sealed();
-    }
-
-    /// Cumulative hit/miss/invalidation counters.
+    /// Cumulative hit/miss counters (`invalidations` stays 0).
     pub fn stats(&self) -> ReplayStats {
         self.stats
     }
@@ -556,38 +239,17 @@ impl WindowedReplay {
     pub fn inner(&self) -> &WindowedGSketch {
         &self.inner
     }
-
-    /// Unwrap the deployment. (No `inner_mut`, for the same reason as
-    /// [`ReplayEngine::into_inner`]: a mutable handle could write
-    /// without invalidating.)
-    pub fn into_inner(self) -> WindowedGSketch {
-        self.inner
-    }
 }
 
-/// Writes invalidate the live domain before touching the deployment;
-/// if the write triggered coarsening (the only mutation of sealed
-/// history), the sealed domain is invalidated too.
+/// Writes forward to the deployment: the engine keeps no answer across
+/// batches, so there is nothing to invalidate.
 impl EdgeSink for WindowedReplay {
     fn update(&mut self, se: StreamEdge) {
-        self.bump_live();
-        let before = self.inner.coarsenings();
         self.inner.update(se);
-        if self.inner.coarsenings() != before {
-            self.bump_sealed();
-        }
     }
 
     fn ingest_batch(&mut self, batch: &[StreamEdge]) {
-        if batch.is_empty() {
-            return;
-        }
-        self.bump_live();
-        let before = self.inner.coarsenings();
         self.inner.ingest_batch(batch);
-        if self.inner.coarsenings() != before {
-            self.bump_sealed();
-        }
     }
 
     fn flush(&mut self) {
@@ -771,149 +433,137 @@ mod tests {
 
     const INTERVALS: [(u64, u64); 4] = [(0, 149), (0, u64::MAX), (120, 480), (333, 333)];
 
+    /// A query batch with scattered repeats: every query edge, then
+    /// every other one again.
+    fn wbatch() -> Vec<Edge> {
+        let q = wqueries();
+        q.iter().chain(q.iter().step_by(2)).copied().collect()
+    }
+
     #[test]
     fn windowed_cached_answers_match_uncached() {
         let w = wbuild(700);
-        let queries = wqueries();
+        let batch = wbatch();
         let mut bare = Vec::new();
         let mut bare_rows = Vec::new();
-        let mut cached = Vec::new();
         let mut cached_rows = Vec::new();
         let mut engine = WindowedReplay::new(wbuild(700));
         for _ in 0..3 {
             for &(ts, te) in &INTERVALS {
-                w.estimate_interval_batch(&queries, ts, te, &mut bare);
-                engine.estimate_interval_batch(&queries, ts, te, &mut cached);
-                assert_eq!(cached, bare, "plain mismatch over [{ts}, {te}]");
-                w.estimate_interval_detailed_batch(&queries, ts, te, &mut bare_rows);
-                engine.estimate_interval_detailed_batch(&queries, ts, te, &mut cached_rows);
+                w.estimate_interval_detailed_batch(&batch, ts, te, &mut bare_rows);
+                engine.estimate_interval_detailed_batch(&batch, ts, te, &mut cached_rows);
                 assert_eq!(
                     cached_rows, bare_rows,
                     "detailed mismatch over [{ts}, {te}]"
                 );
+                w.estimate_interval_batch(&batch, ts, te, &mut bare);
+                let cached: Vec<f64> = cached_rows.iter().map(|r| r.value).collect();
+                assert_eq!(cached, bare, "plain mismatch over [{ts}, {te}]");
             }
         }
+        // 3 passes × 4 intervals, each batch answering its distinct
+        // edges once and nothing carried between batches.
         let stats = engine.stats();
-        assert!(stats.hits > stats.misses, "{stats:?}");
-        // Both surfaces count every query once: 3 passes × 4 intervals
-        // × (plain + detailed).
-        assert_eq!(stats.hits + stats.misses, 24 * queries.len() as u64);
+        assert_eq!(stats.misses, 12 * distinct(&batch), "{stats:?}");
+        assert_eq!(stats.hits + stats.misses, 12 * batch.len() as u64);
+        assert_eq!(stats.invalidations, 0);
     }
 
-    /// A sealed interval's cached answer survives any amount of further
+    /// Answers `batch` over `[ts, te]` through the engine, checks the
+    /// rows against the bare deployment, and checks that the batch sent
+    /// exactly its distinct edges to the deployment (nothing carries
+    /// over from earlier batches).
+    fn wcheck(
+        engine: &mut WindowedReplay,
+        batch: &[Edge],
+        ts: u64,
+        te: u64,
+    ) -> Vec<IntervalEstimate> {
+        let before = engine.stats();
+        let (mut out, mut bare) = (Vec::new(), Vec::new());
+        engine.estimate_interval_detailed_batch(batch, ts, te, &mut out);
+        engine
+            .inner()
+            .estimate_interval_detailed_batch(batch, ts, te, &mut bare);
+        assert_eq!(out, bare, "mismatch over [{ts}, {te}]");
+        let after = engine.stats();
+        assert_eq!(after.misses, before.misses + distinct(batch), "{after:?}");
+        assert_eq!(
+            after.hits + after.misses,
+            before.hits + before.misses + batch.len() as u64,
+            "{after:?}"
+        );
+        out
+    }
+
+    /// A sealed interval's answer is unchanged by any amount of further
     /// ingest — rotations included — because nothing after the live
     /// boundary can overlap it (without a horizon, sealed history is
-    /// immutable).
+    /// immutable); every interval stays bit-identical to the bare
+    /// deployment throughout.
     #[test]
     fn windowed_sealed_answers_survive_writes_and_rotations() {
         use crate::EdgeSink;
         let mut engine = WindowedReplay::new(wbuild(700));
-        let queries = wqueries();
+        let batch = wbatch();
         let (ts, te) = (0u64, 399u64);
         assert!(te < engine.inner().current_window_start());
-        let mut first = Vec::new();
-        engine.estimate_interval_detailed_batch(&queries, ts, te, &mut first);
-        let windows_before = engine.inner().sealed_windows();
-        engine.ingest_batch(&wstream(700..1_500)); // several rotations
-        assert!(engine.inner().sealed_windows() > windows_before);
-        let (hits0, misses0) = (engine.stats().hits, engine.stats().misses);
-        let mut again = Vec::new();
-        engine.estimate_interval_detailed_batch(&queries, ts, te, &mut again);
-        assert_eq!(again, first, "sealed answer changed under live writes");
-        assert_eq!(engine.stats().misses, misses0, "sealed answers re-derived");
-        assert_eq!(engine.stats().hits, hits0 + queries.len() as u64);
-        // And the survivors are still *correct*, not merely resident.
-        let mut bare = Vec::new();
-        engine
-            .inner()
-            .estimate_interval_detailed_batch(&queries, ts, te, &mut bare);
-        assert_eq!(again, bare);
+        let first = wcheck(&mut engine, &batch, ts, te);
+        let windows0 = engine.inner().sealed_windows();
+        // No write, writes inside the open window, several rotations.
+        for writes in [700..700, 700..760, 760..1_500, 1_500..1_520] {
+            engine.ingest_batch(&wstream(writes));
+            for &(ts, te) in &INTERVALS {
+                wcheck(&mut engine, &batch, ts, te);
+            }
+            assert_eq!(
+                wcheck(&mut engine, &batch, ts, te),
+                first,
+                "sealed answer changed under live writes"
+            );
+        }
+        assert!(engine.inner().sealed_windows() > windows0);
     }
 
-    /// Intervals overlapping the open window are invalidated by every
-    /// write batch and re-derive to the fresh answer.
+    /// Intervals overlapping the open window see every write batch: the
+    /// next query batch re-derives them to the fresh answer.
     #[test]
     fn windowed_live_answers_invalidated_by_writes() {
         use crate::EdgeSink;
         let mut engine = WindowedReplay::new(wbuild(700));
-        let queries = wqueries();
+        let batch = wbatch();
         let (ts, te) = (500u64, u64::MAX); // overlaps the open window
-        let mut out = Vec::new();
-        engine.estimate_interval_detailed_batch(&queries, ts, te, &mut out);
-        engine.ingest_batch(&wstream(700..760)); // no rotation, same window
-        let misses0 = engine.stats().misses;
-        engine.estimate_interval_detailed_batch(&queries, ts, te, &mut out);
-        assert_eq!(
-            engine.stats().misses,
-            misses0 + queries.len() as u64,
-            "live answers must re-derive after a write"
+        engine.ingest_batch(&wstream(700..720)); // opens window [700, 800)
+        let windows0 = engine.inner().sealed_windows();
+        let before = wcheck(&mut engine, &batch, ts, te);
+        engine.ingest_batch(&wstream(720..780)); // no rotation, same window
+        assert_eq!(engine.inner().sealed_windows(), windows0);
+        let after = wcheck(&mut engine, &batch, ts, te);
+        // 60 consecutive timestamps cover all 21 query edges.
+        assert!(
+            before.iter().zip(&after).all(|(b, a)| a.value > b.value),
+            "live answers did not see the write"
         );
-        let mut bare = Vec::new();
-        engine
-            .inner()
-            .estimate_interval_detailed_batch(&queries, ts, te, &mut bare);
-        assert_eq!(out, bare);
     }
 
     /// Under a horizon, coarsening is the one event that rewrites sealed
-    /// history — cached sealed answers must re-derive, never go stale.
+    /// history — sealed answers must follow it, never go stale.
     #[test]
     fn windowed_coarsening_invalidates_sealed_answers() {
         use crate::EdgeSink;
         let mut w =
             WindowedGSketch::with_horizon(wcfg(), GSketch::builder().min_width(16), 2).unwrap();
-        for se in wstream(0..1_000) {
-            w.try_insert(se).unwrap();
-        }
+        w.ingest_batch(&wstream(0..1_000));
         let mut engine = WindowedReplay::new(w);
-        let queries = wqueries();
-        let (ts, te) = (0u64, 399u64);
-        let mut out = Vec::new();
-        engine.estimate_interval_detailed_batch(&queries, ts, te, &mut out);
-        let coarsenings = engine.inner().coarsenings();
-        engine.ingest_batch(&wstream(1_000..1_300)); // rotations => coarsening
-        assert!(engine.inner().coarsenings() > coarsenings);
-        engine.estimate_interval_detailed_batch(&queries, ts, te, &mut out);
-        let mut bare = Vec::new();
-        engine
-            .inner()
-            .estimate_interval_detailed_batch(&queries, ts, te, &mut bare);
-        assert_eq!(out, bare, "stale sealed answer after coarsening");
-    }
-
-    /// `replace_inner` keeps the sealed memo when the replacement
-    /// provably extends the current history (the snapshot-reload path),
-    /// and drops it otherwise.
-    #[test]
-    fn windowed_replace_inner_preserves_sealed_on_history_extension() {
-        let mut engine = WindowedReplay::new(wbuild(700));
-        let queries = wqueries();
-        let (ts, te) = (0u64, 399u64);
-        let mut out = Vec::new();
-        engine.estimate_interval_detailed_batch(&queries, ts, te, &mut out);
-        // Same config, longer deterministic history: a strict extension.
-        assert!(
-            engine.replace_inner(wbuild(1_200)),
-            "extension not detected"
-        );
-        let misses0 = engine.stats().misses;
-        let mut again = Vec::new();
-        engine.estimate_interval_detailed_batch(&queries, ts, te, &mut again);
-        assert_eq!(engine.stats().misses, misses0, "sealed memo was dropped");
-        let mut bare = Vec::new();
-        engine
-            .inner()
-            .estimate_interval_detailed_batch(&queries, ts, te, &mut bare);
-        assert_eq!(again, bare);
-        // A diverged deployment (different seed) must invalidate all.
-        let other = WindowedGSketch::new(
-            WindowConfig { seed: 99, ..wcfg() },
-            GSketch::builder().min_width(16),
-        )
-        .unwrap();
-        assert!(!engine.replace_inner(other), "divergence not detected");
-        let misses1 = engine.stats().misses;
-        engine.estimate_interval_detailed_batch(&queries, ts, te, &mut out);
-        assert_eq!(engine.stats().misses, misses1 + queries.len() as u64);
+        let batch = wbatch();
+        wcheck(&mut engine, &batch, 0, 399);
+        let coarsenings0 = engine.inner().coarsenings();
+        for writes in [1_000..1_060, 1_060..1_300] {
+            engine.ingest_batch(&wstream(writes)); // rotations => coarsening
+            for &(ts, te) in &INTERVALS {
+                wcheck(&mut engine, &batch, ts, te);
+            }
+        }
+        assert!(engine.inner().coarsenings() > coarsenings0);
     }
 }

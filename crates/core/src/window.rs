@@ -586,9 +586,8 @@ impl WindowedGSketch {
         self.tiers.len()
     }
 
-    /// Total windows folded into tiers so far (monotone). The replay
-    /// memo treats this as the sealed-history generation:
-    /// sealed-interval answers can only change when it moves.
+    /// Total windows folded into tiers so far (monotone): answers over
+    /// sealed intervals can only change when it moves.
     pub fn coarsenings(&self) -> u64 {
         self.coarsenings
     }
@@ -608,11 +607,6 @@ impl WindowedGSketch {
     /// Start timestamp of the currently open window.
     pub fn current_window_start(&self) -> u64 {
         self.current_start
-    }
-
-    /// The window configuration this synopsis was built with.
-    pub fn config(&self) -> WindowConfig {
-        self.cfg
     }
 
     /// Total counter memory across tiers and windows.

@@ -379,8 +379,8 @@ pub fn workload_vertex_counts(workload: &[Edge]) -> crate::fxhash::FxHashMap<Ver
 /// multiples of `align` in `[0, t_max]` (so `align == span` tiles the
 /// stream's lifetime, smaller alignments overlap). The windowed rows are
 /// what `WindowedGSketch` deployments replay — and because the start
-/// domain is small and discrete, workloads repeat intervals, which is
-/// exactly what an interval-keyed replay memo rewards.
+/// domain is small and discrete, workloads repeat intervals, so each
+/// interval's batch is large and repeats its hot edges.
 ///
 /// # Panics
 /// Panics if `span` or `align` is zero (CLI callers validate first).

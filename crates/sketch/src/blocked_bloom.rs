@@ -314,6 +314,7 @@ impl serde::Deserialize for BlockedBloom {
         let spans: Vec<BlockSpan> =
             serde::Deserialize::from_value(serde::value_field(v, "spans")?)?;
         let seed: u64 = serde::Deserialize::from_value(serde::value_field(v, "seed")?)?;
+        let overflow = || serde::Error("filter layout overflows usize".to_owned());
         let mut expect = 0usize;
         for s in &spans {
             if s.offset != expect || s.blocks == 0 {
@@ -322,10 +323,10 @@ impl serde::Deserialize for BlockedBloom {
                     s.offset
                 )));
             }
-            expect += s.blocks;
+            expect = expect.checked_add(s.blocks).ok_or_else(overflow)?;
         }
-        let words =
-            crate::slab::u64_cells_from_value(serde::value_field(v, "words")?, expect * LANES)?;
+        let words_len = expect.checked_mul(LANES).ok_or_else(overflow)?;
+        let words = crate::slab::u64_cells_from_value(serde::value_field(v, "words")?, words_len)?;
         let rems = spans
             .iter()
             .map(|s| FastRem::new(s.blocks as u64))
@@ -599,5 +600,37 @@ mod tests {
             }
         }
         assert!(<BlockedBloom as serde::Deserialize>::from_value(&bad).is_err());
+    }
+
+    /// Span sizes whose word count overflows `usize` are a typed decode
+    /// error: wrapping to a zero-word filter would answer "absent" for
+    /// present keys, and indexing it would panic.
+    #[test]
+    fn hostile_span_sizes_rejected() {
+        use serde::Value;
+        let filter = |blocks: &[u64]| {
+            let mut offset = 0u64;
+            let spans = blocks
+                .iter()
+                .map(|&b| {
+                    let span = Value::Map(vec![
+                        ("offset".to_owned(), Value::U64(offset)),
+                        ("blocks".to_owned(), Value::U64(b)),
+                    ]);
+                    offset = offset.wrapping_add(b);
+                    span
+                })
+                .collect();
+            Value::Map(vec![
+                ("spans".to_owned(), Value::Seq(spans)),
+                ("words".to_owned(), Value::Str(String::new())),
+                ("seed".to_owned(), Value::U64(1)),
+            ])
+        };
+        for blocks in [&[1u64 << 61][..], &[u64::MAX, 2]] {
+            let e = <BlockedBloom as serde::Deserialize>::from_value(&filter(blocks))
+                .expect_err("overflowing layout accepted");
+            assert!(e.0.contains("overflows"), "{blocks:?}: {}", e.0);
+        }
     }
 }
