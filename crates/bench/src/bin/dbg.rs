@@ -6,9 +6,10 @@
 //!   the stream through `ShardedIngest` with `N` real (oversubscribed)
 //!   owners and bit-compare against sequential ingest; check the
 //!   slot-routed read path and a routed dedup replay front; then replay
-//!   the windowed deployment through epoch handoff and bit-compare its
-//!   interval answers (DESIGN.md §11). Exits non-zero on any mismatch —
-//!   the sharded-engine CI smoke step.
+//!   the windowed deployment through epoch handoff — `N` owners, and one
+//!   fused owner fed uneven chunks through `WindowedReplay::ingest_batch`
+//!   — and bit-compare its interval answers (DESIGN.md §11). Exits
+//!   non-zero on any mismatch — the sharded-engine CI smoke step.
 //! * `dbg --snapshot-smoke [--arrivals M]` — durable windowed snapshot
 //!   smoke: build windowed deployments (plain and tiered), save a fresh
 //!   snapshot mid-stream, append the rest, reload (full and
@@ -43,10 +44,11 @@ const DEPTH: usize = 1;
 /// [`gsketch::ShardedIngest`] with `N` real (oversubscribed) owners and
 /// bit-compare against sequential ingest; answer a workload through the
 /// slot-routed read path and a routed dedup [`ReplayEngine`] front; then
-/// replay the windowed deployment through epoch handoff and bit-compare
-/// its interval answers. Exits non-zero on any mismatch.
+/// replay the windowed deployment through epoch handoff (`N` owners, and
+/// one fused owner fed uneven `ingest_batch` chunks) and bit-compare its
+/// interval answers. Exits non-zero on any mismatch.
 fn smoke_sharded(threads: usize, arrivals: usize) {
-    use gsketch::{IntervalEstimate, ShardedIngest, WindowConfig, WindowedGSketch};
+    use gsketch::{IntervalEstimate, ShardedIngest, WindowConfig, WindowedGSketch, WindowedReplay};
     let mut cfg = RmatTrafficConfig::gtgraph(10, (arrivals / 4).max(100), arrivals, 17);
     cfg.activity_alpha = 1.2;
     let stream: Vec<_> = RmatTrafficGenerator::new(cfg).generate();
@@ -130,37 +132,53 @@ fn smoke_sharded(threads: usize, arrivals: usize) {
     wsharded
         .try_ingest_sharded(&wstream, threads, true)
         .expect("monotone timestamps");
-    assert_eq!(
-        wsharded.sealed_windows(),
-        wserial.sealed_windows(),
-        "window rotation diverged"
-    );
+    // The 1-thread leg: `WindowedReplay::ingest_batch` runs the fused
+    // epoch path; uneven chunks cut inside a window and across its
+    // boundary.
+    let mut wbatched =
+        WindowedReplay::new(WindowedGSketch::new(wcfg, wbuilder()).expect("valid windowed build"));
+    let mut rest = wstream.as_slice();
+    for len in [1, span as usize - 1, span as usize + 1, usize::MAX] {
+        let (chunk, tail) = rest.split_at(len.min(rest.len()));
+        wbatched.ingest_batch(chunk);
+        rest = tail;
+    }
     let horizon = wstream.len() as u64 - 1;
     let edges: Vec<gstream::Edge> = wstream.iter().step_by(97).map(|se| se.edge).collect();
     let mut a: Vec<IntervalEstimate> = Vec::new();
     let mut b: Vec<IntervalEstimate> = Vec::new();
-    let mut checked = 0usize;
-    for (ts, te) in [
-        (0u64, horizon),
-        (span / 2, span * 3 + 7),
-        (span, span),
-        (horizon / 3, u64::MAX),
+    for (leg, w) in [
+        ("sharded", &wsharded),
+        ("1-thread batched", wbatched.inner()),
     ] {
-        wsharded.estimate_interval_detailed_batch(&edges, ts, te, &mut a);
-        wserial.estimate_interval_detailed_batch(&edges, ts, te, &mut b);
-        for (x, y) in a.iter().zip(&b) {
-            assert_eq!(
-                x.value.to_bits(),
-                y.value.to_bits(),
-                "windowed sharded replay diverged on [{ts}, {te}]"
-            );
-            checked += 1;
+        assert_eq!(
+            w.sealed_windows(),
+            wserial.sealed_windows(),
+            "{leg} window rotation diverged"
+        );
+        let mut checked = 0usize;
+        for (ts, te) in [
+            (0u64, horizon),
+            (span / 2, span * 3 + 7),
+            (span, span),
+            (horizon / 3, u64::MAX),
+        ] {
+            w.estimate_interval_detailed_batch(&edges, ts, te, &mut a);
+            wserial.estimate_interval_detailed_batch(&edges, ts, te, &mut b);
+            for (x, y) in a.iter().zip(&b) {
+                assert_eq!(
+                    x.value.to_bits(),
+                    y.value.to_bits(),
+                    "windowed {leg} replay diverged on [{ts}, {te}]"
+                );
+                checked += 1;
+            }
         }
+        println!(
+            "sharded smoke: {checked} windowed interval answers bit-identical \
+             through {leg} epoch handoff — OK"
+        );
     }
-    println!(
-        "sharded smoke: {checked} windowed interval answers bit-identical \
-         through epoch handoff — OK"
-    );
 }
 
 /// Batched-query smoke: the scalar loop, the batched engine, and the

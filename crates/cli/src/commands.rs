@@ -64,8 +64,8 @@ USAGE:
   gsketch stats <stream-file> [--top K]
   gsketch build <stream-file> --memory SIZE --out SNAPSHOT
       [--sample-frac F] [--depth D] [--min-width W] [--seed S] [--threads N]
-      (--threads > 1 ingests through the owner-sharded engine — each
-       worker owns a contiguous slot range)
+      (ingests through the owner-sharded engine — each worker owns a
+       contiguous slot range; one thread runs the combiner inline)
   gsketch query <snapshot> <src> <dst> [<src> <dst> ...] [--stream FILE]
       [--prefilter on|off]
       (--stream adds exact ground truth next to each estimate;
@@ -277,9 +277,6 @@ fn cmd_build<W: Write>(raw: &[String], out: &mut W) -> Result<(), CliError> {
     let min_width: usize = a.get_or("min-width", 64)?;
     let seed: u64 = a.get_or("seed", 42)?;
     let threads = parse_threads(&a)?;
-    // The pipeline clamps its worker pool to available cores; report
-    // what actually ran, not what was requested.
-    let mut threads_used = 1usize;
 
     let stream = load_stream(stream_path).map_err(run_err)?;
     // cast: f64 -> usize truncates toward zero; sample_frac is validated
@@ -295,16 +292,12 @@ fn cmd_build<W: Write>(raw: &[String], out: &mut W) -> Result<(), CliError> {
         .seed(seed);
 
     let mut sketch = builder.build_from_sample(&sample).map_err(run_err)?;
-    if threads > 1 {
-        threads_used = ShardedIngest::new(&mut sketch, threads)
-            .run_slice(&stream)
-            .workers;
-    } else {
-        // Batched ingest groups arrivals by partition slot for locality.
-        for chunk in stream.chunks(1 << 16) {
-            sketch.ingest_batch(chunk);
-        }
-    }
+    // One thread runs the fused combiner inline. The pipeline clamps its
+    // worker pool to available cores; report what actually ran, not
+    // what was requested.
+    let threads_used = ShardedIngest::new(&mut sketch, threads)
+        .run_slice(&stream)
+        .workers;
     save_gsketch(&snapshot_path, &sketch).map_err(run_err)?;
     writeln!(
         out,
@@ -361,13 +354,9 @@ fn cmd_snapshot<W: Write>(raw: &[String], out: &mut W) -> Result<(), CliError> {
     }
     .map_err(run_err)?;
     let stream = load_stream(stream_path).map_err(run_err)?;
-    if threads > 1 {
-        windowed
-            .try_ingest_sharded(&stream, threads, false)
-            .map_err(run_err)?;
-    } else {
-        windowed.ingest(&stream);
-    }
+    windowed
+        .try_ingest_sharded(&stream, threads, false)
+        .map_err(run_err)?;
     let appending = std::path::Path::new(&path).exists();
     save_windowed(&path, &windowed).map_err(|e| CliError::Run(format!("{path}: {e}")))?;
     writeln!(
@@ -672,13 +661,9 @@ fn replay_windowed_workload<W: Write>(
     .map_err(run_err)?;
     // Windows are epochs: each one ingests owner-sharded and freezes at
     // a quiesced boundary, bit-identical to sequential (DESIGN.md §11).
-    if threads > 1 {
-        windowed
-            .try_ingest_sharded(&stream, threads, false)
-            .map_err(run_err)?;
-    } else {
-        windowed.ingest(&stream);
-    }
+    windowed
+        .try_ingest_sharded(&stream, threads, false)
+        .map_err(run_err)?;
 
     let (queries, windowed_queries, summary) = replay_interval_workload(
         workload_path,
@@ -1239,13 +1224,7 @@ fn cmd_compare<W: Write>(raw: &[String], out: &mut W) -> Result<(), CliError> {
     let queries = uniform_distinct_queries(&truth, n_queries, &mut rng);
 
     let mut gs = builder.build_from_sample(&sample).map_err(run_err)?;
-    if threads > 1 {
-        ShardedIngest::new(&mut gs, threads).run_slice(&stream);
-    } else {
-        for chunk in stream.chunks(1 << 16) {
-            gs.ingest_batch(chunk);
-        }
-    }
+    ShardedIngest::new(&mut gs, threads).run_slice(&stream);
     let acc_gs = evaluate_edge_queries(&gs, &queries, &truth, DEFAULT_G0);
     let acc_gl = evaluate_edge_queries(&gl, &queries, &truth, DEFAULT_G0);
     writeln!(
@@ -1304,11 +1283,7 @@ fn cmd_adaptive<W: Write>(raw: &[String], out: &mut W) -> Result<(), CliError> {
     // The warm-up prefix is order-dependent and replays sequentially
     // inside `ingest_sharded`; only the partitioned remainder shards
     // (DESIGN.md §11), so the result matches sequential ingest exactly.
-    if threads > 1 {
-        adaptive.ingest_sharded(&stream, threads, false);
-    } else {
-        adaptive.ingest(&stream);
-    }
+    adaptive.ingest_sharded(&stream, threads, false);
     let mut gl = GlobalSketch::new(memory, depth, seed).map_err(run_err)?;
     gl.ingest(&stream);
 

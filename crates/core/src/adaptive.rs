@@ -411,6 +411,14 @@ impl EdgeSink for AdaptiveGSketch {
             State::Partitioned(gs) => gs.update(se),
         }
     }
+
+    /// [`ingest_sharded`](AdaptiveGSketch::ingest_sharded) with one
+    /// owner: warm-up arrivals replay through [`update`](Self::update),
+    /// the partitioned remainder runs the fused engine. Bit-identical to
+    /// an `update` loop.
+    fn ingest_batch(&mut self, batch: &[StreamEdge]) {
+        self.ingest_sharded(batch, 1, false);
+    }
 }
 
 #[cfg(test)]
@@ -593,6 +601,43 @@ mod tests {
             let mut got = Vec::new();
             par.estimate_batch(&edges, &mut got);
             assert_eq!(got, want, "{owners} owners");
+        }
+    }
+
+    /// `ingest_batch` (the fused one-owner path after the switchover)
+    /// answers bit-identically to an `update` loop for chunkings that
+    /// end before, on and after the warm-up boundary, or straddle it.
+    #[test]
+    fn ingest_batch_matches_update_across_switchover() {
+        let stream: Vec<_> = RmatGenerator::new(RmatConfig::gtgraph(8, 12_000, 9)).collect();
+        let edges: Vec<Edge> = stream.iter().map(|se| se.edge).collect();
+        let warmup = 3_000usize;
+        let mut seq = AdaptiveGSketch::new(cfg(1 << 18, warmup as u64)).unwrap();
+        for se in &stream {
+            seq.update(*se);
+        }
+        let mut want = Vec::new();
+        seq.estimate_batch(&edges, &mut want);
+        for cuts in [
+            vec![1, warmup - 1, 1, 7_000],
+            vec![warmup, 1],
+            vec![warmup - 1, 2, 500],
+            vec![warmup + 1],
+            vec![stream.len()],
+        ] {
+            let mut batched = AdaptiveGSketch::new(cfg(1 << 18, warmup as u64)).unwrap();
+            let mut rest = stream.as_slice();
+            for cut in cuts.iter().copied().chain(std::iter::once(usize::MAX)) {
+                let (chunk, tail) = rest.split_at(cut.min(rest.len()));
+                batched.ingest_batch(chunk);
+                rest = tail;
+            }
+            assert_eq!(batched.arrivals(), stream.len() as u64);
+            assert_eq!(batched.phase(), Phase::Partitioned);
+            assert_eq!(batched.num_partitions(), seq.num_partitions());
+            let mut got = Vec::new();
+            batched.estimate_batch(&edges, &mut got);
+            assert_eq!(got, want, "chunking {cuts:?}");
         }
     }
 

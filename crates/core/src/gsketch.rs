@@ -534,10 +534,15 @@ impl crate::sink::SlotRouted for GSketch {
 /// destination slot so the counter traffic walks one slot's block at a
 /// time instead of hopping across the whole synopsis (the arena's
 /// contiguous layout turns that into cache-line reuse). Estimates are
-/// identical either way — counters are commutative.
+/// identical either way — counters are commutative. A zero-weight
+/// arrival is an identity on every path, the owner-sharded engine's
+/// included: it adds nothing and makes its key no filter member.
 impl crate::EdgeSink for GSketch {
     #[inline]
     fn update(&mut self, se: StreamEdge) {
+        if se.weight == 0 {
+            return;
+        }
         let slot = self.router.slot(se.edge.src);
         let key = se.edge.key();
         if let Some(f) = &mut self.filter {
@@ -553,8 +558,8 @@ impl crate::EdgeSink for GSketch {
             .iter()
             .map(|se| self.router.slot(se.edge.src))
             .collect();
-        for &s in &slots {
-            counts[s as usize] += 1;
+        for (se, &s) in batch.iter().zip(&slots) {
+            counts[s as usize] += usize::from(se.weight != 0);
         }
         // Counting-sort the (key, weight) pairs by slot.
         let mut cursors = Vec::with_capacity(n_slots);
@@ -564,8 +569,11 @@ impl crate::EdgeSink for GSketch {
             acc += c;
         }
         let starts = cursors.clone();
-        let mut grouped: Vec<(u64, u64)> = vec![(0, 0); batch.len()];
+        let mut grouped: Vec<(u64, u64)> = vec![(0, 0); acc];
         for (se, &s) in batch.iter().zip(&slots) {
+            if se.weight == 0 {
+                continue;
+            }
             let at = &mut cursors[s as usize];
             grouped[*at] = (se.edge.key(), se.weight);
             *at += 1;

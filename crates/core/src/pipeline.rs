@@ -13,7 +13,8 @@
 //! 2. **Hot-key combining.** Each owner folds its batches through a
 //!    4-way set-associative combiner cache tagged by the raw `(src, dst)`
 //!    endpoint pair (one 64-byte set per probe, heaviest-stays eviction,
-//!    software-prefetched a few arrivals ahead). The Zipf head of a real
+//!    software-prefetched a few arrivals ahead, about one set per eight
+//!    arrivals of the run up to 4 MiB per owner). The Zipf head of a real
 //!    graph stream hits the cache over and over, accumulating one weight
 //!    instead of issuing one synopsis update per arrival; the router
 //!    probe and the 64-bit sketch-key mix happen only when an entry
@@ -57,11 +58,28 @@ use std::sync::mpsc::sync_channel;
 /// batches to the owners, not how much duplication a chunk can fold.
 pub const DEFAULT_CHUNK: usize = 1 << 15;
 
-/// log2 of the combiner sets per worker: 2^16 sets × 4 ways × 16 B =
-/// 4 MiB per worker — sized so the Zipf head plus most of the warm tail
-/// of a multi-million-arrival stream stays resident (the sweep on the
-/// R-MAT traffic bench plateaus here; see `benches/parallel_ingest.rs`).
+/// Cap on log2 of the combiner sets per worker: 2^16 sets × 4 ways ×
+/// 16 B = 4 MiB per worker — sized so the Zipf head plus most of the
+/// warm tail of a multi-million-arrival stream stays resident (the sweep
+/// on the R-MAT traffic bench plateaus here; see
+/// `benches/parallel_ingest.rs`). Shorter runs get fewer sets
+/// ([`set_bits`]), so a short run does not pay to fill and drain 4 MiB.
 const SET_BITS: u32 = 16;
+
+/// Floor on log2 of the combiner sets: 2^8 sets (16 KiB).
+const MIN_SET_BITS: u32 = 8;
+
+/// log2 of the combiner sets for a run of `len` arrivals: about `len / 8`
+/// sets (`bit_length(len) − 3`), clamped to `[MIN_SET_BITS, SET_BITS]`.
+/// Allocating, filling and draining the sets is a fixed cost per run;
+/// this keeps it proportional to the run (set counts of about `len / 4`
+/// and `len / 32` measured the same on `windowed-restart`), while every
+/// run of 2^18 arrivals or more gets the full cap.
+fn set_bits(len: usize) -> u32 {
+    (usize::BITS - len.leading_zeros())
+        .saturating_sub(3)
+        .clamp(MIN_SET_BITS, SET_BITS)
+}
 
 /// How many arrivals ahead the absorb loop prefetches its combiner set.
 const PREFETCH_AHEAD: usize = 12;
@@ -213,12 +231,16 @@ struct OwnerWorker {
 }
 
 impl OwnerWorker {
-    fn new(n_slots: usize) -> Self {
+    /// A worker for a run of `run_len` arrivals (sizes the combiner; see
+    /// [`set_bits`]) over a synopsis of `n_slots` slots.
+    fn new(n_slots: usize, run_len: usize) -> Self {
+        let bits = set_bits(run_len);
+        let staged = run_len.min(SHARD_COMMIT_LEN + DEFAULT_CHUNK);
         Self {
-            sets: vec![EMPTY_OWNER_SET; 1 << SET_BITS].into_boxed_slice(),
-            shift: 64 - SET_BITS,
-            evicted: Vec::with_capacity(SHARD_COMMIT_LEN + DEFAULT_CHUNK),
-            slots: Vec::with_capacity(SHARD_COMMIT_LEN + DEFAULT_CHUNK),
+            sets: vec![EMPTY_OWNER_SET; 1 << bits].into_boxed_slice(),
+            shift: 64 - bits,
+            evicted: Vec::with_capacity(staged),
+            slots: Vec::with_capacity(staged),
             counts: vec![0; n_slots],
             cursors: Vec::with_capacity(n_slots),
             runs: Vec::new(),
@@ -488,7 +510,7 @@ impl<'s> ShardedIngest<'s> {
         if let [share] = shares.as_mut_slice() {
             // Fused path: the calling thread is the sole owner — no
             // scatter pass, no queue, no spawn (see the type docs).
-            let mut worker = OwnerWorker::new(n_slots);
+            let mut worker = OwnerWorker::new(n_slots, stream.len());
             for chunk in stream.chunks(cap) {
                 chunks += 1;
                 worker.absorb_chunk(chunk);
@@ -509,7 +531,7 @@ impl<'s> ShardedIngest<'s> {
                 let (tx, rx) = sync_channel::<OwnerBatch>(OWNER_QUEUE_DEPTH);
                 senders.push(tx);
                 scope.spawn(move || {
-                    let mut worker = OwnerWorker::new(n_slots);
+                    let mut worker = OwnerWorker::new(n_slots, stream.len());
                     for batch in rx {
                         worker.absorb_batch(&batch);
                         if worker.evicted.len() >= SHARD_COMMIT_LEN {
@@ -638,6 +660,44 @@ mod tests {
             assert_eq!(sharded.estimate(se.edge), serial.estimate(se.edge));
         }
         assert_eq!(sharded.total_weight(), serial.total_weight());
+    }
+
+    /// The combiner is sized to the run: every run length around the
+    /// floor and past the cap commits exactly what a sequential
+    /// `update` loop does, with weights near `u64::MAX` saturating alike
+    /// and zero weights identities on both paths (no counter, no filter
+    /// membership — the whole serialized state is compared).
+    #[test]
+    fn sized_combiner_matches_sequential_at_every_run_length() {
+        assert_eq!(set_bits(0), MIN_SET_BITS);
+        assert_eq!(set_bits(2047), MIN_SET_BITS);
+        assert_eq!(set_bits(2048), MIN_SET_BITS + 1);
+        assert_eq!(set_bits(1 << 18), SET_BITS);
+        assert_eq!(set_bits(usize::MAX), SET_BITS);
+        let above_cap = (1usize << (SET_BITS + 3)) + 1;
+        let sample = skewed_stream(4_000);
+        for len in [0usize, 1, 255, 256, 257, 2047, 2048, 2049, above_cap] {
+            let stream: Vec<StreamEdge> = (0..len as u64)
+                .map(|t| {
+                    let e = Edge::new((t % 1_013) as u32, (t * 7 % 331) as u32);
+                    let w = match t % 13 {
+                        0 => 0,
+                        1 => u64::MAX - t,
+                        _ => t % 5 + 1,
+                    };
+                    StreamEdge::weighted(e, t, w)
+                })
+                .collect();
+            let mut serial = build(&sample);
+            serial.ingest(&stream);
+            let mut fused = build(&sample);
+            let report = ShardedIngest::new(&mut fused, 1).run_slice(&stream);
+            assert_eq!(report.arrivals, len as u64);
+            assert!(
+                serde::Serialize::to_value(&fused) == serde::Serialize::to_value(&serial),
+                "run of {len} arrivals diverged"
+            );
+        }
     }
 
     /// Multi-owner runs (scatter → channel handoff → exclusive owner

@@ -9,8 +9,12 @@
 //!
 //! * [`update`](EdgeSink::update) — record one arrival;
 //! * [`ingest_batch`](EdgeSink::ingest_batch) — record a contiguous batch
-//!   (sinks override this when batching buys locality, e.g. the
-//!   slot-grouped counting sort of `GSketch`);
+//!   (sinks override this when batching buys locality: `GSketch`
+//!   counting-sorts the batch by slot, while `WindowedGSketch` and
+//!   `AdaptiveGSketch` run the fused one-owner
+//!   [`ShardedIngest`](crate::ShardedIngest) combiner per window epoch
+//!   and after the warm-up switchover; `GlobalSketch` keeps the
+//!   per-arrival default);
 //! * [`flush`](EdgeSink::flush) — make every accepted arrival visible to
 //!   queries. A no-op for unbuffered sinks; a buffered sink holds
 //!   arrivals in staging buffers until a batch boundary or a flush.
@@ -19,7 +23,9 @@
 //! [`drain`](EdgeSink::drain) methods are the only stream-shaped loops in
 //! the workspace: everything that used to hand-roll `for se in stream`
 //! now goes through them, so "ingest a stream into X" means the same
-//! thing for every estimator.
+//! thing for every estimator. `ingest` stays a per-arrival `update`
+//! loop: it is the sequential reference the batched paths are pinned
+//! against (`backend_parity`).
 //!
 //! Implementors: [`GSketch`](crate::GSketch),
 //! [`GlobalSketch`](crate::GlobalSketch),

@@ -185,9 +185,13 @@ impl WindowedGSketch {
     /// therefore every later window's layout — is bit-identical to a
     /// sequential [`try_insert`](Self::try_insert) loop; counter
     /// parity holds because saturating addition commutes (pinned by the
-    /// `backend_parity` proptests). Timestamps must be non-decreasing,
-    /// exactly as for `try_insert`; `oversubscribe` forces the requested
-    /// owner count past the host's parallelism (correctness tests).
+    /// `backend_parity` proptests). With one owner this is the windowed
+    /// [`EdgeSink::ingest_batch`]. Timestamps must be non-decreasing,
+    /// exactly as for `try_insert`: an arrival that lands before the
+    /// window it would be binned into panics with `try_insert`'s message
+    /// (checked during the reservoir pass, after its epoch committed);
+    /// `oversubscribe` forces the requested owner count past the host's
+    /// parallelism (correctness tests).
     pub fn try_ingest_sharded(
         &mut self,
         stream: &[StreamEdge],
@@ -199,36 +203,31 @@ impl WindowedGSketch {
             chunks: 0,
             workers: 1,
         };
-        if stream.is_empty() {
-            return Ok(report);
-        }
         let mut rest = stream;
-        while !rest.is_empty() {
-            // Epoch = the maximal prefix landing in the open window.
-            let epoch_len = match self.current_start.checked_add(self.cfg.span) {
-                Some(boundary) => rest.partition_point(|se| se.ts < boundary),
-                // A window abutting u64::MAX never rotates again.
+        while let Some(first) = rest.first() {
+            // Epoch = the maximal prefix landing in the open window. A
+            // window abutting u64::MAX never rotates again.
+            let boundary = self.current_start.checked_add(self.cfg.span);
+            let epoch_len = match boundary {
+                Some(b) if first.ts >= b => {
+                    // The next arrival starts at or past the boundary:
+                    // rotate once, then jump over fully-empty gap windows
+                    // (the same once-then-jump rule as `try_insert`).
+                    self.rotate()?;
+                    let target = first.ts - first.ts % self.cfg.span;
+                    if target > self.current_start {
+                        self.current_start = target;
+                    }
+                    continue;
+                }
+                // `first` lies in the window, so the prefix is non-empty
+                // on sorted input; `max(1)` keeps unsorted input moving
+                // until the offer loop below rejects it.
+                Some(b) => rest.partition_point(|se| se.ts < b).max(1),
                 None => rest.len(),
             };
-            if epoch_len == 0 {
-                // The next arrival starts at or past the boundary:
-                // rotate once, then jump over fully-empty gap windows
-                // (the same once-then-jump rule as `try_insert`).
-                self.rotate()?;
-                let ts = rest[0].ts;
-                let target = ts - ts % self.cfg.span;
-                if target > self.current_start {
-                    self.current_start = target;
-                }
-                continue;
-            }
             let (epoch, tail) = rest.split_at(epoch_len);
             rest = tail;
-            // lint: allow(no-panics) — documented precondition: window configuration is validated once at construction; misuse must fail fast, release builds included.
-            assert!(
-                epoch.iter().all(|se| se.ts >= self.current_start),
-                "timestamps must be non-decreasing across inserts"
-            );
             // Counters: one sharded run into the open window, borrowed in
             // place. The scope join inside `run_slice` quiesces every
             // owner and the borrow ends with it, so rotation below never
@@ -241,8 +240,20 @@ impl WindowedGSketch {
             report.workers = report.workers.max(r.workers);
             // Sample: reservoir offers stay sequential — offer order
             // drives the RNG, so this is what keeps later windows'
-            // partitionings bit-identical to the sequential path.
+            // partitionings bit-identical to the sequential path. The
+            // same pass checks the epoch: `partition_point` assumes
+            // sorted timestamps, so an out-of-order arrival shows up
+            // here as one outside the open window `[start, last]`.
+            let (start, last) = (
+                self.current_start,
+                self.current_start.saturating_add(self.cfg.span - 1),
+            );
             for se in epoch {
+                // lint: allow(no-panics) — documented precondition: timestamps must be non-decreasing, exactly as for `try_insert`; misuse must fail fast, release builds included.
+                assert!(
+                    se.ts >= start && se.ts <= last,
+                    "timestamps must be non-decreasing across inserts"
+                );
                 self.reservoir.offer(*se, &mut self.rng);
             }
         }
@@ -826,6 +837,16 @@ impl EdgeSink for WindowedGSketch {
             // constructor already validated; rotation itself is infallible.
             .expect("window rotation cannot fail after construction validated the config");
     }
+
+    /// One fused owner per window epoch
+    /// ([`try_ingest_sharded`](WindowedGSketch::try_ingest_sharded) with
+    /// one owner): bit-identical to an [`update`](Self::update) loop.
+    fn ingest_batch(&mut self, batch: &[StreamEdge]) {
+        self.try_ingest_sharded(batch, 1, false)
+            // lint: allow(no-panics) — rotation only errors on a config the
+            // constructor already validated, as in `update`.
+            .expect("window rotation cannot fail after construction validated the config");
+    }
 }
 
 #[cfg(test)]
@@ -865,6 +886,43 @@ mod tests {
         let mut w = WindowedGSketch::new(cfg(), builder()).unwrap();
         w.try_insert(wedge(1, 2, 500)).unwrap();
         w.try_insert(wedge(1, 2, 10)).unwrap();
+    }
+
+    /// The epoch path bins by `partition_point`, which assumes sorted
+    /// timestamps; an arrival past the window followed by one inside it
+    /// must panic like `try_insert` instead of landing `ts = 9` in the
+    /// window `[0, 5)`.
+    #[test]
+    #[should_panic(expected = "non-decreasing")]
+    fn epoch_ingest_rejects_out_of_order_timestamps() {
+        let mut w = WindowedGSketch::new(WindowConfig { span: 5, ..cfg() }, builder()).unwrap();
+        let stream = [3, 9, 4, 4].map(|ts| wedge(1, 2, ts));
+        w.try_ingest_sharded(&stream, 1, false).unwrap();
+    }
+
+    /// Disorder *inside* the open window is legal for `try_insert` (it
+    /// only checks against the window start), so the epoch path accepts
+    /// it too and lands every arrival in the same window.
+    #[test]
+    fn epoch_ingest_accepts_disorder_inside_a_window() {
+        let stream = [3, 1, 4, 0, 7, 5, 9].map(|ts| wedge(1, 2, ts));
+        let c = WindowConfig { span: 5, ..cfg() };
+        let mut serial = WindowedGSketch::new(c, builder()).unwrap();
+        for se in stream {
+            serial.try_insert(se).unwrap();
+        }
+        let mut batched = WindowedGSketch::new(c, builder()).unwrap();
+        batched.ingest_batch(&stream);
+        assert_eq!(batched.sealed_windows(), 1);
+        assert_eq!(batched.current_window_start(), 5);
+        let e = Edge::new(1u32, 2u32);
+        for (ts, te) in [(0, 4), (5, 9)] {
+            assert_eq!(
+                batched.estimate_interval(e, ts, te).to_bits(),
+                serial.estimate_interval(e, ts, te).to_bits()
+            );
+        }
+        assert_eq!(batched.estimate_interval(e, 0, 4), 4.0);
     }
 
     #[test]

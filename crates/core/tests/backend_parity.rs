@@ -11,9 +11,9 @@
 //! sequential one.
 
 use gsketch::{
-    AdaptiveConfig, AdaptiveGSketch, CountMinSketch, EdgeEstimator, EdgeSink, GSketch,
-    GSketchBuilder, GlobalSketch, ParallelQuery, ReplayEngine, ShardedIngest, SketchId, SlotRouted,
-    WindowConfig, WindowedGSketch,
+    save_windowed, AdaptiveConfig, AdaptiveGSketch, CountMinSketch, EdgeEstimator, EdgeSink,
+    GSketch, GSketchBuilder, GlobalSketch, ParallelQuery, ReplayEngine, ShardedIngest, SketchId,
+    SlotRouted, WindowConfig, WindowedGSketch,
 };
 use gstream::edge::{Edge, StreamEdge};
 use proptest::collection::vec;
@@ -28,6 +28,52 @@ fn stream_of(arrivals: &[Arrival]) -> Vec<StreamEdge> {
         .enumerate()
         .map(|(t, &(s, d, w))| StreamEdge::weighted(Edge::new(s, d), t as u64, u64::from(w) + 1))
         .collect()
+}
+
+/// A windowed arrival: (src, dst, weight, gap selector). Zero weights
+/// are kept (identities on every ingest path).
+type TimedArrival = (u32, u32, u8, u8);
+
+/// Timestamps advance by the gap selector: 0 or 1 (same or next tick),
+/// a window and a bit, or a jump of many windows; with `at_max` the
+/// last quarter of the stream is moved to the top of the timestamp
+/// domain, so its final window abuts `u64::MAX` and never rotates.
+fn timed_stream_of(arrivals: &[TimedArrival], span: u64, at_max: bool) -> Vec<StreamEdge> {
+    let mut ts = 0u64;
+    let mut stream: Vec<StreamEdge> = arrivals
+        .iter()
+        .map(|&(s, d, w, g)| {
+            ts += match g % 4 {
+                0 => 0,
+                1 => 1,
+                2 => span + 1,
+                _ => span * 50 + 3,
+            };
+            StreamEdge::weighted(Edge::new(s, d), ts, u64::from(w))
+        })
+        .collect();
+    if at_max {
+        let from = stream.len() - stream.len() / 4;
+        let n = (stream.len() - from) as u64;
+        for (i, se) in stream[from..].iter_mut().enumerate() {
+            se.ts = u64::MAX - n + 1 + i as u64;
+        }
+    }
+    stream
+}
+
+/// The bytes `save_windowed` writes for `w` (a fresh file, not an
+/// append).
+fn windowed_bytes(w: &WindowedGSketch, tag: &str) -> Vec<u8> {
+    let path = std::env::temp_dir().join(format!(
+        "gsketch_backend_parity_{tag}_{}.wsnap",
+        std::process::id()
+    ));
+    std::fs::remove_file(&path).ok();
+    save_windowed(&path, w).unwrap();
+    let bytes = std::fs::read(&path).unwrap();
+    std::fs::remove_file(&path).ok();
+    bytes
 }
 
 fn builder(memory: usize, depth: usize, seed: u64) -> GSketchBuilder {
@@ -546,6 +592,71 @@ proptest! {
         for (&x, &y) in a.iter().zip(&b) {
             prop_assert_eq!(x.to_bits(), y.to_bits(), "interval estimate diverged");
         }
+    }
+
+    /// `WindowedGSketch::ingest_batch` (the fused one-owner epoch path)
+    /// over any chunking — cuts inside a window, on window boundaries,
+    /// across timestamp gaps, into a window abutting `u64::MAX` — leaves
+    /// the deployment exactly as a `try_insert` loop does: the same
+    /// sealed windows and open window, bit-identical interval answers,
+    /// and the same `save_windowed` bytes, which pins every window's
+    /// counters and filter, the reservoir and its RNG state.
+    #[test]
+    fn windowed_ingest_batch_matches_insert_loop(
+        arrivals in vec((0u32..30, 0u32..30, 0u8..8, 0u8..16), 1..200),
+        span in 1u64..40,
+        cuts in vec(0usize..200, 0..6),
+        boundary_cuts in any::<bool>(),
+        at_max in any::<bool>(),
+        t_a in 0u64..4_000,
+        t_b in 0u64..4_000,
+        seed in any::<u64>(),
+    ) {
+        let stream = timed_stream_of(&arrivals, span, at_max);
+        let cfg = WindowConfig {
+            span,
+            memory_bytes_per_window: 1 << 12,
+            sample_capacity: 16,
+            seed,
+        };
+        let mut serial =
+            WindowedGSketch::new(cfg, GSketch::builder().min_width(16)).unwrap();
+        for se in &stream {
+            serial.try_insert(*se).unwrap();
+        }
+
+        let mut cuts: Vec<usize> = cuts.iter().map(|&c| c % (stream.len() + 1)).collect();
+        if boundary_cuts {
+            cuts.extend((1..stream.len()).filter(|&i| {
+                stream[i].ts / span != stream[i - 1].ts / span
+            }));
+        }
+        cuts.push(stream.len());
+        cuts.sort_unstable();
+        let mut batched =
+            WindowedGSketch::new(cfg, GSketch::builder().min_width(16)).unwrap();
+        let mut from = 0;
+        for &cut in &cuts {
+            batched.ingest_batch(&stream[from..cut]);
+            from = cut;
+        }
+
+        prop_assert_eq!(batched.sealed_windows(), serial.sealed_windows());
+        prop_assert_eq!(batched.current_window_start(), serial.current_window_start());
+        let mut queries: Vec<Edge> = stream.iter().map(|se| se.edge).collect();
+        queries.push(Edge::new(3u32, 999u32));
+        let (mut a, mut b) = (Vec::new(), Vec::new());
+        for (t_start, t_end) in [(t_a.min(t_b), t_a.max(t_b)), (0, u64::MAX)] {
+            batched.estimate_interval_batch(&queries, t_start, t_end, &mut a);
+            serial.estimate_interval_batch(&queries, t_start, t_end, &mut b);
+            for (&x, &y) in a.iter().zip(&b) {
+                prop_assert_eq!(x.to_bits(), y.to_bits(), "interval estimate diverged");
+            }
+        }
+        prop_assert!(
+            windowed_bytes(&batched, "batched") == windowed_bytes(&serial, "serial"),
+            "save_windowed bytes diverged"
+        );
     }
 
     /// Adaptive warm-up switchover under sharded ingest: the
