@@ -4,8 +4,7 @@
 //!   over the three datasets (the historical behaviour).
 //! * `dbg --shard-smoke N [--arrivals M]` — owner-sharded smoke: drive
 //!   the stream through `ShardedIngest` with `N` real (oversubscribed)
-//!   owners and bit-compare against sequential ingest; check the
-//!   slot-routed read path and a routed dedup replay front; then replay
+//!   owners and bit-compare against sequential ingest; then replay
 //!   the windowed deployment through epoch handoff — `N` owners, and one
 //!   fused owner fed uneven chunks through `WindowedReplay::ingest_batch`
 //!   — and bit-compare its interval answers (DESIGN.md §11). Exits
@@ -20,6 +19,12 @@
 //!   truncation point of a small snapshot and require a clean `Err`
 //!   (never a panic) from the decoder (DESIGN.md §13). Exits non-zero
 //!   on any mismatch — the persistence CI smoke step.
+//! * `dbg --sample-smoke` — data-sample smoke: draw the 5% reservoir
+//!   sample of the full-scale GTGraph stream (8M arrivals) through the
+//!   blocked `sample_iter` and through a per-item `Reservoir::offer`
+//!   loop, and bit-compare the two samples, their `seen` counts and the
+//!   two final RNG states (DESIGN.md §15). Exits non-zero on any
+//!   difference — the data-sample CI smoke step.
 //! * `dbg --query-smoke N [--arrivals M] [--queries K] [--memory-kb B]`
 //!   — batched-query smoke: build a sketch, draw a shuffled
 //!   duplicate-heavy workload, and compare the scalar loop, the batched
@@ -42,11 +47,10 @@ const DEPTH: usize = 1;
 
 /// Owner-sharded smoke (DESIGN.md §11): drive the same stream through
 /// [`gsketch::ShardedIngest`] with `N` real (oversubscribed) owners and
-/// bit-compare against sequential ingest; answer a workload through the
-/// slot-routed read path and a routed dedup [`ReplayEngine`] front; then
-/// replay the windowed deployment through epoch handoff (`N` owners, and
-/// one fused owner fed uneven `ingest_batch` chunks) and bit-compare its
-/// interval answers. Exits non-zero on any mismatch.
+/// bit-compare against sequential ingest; then replay the windowed
+/// deployment through epoch handoff (`N` owners, and one fused owner fed
+/// uneven `ingest_batch` chunks) and bit-compare its interval answers.
+/// Exits non-zero on any mismatch.
 fn smoke_sharded(threads: usize, arrivals: usize) {
     use gsketch::{IntervalEstimate, ShardedIngest, WindowConfig, WindowedGSketch, WindowedReplay};
     let mut cfg = RmatTrafficConfig::gtgraph(10, (arrivals / 4).max(100), arrivals, 17);
@@ -87,30 +91,6 @@ fn smoke_sharded(threads: usize, arrivals: usize) {
         "weight not conserved"
     );
     println!("sharded smoke: estimates bit-identical to sequential ingest — OK");
-
-    // The slot-routed read path: owner-aligned spans answered by the
-    // worker that owns those slots, plus a routed dedup replay front.
-    let queries: Vec<gstream::Edge> = stream.iter().step_by(7).map(|se| se.edge).collect();
-    let mut sequential = Vec::new();
-    sharded.estimate_edges(&queries, &mut sequential);
-    let pq = ParallelQuery::new(&sharded, threads).oversubscribe(true);
-    let mut routed = Vec::new();
-    pq.estimate_edges_routed(&queries, &mut routed);
-    assert_eq!(routed, sequential, "routed answers diverged from batch");
-    let mut engine = ReplayEngine::new(&sharded);
-    let mut deduped = Vec::new();
-    for _ in 0..2 {
-        engine.estimate_edges_with(&queries, &mut deduped, |distinct, vals| {
-            pq.estimate_edges_routed(distinct, vals);
-        });
-        assert_eq!(deduped, sequential, "routed replay diverged from batch");
-    }
-    check_replay_counters(engine.stats(), &queries, 2);
-    println!(
-        "sharded smoke: slot-routed query + routed dedup replay bit-identical \
-         ({} workers) — OK",
-        pq.effective_threads()
-    );
 
     // Windowed parallel replay leg: epoch handoff must seal the same
     // windows and answer every interval bit-identically.
@@ -179,6 +159,54 @@ fn smoke_sharded(threads: usize, arrivals: usize) {
              through {leg} epoch handoff — OK"
         );
     }
+}
+
+/// Data-sample smoke (DESIGN.md §15): the blocked kernel behind
+/// `sample_iter` must draw the per-item reference's sample, in the same
+/// order, and leave the RNG where the reference leaves it, on the
+/// full-scale GTGraph stream with k = 5%. Exits non-zero on any
+/// difference.
+fn smoke_sample() {
+    use gstream::sample::{sample_iter, Reservoir};
+    use rand::rngs::StdRng;
+    use rand::SeedableRng;
+    let stream = Dataset::GtGraph.stream(1.0, EXPERIMENT_SEED);
+    let k = stream.len() / 20;
+    let mut blocked_rng = StdRng::seed_from_u64(EXPERIMENT_SEED);
+    let blocked = sample_iter(stream.iter().copied(), k, &mut blocked_rng);
+    let mut counted_rng = StdRng::seed_from_u64(EXPERIMENT_SEED);
+    let mut counted = Reservoir::new(k);
+    counted.offer_all(stream.iter().copied(), &mut counted_rng);
+    let mut reference_rng = StdRng::seed_from_u64(EXPERIMENT_SEED);
+    let mut reference = Reservoir::new(k);
+    for se in &stream {
+        reference.offer(*se, &mut reference_rng);
+    }
+    assert_eq!(
+        blocked.len(),
+        reference.sample().len(),
+        "sample sizes differ"
+    );
+    if let Some(i) = blocked
+        .iter()
+        .zip(reference.sample())
+        .position(|(a, b)| a != b)
+    {
+        panic!("blocked sample diverged from the reference at slot {i}");
+    }
+    assert_eq!(counted.seen(), reference.seen(), "seen counts differ");
+    for rng in [&blocked_rng, &counted_rng] {
+        assert_eq!(
+            rng.state(),
+            reference_rng.state(),
+            "final RNG state diverged"
+        );
+    }
+    println!(
+        "sample smoke: {k} of {} arrivals; blocked and per-item samples, seen \
+         counts and final RNG states bit-identical — OK",
+        stream.len()
+    );
 }
 
 /// Batched-query smoke: the scalar loop, the batched engine, and the
@@ -630,6 +658,10 @@ fn main() {
     }
     if args.iter().any(|a| a == "--snapshot-smoke") {
         smoke_snapshot(flag("--arrivals").unwrap_or(100_000));
+        return;
+    }
+    if args.iter().any(|a| a == "--sample-smoke") {
+        smoke_sample();
         return;
     }
     if let Some(threads) = flag("--shard-smoke") {

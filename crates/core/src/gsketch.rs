@@ -514,9 +514,9 @@ impl GSketch {
     }
 }
 
-/// The routing view the owner-sharded engine shares between writes and
-/// reads (DESIGN.md §11): the slot-routed parallel query groups a miss
-/// batch by these slots so each owner answers only its own arena slice.
+/// The routing view the owner-sharded engine's scatter stage groups
+/// writes by (DESIGN.md §11), so each owner commits only its own arena
+/// slice.
 impl crate::sink::SlotRouted for GSketch {
     fn num_slots(&self) -> usize {
         self.bank.num_slots()

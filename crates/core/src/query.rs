@@ -219,93 +219,6 @@ impl<'e, E: EdgeEstimator + Sync> ParallelQuery<'e, E> {
     }
 }
 
-impl<'e, E: EdgeEstimator + crate::SlotRouted + Sync> ParallelQuery<'e, E> {
-    /// Answer a query batch through the **ownership map** of the
-    /// owner-sharded engine (DESIGN.md §11): the batch is routed once and
-    /// counting-sorted by destination slot, each owning worker answers
-    /// the contiguous span of queries whose slots fall in its
-    /// [`crate::OwnerMap::slot_range`], and answers are scattered back to
-    /// query order.
-    ///
-    /// Where the span fan-out of [`estimate_edges`](Self::estimate_edges)
-    /// hands every worker a slot-mixed chunk (each worker's gather then
-    /// touches the whole bank), this shape aligns the
-    /// read path with the sharded write path: a worker only walks counter
-    /// blocks inside its own slot range — the same contiguous arena bytes
-    /// it committed during ingest, warm in its cache and local on its
-    /// NUMA node. Answers are bit-identical to a sequential
-    /// [`EdgeEstimator::estimate_edges`] call because every query is
-    /// answered independently by the same batched read kernel (pinned by
-    /// the `backend_parity` proptests).
-    pub fn estimate_edges_routed(&self, edges: &[Edge], out: &mut Vec<u64>) {
-        let workers = self.effective_threads();
-        if workers <= 1 || edges.len() < 2 {
-            self.estimator.estimate_edges(edges, out);
-            return;
-        }
-        let n_slots = self.estimator.num_slots();
-        let map = crate::OwnerMap::new(n_slots, workers);
-        if map.owners() <= 1 {
-            self.estimator.estimate_edges(edges, out);
-            return;
-        }
-        // Route each query once; counting-sort (edge, origin) pairs by
-        // slot so each owner's queries form one contiguous span.
-        let slots: Vec<u32> = edges
-            .iter()
-            .map(|e| self.estimator.slot_of(e.src))
-            .collect();
-        let mut starts = vec![0usize; n_slots + 1];
-        for &s in &slots {
-            starts[s as usize + 1] += 1;
-        }
-        for i in 0..n_slots {
-            starts[i + 1] += starts[i];
-        }
-        let mut cursors = starts.clone();
-        let mut sorted: Vec<Edge> = vec![Edge::new(0u32, 0u32); edges.len()];
-        let mut origin: Vec<usize> = vec![0; edges.len()];
-        for (i, (&e, &s)) in edges.iter().zip(&slots).enumerate() {
-            let at = &mut cursors[s as usize];
-            sorted[*at] = e;
-            origin[*at] = i;
-            *at += 1;
-        }
-        // Each owner answers its span through the estimator's batched
-        // surface, writing into the disjoint slot-sorted output span.
-        let mut sorted_out = vec![0u64; edges.len()];
-        let estimator = self.estimator;
-        std::thread::scope(|scope| {
-            let mut rest = sorted.as_slice();
-            let mut out_rest = sorted_out.as_mut_slice();
-            let mut consumed = 0usize;
-            // cast: usize -> u32; owners <= num_slots and slot ids are u32.
-            for w in 0..map.owners() as u32 {
-                let (_, hi) = map.slot_range(w);
-                let end = starts[hi as usize];
-                let (chunk, tail) = rest.split_at(end - consumed);
-                let (sink, out_tail) = out_rest.split_at_mut(end - consumed);
-                rest = tail;
-                out_rest = out_tail;
-                consumed = end;
-                if chunk.is_empty() {
-                    continue;
-                }
-                scope.spawn(move || {
-                    let mut local = Vec::with_capacity(chunk.len());
-                    estimator.estimate_edges(chunk, &mut local);
-                    sink.copy_from_slice(&local);
-                });
-            }
-        });
-        out.clear();
-        out.resize(edges.len(), 0);
-        for (&v, &o) in sorted_out.iter().zip(&origin) {
-            out[o] = v;
-        }
-    }
-}
-
 /// The aggregate function `Γ(·)` of an aggregate subgraph query.
 ///
 /// The paper evaluates `SUM` (§6.2) and names `MIN`/`AVERAGE` as further
@@ -658,41 +571,5 @@ mod tests {
         let mut out = Vec::new();
         pq.estimate_edges(&[], &mut out);
         assert!(out.is_empty());
-    }
-
-    /// The slot-routed fan-out (ownership-map spans) answers
-    /// bit-identically to the sequential batch for any worker count,
-    /// including duplicates, absent edges, and batches smaller than the
-    /// pool.
-    #[test]
-    fn routed_query_matches_sequential_batch() {
-        use crate::EdgeSink;
-        let stream = toy_stream(5_000);
-        let mut gs = crate::GSketch::builder()
-            .memory_bytes(1 << 14)
-            .min_width(16)
-            .seed(3)
-            .build_from_sample(&stream[..500])
-            .unwrap();
-        gs.ingest(&stream);
-        let mut batch: Vec<Edge> = stream.iter().map(|se| se.edge).collect();
-        batch.push(Edge::new(9_999u32, 1u32)); // absent → outlier slot
-        let mut sequential = Vec::new();
-        gs.estimate_edges(&batch, &mut sequential);
-        for threads in [1usize, 2, 3, 8] {
-            let pq = ParallelQuery::new(&gs, threads).oversubscribe(true);
-            let mut routed = Vec::new();
-            pq.estimate_edges_routed(&batch, &mut routed);
-            assert_eq!(routed, sequential, "{threads} workers");
-            let mut tiny = Vec::new();
-            pq.estimate_edges_routed(&batch[..1], &mut tiny);
-            assert_eq!(tiny, sequential[..1]);
-        }
-        // More workers than slots: the owner map clamps and the routed
-        // path still answers exactly.
-        let pq = ParallelQuery::new(&gs, 64).oversubscribe(true);
-        let mut routed = Vec::new();
-        pq.estimate_edges_routed(&batch, &mut routed);
-        assert_eq!(routed, sequential);
     }
 }

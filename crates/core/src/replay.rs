@@ -371,33 +371,6 @@ mod tests {
         assert_eq!(stats.hits + stats.misses, 2 * queries.len() as u64);
     }
 
-    /// The distinct edges can also ride the **slot-routed** fan-out: the
-    /// owner of each router slot answers the edges landing in its slot
-    /// range (the read half of the owner-sharded engine, DESIGN.md §11)
-    /// — bit-identical to the bare sequential batch.
-    #[test]
-    fn miss_batches_route_by_slot_ownership() {
-        use crate::EdgeSink;
-        let s = stream(1_500);
-        let mut gs = build(&s);
-        gs.ingest(&s);
-        let queries: Vec<Edge> = s.iter().step_by(2).map(|se| se.edge).collect();
-        let mut bare = Vec::new();
-        gs.estimate_edges(&queries, &mut bare);
-        let pq = crate::ParallelQuery::new(&gs, 4).oversubscribe(true);
-        let mut engine = ReplayEngine::new(&gs);
-        let mut cached = Vec::new();
-        for _ in 0..2 {
-            engine.estimate_edges_with(&queries, &mut cached, |miss, vals| {
-                pq.estimate_edges_routed(miss, vals);
-            });
-            assert_eq!(cached, bare);
-        }
-        let stats = engine.stats();
-        assert_eq!(stats.misses, 2 * distinct(&queries));
-        assert_eq!(stats.hits + stats.misses, 2 * queries.len() as u64);
-    }
-
     // --- interval-keyed replay (WindowedReplay) ------------------------
 
     use crate::{WindowConfig, WindowedGSketch};

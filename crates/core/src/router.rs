@@ -127,8 +127,9 @@ impl Router {
 /// slice, no two owners share a cache line beyond the two range
 /// boundaries, and first-touch initialization of the range places it on
 /// the owner's NUMA node. The map is a pure function of
-/// `(num_slots, owners)` — both the scatter stage and the slot-routed
-/// query path derive the identical assignment without sharing state.
+/// `(num_slots, owners)`, so the scatter stage and the split of the
+/// synopsis into owner slices derive the identical assignment without
+/// sharing state.
 ///
 /// Ranges are balanced to within one slot: slot `s` belongs to owner
 /// `s·owners / num_slots`, the classic proportional split.

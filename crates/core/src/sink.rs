@@ -42,10 +42,10 @@ use gstream::vertex::VertexId;
 /// §5 hash structure `H : V → S_i` mapping source vertices into it.
 ///
 /// The owner-sharded engine derives one
-/// [`OwnerMap`](crate::router::OwnerMap) from `num_slots`, and both the
-/// scatter stage (writes) and the slot-routed parallel query (reads)
-/// group work by `slot_of` so each slot's cache lines are only ever
-/// touched by the slot's owner. Implementor: [`GSketch`](crate::GSketch).
+/// [`OwnerMap`](crate::router::OwnerMap) from `num_slots`, and its
+/// scatter stage groups writes by `slot_of` so each slot's cache lines
+/// are only ever touched by the slot's owner. Implementor:
+/// [`GSketch`](crate::GSketch).
 pub trait SlotRouted {
     /// Total number of slots (partitions + outlier).
     fn num_slots(&self) -> usize;

@@ -7,7 +7,7 @@
 //! for bit (DESIGN.md §2): the arena shares one per-row hash family
 //! seeded from the builder seed, so slot `i` holds exactly the cells
 //! slot `i`'s standalone sketch would hold. The remaining properties pin
-//! every batched, sharded, routed and deduplicated path against the scalar
+//! every batched, sharded and deduplicated path against the scalar
 //! sequential one.
 
 use gsketch::{
@@ -493,51 +493,6 @@ proptest! {
         prop_assert_eq!(sharded.total_weight(), serial.total_weight());
         prop_assert_eq!(sharded.outlier_weight(), serial.outlier_weight());
         prop_assert_eq!(sharded.partition_loads(), serial.partition_loads());
-    }
-
-    /// The slot-routed read path answers bit-identically to the
-    /// sequential batch: counting-sorting a query
-    /// batch by router slot and fanning owner-aligned spans out over
-    /// real oversubscribed threads regroups independent per-edge
-    /// answers, nothing more (DESIGN.md §11).
-    #[test]
-    fn routed_queries_match_sequential_batch(
-        sample in vec((0u32..40, 0u32..40, 0u8..8), 1..80),
-        tail in vec((0u32..60, 0u32..60, 0u8..8), 0..120),
-        dup in 1usize..4,
-        threads in 1usize..9,
-        shuffle_seed in any::<u64>(),
-        depth in 1usize..4,
-        seed in any::<u64>(),
-    ) {
-        let sample = stream_of(&sample);
-        let stream: Vec<StreamEdge> =
-            sample.iter().chain(&stream_of(&tail)).copied().collect();
-        let mut queries: Vec<Edge> = Vec::new();
-        for se in &stream {
-            for _ in 0..dup {
-                queries.push(se.edge);
-            }
-        }
-        for v in 0..20u32 {
-            queries.push(Edge::new(v, 999u32)); // absent probes
-        }
-        shuffle_edges(&mut queries, shuffle_seed);
-
-        let mut gs = GSketch::builder()
-            .memory_bytes(1 << 13)
-            .depth(depth)
-            .min_width(16)
-            .seed(seed)
-            .build_from_sample(&sample)
-            .unwrap();
-        gs.ingest(&stream);
-        let mut sequential = Vec::new();
-        gs.estimate_edges(&queries, &mut sequential);
-        let pq = ParallelQuery::new(&gs, threads).oversubscribe(true);
-        let mut routed = Vec::new();
-        pq.estimate_edges_routed(&queries, &mut routed);
-        prop_assert_eq!(routed, sequential, "routed read path diverged");
     }
 
     /// Windowed epoch handoff: sharded ingest with rotations mid-stream

@@ -2,8 +2,19 @@
 //!
 //! The paper constructs its data samples by reservoir sampling the graph
 //! stream (§6.3) and hands samples between time windows the same way (§5).
+//!
+//! Algorithm R's replacement schedule depends only on the RNG, never on
+//! the items, so [`Reservoir::offer_all`] makes a block's draws first and
+//! then reads only the arrivals they keep (DESIGN.md §15). Its sample,
+//! `seen` count and final RNG state are those of an [`Reservoir::offer`]
+//! loop over the same items.
 
 use rand::Rng;
+
+/// Arrivals whose draws [`Reservoir::offer_all`] makes before it reads
+/// the stream. A 64-arrival block gained less than half as much
+/// (DESIGN.md §15).
+const BLOCK: usize = 4096;
 
 /// A fixed-capacity uniform sample over a stream of `T`.
 ///
@@ -54,7 +65,8 @@ impl<T> Reservoir<T> {
 
     /// Offer one stream item (Algorithm R). Inline: this is the
     /// per-arrival step of every sampling loop, and an out-of-line call
-    /// passes each item through memory.
+    /// passes each item through memory. This is the reference
+    /// [`offer_all`](Self::offer_all) matches.
     #[inline]
     pub fn offer<R: Rng + ?Sized>(&mut self, item: T, rng: &mut R) {
         self.seen += 1;
@@ -62,10 +74,98 @@ impl<T> Reservoir<T> {
             self.items.push(item);
         } else {
             let j = rng.gen_range(0..self.seen);
-            if (j as usize) < self.capacity {
+            if j < self.capacity as u64 {
                 self.items[j as usize] = item;
             }
         }
+    }
+
+    /// Offer every item of `iter`, in order. The sample, its order,
+    /// [`seen`](Self::seen) and the final RNG state equal those of an
+    /// [`offer`](Self::offer) loop over the same items.
+    ///
+    /// Once the reservoir is full, an iterator whose `size_hint` is exact
+    /// is sampled in blocks of 4096 arrivals: each block draws
+    /// `gen_range(0..seen)` for all of its arrivals, records the kept
+    /// ones as `(slot, gap)` and prefetches their slots, then applies
+    /// them with `Iterator::nth(gap)`. Skipped arrivals are never read,
+    /// and on a slice `nth` skips them in O(1). An inexact hint, and any
+    /// items past an under-reported one, go through `offer`. An iterator
+    /// that over-reports its length still yields the reference sample,
+    /// but the RNG and `seen` run ahead by the draws made for the
+    /// arrivals it promised and did not yield.
+    pub fn offer_all<I, R>(&mut self, iter: I, rng: &mut R)
+    where
+        I: IntoIterator<Item = T>,
+        R: Rng + ?Sized,
+    {
+        let mut iter = iter.into_iter();
+        let before = self.items.len();
+        self.items
+            .extend(iter.by_ref().take(self.capacity - before));
+        self.seen += (self.items.len() - before) as u64;
+        if !self.is_full() {
+            return;
+        }
+        let (lo, hi) = iter.size_hint();
+        if hi == Some(lo) && !self.replace_in_blocks(&mut iter, lo, rng) {
+            return;
+        }
+        for item in iter {
+            self.offer(item, rng);
+        }
+    }
+
+    /// The blocked replacement loop of [`offer_all`](Self::offer_all)
+    /// over the next `n` arrivals of `iter`, on a full reservoir. Returns
+    /// `false` if `iter` ended early.
+    ///
+    /// The draw loop is branch-free: every draw writes its `(slot, gap)`
+    /// at `kept[len]` and advances `len` only if it keeps the arrival,
+    /// and a skipped draw prefetches the last slot, a line already
+    /// cached. A kept arrival is no longer a mispredicted branch. `seen`
+    /// and the capacity live in locals so they stay in registers.
+    fn replace_in_blocks<I, R>(&mut self, iter: &mut I, mut n: usize, rng: &mut R) -> bool
+    where
+        I: Iterator<Item = T>,
+        R: Rng + ?Sized,
+    {
+        let capacity = self.capacity as u64;
+        let items = self.items.as_mut_slice();
+        let mut seen = self.seen;
+        let mut kept = vec![(0usize, 0usize); n.min(BLOCK)];
+        let mut complete = true;
+        'blocks: while n > 0 {
+            let block = n.min(BLOCK);
+            n -= block;
+            let (mut len, mut gap) = (0usize, 0usize);
+            for _ in 0..block {
+                seen += 1;
+                let j = rng.gen_range(0..seen);
+                let keep = j < capacity;
+                // cast: u64 -> usize; below `capacity`, a usize.
+                let slot = j.min(capacity - 1) as usize;
+                sketch::prefetch(&items[slot]);
+                kept[len] = (slot, gap);
+                len += usize::from(keep);
+                gap = if keep { 0 } else { gap + 1 };
+            }
+            for &(slot, skip) in &kept[..len] {
+                match iter.nth(skip) {
+                    Some(item) => items[slot] = item,
+                    None => {
+                        complete = false;
+                        break 'blocks;
+                    }
+                }
+            }
+            if gap > 0 && iter.nth(gap - 1).is_none() {
+                complete = false;
+                break;
+            }
+        }
+        self.seen = seen;
+        complete
     }
 
     /// The sample collected so far (order is not meaningful).
@@ -94,16 +194,19 @@ impl<T> Reservoir<T> {
     }
 }
 
-/// One-shot helper: uniformly sample `k` items from an iterator.
+/// One-shot helper: uniformly sample `k` items from an iterator through
+/// [`Reservoir::offer_all`]. `k == 0` returns an empty sample and draws
+/// nothing.
 pub fn sample_iter<T, I, R>(iter: I, k: usize, rng: &mut R) -> Vec<T>
 where
     I: IntoIterator<Item = T>,
     R: Rng + ?Sized,
 {
-    let mut r = Reservoir::new(k.max(1));
-    for item in iter {
-        r.offer(item, rng);
+    if k == 0 {
+        return Vec::new();
     }
+    let mut r = Reservoir::new(k);
+    r.offer_all(iter, rng);
     r.into_sample()
 }
 
@@ -154,6 +257,34 @@ mod tests {
         for (i, &h) in hits.iter().enumerate() {
             let rel = (h as f64 - expected).abs() / expected;
             assert!(rel < 0.35, "item {i} inclusion skewed: {h} vs {expected}");
+        }
+    }
+
+    #[test]
+    fn zero_k_samples_nothing_and_draws_nothing() {
+        let mut rng = StdRng::seed_from_u64(4);
+        let before = rng.state();
+        assert!(sample_iter(0..1_000u32, 0, &mut rng).is_empty());
+        assert_eq!(rng.state(), before);
+    }
+
+    #[test]
+    fn offer_all_matches_offer_loop_across_blocks() {
+        // Past the fill: two whole blocks exactly, three plus a partial
+        // one, and one plus a partial one at k = 1.
+        let block = BLOCK as u32;
+        for (n, k) in [(2 * block + 50, 50), (3 * block + 17, 50), (2 * block, 1)] {
+            let mut a = StdRng::seed_from_u64(5);
+            let mut b = a.clone();
+            let mut blocked = Reservoir::new(k);
+            blocked.offer_all(0..n, &mut a);
+            let mut reference = Reservoir::new(k);
+            for i in 0..n {
+                reference.offer(i, &mut b);
+            }
+            assert_eq!(blocked.sample(), reference.sample());
+            assert_eq!(blocked.seen(), reference.seen());
+            assert_eq!(a.state(), b.state());
         }
     }
 

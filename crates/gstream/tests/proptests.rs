@@ -109,3 +109,100 @@ proptest! {
         prop_assert_eq!(e.canonical(), e.reversed().canonical());
     }
 }
+
+/// The per-item reference: an `offer` loop. Returns the sample, `seen`
+/// and the final RNG state.
+fn offer_loop(items: &[u32], k: usize, seed: u64) -> (Vec<u32>, u64, [u64; 4]) {
+    let mut rng = StdRng::seed_from_u64(seed);
+    let mut r = Reservoir::new(k);
+    for &x in items {
+        r.offer(x, &mut rng);
+    }
+    (r.sample().to_vec(), r.seen(), rng.state())
+}
+
+/// `offer_all` over `iter`, returning what [`offer_loop`] returns.
+fn offer_all(iter: impl Iterator<Item = u32>, k: usize, seed: u64) -> (Vec<u32>, u64, [u64; 4]) {
+    let mut rng = StdRng::seed_from_u64(seed);
+    let mut r = Reservoir::new(k);
+    r.offer_all(iter, &mut rng);
+    (r.sample().to_vec(), r.seen(), rng.state())
+}
+
+/// Yields its items but reports `hint` remaining items as an exact
+/// `size_hint`, whatever is really left.
+struct Misreported {
+    items: std::vec::IntoIter<u32>,
+    hint: usize,
+}
+
+impl Iterator for Misreported {
+    type Item = u32;
+
+    fn next(&mut self) -> Option<u32> {
+        self.hint = self.hint.saturating_sub(1);
+        self.items.next()
+    }
+
+    fn size_hint(&self) -> (usize, Option<usize>) {
+        (self.hint, Some(self.hint))
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(64))]
+
+    /// The blocked kernel is the per-item loop: same items, same order,
+    /// same `seen`, same final RNG state — over a slice (exact hint), a
+    /// `filter` (inexact hint, per-item fallback) and an iterator that
+    /// under-reports its length (blocks, then per-item for the rest).
+    /// Streams longer than `k` + 4096 put kept arrivals on both sides of
+    /// block boundaries; short ones give `k >= n`.
+    #[test]
+    fn offer_all_matches_offer_loop(
+        n_raw in 0usize..20_000,
+        short in any::<bool>(),
+        k in 1usize..600,
+        under in 0usize..5_000,
+        seed in any::<u64>(),
+    ) {
+        let n = if short { n_raw % 700 } else { n_raw };
+        let items: Vec<u32> = (0..n as u32).map(|i| i.wrapping_mul(2_654_435_761)).collect();
+        let reference = offer_loop(&items, k, seed);
+
+        prop_assert_eq!(&offer_all(items.iter().copied(), k, seed), &reference);
+
+        let mut rng = StdRng::seed_from_u64(seed);
+        let sampled = sample_iter(items.iter().copied(), k, &mut rng);
+        prop_assert_eq!(&sampled, &reference.0);
+        prop_assert_eq!(rng.state(), reference.2);
+
+        let odd: Vec<u32> = items.iter().copied().filter(|x| x % 2 == 1).collect();
+        prop_assert_eq!(
+            offer_all(items.iter().copied().filter(|x| x % 2 == 1), k, seed),
+            offer_loop(&odd, k, seed)
+        );
+
+        let hint = n.saturating_sub(under);
+        let low = Misreported { items: items.clone().into_iter(), hint };
+        prop_assert_eq!(&offer_all(low, k, seed), &reference);
+    }
+
+    /// An iterator that over-reports its length still yields the
+    /// reference sample. Its RNG and `seen` may run ahead: the kernel
+    /// drew for arrivals that never came.
+    #[test]
+    fn offer_all_over_reported_length_keeps_the_sample(
+        n in 0usize..20_000,
+        k in 1usize..600,
+        over in 1usize..5_000,
+        seed in any::<u64>(),
+    ) {
+        let items: Vec<u32> = (0..n as u32).map(|i| i.wrapping_mul(2_654_435_761)).collect();
+        let (sample, seen, _) = offer_loop(&items, k, seed);
+        let high = Misreported { items: items.into_iter(), hint: n + over };
+        let (blocked, blocked_seen, _) = offer_all(high, k, seed);
+        prop_assert_eq!(blocked, sample);
+        prop_assert!(blocked_seen >= seen);
+    }
+}
