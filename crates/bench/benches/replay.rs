@@ -1,18 +1,30 @@
-//! Replay-engine bench (DESIGN.md §9): dedup-front vs bare workload
-//! replay on the memory-bound configuration, recorded as the `replay`
-//! section of `BENCH_ingest.json`.
+//! Replay-engine dev bench (DESIGN.md §9): dedup front vs bare
+//! workload replay on a memory-bound configuration. It prints its rows
+//! and writes no file; `perfbench` is the recorded measurement.
 //!
-//! The setup mirrors `query_time`'s trajectory pass — a 64 MiB arena
-//! synopsis over the R-MAT stream, far beyond any per-core cache, so an
-//! uncached point read is memory-bound — but the workload is the one
-//! the replay engine exists for: **Zipf(1.1) by frequency rank** over
-//! the distinct edges (the paper's §6.4 skewed-workload model, s = 1.1
-//! — a fat head that repeats constantly). Two rows:
+//! The synopsis is a 64 MiB arena over the R-MAT stream, far beyond any
+//! per-core cache, so an uncached point read is memory-bound. The
+//! workload is the one the replay engine exists for: **Zipf(1.1) by
+//! frequency rank** over the distinct edges (the paper's §6.4
+//! skewed-workload model, s = 1.1 — a fat head that repeats
+//! constantly). Two rows:
 //!
-//! * `replay/uncached-batched` — every batch answered by the bare
-//!   batched engine;
-//! * `replay/dedup` — every batch through [`ReplayEngine`]: each
-//!   distinct edge answered once, repeats copied.
+//! * `uncached` — every batch answered by the bare batched engine;
+//! * `dedup` — every batch through [`ReplayEngine`]: each distinct edge
+//!   answered once, repeats copied.
+//!
+//! A second pass sweeps the **pre-filter** (DESIGN.md §12), which
+//! `perfbench` cannot: it runs one filter setting per build. The same
+//! memory-bound synopsis answers workloads with a growing share of
+//! absent keys, blocked Bloom filter on vs off over identical state.
+//! Absent probes keep real sources (so routing lands on real
+//! partitions) with destinations above the stream's id range. The
+//! batched read path probes the counters for absent keys too (DESIGN.md
+//! §12), so the filter adds its gather to every row; this sweep is the
+//! data for choosing the filter's default. Read the ratios against the
+//! host: on a machine whose last-level cache holds the whole 64 MiB
+//! synopsis, counter probes cost ~L3 latency, not DRAM, and the spread
+//! compresses.
 //!
 //! A third pass times the **windowed snapshot store** (DESIGN.md §13)
 //! over a 2M-arrival windowed history: time-to-queryable for a cold
@@ -20,32 +32,15 @@
 //! acceptance ratio, target ≥ 5× — the load decodes sealed windows
 //! instead of replaying arrivals), then interval workload replay
 //! uncached vs through a `WindowedReplay` dedup front, all answers
-//! bit-compared along the way. Recorded as the `windowed_snapshot`
-//! section.
-//!
-//! A second pass sweeps the **pre-filter** (DESIGN.md §12): the same
-//! memory-bound synopsis answers workloads with a growing share of
-//! absent keys, blocked Bloom filter on vs off over identical state,
-//! recorded as the `prefilter` section. Absent probes keep real
-//! sources (so routing lands on real partitions) with destinations
-//! above the stream's id range. The 50 %-absent filtered row should
-//! beat its unfiltered twin (target 1.5×) and the 0 %-absent row
-//! should stay close to 1× — how close is a property of the host: the
-//! filter's win is one cache line against the counters' three, so on
-//! a machine whose last-level cache holds the whole 64 MiB synopsis
-//! (counter probes ~L3 latency, not DRAM) the spread compresses from
-//! both ends, and the recorded ratios should be read against that
-//! floor rather than as absolute filter quality.
+//! bit-compared along the way.
 
 use gsketch::{
     load_windowed, save_windowed, EdgeEstimator, EdgeSink, GSketch, IntervalEstimate, ReplayEngine,
     WindowConfig, WindowedGSketch, WindowedReplay,
 };
-use gsketch_bench::trajectory::{rate_of, record_section, Throughput};
 use gsketch_bench::*;
 use gstream::workload::{inject_absent_queries, zipf_edge_queries, ZipfRank};
 use gstream::Edge;
-use serde::Value;
 use std::hint::black_box;
 
 const QUERIES: usize = 1 << 20;
@@ -75,6 +70,11 @@ fn main() {
         )
     };
     let n = PASSES * queries.len() as u64;
+    println!(
+        "replay: {} ({} arrivals), 64 MiB synopsis, {n} Zipf({ZIPF_S}) queries timed per row",
+        bundle.dataset.name(),
+        bundle.stream.len(),
+    );
 
     // Uncached baseline: the batched engine per pass.
     let mut out = Vec::with_capacity(queries.len());
@@ -107,29 +107,11 @@ fn main() {
         "dedup replay diverged from the batched engine"
     );
 
-    let row = |name: &str, rate: f64| Throughput::sequential(name, 0.0, rate);
-    record_section(
-        "replay",
-        &[
-            ("dataset", Value::Str(bundle.dataset.name().to_owned())),
-            ("queries_timed", Value::U64(n)),
-            ("zipf_s", Value::F64(ZIPF_S)),
-            (
-                "hit_rate",
-                Value::F64(stats.hits as f64 / (stats.hits + stats.misses).max(1) as f64),
-            ),
-        ],
-        &[
-            row("replay/uncached-batched", uncached),
-            row("replay/dedup", dedup),
-        ],
-    );
     println!(
         "replay: uncached {uncached:.0} q/s, dedup {dedup:.0} q/s \
-         ({:.2}x uncached, {:.1}% repeats) → {} [sink {sink}]",
+         ({:.2}x uncached, {:.1}% repeats) [sink {sink}]",
         dedup / uncached,
         stats.hits as f64 * 100.0 / (stats.hits + stats.misses).max(1) as f64,
-        gsketch_bench::trajectory::bench_file().display()
     );
 
     // Pre-filter sweep (DESIGN.md §12): filter on vs off over identical
@@ -139,7 +121,6 @@ fn main() {
     // One untimed pass so the clone's fresh pages are faulted in before
     // its first timed row.
     unfiltered.estimate_edges(&queries, &mut out);
-    let mut rows = Vec::new();
     let mut summary = String::new();
     for pct in [0u64, 25, 50, 90] {
         let mut qs = queries.clone();
@@ -168,26 +149,13 @@ fn main() {
                 }
             }));
         }
-        rows.push(row(&format!("prefilter/absent-{pct}/on"), filtered));
-        rows.push(row(&format!("prefilter/absent-{pct}/off"), plain));
+        println!("prefilter/absent-{pct}: on {filtered:.0} q/s, off {plain:.0} q/s");
         summary.push_str(&format!(" {pct}%:{:.2}x", filtered / plain));
     }
-    record_section(
-        "prefilter",
-        &[
-            ("dataset", Value::Str(bundle.dataset.name().to_owned())),
-            ("queries_timed", Value::U64(n)),
-            ("zipf_s", Value::F64(ZIPF_S)),
-            ("memory_bytes", Value::U64(64 << 20)),
-            ("filter_bytes", Value::U64(gs.prefilter_bytes() as u64)),
-        ],
-        &rows,
-    );
     println!(
         "prefilter: filtered/unfiltered by absent fraction —{summary} \
-         ({} filter bytes) → {} [sink {sink}]",
+         ({} filter bytes) [sink {sink}]",
         gs.prefilter_bytes(),
-        gsketch_bench::trajectory::bench_file().display()
     );
 
     // Windowed snapshot section (DESIGN.md §13): time-to-queryable for
@@ -290,36 +258,13 @@ fn main() {
         );
     }
     let wstats = wreplay.stats();
-    record_section(
-        "windowed_snapshot",
-        &[
-            ("arrivals", Value::U64(W_ARRIVALS as u64)),
-            (
-                "windows_sealed",
-                Value::U64(rebuilt.sealed_windows() as u64),
-            ),
-            ("snapshot_bytes", Value::U64(snap_bytes)),
-            ("queries_timed", Value::U64(wn)),
-            ("load_vs_rebuild", Value::F64(load / rebuild)),
-            (
-                "hit_rate",
-                Value::F64(wstats.hits as f64 / (wstats.hits + wstats.misses).max(1) as f64),
-            ),
-        ],
-        &[
-            row("windowed/cold-rebuild", rebuild),
-            row("windowed/snapshot-load", load),
-            row("windowed/uncached-intervals", wuncached),
-            row("windowed/dedup", wdedup),
-        ],
-    );
     println!(
         "windowed snapshot: rebuild {rebuild:.0} vs load {load:.0} arrivals-covered/s \
-         ({:.1}x, {snap_bytes}B file), intervals uncached {wuncached:.0} vs dedup {wdedup:.0} q/s \
-         ({:.1}x, {:.1}% hit rate) → {} [sink {wsink}]",
+         ({:.1}x, {snap_bytes}B file, {} windows sealed), intervals uncached {wuncached:.0} \
+         vs dedup {wdedup:.0} q/s ({:.1}x, {:.1}% hit rate) [sink {wsink}]",
         load / rebuild,
+        rebuilt.sealed_windows(),
         wdedup / wuncached,
         wstats.hits as f64 * 100.0 / (wstats.hits + wstats.misses).max(1) as f64,
-        gsketch_bench::trajectory::bench_file().display()
     );
 }

@@ -386,6 +386,13 @@ pub fn experiment_scale() -> f64 {
         .unwrap_or(1.0)
 }
 
+/// Time `work` and convert to an elements-per-second rate.
+pub fn rate_of<F: FnOnce()>(elements: u64, work: F) -> f64 {
+    let start = Instant::now();
+    work();
+    elements as f64 / start.elapsed().as_secs_f64().max(1e-12)
+}
+
 /// The default seed for all experiments (reproducible end to end).
 pub const EXPERIMENT_SEED: u64 = 20111129; // the paper's arXiv date
 
@@ -400,6 +407,18 @@ mod tests {
 
     fn tiny_bundle() -> Bundle {
         Bundle::load(Dataset::Dblp, 0.01, 3)
+    }
+
+    #[test]
+    fn rate_is_positive() {
+        let mut acc = 0u64;
+        let r = rate_of(1_000, || {
+            for i in 0..1_000u64 {
+                acc = acc.wrapping_add(i);
+            }
+        });
+        assert!(r > 0.0);
+        assert!(acc > 0);
     }
 
     #[test]

@@ -244,9 +244,10 @@ fn cmd_stats<W: Write>(raw: &[String], out: &mut W) -> Result<(), CliError> {
     Ok(())
 }
 
-/// Parse `--threads` (default 1, clamped to at least 1). More than one
-/// thread ingests through the owner-sharded engine, which splits the
-/// counter arena into owner-exclusive slices.
+/// Parse `--threads` (default 1, clamped to at least 1), for every
+/// command that takes it. More than one thread ingests through the
+/// owner-sharded engine, which splits the counter arena into
+/// owner-exclusive slices, or fans a query batch out over a worker pool.
 fn parse_threads(a: &ParsedArgs) -> Result<usize, CliError> {
     Ok(a.get_or::<usize>("threads", 1)?.max(1))
 }
@@ -340,7 +341,7 @@ fn cmd_snapshot<W: Write>(raw: &[String], out: &mut W) -> Result<(), CliError> {
     }
     let memory = parse_bytes(a.get("window-memory").unwrap_or("64K"))?;
     let seed: u64 = a.get_or("seed", 42)?;
-    let threads: usize = a.get_or::<usize>("threads", 1)?.max(1);
+    let threads = parse_threads(&a)?;
     let cfg = WindowConfig {
         span,
         memory_bytes_per_window: memory,
@@ -494,7 +495,7 @@ fn replay_workload<W: Write>(
     truth: Option<&ExactCounter>,
     out: &mut W,
 ) -> Result<(), CliError> {
-    let threads: usize = a.get_or("threads", 1)?;
+    let threads = parse_threads(a)?;
     let chunk: usize = a.get_or::<usize>("chunk", 1 << 20)?.max(1);
     let detailed = parse_switch(a, "detailed", false)?;
     // The per-chunk dedup front is on by default; --cache off is the
@@ -646,7 +647,7 @@ fn replay_windowed_workload<W: Write>(
     let seed: u64 = a.get_or("seed", 42)?;
     let chunk: usize = a.get_or::<usize>("chunk", 1 << 20)?.max(1);
     let show: usize = a.get_or("show", 10)?;
-    let threads: usize = a.get_or::<usize>("threads", 1)?.max(1);
+    let threads = parse_threads(a)?;
 
     let stream = load_stream(stream_path).map_err(run_err)?;
     let mut windowed = WindowedGSketch::new(
@@ -1263,7 +1264,7 @@ fn cmd_adaptive<W: Write>(raw: &[String], out: &mut W) -> Result<(), CliError> {
     let n_queries: usize = a.get_or("queries", 10_000)?;
     let depth: usize = a.get_or("depth", 1)?;
     let seed: u64 = a.get_or("seed", 42)?;
-    let threads: usize = a.get_or::<usize>("threads", 1)?.max(1);
+    let threads = parse_threads(&a)?;
 
     let stream = load_stream(stream_path).map_err(run_err)?;
     let warmup: u64 = a.get_or("warmup", (stream.len() as u64 / 20).max(1))?;
@@ -1567,6 +1568,30 @@ mod tests {
         assert_eq!(sum_line(&seq), sum_line(&par));
         let with_truth = run(&["query", &snap, "--workload", &wl, "--stream", &stream]).unwrap();
         assert!(with_truth.contains("avg rel err"), "{with_truth}");
+    }
+
+    /// `--threads 0` is clamped to one worker on the replay path, as on
+    /// every other command, and the report names the clamped request.
+    #[test]
+    fn workload_replay_clamps_zero_threads() {
+        let stream = tmp("wl_zero_threads.txt");
+        run(&[
+            "generate",
+            "smallworld",
+            "--out",
+            &stream,
+            "--arrivals",
+            "5000",
+            "--vertices",
+            "100",
+        ])
+        .unwrap();
+        let snap = tmp("wl_zero_threads.snapshot.json");
+        run(&["build", &stream, "--memory", "32K", "--out", &snap]).unwrap();
+        let wl = tmp("wl_zero_threads.queries.txt");
+        run(&["workload", &stream, "--out", &wl, "--queries", "500"]).unwrap();
+        let text = run(&["query", &snap, "--workload", &wl, "--threads", "0"]).unwrap();
+        assert!(text.contains("over 1 worker(s) (1 requested)"), "{text}");
     }
 
     #[test]

@@ -127,9 +127,11 @@ pub struct WindowedGSketch {
     reservoir: Reservoir<StreamEdge>,
     rng: StdRng,
     windows_sealed: u64,
-    /// Total windows folded into tiers so far. Monotone; replay memos
-    /// use it as the invalidation signal for sealed-interval answers
-    /// (coarsening is the *only* mutation of sealed history).
+    /// Total windows folded into tiers so far. Monotone, and persisted
+    /// in the snapshot tail so a reload reports the same history; the
+    /// CLI's `snapshot` command prints it. Coarsening is the *only*
+    /// mutation of sealed history, so sealed-interval answers change
+    /// only when this moves.
     coarsenings: u64,
     /// Set by a horizon-limited snapshot load: sealed windows outside
     /// the requested span were skipped, so answers are only valid
@@ -302,7 +304,7 @@ impl WindowedGSketch {
     /// domain).
     #[inline]
     pub fn try_insert(&mut self, se: StreamEdge) -> Result<(), SketchError> {
-        // lint: allow(no-panics) — documented precondition: window configuration is validated once at construction; misuse must fail fast, release builds included.
+        // lint: allow(no-panics) — documented precondition: the caller's timestamps are non-decreasing, so no arrival lands before the open window's start; misuse must fail fast, release builds included.
         assert!(
             se.ts >= self.current_start,
             "timestamps must be non-decreasing across inserts"
@@ -427,7 +429,7 @@ impl WindowedGSketch {
     /// A coarsened tier answers with the same uniform extrapolation
     /// over its (merged) span.
     pub fn estimate_interval(&self, edge: Edge, t_start: u64, t_end: u64) -> f64 {
-        // lint: allow(no-panics) — documented precondition: window configuration is validated once at construction; misuse must fail fast, release builds included.
+        // lint: allow(no-panics) — documented precondition: the caller's interval is non-empty (`t_start <= t_end`); misuse must fail fast, release builds included.
         assert!(t_start <= t_end, "empty interval");
         let key = edge.key();
         let mut total = 0.0f64;
@@ -465,7 +467,7 @@ impl WindowedGSketch {
         t_end: u64,
         out: &mut Vec<f64>,
     ) {
-        // lint: allow(no-panics) — documented precondition: window configuration is validated once at construction; misuse must fail fast, release builds included.
+        // lint: allow(no-panics) — documented precondition: the caller's interval is non-empty (`t_start <= t_end`); misuse must fail fast, release builds included.
         assert!(t_start <= t_end, "empty interval");
         out.clear();
         out.resize(edges.len(), 0.0);
@@ -515,7 +517,7 @@ impl WindowedGSketch {
         t_end: u64,
         out: &mut Vec<IntervalEstimate>,
     ) {
-        // lint: allow(no-panics) — documented precondition: window configuration is validated once at construction; misuse must fail fast, release builds included.
+        // lint: allow(no-panics) — documented precondition: the caller's interval is non-empty (`t_start <= t_end`); misuse must fail fast, release builds included.
         assert!(t_start <= t_end, "empty interval");
         out.clear();
         out.resize(edges.len(), IntervalEstimate::default());
