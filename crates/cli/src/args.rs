@@ -117,10 +117,11 @@ pub fn parse_bytes(s: &str) -> Result<usize, ArgError> {
         Some('G' | 'g') => (&s[..s.len() - 1], 1 << 30),
         _ => (s, 1),
     };
-    digits
+    let n = digits
         .parse::<usize>()
-        .map(|n| n * mult)
-        .map_err(|_| ArgError(format!("bad byte size `{s}` (use e.g. 65536, 512K, 2M)")))
+        .map_err(|_| ArgError(format!("bad byte size `{s}` (use e.g. 65536, 512K, 2M)")))?;
+    n.checked_mul(mult)
+        .ok_or_else(|| ArgError(format!("byte size `{s}` exceeds {} bytes", usize::MAX)))
 }
 
 #[cfg(test)]
@@ -185,5 +186,17 @@ mod tests {
         assert_eq!(parse_bytes("1G").unwrap(), 1 << 30);
         assert!(parse_bytes("abc").is_err());
         assert!(parse_bytes("2X").is_err());
+        // Sizes past `usize::MAX` are refused, not wrapped: 2^34 G is
+        // 2^64 bytes, which would wrap to 0.
+        let max_g = usize::MAX >> 30;
+        assert_eq!(parse_bytes(&format!("{max_g}G")).unwrap(), max_g << 30);
+        for s in [
+            format!("{}G", max_g + 1),
+            "17179869200G".into(),
+            format!("{}K", usize::MAX),
+        ] {
+            let e = parse_bytes(&s).unwrap_err();
+            assert!(e.to_string().contains("exceeds"), "{s}: {e}");
+        }
     }
 }

@@ -81,13 +81,6 @@ USAGE:
        sequential detailed batch instead — no --cache/--threads — and
        reports per-query confidence intervals, first K rows shown,
        default 10)
-  gsketch query <stream-file> --workload FILE --window-span S
-      [--window-memory SIZE] [--seed N] [--chunk N] [--show K] [--threads N]
-      (windowed replay: builds a time-windowed synopsis of span S over
-       the stream, then replays a workload whose rows may carry
-       inclusive `src dst t_start t_end` columns; every query reports
-       its interval estimate with a confidence interval; --threads
-       ingests each window epoch through the owner-sharded engine)
   gsketch snapshot <stream-file> --out FILE --window-span S
       [--window-memory SIZE] [--seed N] [--horizon-keep N] [--threads N]
       (builds a time-windowed synopsis over the stream and saves it as a
@@ -115,7 +108,7 @@ USAGE:
        without touching a counter; --intervals attaches an inclusive
        `[t_start t_end]` window of SPAN timestamps to every query, its
        start drawn over multiples of ALIGN, default SPAN — the windowed
-       rows `query --snapshot`/`--window-span` replay)
+       rows `query --snapshot` replays)
   gsketch compare <stream-file> --memory SIZE [--queries N] [--depth D] [--seed S]
       [--threads N]
   gsketch adaptive <stream-file> --memory SIZE [--warmup N] [--queries N] [--seed S]
@@ -163,6 +156,15 @@ fn cmd_generate<W: Write>(raw: &[String], out: &mut W) -> Result<(), CliError> {
     let arrivals: usize = a.get_or("arrivals", 100_000)?;
     let vertices: u32 = a.get_or("vertices", 10_000)?;
     let seed: u64 = a.get_or("seed", 42)?;
+    // The generators assert their preconditions (they panic on a bad
+    // config); check every one a flag can reach so it is an error instead.
+    let need = |ok: bool, what: &str| {
+        if ok {
+            Ok(())
+        } else {
+            Err(CliError::Args(ArgError(format!("{model}: {what}"))))
+        }
+    };
     let stream: Vec<StreamEdge> = match model.as_str() {
         "rmat" => {
             let scale = (vertices.max(2) as f64).log2().ceil() as u32;
@@ -177,15 +179,27 @@ fn cmd_generate<W: Write>(raw: &[String], out: &mut W) -> Result<(), CliError> {
                 seed,
             );
             cfg.activity_alpha = a.get_or("alpha", 1.2)?;
+            need(
+                cfg.activity_alpha >= 0.0,
+                "`--alpha` must be a non-negative number",
+            )?;
             RmatTrafficGenerator::new(cfg).generate()
         }
-        "dblp" => dblp::generate(DblpConfig {
-            authors: vertices,
-            papers: arrivals / 3, // ≈3 ordered pairs per paper on average
-            seed,
-            ..DblpConfig::default()
-        }),
+        "dblp" => {
+            need(vertices >= 2, "`--vertices` must be at least 2")?;
+            need(
+                arrivals >= 3,
+                "`--arrivals` must be at least 3 (one paper per 3 arrivals)",
+            )?;
+            dblp::generate(DblpConfig {
+                authors: vertices,
+                papers: arrivals / 3, // ≈3 ordered pairs per paper on average
+                seed,
+                ..DblpConfig::default()
+            })
+        }
         "ipattack" => {
+            need(arrivals >= 1, "`--arrivals` must be at least 1")?;
             let hosts = vertices.max(64);
             ipattack::generate(IpAttackConfig {
                 hosts,
@@ -202,8 +216,16 @@ fn cmd_generate<W: Write>(raw: &[String], out: &mut W) -> Result<(), CliError> {
         "erdos" => ErdosRenyiGenerator::new(ErdosRenyiConfig::new(vertices.max(2), arrivals, seed))
             .generate(),
         "smallworld" => {
-            let mut cfg = SmallWorldConfig::new(vertices.max(4), arrivals, seed);
+            let mut cfg = SmallWorldConfig::new(vertices, arrivals, seed);
+            need(
+                vertices > cfg.k,
+                &format!("`--vertices` must be at least {} (k + 1)", cfg.k + 1),
+            )?;
             cfg.zipf_alpha = a.get_or("alpha", 1.2)?;
+            need(
+                cfg.zipf_alpha >= 0.0,
+                "`--alpha` must be a non-negative number",
+            )?;
             SmallWorldGenerator::new(cfg).generate()
         }
         other => {
@@ -627,65 +649,6 @@ fn replay_workload<W: Write>(
     Ok(())
 }
 
-/// Windowed workload replay: build a [`WindowedGSketch`] over the
-/// stream at `stream_path`, then replay the workload through
-/// [`replay_interval_workload`], answering each interval group with
-/// [`WindowedGSketch::estimate_interval_detailed_batch`].
-fn replay_windowed_workload<W: Write>(
-    a: &ParsedArgs,
-    stream_path: &str,
-    workload_path: &str,
-    out: &mut W,
-) -> Result<(), CliError> {
-    let span: u64 = a.require("window-span")?;
-    if span == 0 {
-        return Err(CliError::Args(ArgError(
-            "--window-span must be positive".into(),
-        )));
-    }
-    let memory = parse_bytes(a.get("window-memory").unwrap_or("64K"))?;
-    let seed: u64 = a.get_or("seed", 42)?;
-    let chunk: usize = a.get_or::<usize>("chunk", 1 << 20)?.max(1);
-    let show: usize = a.get_or("show", 10)?;
-    let threads = parse_threads(a)?;
-
-    let stream = load_stream(stream_path).map_err(run_err)?;
-    let mut windowed = WindowedGSketch::new(
-        WindowConfig {
-            span,
-            memory_bytes_per_window: memory,
-            sample_capacity: 256,
-            seed,
-        },
-        GSketch::builder().min_width(64).seed(seed),
-    )
-    .map_err(run_err)?;
-    // Windows are epochs: each one ingests owner-sharded and freezes at
-    // a quiesced boundary, bit-identical to sequential (DESIGN.md §11).
-    windowed
-        .try_ingest_sharded(&stream, threads, false)
-        .map_err(run_err)?;
-
-    let (queries, windowed_queries, summary) = replay_interval_workload(
-        workload_path,
-        chunk,
-        show,
-        windowed.lifetime_end(),
-        |edges, t_start, t_end, rows| {
-            windowed.estimate_interval_detailed_batch(edges, t_start, t_end, rows)
-        },
-        out,
-    )?;
-    writeln!(
-        out,
-        "replayed {queries} queries ({windowed_queries} windowed) over {} window(s) of span {span}",
-        windowed.sealed_windows() + 1
-    )
-    .map_err(run_err)?;
-    writeln!(out, "{summary}").map_err(run_err)?;
-    Ok(())
-}
-
 /// Replay a workload whose rows may carry inclusive `[t_start t_end]`
 /// columns; rows without a window ask over `[0, lifetime_end]`. Each
 /// chunk is grouped by distinct interval and every group is answered as
@@ -806,15 +769,7 @@ fn query_windowed_snapshot<W: Write>(
     path: &str,
     out: &mut W,
 ) -> Result<(), CliError> {
-    for flag in [
-        "stream",
-        "prefilter",
-        "detailed",
-        "threads",
-        "window-span",
-        "window-memory",
-        "seed",
-    ] {
+    for flag in ["stream", "prefilter", "detailed", "threads"] {
         if a.get(flag).is_some() {
             return Err(CliError::Args(ArgError(format!(
                 "--{flag} does not apply with --snapshot (the snapshot fixes the \
@@ -966,9 +921,6 @@ fn cmd_query<W: Write>(raw: &[String], out: &mut W) -> Result<(), CliError> {
             "detailed",
             "show",
             "prefilter",
-            "window-span",
-            "window-memory",
-            "seed",
             "snapshot",
             "t-start",
             "t-end",
@@ -991,44 +943,7 @@ fn cmd_query<W: Write>(raw: &[String], out: &mut W) -> Result<(), CliError> {
     let snapshot_path = a.positional(0, "snapshot")?;
     let pairs = &a.positionals()[1..];
     check_query_shape(&a, pairs)?;
-    // Windowed replay from a stream: the positional is a *stream file*
-    // and the windowed synopsis is built fresh (`query --snapshot`
-    // answers from a saved one instead); the workload's rows may carry
-    // `[t_start t_end]` columns.
-    if a.get("window-span").is_some() {
-        let Some(workload_path) = a.get("workload") else {
-            return Err(CliError::Args(ArgError(
-                "--window-span replays a workload file; add --workload FILE".into(),
-            )));
-        };
-        if a.get("stream").is_some() || a.get("cache").is_some() || a.get("detailed").is_some() {
-            return Err(CliError::Args(ArgError(
-                "windowed replay always answers per-interval detailed batches; \
-                 --stream/--cache/--detailed do not apply"
-                    .into(),
-            )));
-        }
-        // The windowed synopsis is built fresh from the stream, not
-        // loaded from a snapshot whose filter could be toggled.
-        if a.get("prefilter").is_some() {
-            return Err(CliError::Args(ArgError(
-                "--prefilter toggles a loaded snapshot's pre-filter; \
-                 it does not apply with --window-span"
-                    .into(),
-            )));
-        }
-        return replay_windowed_workload(&a, snapshot_path, workload_path, out);
-    }
-    // Flags only the windowed replay consumes must not be silently
-    // ignored elsewhere.
-    for flag in ["window-memory", "seed"] {
-        if a.get(flag).is_some() {
-            return Err(CliError::Args(ArgError(format!(
-                "--{flag} applies to windowed replay; add --window-span"
-            ))));
-        }
-    }
-    // And replay-only flags must not be silently ignored by the inline
+    // Replay-only flags must not be silently ignored by the inline
     // point-query mode.
     if a.get("workload").is_none() {
         for flag in ["threads", "chunk", "cache", "detailed", "show"] {
@@ -1476,6 +1391,44 @@ mod tests {
         }
     }
 
+    /// Every generator precondition a flag can reach is an argument
+    /// error naming the flag, not a generator panic.
+    #[test]
+    fn generate_rejects_out_of_range_flags() {
+        for (model, flag, value) in [
+            ("smallworld", "--vertices", "6"),
+            ("smallworld", "--vertices", "1"),
+            ("smallworld", "--alpha", "-1"),
+            ("smallworld", "--alpha", "nan"),
+            ("dblp", "--vertices", "1"),
+            ("dblp", "--arrivals", "2"),
+            ("ipattack", "--arrivals", "0"),
+            ("rmat-traffic", "--alpha", "-1"),
+            ("rmat-traffic", "--alpha", "nan"),
+        ] {
+            let path = tmp(&format!("bad_{model}.txt"));
+            let e = run(&["generate", model, "--out", &path, flag, value]).unwrap_err();
+            assert!(
+                matches!(e, CliError::Args(_)),
+                "{model} {flag} {value}: {e}"
+            );
+            assert!(e.to_string().contains(flag), "{model} {flag} {value}: {e}");
+        }
+        // The smallest accepted values generate.
+        let path = tmp("edge_ok.txt");
+        for args in [
+            ["smallworld", "--vertices", "7"],
+            ["dblp", "--arrivals", "3"],
+            ["ipattack", "--arrivals", "1"],
+        ] {
+            let mut argv = vec!["generate", args[0], "--out", &path, args[1], args[2]];
+            if args[1] == "--arrivals" {
+                argv.extend(["--vertices", "100"]);
+            }
+            assert!(run(&argv).is_ok(), "{args:?}");
+        }
+    }
+
     #[test]
     fn build_query_pipeline() {
         let stream = tmp("pipeline.txt");
@@ -1760,18 +1713,6 @@ mod tests {
         // Bad switch values and incompatible combos name the flag too.
         let e = run(&["query", &snap, "1", "2", "--prefilter", "maybe"]).unwrap_err();
         assert!(e.to_string().contains("--prefilter"), "{e}");
-        let e = run(&[
-            "query",
-            &stream,
-            "--workload",
-            &wl,
-            "--window-span",
-            "1000",
-            "--prefilter",
-            "on",
-        ])
-        .unwrap_err();
-        assert!(e.to_string().contains("--prefilter"), "{e}");
     }
 
     /// --detailed replays through the detailed batch: per-query
@@ -1837,9 +1778,7 @@ mod tests {
         let e = run(&["query", &snap, "--workload", &wl, "--show", "5"]).unwrap_err();
         assert!(e.to_string().contains("--detailed"), "{e}");
         let e = run(&["query", &snap, "--workload", &wl, "--seed", "7"]).unwrap_err();
-        assert!(e.to_string().contains("--window-span"), "{e}");
-        let e = run(&["query", &snap, "--workload", &wl, "--window-memory", "1M"]).unwrap_err();
-        assert!(e.to_string().contains("--window-span"), "{e}");
+        assert!(e.to_string().contains("unknown option `--seed`"), "{e}");
         // Replay-only flags are rejected by the inline point-query mode.
         let e = run(&["query", &snap, "1", "2", "--cache", "off"]).unwrap_err();
         assert!(e.to_string().contains("--workload"), "{e}");
@@ -1847,9 +1786,9 @@ mod tests {
         assert!(e.to_string().contains("--workload"), "{e}");
     }
 
-    /// The end-to-end windowed path: workload rows carrying
-    /// `[t_start t_end]` columns replay against a windowed synopsis and
-    /// report per-query confidence intervals.
+    /// The end-to-end windowed path: a stream becomes a windowed
+    /// snapshot, and workload rows carrying `[t_start t_end]` columns
+    /// replay against it and report per-query confidence intervals.
     #[test]
     fn windowed_workload_replays_end_to_end() {
         let stream = tmp("windowed.txt");
@@ -1879,83 +1818,47 @@ mod tests {
             ],
         )
         .unwrap();
-        let text = run(&[
-            "query",
-            &stream,
-            "--workload",
-            &wl,
-            "--window-span",
-            "1000",
-            "--window-memory",
-            "16K",
-        ])
-        .unwrap();
+        let replay = |threads: &str| {
+            let wsnap = tmp(&format!("windowed.t{threads}.wsnap"));
+            let _ = std::fs::remove_file(&wsnap);
+            run(&[
+                "snapshot",
+                &stream,
+                "--out",
+                &wsnap,
+                "--window-span",
+                "1000",
+                "--window-memory",
+                "16K",
+                "--threads",
+                threads,
+            ])
+            .unwrap();
+            run(&["query", "--snapshot", &wsnap, "--workload", &wl]).unwrap()
+        };
+        let text = replay("1");
         assert!(text.contains("[lifetime]"), "{text}");
         assert!(text.contains("w.p."), "{text}");
         assert!(text.contains("replayed 4 queries (3 windowed)"), "{text}");
         // Every row reports a confidence interval.
         assert_eq!(text.matches("w.p.").count(), 4, "{text}");
         // The owner-sharded windowed ingest is bit-identical to the
-        // sequential deployment, so the whole report matches verbatim.
-        let sharded = run(&[
-            "query",
-            &stream,
-            "--workload",
-            &wl,
-            "--window-span",
-            "1000",
-            "--window-memory",
-            "16K",
-            "--threads",
-            "4",
-        ])
-        .unwrap();
-        assert_eq!(sharded, text, "sharded windowed replay diverged");
+        // sequential deployment, so the whole report matches once the
+        // file name is masked.
+        let sharded = replay("4");
+        let masked = |t: &str| t.replace(".t4.", ".t1.");
+        assert_eq!(masked(&sharded), text, "sharded windowed replay diverged");
     }
 
     #[test]
     fn windowed_replay_rejects_bad_flag_combinations() {
-        // --window-span without --workload.
+        // Windowed replay runs from a snapshot (`snapshot` then
+        // `query --snapshot`); `query` builds no windowed synopsis.
         let e = run(&["query", "s.txt", "--window-span", "100"]).unwrap_err();
-        assert!(e.to_string().contains("--workload"), "{e}");
-        // Inapplicable flags (--threads is *not* one of them anymore:
-        // windowed ingest shards by epoch).
-        let e = run(&[
-            "query",
-            "s.txt",
-            "--workload",
-            "w.txt",
-            "--window-span",
-            "100",
-            "--cache",
-            "on",
-        ])
-        .unwrap_err();
-        assert!(e.to_string().contains("do not apply"), "{e}");
-        // Windowed replay is always detailed; the switch does not apply.
-        let e = run(&[
-            "query",
-            "s.txt",
-            "--workload",
-            "w.txt",
-            "--window-span",
-            "100",
-            "--detailed",
-            "off",
-        ])
-        .unwrap_err();
-        assert!(e.to_string().contains("do not apply"), "{e}");
-        // Zero span.
-        let e = run(&[
-            "query",
-            "s.txt",
-            "--workload",
-            "w.txt",
-            "--window-span",
-            "0",
-        ])
-        .unwrap_err();
-        assert!(e.to_string().contains("positive"), "{e}");
+        assert!(
+            e.to_string().contains("unknown option `--window-span`"),
+            "{e}"
+        );
     }
 
     #[test]

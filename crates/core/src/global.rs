@@ -3,11 +3,10 @@
 //! gSketch against this.
 
 use gstream::edge::{Edge, StreamEdge};
-use serde::{Deserialize, Serialize};
 use sketch::{CountMinSketch, SketchError};
 
 /// A single global CountMin sketch over edge keys.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct GlobalSketch {
     inner: CountMinSketch,
 }

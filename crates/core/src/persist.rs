@@ -1,21 +1,27 @@
-//! Persistence: save and load sketch state across process restarts.
+//! Persistence: save and load the gSketch synopsis across process restarts.
 //!
 //! A deployed gSketch accumulates stream state that must survive
-//! restarts, rollouts, and migration between hosts. This module
-//! serializes the full synopsis — every localized sketch with its hash
-//! coefficients, the outlier sketch, the router table, and the partition
-//! plan — into a versioned JSON envelope. JSON is chosen over a binary
-//! codec deliberately: sketch snapshots are small relative to the streams
-//! they summarize (a 2 MB sketch is a large one), and an inspectable
-//! format lets operators diff snapshots with standard tools. The envelope
-//! carries a format version so future layout changes can be detected
-//! rather than mis-parsed. The one exception to plain JSON is counter
-//! slabs: they serialize as a compact self-delimiting nibble-stream
-//! string (`sketch::slab`, DESIGN.md §13) so a snapshot load decodes cells
-//! with one byte scan instead of one heap `Value` per counter — the
-//! array form is still accepted on read.
+//! restarts, rollouts, and migration between hosts. Exactly two snapshot
+//! kinds exist, and both hold the counter arena:
+//!
+//! - a flat [`GSketch`] snapshot ([`GSKETCH_KIND`]): the arena with its
+//!   hash coefficients, the prefilter, the router table, and the partition
+//!   plan, in one versioned JSON envelope;
+//! - a windowed snapshot ([`WINDOWED_KIND`]): a header, one append-only
+//!   record per sealed window, a tail, and a footer (format v3 below).
+//!
+//! Nothing else is persisted: the standalone synopses (the Global
+//! baseline, Count sketch, SpaceSaving, HyperLogLog) live in memory only.
+//! JSON is chosen over a binary codec deliberately: sketch snapshots are
+//! small relative to the streams they summarize (a 2 MB sketch is a large
+//! one), and an inspectable format lets operators diff snapshots with
+//! standard tools. The envelope carries a format version so future layout
+//! changes can be detected rather than mis-parsed. The one exception to
+//! plain JSON is counter slabs: they serialize as a compact
+//! self-delimiting nibble-stream string (`sketch::slab`, DESIGN.md §13) so
+//! a snapshot load decodes cells with one byte scan instead of one heap
+//! `Value` per counter — the array form is still accepted on read.
 
-use crate::global::GlobalSketch;
 use crate::gsketch::GSketch;
 use serde::{Deserialize, Serialize};
 use std::fmt;
@@ -143,11 +149,11 @@ struct Envelope<T> {
 
 fn check_header(
     version: u32,
-    accepted: &[u32],
+    accepted: u32,
     kind: &str,
     expected: &str,
 ) -> Result<(), PersistError> {
-    // Kind first: "this is a `global` snapshot, not `gsketch:cm-arena`"
+    // Kind first: "this is a windowed snapshot, not `gsketch:cm-arena`"
     // diagnoses a wrong-file mistake better than a version complaint
     // (the flat and windowed formats version independently).
     if kind != expected {
@@ -156,11 +162,10 @@ fn check_header(
             expected: expected.to_owned(),
         });
     }
-    if !accepted.contains(&version) {
+    if version != accepted {
         return Err(PersistError::VersionMismatch {
             found: version,
-            // Report the newest version this call path understands.
-            expected: accepted.iter().copied().max().unwrap_or(FORMAT_VERSION),
+            expected: accepted,
         });
     }
     Ok(())
@@ -221,7 +226,7 @@ impl RawSnapshot {
         Self::read(File::open(path)?)
     }
 
-    /// The envelope kind tag (`gsketch:cm-arena`, `global`, ...).
+    /// The envelope kind tag (`gsketch:cm-arena`, ...).
     pub fn kind(&self) -> &str {
         &self.kind
     }
@@ -233,15 +238,7 @@ impl RawSnapshot {
 
     /// Decode the body as a [`GSketch`], verifying the header first.
     pub fn decode_gsketch(&self) -> Result<GSketch, PersistError> {
-        check_header(self.version, &[FORMAT_VERSION], &self.kind, GSKETCH_KIND)?;
-        serde::Deserialize::from_value(&self.body).map_err(|e| PersistError::Format(e.into()))
-    }
-
-    /// Decode the body as a [`GlobalSketch`], verifying the header first.
-    /// Version 1 is still accepted for this kind: the arena refactor that
-    /// bumped [`FORMAT_VERSION`] did not change the global-sketch layout.
-    pub fn decode_global(&self) -> Result<GlobalSketch, PersistError> {
-        check_header(self.version, &[1, FORMAT_VERSION], &self.kind, "global")?;
+        check_header(self.version, FORMAT_VERSION, &self.kind, GSKETCH_KIND)?;
         serde::Deserialize::from_value(&self.body).map_err(|e| PersistError::Format(e.into()))
     }
 }
@@ -262,8 +259,8 @@ pub fn write_gsketch<W: Write>(w: W, sketch: &GSketch) -> Result<(), PersistErro
 }
 
 /// Deserialize a [`GSketch`] snapshot from `r`. The kind tag is checked
-/// *before* the body decodes, so a file of another kind (a global
-/// sketch, or a retired `gsketch:countmin` layout) reports
+/// *before* the body decodes, so a file of another kind (a windowed
+/// snapshot, or a retired `gsketch:countmin` layout) reports
 /// [`PersistError::KindMismatch`] rather than an opaque parse failure.
 pub fn read_gsketch<R: Read>(r: R) -> Result<GSketch, PersistError> {
     RawSnapshot::read(r)?.decode_gsketch()
@@ -277,36 +274,6 @@ pub fn save_gsketch<P: AsRef<Path>>(path: P, sketch: &GSketch) -> Result<(), Per
 /// Load a [`GSketch`] snapshot from the file at `path`.
 pub fn load_gsketch<P: AsRef<Path>>(path: P) -> Result<GSketch, PersistError> {
     read_gsketch(File::open(path)?)
-}
-
-/// Serialize a [`GlobalSketch`] snapshot to `w`.
-pub fn write_global<W: Write>(w: W, sketch: &GlobalSketch) -> Result<(), PersistError> {
-    let mut out = BufWriter::new(w);
-    serde_json::to_writer(
-        &mut out,
-        &Envelope {
-            format_version: FORMAT_VERSION,
-            kind: "global".to_owned(),
-            sketch,
-        },
-    )?;
-    out.flush()?;
-    Ok(())
-}
-
-/// Deserialize a [`GlobalSketch`] snapshot from `r`.
-pub fn read_global<R: Read>(r: R) -> Result<GlobalSketch, PersistError> {
-    RawSnapshot::read(r)?.decode_global()
-}
-
-/// Save a [`GlobalSketch`] snapshot to the file at `path`.
-pub fn save_global<P: AsRef<Path>>(path: P, sketch: &GlobalSketch) -> Result<(), PersistError> {
-    write_global(File::create(path)?, sketch)
-}
-
-/// Load a [`GlobalSketch`] snapshot from the file at `path`.
-pub fn load_global<P: AsRef<Path>>(path: P) -> Result<GlobalSketch, PersistError> {
-    read_global(File::open(path)?)
 }
 
 // ---------------------------------------------------------------------------
@@ -375,7 +342,7 @@ fn parse_windowed_framing(
         .map_err(|e| PersistError::Format(e.into()))?;
     let kind = String::from_value(serde::value_field(&envelope, "kind")?)
         .map_err(|e| PersistError::Format(e.into()))?;
-    check_header(version, &[WINDOWED_FORMAT_VERSION], &kind, expected_kind)?;
+    check_header(version, WINDOWED_FORMAT_VERSION, &kind, expected_kind)?;
     let header = serde::value_field(&envelope, "header")?.clone();
 
     let last = text
@@ -689,19 +656,6 @@ mod tests {
     }
 
     #[test]
-    fn global_round_trip_preserves_estimates() {
-        let stream = sample_stream();
-        let mut g = GlobalSketch::new(1 << 14, 3, 7).unwrap();
-        g.ingest(&stream);
-        let mut buf = Vec::new();
-        write_global(&mut buf, &g).unwrap();
-        let back = read_global(&buf[..]).unwrap();
-        for se in &stream {
-            assert_eq!(g.estimate(se.edge), back.estimate(se.edge));
-        }
-    }
-
-    #[test]
     fn version_mismatch_detected() {
         let g = built_gsketch();
         let mut buf = Vec::new();
@@ -720,12 +674,11 @@ mod tests {
 
     #[test]
     fn kind_mismatch_detected() {
-        let stream = sample_stream();
-        let mut g = GlobalSketch::new(1 << 12, 3, 7).unwrap();
-        g.ingest(&stream);
+        let g = built_gsketch();
         let mut buf = Vec::new();
-        write_global(&mut buf, &g).unwrap();
-        let err = read_gsketch(&buf[..]).unwrap_err();
+        write_gsketch(&mut buf, &g).unwrap();
+        let text = retag(&String::from_utf8(buf).unwrap(), GSKETCH_KIND, "global");
+        let err = read_gsketch(text.as_bytes()).unwrap_err();
         // The kind tag rejects it before any body decode is attempted.
         assert!(matches!(err, PersistError::KindMismatch { .. }));
     }
@@ -744,26 +697,6 @@ mod tests {
         let tampered = format!("{}99{}", &text[..at], &text[end..]);
         let err = read_gsketch(tampered.as_bytes()).unwrap_err();
         assert!(matches!(err, PersistError::Format(_)), "got: {err}");
-    }
-
-    #[test]
-    fn version_one_global_snapshots_still_load() {
-        // The arena refactor bumped the envelope version for gSketch
-        // bodies; the global-sketch layout is unchanged, so a v1 global
-        // snapshot must keep loading.
-        let stream = sample_stream();
-        let mut g = GlobalSketch::new(1 << 12, 3, 7).unwrap();
-        g.ingest(&stream);
-        let mut buf = Vec::new();
-        write_global(&mut buf, &g).unwrap();
-        let text = String::from_utf8(buf).unwrap().replace(
-            &format!("\"format_version\":{FORMAT_VERSION}"),
-            "\"format_version\":1",
-        );
-        let back = read_global(text.as_bytes()).unwrap();
-        for se in stream.iter().take(50) {
-            assert_eq!(g.estimate(se.edge), back.estimate(se.edge));
-        }
     }
 
     #[test]

@@ -17,10 +17,9 @@ use crate::error::SketchError;
 use crate::hash::PairwiseHash;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
-use serde::{Deserialize, Serialize};
 
 /// How a CountMin sketch applies updates.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum UpdatePolicy {
     /// Classic CountMin: every row's cell is incremented.
     #[default]
@@ -195,102 +194,10 @@ impl CountMinSketch {
         1.0 - (-(self.depth as f64)).exp()
     }
 
-    /// Merge another sketch into this one (cell-wise saturating add).
-    ///
-    /// Both sketches must have identical dimensions *and* hash functions
-    /// (i.e. the same seed), otherwise estimates would be meaningless.
-    pub fn merge(&mut self, other: &Self) -> Result<(), SketchError> {
-        if self.width != other.width || self.depth != other.depth {
-            return Err(SketchError::IncompatibleMerge {
-                reason: format!(
-                    "shape {}x{} vs {}x{}",
-                    self.depth, self.width, other.depth, other.width
-                ),
-            });
-        }
-        if self.hashes != other.hashes {
-            return Err(SketchError::IncompatibleMerge {
-                reason: "hash families differ (different seeds)".into(),
-            });
-        }
-        for (c, o) in self.cells.iter_mut().zip(&other.cells) {
-            *c = c.saturating_add(*o);
-        }
-        self.total = self.total.saturating_add(other.total);
-        Ok(())
-    }
-
     /// Reset every counter to zero, keeping the hash family.
     pub fn clear(&mut self) {
         self.cells.fill(0);
         self.total = 0;
-    }
-
-    /// Inner-product estimate of two frequency vectors (upper bound):
-    /// `min_row Σ_j row_a[j]·row_b[j]`. Used for join-size style
-    /// estimation; exposed mainly for completeness of the substrate.
-    pub fn inner_product(&self, other: &Self) -> Result<u64, SketchError> {
-        if self.width != other.width || self.depth != other.depth || self.hashes != other.hashes {
-            return Err(SketchError::IncompatibleMerge {
-                reason: "inner product requires identical shape and hashes".into(),
-            });
-        }
-        let mut best = u64::MAX;
-        for row in 0..self.depth {
-            let a = &self.cells[row * self.width..(row + 1) * self.width];
-            let b = &other.cells[row * self.width..(row + 1) * self.width];
-            let dot = a.iter().zip(b).fold(0u64, |acc, (&x, &y)| {
-                acc.saturating_add(x.saturating_mul(y))
-            });
-            best = best.min(dot);
-        }
-        Ok(best)
-    }
-}
-
-// Written out instead of derived so the counter matrix rides the compact
-// nibble-stream codec (one string, no per-cell `Value`) and a decoded
-// shape is validated before any indexing trusts it.
-impl Serialize for CountMinSketch {
-    fn to_value(&self) -> serde::Value {
-        serde::Value::Map(vec![
-            ("width".to_owned(), self.width.to_value()),
-            ("depth".to_owned(), self.depth.to_value()),
-            (
-                "cells".to_owned(),
-                crate::slab::u64_cells_to_value(&self.cells),
-            ),
-            ("hashes".to_owned(), self.hashes.to_value()),
-            ("total".to_owned(), self.total.to_value()),
-            ("policy".to_owned(), self.policy.to_value()),
-        ])
-    }
-}
-
-impl Deserialize for CountMinSketch {
-    fn from_value(v: &serde::Value) -> Result<Self, serde::Error> {
-        let width: usize = Deserialize::from_value(serde::value_field(v, "width")?)?;
-        let depth: usize = Deserialize::from_value(serde::value_field(v, "depth")?)?;
-        let expect = (width > 0 && depth > 0)
-            .then(|| width.checked_mul(depth))
-            .flatten()
-            .ok_or_else(|| serde::Error(format!("invalid sketch shape {width}x{depth}")))?;
-        let cells = crate::slab::u64_cells_from_value(serde::value_field(v, "cells")?, expect)?;
-        let hashes: Vec<PairwiseHash> = Deserialize::from_value(serde::value_field(v, "hashes")?)?;
-        if hashes.len() != depth {
-            return Err(serde::Error(format!(
-                "sketch depth {depth} but {} row hashes",
-                hashes.len()
-            )));
-        }
-        Ok(Self {
-            width,
-            depth,
-            cells,
-            hashes,
-            total: Deserialize::from_value(serde::value_field(v, "total")?)?,
-            policy: Deserialize::from_value(serde::value_field(v, "policy")?)?,
-        })
     }
 }
 
@@ -380,31 +287,6 @@ mod tests {
     }
 
     #[test]
-    fn merge_identical_seeds() {
-        let mut a = sketch(64, 3);
-        let mut b = sketch(64, 3);
-        a.update(7, 3);
-        b.update(7, 4);
-        a.merge(&b).unwrap();
-        assert_eq!(a.estimate(7), 7);
-        assert_eq!(a.total(), 7);
-    }
-
-    #[test]
-    fn merge_rejects_shape_mismatch() {
-        let mut a = sketch(64, 3);
-        let b = sketch(32, 3);
-        assert!(a.merge(&b).is_err());
-    }
-
-    #[test]
-    fn merge_rejects_seed_mismatch() {
-        let mut a = CountMinSketch::new(64, 3, 1).unwrap();
-        let b = CountMinSketch::new(64, 3, 2).unwrap();
-        assert!(a.merge(&b).is_err());
-    }
-
-    #[test]
     fn conservative_update_never_underestimates() {
         let mut s = sketch(32, 3).with_policy(UpdatePolicy::Conservative);
         let mut truth = std::collections::HashMap::new();
@@ -462,24 +344,6 @@ mod tests {
         let bound = s.error_bound();
         assert!((bound - std::f64::consts::E * 1000.0 / 100.0).abs() < 1e-9);
         assert!((s.confidence() - (1.0 - (-3.0f64).exp())).abs() < 1e-12);
-    }
-
-    #[test]
-    fn inner_product_upper_bounds_true_value() {
-        let mut a = sketch(256, 4);
-        let mut b = sketch(256, 4);
-        // a: key k has freq k+1 for k in 0..10; b: freq 2 for same keys.
-        for k in 0..10u64 {
-            a.update(k, k + 1);
-            b.update(k, 2);
-        }
-        let truth: u64 = (0..10u64).map(|k| (k + 1) * 2).sum();
-        let est = a.inner_product(&b).unwrap();
-        assert!(est >= truth);
-        assert!(
-            est <= truth * 2,
-            "inner product estimate far off: {est} vs {truth}"
-        );
     }
 
     #[test]

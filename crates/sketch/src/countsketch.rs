@@ -24,7 +24,6 @@ use crate::error::SketchError;
 use crate::hash::{FourwiseHash, PairwiseHash};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
-use serde::{Deserialize, Serialize};
 
 /// A Count sketch over `u64` keys with signed 64-bit counters.
 #[derive(Debug, Clone)]
@@ -223,82 +222,10 @@ impl CountSketch {
         })
     }
 
-    /// Merge another sketch into this one (cell-wise saturating add).
-    /// Requires identical dimensions and seeds.
-    pub fn merge(&mut self, other: &Self) -> Result<(), SketchError> {
-        if self.width != other.width || self.depth != other.depth {
-            return Err(SketchError::IncompatibleMerge {
-                reason: format!(
-                    "shape {}x{} vs {}x{}",
-                    self.depth, self.width, other.depth, other.width
-                ),
-            });
-        }
-        if self.buckets != other.buckets || self.signs != other.signs {
-            return Err(SketchError::IncompatibleMerge {
-                reason: "hash families differ (different seeds)".into(),
-            });
-        }
-        for (c, o) in self.cells.iter_mut().zip(&other.cells) {
-            *c = c.saturating_add(*o);
-        }
-        self.total = self.total.saturating_add(other.total);
-        Ok(())
-    }
-
     /// Reset every counter to zero, keeping the hash families.
     pub fn clear(&mut self) {
         self.cells.fill(0);
         self.total = 0;
-    }
-}
-
-// Written out instead of derived so the signed counter matrix rides the
-// compact nibble-stream codec (one string, no per-cell `Value`) and a
-// decoded shape is validated before any indexing trusts it.
-impl Serialize for CountSketch {
-    fn to_value(&self) -> serde::Value {
-        serde::Value::Map(vec![
-            ("width".to_owned(), self.width.to_value()),
-            ("depth".to_owned(), self.depth.to_value()),
-            (
-                "cells".to_owned(),
-                crate::slab::i64_cells_to_value(&self.cells),
-            ),
-            ("buckets".to_owned(), self.buckets.to_value()),
-            ("signs".to_owned(), self.signs.to_value()),
-            ("total".to_owned(), self.total.to_value()),
-        ])
-    }
-}
-
-impl Deserialize for CountSketch {
-    fn from_value(v: &serde::Value) -> Result<Self, serde::Error> {
-        let width: usize = Deserialize::from_value(serde::value_field(v, "width")?)?;
-        let depth: usize = Deserialize::from_value(serde::value_field(v, "depth")?)?;
-        let expect = (width > 0 && depth > 0)
-            .then(|| width.checked_mul(depth))
-            .flatten()
-            .ok_or_else(|| serde::Error(format!("invalid sketch shape {width}x{depth}")))?;
-        let cells = crate::slab::i64_cells_from_value(serde::value_field(v, "cells")?, expect)?;
-        let buckets: Vec<PairwiseHash> =
-            Deserialize::from_value(serde::value_field(v, "buckets")?)?;
-        let signs: Vec<FourwiseHash> = Deserialize::from_value(serde::value_field(v, "signs")?)?;
-        if buckets.len() != depth || signs.len() != depth {
-            return Err(serde::Error(format!(
-                "sketch depth {depth} but {} bucket and {} sign hashes",
-                buckets.len(),
-                signs.len()
-            )));
-        }
-        Ok(Self {
-            width,
-            depth,
-            cells,
-            buckets,
-            signs,
-            total: Deserialize::from_value(serde::value_field(v, "total")?)?,
-        })
     }
 }
 
@@ -421,26 +348,6 @@ mod tests {
         let a = CountSketch::new(64, 3, 1).unwrap();
         let b = CountSketch::new(64, 3, 2).unwrap();
         assert!(a.inner_product(&b).is_err());
-    }
-
-    #[test]
-    fn merge_identical_seeds() {
-        let mut a = sketch(64, 3);
-        let mut b = sketch(64, 3);
-        a.update(7, 3);
-        b.update(7, 4);
-        a.merge(&b).unwrap();
-        assert_eq!(a.estimate(7), 7);
-        assert_eq!(a.total(), 7);
-    }
-
-    #[test]
-    fn merge_rejects_mismatch() {
-        let mut a = sketch(64, 3);
-        let b = sketch(32, 3);
-        assert!(a.merge(&b).is_err());
-        let c = CountSketch::new(64, 3, 999).unwrap();
-        assert!(a.merge(&c).is_err());
     }
 
     #[test]

@@ -13,7 +13,8 @@ pub enum SketchError {
         /// The rejected value.
         value: usize,
     },
-    /// Two sketches with incompatible shapes or hash seeds were merged.
+    /// Two sketches with incompatible shapes or hash seeds were combined
+    /// (an arena merge, or a Count sketch inner product).
     IncompatibleMerge {
         /// Human-readable description of the mismatch.
         reason: String,

@@ -104,7 +104,7 @@ impl PairwiseHash {
 ///
 /// Used by the AMS sketch for its ±1 sign function, whose variance
 /// analysis requires 4-wise independence.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy)]
 pub struct FourwiseHash {
     c: [u64; 4],
 }

@@ -13,10 +13,9 @@
 
 use crate::error::SketchError;
 use crate::hash::mix64;
-use serde::{Deserialize, Serialize};
 
 /// A HyperLogLog cardinality estimator with `2^precision` registers.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct HyperLogLog {
     precision: u32,
     registers: Vec<u8>,
@@ -93,19 +92,6 @@ impl HyperLogLog {
         self.registers.iter().all(|&r| r == 0)
     }
 
-    /// Merge another sketch (same precision and seed): register-wise max.
-    pub fn merge(&mut self, other: &Self) -> Result<(), SketchError> {
-        if self.precision != other.precision || self.seed != other.seed {
-            return Err(SketchError::IncompatibleMerge {
-                reason: "HLL precision or seed mismatch".into(),
-            });
-        }
-        for (a, &b) in self.registers.iter_mut().zip(&other.registers) {
-            *a = (*a).max(b);
-        }
-        Ok(())
-    }
-
     /// Reset all registers.
     pub fn clear(&mut self) {
         self.registers.fill(0);
@@ -120,7 +106,7 @@ impl HyperLogLog {
 /// vertices' partner sets — an (approximate) upper bound on any single
 /// member's distinct degree, sharpened by taking the minimum over `depth`
 /// independent bucket rows exactly as CountMin does.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct DegreeSketch {
     buckets: usize,
     depth: usize,
@@ -150,8 +136,8 @@ impl DegreeSketch {
                 value: depth,
             });
         }
-        // All HLLs share one key seed so bucket merges stay meaningful;
-        // rows differ in their *placement* seeds.
+        // All HLLs share one key seed; rows differ in their *placement*
+        // seeds.
         let template = HyperLogLog::new(precision, seed)?;
         Ok(Self {
             buckets,
@@ -201,22 +187,6 @@ impl DegreeSketch {
     /// Memory footprint of all register files, in bytes.
     pub fn bytes(&self) -> usize {
         self.pool.iter().map(HyperLogLog::bytes).sum()
-    }
-
-    /// Merge another degree sketch (identical geometry and seeds).
-    pub fn merge(&mut self, other: &Self) -> Result<(), SketchError> {
-        if self.buckets != other.buckets
-            || self.depth != other.depth
-            || self.row_seeds != other.row_seeds
-        {
-            return Err(SketchError::IncompatibleMerge {
-                reason: "degree sketch geometry or seed mismatch".into(),
-            });
-        }
-        for (a, b) in self.pool.iter_mut().zip(&other.pool) {
-            a.merge(b)?;
-        }
-        Ok(())
     }
 }
 
@@ -274,32 +244,6 @@ mod tests {
     }
 
     #[test]
-    fn merge_is_union() {
-        let mut a = HyperLogLog::new(10, 5).unwrap();
-        let mut b = HyperLogLog::new(10, 5).unwrap();
-        let mut u = HyperLogLog::new(10, 5).unwrap();
-        for k in 0..3_000u64 {
-            a.insert(k);
-            u.insert(k);
-        }
-        for k in 2_000..6_000u64 {
-            b.insert(k);
-            u.insert(k);
-        }
-        a.merge(&b).unwrap();
-        assert_eq!(a, u, "HLL merge must equal the union sketch exactly");
-    }
-
-    #[test]
-    fn merge_rejects_mismatch() {
-        let mut a = HyperLogLog::new(10, 5).unwrap();
-        let b = HyperLogLog::new(11, 5).unwrap();
-        assert!(a.merge(&b).is_err());
-        let c = HyperLogLog::new(10, 6).unwrap();
-        assert!(a.merge(&c).is_err());
-    }
-
-    #[test]
     fn clear_resets() {
         let mut h = HyperLogLog::new(8, 1).unwrap();
         h.insert(1);
@@ -351,30 +295,6 @@ mod tests {
             }
         }
         assert!(below < 20, "{below}/200 vertices far underestimated");
-    }
-
-    #[test]
-    fn degree_sketch_merge_matches_combined_stream() {
-        let mut a = DegreeSketch::new(32, 2, 8, 3).unwrap();
-        let mut b = DegreeSketch::new(32, 2, 8, 3).unwrap();
-        let mut c = DegreeSketch::new(32, 2, 8, 3).unwrap();
-        for p in 0..50u64 {
-            a.observe(1, p);
-            c.observe(1, p);
-        }
-        for p in 50..100u64 {
-            b.observe(1, p);
-            c.observe(1, p);
-        }
-        a.merge(&b).unwrap();
-        assert!((a.estimate(1) - c.estimate(1)).abs() < 1e-9);
-    }
-
-    #[test]
-    fn degree_sketch_merge_rejects_mismatch() {
-        let mut a = DegreeSketch::new(32, 2, 8, 3).unwrap();
-        let b = DegreeSketch::new(16, 2, 8, 3).unwrap();
-        assert!(a.merge(&b).is_err());
     }
 
     #[test]

@@ -24,8 +24,10 @@
 //!
 //! All synopses share a few conventions: keys are `u64` (callers intern or
 //! mix composite keys with [`hash::combine64`]), counters saturate instead
-//! of wrapping, sketches are deterministic given a seed, and sketches with
-//! identical seeds can be merged.
+//! of wrapping, and sketches are deterministic given a seed. Only the
+//! arena persists ([`slab`] is its counter codec) and merges
+//! ([`CmArena::merge_assign`], the windowed tiers' fold); the standalone
+//! synopses live in one process's memory.
 //!
 //! ```
 //! use sketch::CountMinSketch;

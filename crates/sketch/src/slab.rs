@@ -16,9 +16,9 @@
 //!   byte;
 //! * `z` opening a value — the finished value is a run of that many
 //!   zero cells rather than one cell (sketch slabs are mostly zero or
-//!   mostly small, so both forms earn their keep);
-//! * `-` opening a value (signed slabs only) — negate the finished
-//!   cell.
+//!   mostly small, so both forms earn their keep).
+//!
+//! Any other byte, `-` included, is malformed: counters are unsigned.
 //!
 //! `5` encodes as `l`, `0x25` as `2l`, a run of three zeros as `zj`.
 //! Decoding is one branch-predictable byte scan straight into a
@@ -69,34 +69,8 @@ pub fn encode_u64(cells: &[u64]) -> String {
     s
 }
 
-/// Encode a signed slab; negative counters open with a `-` sign.
-// audit: kernel(bounds-free)
-pub fn encode_i64(cells: &[i64]) -> String {
-    let mut s = String::with_capacity(cells.len() / 4 + 16);
-    let mut i = 0usize;
-    while i < cells.len() {
-        if cells[i] == 0 {
-            let start = i;
-            while i < cells.len() && cells[i] == 0 {
-                i += 1;
-            }
-            s.push('z');
-            push_value(&mut s, (i - start) as u64);
-        } else {
-            let v = cells[i];
-            if v < 0 {
-                s.push('-');
-            }
-            push_value(&mut s, v.unsigned_abs());
-            i += 1;
-        }
-    }
-    s
-}
-
 /// Per-byte classification: `0..16` continuation nibble, `16..32`
-/// terminal nibble, `32` zero-run opener, `33` sign opener, `-1`
-/// malformed.
+/// terminal nibble, `32` zero-run opener, `-1` malformed.
 const LUT: [i8; 256] = {
     let mut t = [-1i8; 256];
     let mut i = 0usize;
@@ -115,7 +89,6 @@ const LUT: [i8; 256] = {
         i += 1;
     }
     t[b'z' as usize] = 32;
-    t[b'-' as usize] = 33;
     t
 };
 
@@ -193,78 +166,9 @@ pub fn decode_u64(s: &str, expected: usize) -> Result<Vec<u64>, Error> {
     Ok(out)
 }
 
-/// Decode a signed slab of exactly `expected` cells. Same single-pass
-/// scan as [`decode_u64`] plus a sign state.
-// audit: kernel(bounds-free)
-pub fn decode_i64(s: &str, expected: usize) -> Result<Vec<i64>, Error> {
-    let bytes = s.as_bytes();
-    let mut out = Vec::with_capacity(expected);
-    let mut v = 0u64;
-    let mut ndig = 0usize;
-    let mut zrun = false;
-    let mut neg = false;
-    for (pos, &b) in bytes.iter().enumerate() {
-        let d = LUT[b as usize];
-        if (0..16).contains(&d) {
-            v = (v << 4) | d as u64;
-            ndig += 1;
-        } else if (16..32).contains(&d) {
-            v = (v << 4) | (d as u64 - 16);
-            ndig += 1;
-            if ndig > 16 {
-                return Err(bad_byte(pos));
-            }
-            if zrun {
-                if v == 0 || v > (expected - out.len()) as u64 {
-                    return Err(bad_run(v, pos, expected - out.len()));
-                }
-                // cast: v was just bounded by a usize-sized remainder.
-                out.resize(out.len() + v as usize, 0);
-            } else {
-                if out.len() == expected {
-                    return Err(overfull(expected));
-                }
-                let cell = if neg {
-                    // i64::MIN's magnitude is representable: 1 << 63.
-                    if v > 1u64 << 63 {
-                        return Err(Error(format!("counter -{v:x} out of range for i64")));
-                    }
-                    (v as i64).wrapping_neg()
-                } else {
-                    i64::try_from(v)
-                        .map_err(|_| Error(format!("counter {v:x} out of range for i64")))?
-                };
-                out.push(cell);
-            }
-            v = 0;
-            ndig = 0;
-            zrun = false;
-            neg = false;
-        } else if d == 32 && ndig == 0 && !zrun && !neg {
-            zrun = true;
-        } else if d == 33 && ndig == 0 && !zrun && !neg {
-            neg = true;
-        } else {
-            return Err(bad_byte(pos));
-        }
-    }
-    if ndig != 0 || zrun || neg {
-        return Err(bad_byte(bytes.len()));
-    }
-    if out.len() != expected {
-        return Err(bad_count(out.len(), expected));
-    }
-    Ok(out)
-}
-
 /// Unsigned slab → `Value` (the compact string form).
 pub fn u64_cells_to_value(cells: &[u64]) -> Value {
     Value::Str(encode_u64(cells))
-}
-
-/// Signed slab → `Value` (the compact string form).
-pub fn i64_cells_to_value(cells: &[i64]) -> Value {
-    Value::Str(encode_i64(cells))
 }
 
 /// `Value` → unsigned slab of exactly `expected` cells. Accepts both the
@@ -274,22 +178,6 @@ pub fn u64_cells_from_value(v: &Value, expected: usize) -> Result<Vec<u64>, Erro
         Value::Str(s) => decode_u64(s, expected),
         Value::Seq(_) => {
             let cells: Vec<u64> = serde::Deserialize::from_value(v)?;
-            if cells.len() != expected {
-                return Err(bad_count(cells.len(), expected));
-            }
-            Ok(cells)
-        }
-        other => Err(Error::expected("slab string or sequence", other)),
-    }
-}
-
-/// `Value` → signed slab of exactly `expected` cells. Accepts both the
-/// compact string form and the legacy plain-sequence form.
-pub fn i64_cells_from_value(v: &Value, expected: usize) -> Result<Vec<i64>, Error> {
-    match v {
-        Value::Str(s) => decode_i64(s, expected),
-        Value::Seq(_) => {
-            let cells: Vec<i64> = serde::Deserialize::from_value(v)?;
             if cells.len() != expected {
                 return Err(bad_count(cells.len(), expected));
             }
@@ -320,25 +208,12 @@ mod tests {
     }
 
     #[test]
-    fn signed_round_trips() {
-        for cells in [
-            vec![],
-            vec![0, -1, 2, 0, 0, i64::MIN, i64::MAX, 0],
-            vec![-42; 4],
-        ] {
-            let s = encode_i64(&cells);
-            assert_eq!(decode_i64(&s, cells.len()).unwrap(), cells, "{s:?}");
-        }
-    }
-
-    #[test]
     fn known_encodings() {
         // `5` → terminal-only `l`; `0x25` → `2l`; three zeros → `zj`.
         assert_eq!(encode_u64(&[5]), "l");
         assert_eq!(encode_u64(&[0x25]), "2l");
         assert_eq!(encode_u64(&[0, 0, 0]), "zj");
         assert_eq!(encode_u64(&[0x25, 0, 0, 0, 5]), "2lzjl");
-        assert_eq!(encode_i64(&[-5]), "-l");
         assert_eq!(decode_u64("2lzjl", 5).unwrap(), vec![0x25, 0, 0, 0, 5]);
     }
 
@@ -372,14 +247,6 @@ mod tests {
         ] {
             assert!(decode_u64(s, expected).is_err(), "{s:?}");
         }
-        assert!(decode_i64("--h", 1).is_err()); // double sign
-        assert!(decode_i64("-z", 1).is_err()); // run after sign
-        assert!(decode_i64("-", 1).is_err()); // dangling sign
-        assert!(decode_i64("-8000000000000001g", 1).is_err()); // < i64::MIN
-
-        // i64::MIN itself round-trips: magnitude 1 << 63.
-        let s = encode_i64(&[i64::MIN]);
-        assert_eq!(decode_i64(&s, 1).unwrap(), vec![i64::MIN]);
     }
 
     #[test]
@@ -387,7 +254,5 @@ mod tests {
         let v = Value::Seq(vec![Value::U64(3), Value::U64(0), Value::U64(9)]);
         assert_eq!(u64_cells_from_value(&v, 3).unwrap(), vec![3, 0, 9]);
         assert!(u64_cells_from_value(&v, 2).is_err());
-        let v = Value::Seq(vec![Value::I64(-3), Value::U64(1)]);
-        assert_eq!(i64_cells_from_value(&v, 2).unwrap(), vec![-3, 1]);
     }
 }

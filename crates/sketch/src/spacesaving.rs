@@ -17,11 +17,10 @@
 //! estimates.
 
 use crate::error::SketchError;
-use serde::{Deserialize, Serialize};
 use std::collections::HashMap;
 
 /// One monitored triple in the summary.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Counter {
     /// The monitored key.
     pub key: u64,
@@ -43,7 +42,7 @@ impl Counter {
 ///
 /// Uses a `HashMap` index over a slab of counters plus a lazily maintained
 /// minimum; the stream update is `O(1)` amortized.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct SpaceSaving {
     capacity: usize,
     /// Monitored triples, unordered.
@@ -220,59 +219,6 @@ impl SpaceSaving {
         all
     }
 
-    /// Merge another summary into this one. The merged summary keeps the
-    /// union's top-`k` by combined upper bound; errors add, so the merged
-    /// guarantees are those of a single summary over the concatenated
-    /// stream with capacity `min(k_a, k_b)` (Agarwal et al., "Mergeable
-    /// summaries", PODS 2012).
-    pub fn merge(&mut self, other: &Self) -> Result<(), SketchError> {
-        if self.capacity != other.capacity {
-            return Err(SketchError::IncompatibleMerge {
-                reason: format!("capacity {} vs {}", self.capacity, other.capacity),
-            });
-        }
-        let self_min = self.min_count();
-        let other_min = other.min_count();
-        let mut combined: HashMap<u64, Counter> =
-            HashMap::with_capacity(self.slab.len() + other.slab.len());
-        for c in &self.slab {
-            // A key absent from `other` may still have occurred there with
-            // frequency up to other's minimum count.
-            combined.insert(
-                c.key,
-                Counter {
-                    key: c.key,
-                    count: c.count.saturating_add(other.estimate(c.key).max(other_min)),
-                    error: c.error.saturating_add(
-                        other
-                            .index
-                            .get(&c.key)
-                            .map_or(other_min, |&s| other.slab[s].error),
-                    ),
-                },
-            );
-        }
-        for c in &other.slab {
-            combined.entry(c.key).or_insert(Counter {
-                key: c.key,
-                count: c.count.saturating_add(self_min),
-                error: c.error.saturating_add(self_min),
-            });
-        }
-        let mut merged: Vec<Counter> = combined.into_values().collect();
-        merged.sort_unstable_by(|a, b| b.count.cmp(&a.count).then(a.key.cmp(&b.key)));
-        merged.truncate(self.capacity);
-        self.slab = merged;
-        self.index = self
-            .slab
-            .iter()
-            .enumerate()
-            .map(|(i, c)| (c.key, i))
-            .collect();
-        self.seen = self.seen.saturating_add(other.seen);
-        Ok(())
-    }
-
     /// Forget everything, keeping the capacity.
     pub fn clear(&mut self) {
         self.slab.clear();
@@ -392,56 +338,6 @@ mod tests {
         assert_eq!(top.len(), 3);
         assert_eq!(top[0].key, 9);
         assert!(top[0].count >= top[1].count && top[1].count >= top[2].count);
-    }
-
-    #[test]
-    fn merge_preserves_heavy_keys() {
-        let mut a = SpaceSaving::new(8).unwrap();
-        let mut b = SpaceSaving::new(8).unwrap();
-        for _ in 0..1000 {
-            a.update(7, 1);
-            b.update(7, 1);
-            b.update(8, 1);
-        }
-        a.merge(&b).unwrap();
-        assert_eq!(a.seen(), 3000);
-        assert!(a.estimate(7) >= 2000, "merged heavy key undercounted");
-        assert!(a.estimate(8) >= 1000);
-    }
-
-    #[test]
-    fn merge_rejects_capacity_mismatch() {
-        let mut a = SpaceSaving::new(8).unwrap();
-        let b = SpaceSaving::new(4).unwrap();
-        assert!(a.merge(&b).is_err());
-    }
-
-    #[test]
-    fn merge_upper_bound_stays_valid() {
-        // After merging, count must still upper-bound the true combined
-        // frequency for every monitored key.
-        let mut a = SpaceSaving::new(4).unwrap();
-        let mut b = SpaceSaving::new(4).unwrap();
-        let mut truth: HashMap<u64, u64> = HashMap::new();
-        for i in 0..500u64 {
-            let ka = i % 7;
-            let kb = i % 11;
-            a.update(ka, 1);
-            b.update(kb, 1);
-            *truth.entry(ka).or_default() += 1;
-            *truth.entry(kb).or_default() += 1;
-        }
-        a.merge(&b).unwrap();
-        for c in a.top(4) {
-            let f = truth.get(&c.key).copied().unwrap_or(0);
-            assert!(c.count >= f, "merged count {} below truth {f}", c.count);
-            assert!(
-                c.lower_bound() <= f,
-                "lower bound {} exceeds truth {f} for key {}",
-                c.lower_bound(),
-                c.key
-            );
-        }
     }
 
     #[test]

@@ -2,7 +2,7 @@
 
 use proptest::collection::vec;
 use proptest::prelude::*;
-use sketch::{CountMinSketch, CountSketch, SpaceSaving, UpdatePolicy};
+use sketch::{CmArena, CountMinSketch, CountSketch, SpaceSaving, UpdatePolicy};
 use std::collections::HashMap;
 
 fn truth_of(updates: &[(u64, u16)]) -> HashMap<u64, u64> {
@@ -49,27 +49,32 @@ proptest! {
         }
     }
 
-    /// Merging two CountMin sketches equals sketching the concatenation.
+    /// Merging two CountMin arenas of one build (the windowed tiers'
+    /// fold) equals sketching the concatenation, slot by slot.
     #[test]
     fn countmin_merge_is_concatenation(
         a in vec((0u64..200, 1u16..20), 0..150),
         b in vec((0u64..200, 1u16..20), 0..150),
         seed in any::<u64>(),
     ) {
-        let mut s1 = CountMinSketch::new(64, 3, seed).unwrap();
-        let mut s2 = CountMinSketch::new(64, 3, seed).unwrap();
-        let mut s12 = CountMinSketch::new(64, 3, seed).unwrap();
+        let widths = [64usize, 32];
+        let mut s1 = CmArena::with_slots(&widths, 3, seed).unwrap();
+        let mut s2 = CmArena::with_slots(&widths, 3, seed).unwrap();
+        let mut s12 = CmArena::with_slots(&widths, 3, seed).unwrap();
         for &(k, w) in &a {
-            s1.update(k, w as u64);
-            s12.update(k, w as u64);
+            s1.update_slot((k % 2) as u32, k, w as u64);
+            s12.update_slot((k % 2) as u32, k, w as u64);
         }
         for &(k, w) in &b {
-            s2.update(k, w as u64);
-            s12.update(k, w as u64);
+            s2.update_slot((k % 2) as u32, k, w as u64);
+            s12.update_slot((k % 2) as u32, k, w as u64);
         }
-        s1.merge(&s2).unwrap();
-        for k in 0..200u64 {
-            prop_assert_eq!(s1.estimate(k), s12.estimate(k));
+        s1.merge_assign(s2).unwrap();
+        for slot in 0..2u32 {
+            prop_assert_eq!(s1.slot_total(slot), s12.slot_total(slot));
+            for k in 0..200u64 {
+                prop_assert_eq!(s1.estimate_slot(slot, k), s12.estimate_slot(slot, k));
+            }
         }
     }
 
@@ -110,30 +115,6 @@ proptest! {
         }
         for &(k, _) in &updates {
             prop_assert_eq!(cs.estimate(k), 0);
-        }
-    }
-
-    /// Count sketch merge equals sketching the concatenation.
-    #[test]
-    fn countsketch_merge_is_concatenation(
-        a in vec((0u64..200, 1u16..20), 0..100),
-        b in vec((0u64..200, 1u16..20), 0..100),
-        seed in any::<u64>(),
-    ) {
-        let mut s1 = CountSketch::new(64, 3, seed).unwrap();
-        let mut s2 = CountSketch::new(64, 3, seed).unwrap();
-        let mut s12 = CountSketch::new(64, 3, seed).unwrap();
-        for &(k, w) in &a {
-            s1.update(k, w as u64);
-            s12.update(k, w as u64);
-        }
-        for &(k, w) in &b {
-            s2.update(k, w as u64);
-            s12.update(k, w as u64);
-        }
-        s1.merge(&s2).unwrap();
-        for k in 0..200u64 {
-            prop_assert_eq!(s1.estimate(k), s12.estimate(k));
         }
     }
 

@@ -118,12 +118,6 @@ impl MultigraphDegrees {
     pub fn bytes(&self) -> usize {
         self.out.bytes() + self.inc.bytes()
     }
-
-    /// Merge another sketch (identical geometry and seeds).
-    pub fn merge(&mut self, other: &Self) -> Result<(), SketchError> {
-        self.out.merge(&other.out)?;
-        self.inc.merge(&other.inc)
-    }
 }
 
 #[cfg(test)]
@@ -184,29 +178,6 @@ mod tests {
         // Its out-degree bucket holds only collision unions; for a
         // 256-bucket sketch over 300 keyed sources it stays well below.
         assert!(d.out_degree(VertexId(5)) < indeg);
-    }
-
-    #[test]
-    fn merge_equals_combined_ingest() {
-        let stream = scanner_stream();
-        let mid = stream.len() / 2;
-        let mut a = MultigraphDegrees::new(128, 2, 9, 3).unwrap();
-        let mut b = MultigraphDegrees::new(128, 2, 9, 3).unwrap();
-        let mut c = MultigraphDegrees::new(128, 2, 9, 3).unwrap();
-        a.ingest(&stream[..mid]);
-        b.ingest(&stream[mid..]);
-        c.ingest(&stream);
-        a.merge(&b).unwrap();
-        for v in [1u32, 2, 10_005] {
-            assert!((a.out_degree(VertexId(v)) - c.out_degree(VertexId(v))).abs() < 1e-9);
-        }
-    }
-
-    #[test]
-    fn geometry_mismatch_rejected() {
-        let mut a = MultigraphDegrees::new(128, 2, 9, 3).unwrap();
-        let b = MultigraphDegrees::new(64, 2, 9, 3).unwrap();
-        assert!(a.merge(&b).is_err());
     }
 
     #[test]

@@ -113,12 +113,6 @@ impl HeavyVertexTracker {
         let keys: Vec<u64> = vertices.iter().map(|v| v.as_u64()).collect();
         self.destinations.estimate_batch(&keys, out);
     }
-
-    /// Merge another tracker (same `k`) into this one.
-    pub fn merge(&mut self, other: &Self) -> Result<(), SketchError> {
-        self.sources.merge(&other.sources)?;
-        self.destinations.merge(&other.destinations)
-    }
 }
 
 #[cfg(test)]
@@ -193,26 +187,6 @@ mod tests {
         assert_eq!(hv.source_weight(VertexId(1)), 100);
         assert_eq!(hv.destination_weight(VertexId(2)), 101);
         assert_eq!(hv.seen(), 101);
-    }
-
-    #[test]
-    fn merge_combines_trackers() {
-        let mut a = HeavyVertexTracker::new(8).unwrap();
-        let mut b = HeavyVertexTracker::new(8).unwrap();
-        for _ in 0..500 {
-            a.observe(Edge::new(1u32, 2u32), 1);
-            b.observe(Edge::new(1u32, 3u32), 1);
-        }
-        a.merge(&b).unwrap();
-        assert!(a.source_weight(VertexId(1)) >= 1_000);
-        assert_eq!(a.seen(), 1_000);
-    }
-
-    #[test]
-    fn merge_rejects_capacity_mismatch() {
-        let mut a = HeavyVertexTracker::new(8).unwrap();
-        let b = HeavyVertexTracker::new(4).unwrap();
-        assert!(a.merge(&b).is_err());
     }
 
     #[test]

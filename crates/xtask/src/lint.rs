@@ -27,8 +27,10 @@
 //!   carries a `// SAFETY:` justification within the five lines above
 //!   it, and `unsafe` outside the sketch crate is a finding.
 //! * **decode-no-panics** — snapshot decode paths (functions named
-//!   `load_*`/`read_*`/`decode*`/`parse_*` returning a `PersistError`)
-//!   must not panic on truncated or tampered input (DESIGN.md §13):
+//!   `load_*`/`read_*`/`decode*`/`parse_*`/`from_value` whose
+//!   declaration names a `PersistError`, a `serde::Error`, or the slab
+//!   codec's bare `Error`) must not panic on truncated or tampered input
+//!   (DESIGN.md §13):
 //!   panicking constructs are findings there even when they carry a
 //!   `lint: allow(no-panics)` suppression — an invariant argument does
 //!   not hold against bytes read from disk.
@@ -696,15 +698,18 @@ fn check_unsafe_sites(sf: &SourceFile, findings: &mut Vec<Finding>) {
 }
 
 /// Rule: snapshot decode paths must not panic on truncated or tampered
-/// input (DESIGN.md §13). A function whose name starts with `load_`,
-/// `read_`, `decode` or `parse_` and whose declaration names
-/// `PersistError` is codec surface that every byte of a snapshot file
-/// flows through; inside its body a panicking construct is a finding
-/// even when it carries a `lint: allow(no-panics)` suppression, because
-/// malformed input reaches these paths at runtime (the truncation sweep
-/// in `dbg --snapshot-smoke` drives them byte by byte). Return a
-/// `PersistError` instead; `lint: allow(decode-no-panics)` remains for
-/// the genuinely unreachable.
+/// input (DESIGN.md §13). A function named `from_value` or starting with
+/// `load_`, `read_`, `decode` or `parse_`, whose declaration names one
+/// of [`DECODE_ERRORS`], is codec surface that every byte of a snapshot
+/// file flows through: the envelope and windowed framing
+/// (`PersistError`), the synopsis bodies' `Deserialize` impls
+/// (`serde::Error`), and the slab codec (`Result<_, Error>`). Inside its
+/// body a panicking construct is a finding even when it carries a
+/// `lint: allow(no-panics)` suppression, because malformed input reaches
+/// these paths at runtime (the truncation sweep in `dbg
+/// --snapshot-smoke` drives them byte by byte). Return an error instead;
+/// `lint: allow(decode-no-panics)` remains for the genuinely
+/// unreachable.
 fn check_decode_no_panics(sf: &SourceFile, findings: &mut Vec<Finding>) {
     let mut depth: i64 = 0;
     // Brace depth at which the current decode fn opened, or -1.
@@ -719,7 +724,7 @@ fn check_decode_no_panics(sf: &SourceFile, findings: &mut Vec<Finding>) {
         if let Some(buf) = &mut decl {
             buf.push_str(line);
             if line.contains('{') {
-                if buf.contains("PersistError") {
+                if DECODE_ERRORS.iter().any(|e| buf.contains(e)) {
                     fn_depth = depth;
                 }
                 decl = None;
@@ -738,7 +743,7 @@ fn check_decode_no_panics(sf: &SourceFile, findings: &mut Vec<Finding>) {
                 idx,
                 "decode-no-panics",
                 "panicking construct on a snapshot decode path — truncated or \
-                 tampered input reaches this at runtime; return a PersistError",
+                 tampered input reaches this at runtime; return an error",
             ));
         }
         for ch in line.chars() {
@@ -754,8 +759,14 @@ fn check_decode_no_panics(sf: &SourceFile, findings: &mut Vec<Finding>) {
     }
 }
 
+/// Error types whose presence in a decode-named declaration marks it as
+/// snapshot decode surface. `, Error>` is the slab codec's return type
+/// (`serde::Error` imported bare).
+const DECODE_ERRORS: [&str; 3] = ["PersistError", "serde::Error", ", Error>"];
+
 /// Whether `line` declares a function whose name marks it as snapshot
-/// decode surface (`load_*`, `read_*`, `decode*`, `parse_*`).
+/// decode surface (`load_*`, `read_*`, `decode*`, `parse_*`,
+/// `from_value`).
 fn declares_decode_fn(line: &str) -> bool {
     let mut start = 0;
     while let Some(pos) = line[start..].find("fn ") {
@@ -770,9 +781,10 @@ fn declares_decode_fn(line: &str) -> bool {
                 .chars()
                 .take_while(|c| c.is_alphanumeric() || *c == '_')
                 .collect();
-            if ["load_", "read_", "decode", "parse_"]
-                .iter()
-                .any(|p| name.starts_with(p))
+            if name == "from_value"
+                || ["load_", "read_", "decode", "parse_"]
+                    .iter()
+                    .any(|p| name.starts_with(p))
             {
                 return true;
             }
@@ -1088,6 +1100,20 @@ mod tests {
         let mut f = Vec::new();
         check_decode_no_panics(&file, &mut f);
         assert!(f.is_empty(), "{f:?}");
+    }
+
+    /// The synopsis bodies' `Deserialize` impls and the slab codec are
+    /// decode surface too: a suppressed unwrap in either is a finding.
+    #[test]
+    fn serde_and_slab_decoders_are_decode_surface() {
+        let file = sf(
+            "impl Deserialize for CmArena {\n    fn from_value(v: &serde::Value) -> Result<Self, serde::Error> {\n        // lint: allow(no-panics) — the shape was checked above.\n        let w = v.get(0).unwrap();\n        Ok(w)\n    }\n}\npub fn decode_u64(s: &str, expected: usize) -> Result<Vec<u64>, Error> {\n    let b = s.bytes().next().expect(\"nonempty\");\n    Ok(b)\n}\nfn from_value_hint(x: Option<u8>) -> u8 { x.unwrap() }\nfn decode_flag(s: &str) -> Result<u8, ArgError> { Ok(s.parse().unwrap()) }\n",
+        );
+        let mut f = Vec::new();
+        check_decode_no_panics(&file, &mut f);
+        let lines: Vec<usize> = f.iter().map(|x| x.line).collect();
+        assert_eq!(lines, vec![4, 9], "{f:?}");
+        assert!(f.iter().all(|x| x.message.ends_with("return an error")));
     }
 
     #[test]
