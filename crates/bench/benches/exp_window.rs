@@ -5,7 +5,6 @@
 use gsketch::{GSketch, WindowConfig, WindowedGSketch};
 use gsketch_bench::harness::EXPERIMENT_SEED;
 use gsketch_bench::*;
-use gstream::transform::window as cut_window;
 use gstream::ExactCounter;
 
 fn main() {
@@ -39,11 +38,13 @@ fn main() {
     let mut rng_seed = EXPERIMENT_SEED;
     for w in 0..n_windows {
         let (t0, t1) = (w * span, ((w + 1) * span).min(horizon));
-        let slice = cut_window(stream, t0, t1);
+        let lo = stream.partition_point(|se| se.ts < t0);
+        let hi = stream.partition_point(|se| se.ts < t1);
+        let slice = &stream[lo..hi];
         if slice.is_empty() {
             continue;
         }
-        let truth = ExactCounter::from_stream(&slice);
+        let truth = ExactCounter::from_stream(slice);
         // Sample up to 2 000 distinct edges of this interval as queries.
         rng_seed = rng_seed.wrapping_mul(6364136223846793005).wrapping_add(1);
         let mut queries: Vec<_> = truth.iter().map(|(e, _)| e).collect();

@@ -126,36 +126,6 @@ pub fn make_query_sets(bundle: &Bundle, scenario: Scenario, seed: u64) -> QueryS
     }
 }
 
-/// Estimate the fraction of stream traffic whose source vertex is NOT
-/// covered by the data sample, by probing a strided subsample of the
-/// stream. The outlier sketch is sized to this fraction (clamped), so a
-/// low-coverage sample (e.g. GTGraph's 5% reservoir over a near-distinct
-/// stream) does not starve the outlier sketch of width. A deployed
-/// system measures the same quantity online from the arrivals it routes.
-pub fn probe_outlier_fraction(
-    stream: &[gstream::StreamEdge],
-    data_sample: &[gstream::StreamEdge],
-) -> f64 {
-    use gstream::fxhash::FxHashSet;
-    use gstream::VertexId;
-    let covered: FxHashSet<VertexId> = data_sample.iter().map(|se| se.edge.src).collect();
-    let stride = (stream.len() / 50_000).max(1);
-    let mut probed = 0usize;
-    let mut uncovered = 0usize;
-    let mut i = 0;
-    while i < stream.len() {
-        probed += 1;
-        if !covered.contains(&stream[i].edge.src) {
-            uncovered += 1;
-        }
-        i += stride;
-    }
-    if probed == 0 {
-        return 0.1;
-    }
-    (uncovered as f64 / probed as f64).clamp(0.02, 0.6)
-}
-
 /// A strided, unbiased calibration probe over the stream (capped at ~1M
 /// arrivals) for `build_from_sample_calibrated`.
 pub fn calibration_probe(stream: &[gstream::StreamEdge]) -> Vec<gstream::StreamEdge> {
@@ -187,19 +157,29 @@ pub fn run_cell(
     )
 }
 
-/// One replicate of [`run_cell`].
-pub fn run_cell_once(
+/// The two synopses of one replicate, each fed the whole stream, with
+/// their construction times.
+struct BuiltCell {
+    gs: GSketch,
+    gl: GlobalSketch,
+    gsketch_construction: Duration,
+    global_construction: Duration,
+}
+
+/// Build gSketch (partition + probe calibration + ingest = T_c) and the
+/// Global Sketch baseline at `memory_bytes`, and ingest the stream into
+/// both.
+fn build_cell(
     bundle: &Bundle,
     sets: &QuerySets,
     scenario: Scenario,
     memory_bytes: usize,
     seed: u64,
-) -> CellResult {
+) -> BuiltCell {
     let data_sample = bundle.dataset.data_sample(&bundle.stream, seed);
     let rate = data_sample.len() as f64 / bundle.stream.len() as f64;
     let probe = calibration_probe(&bundle.stream);
 
-    // --- gSketch: partition (offline) + probe calibration + ingest = T_c.
     let t0 = Instant::now();
     let builder = GSketch::builder()
         .memory_bytes(memory_bytes)
@@ -225,13 +205,34 @@ pub fn run_cell_once(
     gs.ingest(&bundle.stream);
     let gsketch_construction = t0.elapsed();
 
-    // --- Global Sketch baseline.
     let t0 = Instant::now();
     let mut gl = GlobalSketch::new(memory_bytes, gs.depth(), seed).expect("valid global sketch");
     gl.ingest(&bundle.stream);
     let global_construction = t0.elapsed();
 
-    // --- Edge-query accuracy + timing.
+    BuiltCell {
+        gs,
+        gl,
+        gsketch_construction,
+        global_construction,
+    }
+}
+
+/// One replicate of [`run_cell`].
+pub fn run_cell_once(
+    bundle: &Bundle,
+    sets: &QuerySets,
+    scenario: Scenario,
+    memory_bytes: usize,
+    seed: u64,
+) -> CellResult {
+    let BuiltCell {
+        gs,
+        gl,
+        gsketch_construction,
+        global_construction,
+    } = build_cell(bundle, sets, scenario, memory_bytes, seed);
+
     let t0 = Instant::now();
     let gsketch_acc = evaluate_edge_queries(&gs, &sets.edges, &bundle.truth, DEFAULT_G0);
     let gsketch_query_time = t0.elapsed();
@@ -318,32 +319,12 @@ pub fn run_subgraph_cell_once(
     memory_bytes: usize,
     seed: u64,
 ) -> CellResult {
-    let data_sample = bundle.dataset.data_sample(&bundle.stream, seed);
-    let rate = data_sample.len() as f64 / bundle.stream.len() as f64;
-    let probe = calibration_probe(&bundle.stream);
-    let t0 = Instant::now();
-    let builder = GSketch::builder()
-        .memory_bytes(memory_bytes)
-        .depth(EXPERIMENT_DEPTH)
-        .min_width(EXPERIMENT_MIN_WIDTH)
-        .sample_rate(rate.clamp(1e-6, 1.0))
-        .seed(seed);
-    let mut gs = match scenario {
-        Scenario::DataOnly => builder
-            .build_from_sample_calibrated(&data_sample, &probe)
-            .expect("valid gSketch configuration"),
-        // See run_cell_once: scenario 2 keeps the Eq. 11 width factors.
-        Scenario::DataWorkload { .. } => builder
-            .build_with_workload(&data_sample, &sets.workload)
-            .expect("valid gSketch configuration"),
-    };
-    gs.ingest(&bundle.stream);
-    let gsketch_construction = t0.elapsed();
-
-    let t0 = Instant::now();
-    let mut gl = GlobalSketch::new(memory_bytes, gs.depth(), seed).expect("valid global sketch");
-    gl.ingest(&bundle.stream);
-    let global_construction = t0.elapsed();
+    let BuiltCell {
+        gs,
+        gl,
+        gsketch_construction,
+        global_construction,
+    } = build_cell(bundle, sets, scenario, memory_bytes, seed);
 
     let t0 = Instant::now();
     let gsketch_acc = evaluate_subgraph_queries(

@@ -67,10 +67,6 @@ pub struct AdaptiveConfig {
     pub depth: usize,
     /// Minimum partition width `w0` (termination criterion 1).
     pub min_width: usize,
-    /// Collision constant `C` of Theorem 1 (termination criterion 2).
-    pub collision_factor: f64,
-    /// Fraction of the partitioned-phase budget reserved for outliers.
-    pub outlier_fraction: f64,
     /// Expected ratio of full-stream length to warm-up length, used to
     /// extrapolate the warm-up vertex statistics before partitioning
     /// (the [`sample_rate`](crate::GSketchBuilder::sample_rate)
@@ -92,8 +88,6 @@ impl Default for AdaptiveConfig {
             max_tracked_sources: 1 << 20,
             depth: 3,
             min_width: 512,
-            collision_factor: 0.5,
-            outlier_fraction: 0.1,
             expected_growth: 20.0,
             seed: 0xADA_975,
         }
@@ -126,7 +120,25 @@ impl AdaptiveConfig {
                 value: 0,
             });
         }
+        // A budget or growth the switchover's build would refuse fails
+        // here, not mid-stream.
+        self.partition_builder().validate()?;
         Ok(())
+    }
+
+    /// The builder of the partitioned phase, over the budget the warm-up
+    /// sketch leaves. Call only once the warm-up fraction is validated.
+    fn partition_builder(&self) -> GSketchBuilder {
+        let partition_bytes = self.memory_bytes
+            // cast: f64 -> usize truncation; fraction in (0, 1) (validated), so
+            // the warm-up share stays below memory_bytes and the subtraction holds.
+            - (self.memory_bytes as f64 * self.warmup_memory_fraction) as usize;
+        GSketchBuilder::default()
+            .memory_bytes(partition_bytes.max(256))
+            .depth(self.depth)
+            .min_width(self.min_width)
+            .sample_rate(1.0 / self.expected_growth)
+            .seed(self.seed.wrapping_add(0x5117C4))
     }
 }
 
@@ -262,22 +274,12 @@ impl AdaptiveGSketch {
                 return;
             }
         };
-        let partition_bytes = self.cfg.memory_bytes
-            // cast: f64 -> usize truncation; fraction in (0, 1) (validated), so
-            // the warm-up share stays below memory_bytes and the subtraction holds.
-            - (self.cfg.memory_bytes as f64 * self.cfg.warmup_memory_fraction) as usize;
-        let sample_stats = stats.into_sample_stats();
-        let gs = GSketchBuilder::default()
-            .memory_bytes(partition_bytes.max(256))
-            .depth(self.cfg.depth)
-            .min_width(self.cfg.min_width)
-            .collision_factor(self.cfg.collision_factor)
-            .outlier_fraction(self.cfg.outlier_fraction)
-            .sample_rate(1.0 / self.cfg.expected_growth)
-            .seed(self.cfg.seed.wrapping_add(0x5117C4))
-            .build_from_stats(sample_stats)
-            // lint: allow(no-panics) — rebuilt with the budget and knobs that
-            // `cfg.validate()` accepted at construction; the builder cannot fail.
+        let gs = self
+            .cfg
+            .partition_builder()
+            .build_from_stats(stats.into_sample_stats())
+            // lint: allow(no-panics) — the builder `cfg.validate()` checked at
+            // construction; a checked builder cannot fail.
             .expect("partitioned-phase budget validated at construction");
         self.state = State::Partitioned(Box::new(gs));
     }
@@ -446,6 +448,13 @@ mod tests {
         assert!(AdaptiveGSketch::new(c).is_err());
         let mut c = cfg(1 << 16, 100);
         c.max_tracked_sources = 0;
+        assert!(AdaptiveGSketch::new(c).is_err());
+        // Configs the switchover's build would refuse fail here.
+        let mut c = cfg(1 << 16, 100);
+        c.expected_growth = f64::INFINITY;
+        assert!(AdaptiveGSketch::new(c).is_err());
+        let mut c = cfg(300, 100);
+        c.depth = 10;
         assert!(AdaptiveGSketch::new(c).is_err());
     }
 

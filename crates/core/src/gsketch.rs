@@ -22,6 +22,10 @@ use sketch::{BlockedBloom, CmArena, CountMinSketch, SketchError};
 /// are charged against the same `--memory` budget as the counters.
 const PREFILTER_SHARE: usize = 16;
 
+/// Fraction of the counter width reserved for the outlier sketch (§5),
+/// the slot of every source vertex the partitioning did not place.
+const OUTLIER_FRACTION: f64 = 0.1;
+
 /// Edges per chunk of the batched read path: routing, counter gather
 /// and filter gather each run over one chunk at a time, so the scratch
 /// stays a few tens of KiB however long the batch is.
@@ -48,8 +52,6 @@ pub struct GSketchBuilder {
     memory_bytes: usize,
     depth: usize,
     min_width: usize,
-    collision_factor: f64,
-    outlier_fraction: f64,
     redistribute: bool,
     sample_rate: f64,
     allocation: WidthAllocation,
@@ -64,8 +66,6 @@ impl Default for GSketchBuilder {
             memory_bytes: 1 << 20,
             depth: 3, // d = ⌈ln 1/δ⌉ with δ = 0.05
             min_width: 512,
-            collision_factor: 0.5,
-            outlier_fraction: 0.1,
             redistribute: true,
             sample_rate: 1.0,
             allocation: WidthAllocation::Optimal,
@@ -97,20 +97,6 @@ impl GSketchBuilder {
     #[must_use]
     pub fn min_width(mut self, w0: usize) -> Self {
         self.min_width = w0;
-        self
-    }
-
-    /// Collision constant `C` of Theorem 1 (termination criterion 2).
-    #[must_use]
-    pub fn collision_factor(mut self, c: f64) -> Self {
-        self.collision_factor = c;
-        self
-    }
-
-    /// Fraction of the budget reserved for the outlier sketch (§5).
-    #[must_use]
-    pub fn outlier_fraction(mut self, f: f64) -> Self {
-        self.outlier_fraction = f;
         self
     }
 
@@ -234,30 +220,8 @@ impl GSketchBuilder {
         objective: Objective,
         probe: Option<&[StreamEdge]>,
     ) -> Result<GSketch, SketchError> {
-        if !(0.0..1.0).contains(&self.outlier_fraction) {
-            return Err(SketchError::InvalidAccuracy {
-                what: "outlier_fraction",
-                value: self.outlier_fraction,
-            });
-        }
-        if !(self.sample_rate > 0.0 && self.sample_rate <= 1.0) {
-            return Err(SketchError::InvalidAccuracy {
-                what: "sample_rate",
-                value: self.sample_rate,
-            });
-        }
+        let total_width = self.validate()?;
         stats.extrapolate(self.sample_rate);
-        // The pre-filter is paid for out of the same budget, so the
-        // counter cells are sized over what the filter leaves behind —
-        // `--memory` stays an honest bound on counters + filter.
-        let total_cells = CountMinSketch::cells_for_bytes(self.counter_bytes());
-        let total_width = total_cells / self.depth.max(1);
-        if total_width < 4 {
-            return Err(SketchError::InvalidDimension {
-                what: "memory_bytes (too small for depth)",
-                value: self.memory_bytes,
-            });
-        }
         // Calibrated path: fix the grouping from the sample, then
         // measure per-leaf distinct edges on the probe and allocate
         // width ∝ distinct edges (leaves and outlier alike).
@@ -267,13 +231,12 @@ impl GSketchBuilder {
             }
         }
 
-        // cast: f64 -> usize truncation; outlier_fraction is validated in
-        // [0, 1), so the product is below total_width.
-        let outlier_width = ((total_width as f64 * self.outlier_fraction) as usize).max(2);
+        // cast: f64 -> usize truncation; OUTLIER_FRACTION is below 1, so
+        // the product is below total_width.
+        let outlier_width = ((total_width as f64 * OUTLIER_FRACTION) as usize).max(2);
         let partition_width = total_width - outlier_width;
         let mut pcfg = PartitionConfig::new(partition_width.max(2));
         pcfg.min_width = self.min_width.min(partition_width.max(2)).max(2);
-        pcfg.collision_factor = self.collision_factor;
         pcfg.objective = objective;
         pcfg.redistribute = self.redistribute;
         pcfg.allocation = self.allocation;
@@ -289,6 +252,29 @@ impl GSketchBuilder {
         };
 
         self.materialize(plan, outlier_width, None)
+    }
+
+    /// Check the fields every build path relies on, and return the
+    /// total counter width the budget buys at this depth.
+    pub(crate) fn validate(&self) -> Result<usize, SketchError> {
+        if !(self.sample_rate > 0.0 && self.sample_rate <= 1.0) {
+            return Err(SketchError::InvalidAccuracy {
+                what: "sample_rate",
+                value: self.sample_rate,
+            });
+        }
+        // The pre-filter is paid for out of the same budget, so the
+        // counter cells are sized over what the filter leaves behind —
+        // `--memory` stays an honest bound on counters + filter.
+        let total_cells = CountMinSketch::cells_for_bytes(self.counter_bytes());
+        let total_width = total_cells / self.depth.max(1);
+        if total_width < 4 {
+            return Err(SketchError::InvalidDimension {
+                what: "memory_bytes (too small for depth)",
+                value: self.memory_bytes,
+            });
+        }
+        Ok(total_width)
     }
 
     /// Bytes reserved for the pre-filter (0 when disabled).
@@ -363,7 +349,6 @@ impl GSketchBuilder {
 
         let mut pcfg = PartitionConfig::new(total_width);
         pcfg.min_width = self.min_width.min(total_width).max(2);
-        pcfg.collision_factor = self.collision_factor;
         pcfg.objective = objective;
         pcfg.redistribute = self.redistribute;
         pcfg.allocation = WidthAllocation::Optimal;
@@ -511,20 +496,6 @@ impl GSketch {
     /// Start building a gSketch.
     pub fn builder() -> GSketchBuilder {
         GSketchBuilder::default()
-    }
-}
-
-/// The routing view the owner-sharded engine's scatter stage groups
-/// writes by (DESIGN.md §11), so each owner commits only its own arena
-/// slice.
-impl crate::sink::SlotRouted for GSketch {
-    fn num_slots(&self) -> usize {
-        self.bank.num_slots()
-    }
-
-    #[inline]
-    fn slot_of(&self, src: gstream::vertex::VertexId) -> u32 {
-        self.router.slot(src)
     }
 }
 
@@ -889,14 +860,6 @@ mod tests {
     }
 
     #[test]
-    fn build_rejects_bad_outlier_fraction() {
-        let r = GSketch::builder()
-            .outlier_fraction(1.5)
-            .build_from_sample(&[]);
-        assert!(r.is_err());
-    }
-
-    #[test]
     fn empty_sample_degenerates_to_outlier_only() {
         let mut g = GSketch::builder()
             .memory_bytes(1 << 16)
@@ -1135,7 +1098,6 @@ mod tests {
         let mut g = GSketch::builder()
             .memory_bytes(1 << 13) // deliberately tight
             .min_width(16)
-            .collision_factor(0.01)
             .build_from_sample(&stream)
             .unwrap();
         g.ingest(&stream);

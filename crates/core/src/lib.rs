@@ -103,7 +103,7 @@ pub use query::{
 };
 pub use replay::{ReplayEngine, ReplayStats, WindowedReplay};
 pub use router::{OwnerMap, Router, SketchId};
-pub use sink::{EdgeSink, SlotRouted};
+pub use sink::EdgeSink;
 pub use sketch::{CmArena, CountMinSketch};
 pub use vstats::SampleStats;
 pub use window::{IntervalEstimate, WindowConfig, WindowedGSketch};

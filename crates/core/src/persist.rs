@@ -397,8 +397,9 @@ fn parse_windowed_framing(
 
 /// `header` with its builder decoded and encoded again. A header written
 /// by an older build can carry a builder field this build has since
-/// retired (`outlier_profile`); the round trip drops it, so the file
-/// still accepts appends from the deployment it describes.
+/// retired (`outlier_profile`, `collision_factor`, `outlier_fraction`);
+/// the round trip drops it, so the file still accepts appends from the
+/// deployment it describes.
 fn canonical_header(header: &serde::Value) -> Result<serde::Value, PersistError> {
     let serde::Value::Map(fields) = header else {
         return Err(format_err("snapshot header is not an object"));
@@ -892,42 +893,51 @@ mod tests {
         std::fs::remove_file(&path).unwrap();
     }
 
-    /// A file whose header still records the retired
-    /// `outlier_profile: null` builder field loads, and accepts appends
-    /// from the deployment it describes.
+    /// A file whose header still records retired builder fields
+    /// (`outlier_profile`, or the `collision_factor` and
+    /// `outlier_fraction` knobs) loads, and accepts appends from the
+    /// deployment it describes.
     #[test]
     fn windowed_append_accepts_header_with_retired_builder_field() {
-        let path = temp_path("retired_field.json");
-        let mut w = WindowedGSketch::new(wcfg(), wbuilder()).unwrap();
-        for se in wstream(0..350) {
-            w.try_insert(se).unwrap();
+        let retired = [
+            ("\"prefilter\":", "\"outlier_profile\":null,"),
+            (
+                "\"redistribute\":",
+                "\"collision_factor\":0.5,\"outlier_fraction\":0.1,",
+            ),
+        ];
+        for (before, fields) in retired {
+            let path = temp_path("retired_field.json");
+            let mut w = WindowedGSketch::new(wcfg(), wbuilder()).unwrap();
+            for se in wstream(0..350) {
+                w.try_insert(se).unwrap();
+            }
+            save_windowed(&path, &w).unwrap();
+            let text = std::fs::read_to_string(&path).unwrap();
+            let (header, rest) = text.split_once('\n').unwrap();
+            let old_header = header.replace(before, &format!("{fields}{before}"));
+            assert_ne!(old_header, header);
+            // The footer indexes byte offsets, so shift them by the growth.
+            let grown = (old_header.len() - header.len()) as u64;
+            let framing = parse_windowed_framing(&text, WINDOWED_KIND).unwrap();
+            let windows: Vec<(u64, u64, u64)> = framing
+                .windows
+                .iter()
+                .map(|&(s, e, off)| (s, e, off + grown))
+                .collect();
+            let body = &rest[..rest.trim_end().rfind('\n').unwrap() + 1];
+            let footer = encode_footer(&windows, framing.tail_offset + grown);
+            std::fs::write(&path, format!("{old_header}\n{body}{footer}\n")).unwrap();
+            let back = load_windowed(&path).unwrap();
+            assert_windowed_answers_identical(&w, &back, "retired-field load");
+            for se in wstream(350..700) {
+                w.try_insert(se).unwrap();
+            }
+            save_windowed(&path, &w).unwrap();
+            let again = load_windowed(&path).unwrap();
+            assert_windowed_answers_identical(&w, &again, "retired-field append");
+            std::fs::remove_file(&path).unwrap();
         }
-        save_windowed(&path, &w).unwrap();
-        let text = std::fs::read_to_string(&path).unwrap();
-        let (header, rest) = text.split_once('\n').unwrap();
-        let old_header =
-            header.replace("\"prefilter\":", "\"outlier_profile\":null,\"prefilter\":");
-        assert_ne!(old_header, header);
-        // The footer indexes byte offsets, so shift them by the growth.
-        let grown = (old_header.len() - header.len()) as u64;
-        let framing = parse_windowed_framing(&text, WINDOWED_KIND).unwrap();
-        let windows: Vec<(u64, u64, u64)> = framing
-            .windows
-            .iter()
-            .map(|&(s, e, off)| (s, e, off + grown))
-            .collect();
-        let body = &rest[..rest.trim_end().rfind('\n').unwrap() + 1];
-        let footer = encode_footer(&windows, framing.tail_offset + grown);
-        std::fs::write(&path, format!("{old_header}\n{body}{footer}\n")).unwrap();
-        let back = load_windowed(&path).unwrap();
-        assert_windowed_answers_identical(&w, &back, "retired-field load");
-        for se in wstream(350..700) {
-            w.try_insert(se).unwrap();
-        }
-        save_windowed(&path, &w).unwrap();
-        let again = load_windowed(&path).unwrap();
-        assert_windowed_answers_identical(&w, &again, "retired-field append");
-        std::fs::remove_file(&path).unwrap();
     }
 
     #[test]

@@ -48,7 +48,6 @@
 
 use crate::gsketch::GSketch;
 use crate::router::{OwnerMap, Router};
-use crate::sink::SlotRouted;
 use gstream::edge::StreamEdge;
 use sketch::{prefetch, BlockedBloomSlice, CmArenaSlice};
 use std::sync::mpsc::sync_channel;
@@ -485,7 +484,7 @@ impl<'s> ShardedIngest<'s> {
     /// the host (unless oversubscribed) and to the slot count.
     pub fn owner_map(&self) -> OwnerMap {
         OwnerMap::new(
-            self.sketch.num_slots(),
+            self.sketch.arena().num_slots(),
             clamp_workers(self.owners, self.oversubscribe),
         )
     }

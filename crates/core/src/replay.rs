@@ -161,11 +161,6 @@ impl<S: EdgeEstimator> ReplayEngine<S> {
     pub fn inner(&self) -> &S {
         &self.inner
     }
-
-    /// Unwrap the deployment.
-    pub fn into_inner(self) -> S {
-        self.inner
-    }
 }
 
 /// Writes forward to the deployment: the engine keeps no answer across
@@ -177,10 +172,6 @@ impl<S: EdgeSink> EdgeSink for ReplayEngine<S> {
 
     fn ingest_batch(&mut self, batch: &[StreamEdge]) {
         self.inner.ingest_batch(batch);
-    }
-
-    fn flush(&mut self) {
-        self.inner.flush();
     }
 }
 
@@ -250,10 +241,6 @@ impl EdgeSink for WindowedReplay {
 
     fn ingest_batch(&mut self, batch: &[StreamEdge]) {
         self.inner.ingest_batch(batch);
-    }
-
-    fn flush(&mut self) {
-        self.inner.flush();
     }
 }
 

@@ -13,7 +13,7 @@
 use gsketch::{
     save_windowed, AdaptiveConfig, AdaptiveGSketch, CountMinSketch, EdgeEstimator, EdgeSink,
     GSketch, GSketchBuilder, GlobalSketch, ParallelQuery, ReplayEngine, ShardedIngest, SketchId,
-    SlotRouted, WindowConfig, WindowedGSketch,
+    WindowConfig, WindowedGSketch,
 };
 use gstream::edge::{Edge, StreamEdge};
 use proptest::collection::vec;
@@ -134,12 +134,21 @@ impl PerSlotModel {
         Self { slots }
     }
 
+    /// The slot `gs` routes `e` to: partition `i` is slot `i`, and the
+    /// outlier is the last slot.
+    fn slot(gs: &GSketch, e: Edge) -> usize {
+        match gs.route(e) {
+            SketchId::Partition(i) => i as usize,
+            SketchId::Outlier => gs.num_partitions(),
+        }
+    }
+
     fn update(&mut self, gs: &GSketch, se: StreamEdge) {
-        self.slots[gs.slot_of(se.edge.src) as usize].update(se.edge.key(), se.weight);
+        self.slots[Self::slot(gs, se.edge)].update(se.edge.key(), se.weight);
     }
 
     fn estimate(&self, gs: &GSketch, e: Edge) -> u64 {
-        self.slots[gs.slot_of(e.src) as usize].estimate(e.key())
+        self.slots[Self::slot(gs, e)].estimate(e.key())
     }
 }
 
@@ -180,13 +189,6 @@ proptest! {
         }
 
         for se in &stream {
-            let slot = gs.slot_of(se.edge.src);
-            let route = if slot as usize == gs.num_partitions() {
-                SketchId::Outlier
-            } else {
-                SketchId::Partition(slot)
-            };
-            prop_assert_eq!(gs.route(se.edge), route);
             prop_assert_eq!(gs.estimate(se.edge), model.estimate(&gs, se.edge));
         }
         // Also probe edges that never arrived (pure collision noise must

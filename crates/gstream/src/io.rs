@@ -3,7 +3,7 @@
 //! Two line-oriented formats share one error discipline:
 //!
 //! * **streams** — one arrival per line, `src dst ts weight` as decimal
-//!   integers separated by whitespace ([`StreamFileSource`]);
+//!   integers separated by whitespace, read whole ([`read_stream`]);
 //! * **query workloads** — one edge query per line, `src dst`, with an
 //!   optional inclusive time window `src dst t_start t_end`
 //!   ([`QueryFileSource`]), the on-disk form of the paper's query sets
@@ -222,22 +222,10 @@ fn parse_workload_query(
     }
 }
 
-/// An incremental edge-list reader: the file-backed
-/// [`EdgeSource`](crate::source::EdgeSource), for
-/// streams too large (or too remote) to materialize up front. Records are
-/// parsed as chunks are requested, with the same validation as
-/// [`read_stream`]; the first malformed or out-of-order record stops the
-/// source and is reported by [`finish`](Self::finish).
-#[derive(Debug)]
-pub struct StreamFileSource<R: Read> {
-    lines: LineSource<R>,
-    prev_ts: u64,
-}
-
-/// The shared line-walking state under both file sources: buffered
-/// reads, line/byte-offset accounting, comment and blank skipping, and
-/// first-error latching. Each `next_line` call yields the trimmed record
-/// text plus its (line number, byte offset) position.
+/// The shared line-walking state under the stream and query readers:
+/// buffered reads, line/byte-offset accounting, comment and blank
+/// skipping, and first-error latching. Each `next_line` call yields the
+/// trimmed record text plus its (line number, byte offset) position.
 #[derive(Debug)]
 struct LineSource<R: Read> {
     reader: BufReader<R>,
@@ -302,76 +290,27 @@ impl<R: Read> LineSource<R> {
     }
 }
 
-impl StreamFileSource<File> {
-    /// Open the edge-list file at `path` for incremental reading.
-    pub fn open<P: AsRef<Path>>(path: P) -> Result<Self, StreamIoError> {
-        Ok(Self::from_reader(File::open(path)?))
-    }
-}
-
-impl<R: Read> StreamFileSource<R> {
-    /// Read incrementally from any `Read` (buffered internally).
-    pub fn from_reader(r: R) -> Self {
-        Self {
-            lines: LineSource::new(r),
-            prev_ts: 0,
-        }
-    }
-
-    /// Pull the next record, or `None` at end-of-input / first error.
-    /// (`next_line` already skips comments and blanks.)
-    fn next_record(&mut self) -> Option<StreamEdge> {
-        let (trimmed, lineno, byte) = self.lines.next_line()?;
-        match parse_record(trimmed, lineno, byte) {
-            Ok(se) if se.ts < self.prev_ts => {
-                self.lines.fail(StreamIoError::OutOfOrder {
-                    line: lineno,
-                    byte,
-                    ts: se.ts,
-                    prev: self.prev_ts,
-                });
-                None
-            }
-            Ok(se) => {
-                self.prev_ts = se.ts;
-                Some(se)
-            }
-            Err(e) => {
-                self.lines.fail(e);
-                None
-            }
-        }
-    }
-
-    /// Consume the source and report whether it ended cleanly. A source
-    /// that stopped on a malformed record returns that error here, so
-    /// chunked consumers can distinguish end-of-stream from failure.
-    pub fn finish(self) -> Result<(), StreamIoError> {
-        self.lines.finish()
-    }
-}
-
-impl<R: Read> crate::source::EdgeSource for StreamFileSource<R> {
-    fn fill_chunk(&mut self, buf: &mut Vec<StreamEdge>, max: usize) -> usize {
-        buf.clear();
-        while buf.len() < max {
-            match self.next_record() {
-                Some(se) => buf.push(se),
-                None => break,
-            }
-        }
-        buf.len()
-    }
-}
-
-/// Read a stream from `r`, enforcing non-decreasing timestamps.
+/// Read a stream from `r`, enforcing non-decreasing timestamps. The
+/// first malformed or out-of-order record stops the read and is
+/// reported with its line number and byte offset.
 pub fn read_stream<R: Read>(r: R) -> Result<Vec<StreamEdge>, StreamIoError> {
-    let mut source = StreamFileSource::from_reader(r);
+    let mut lines = LineSource::new(r);
     let mut out = Vec::new();
-    while let Some(se) = source.next_record() {
+    let mut prev = 0;
+    while let Some((trimmed, line, byte)) = lines.next_line() {
+        let se = parse_record(trimmed, line, byte)?;
+        if se.ts < prev {
+            return Err(StreamIoError::OutOfOrder {
+                line,
+                byte,
+                ts: se.ts,
+                prev,
+            });
+        }
+        prev = se.ts;
         out.push(se);
     }
-    source.finish()?;
+    lines.finish()?;
     Ok(out)
 }
 
@@ -398,9 +337,9 @@ pub fn save_queries<P: AsRef<Path>>(path: P, queries: &[Edge]) -> Result<(), Str
 }
 
 /// An incremental query-workload reader: one edge query per line
-/// (`src dst`), with the same comment/blank handling, incremental
-/// chunked delivery, and error discipline as [`StreamFileSource`] — the
-/// first malformed record stops the source, and
+/// (`src dst`), delivered in chunks, with the same comment/blank
+/// handling and error discipline as [`read_stream`] — the first
+/// malformed record stops the source, and
 /// [`finish`](Self::finish) reports it with its line number and byte
 /// offset. This is the on-disk form of the paper's query sets `Qe` and
 /// scenario-2 workload samples `W`, replayed by the CLI's
@@ -694,9 +633,10 @@ mod tests {
         assert!(e.to_string().contains("byte 120"));
     }
 
+    /// A stream several read buffers long round-trips exactly: records
+    /// split across buffer refills parse like any other.
     #[test]
-    fn chunked_file_source_matches_eager_reader() {
-        use crate::source::EdgeSource;
+    fn long_stream_round_trips_exactly() {
         let stream: Vec<StreamEdge> = (0..1_000u64)
             .map(|t| {
                 StreamEdge::weighted(Edge::new((t % 31) as u32, (t % 17) as u32), t, t % 3 + 1)
@@ -704,50 +644,8 @@ mod tests {
             .collect();
         let mut text = Vec::new();
         write_stream(&mut text, &stream).unwrap();
-
-        let mut src = StreamFileSource::from_reader(&text[..]);
-        let mut buf = Vec::new();
-        let mut chunked = Vec::new();
-        while src.fill_chunk(&mut buf, 128) > 0 {
-            assert!(buf.len() <= 128);
-            chunked.extend_from_slice(&buf);
-        }
-        src.finish().unwrap();
-        assert_eq!(chunked, stream);
-    }
-
-    #[test]
-    fn chunked_file_source_reports_errors_at_finish() {
-        use crate::source::EdgeSource;
-        let text = "1 2 0 1\n3 4 7 2\nbogus line\n5 6 9 1\n";
-        let mut src = StreamFileSource::from_reader(text.as_bytes());
-        let mut buf = Vec::new();
-        let mut n = 0;
-        while src.fill_chunk(&mut buf, 64) > 0 {
-            n += buf.len();
-        }
-        // The two records before the malformed line were delivered.
-        assert_eq!(n, 2);
-        let err = src.finish().unwrap_err();
-        assert!(matches!(err, StreamIoError::Parse { line: 3, .. }), "{err}");
-    }
-
-    #[test]
-    fn chunked_file_source_stops_on_time_regression() {
-        use crate::source::EdgeSource;
-        let text = "1 2 10 1\n3 4 5 1\n";
-        let mut src = StreamFileSource::from_reader(text.as_bytes());
-        let mut buf = Vec::new();
-        while src.fill_chunk(&mut buf, 64) > 0 {}
-        assert!(matches!(
-            src.finish().unwrap_err(),
-            StreamIoError::OutOfOrder {
-                line: 2,
-                ts: 5,
-                prev: 10,
-                ..
-            }
-        ));
+        assert!(text.len() > 8 * 1024, "spans more than one read buffer");
+        assert_eq!(read_stream(&text[..]).unwrap(), stream);
     }
 
     // ------------------------------------------------- query workloads

@@ -11,8 +11,8 @@
 //! * [`sample`] — reservoir sampling (data samples) and exact Zipf
 //!   sampling (workload samples);
 //! * [`workload`] — edge / subgraph query-set generation (§6.2–6.4);
-//! * [`source`] — chunked [`EdgeSource`] producers (generators, slices,
-//!   incremental file readers) feeding the parallel ingest pipeline;
+//! * [`io`] — the plain-text stream and query-workload file formats
+//!   (streams load whole, as the slice every ingest path takes);
 //! * [`ExactCounter`] — exact per-edge and per-vertex frequencies, the
 //!   evaluation ground truth;
 //! * [`VarianceStats`] — the σ_G/σ_V variance-ratio characterisation of
@@ -37,9 +37,7 @@ pub mod fxhash;
 pub mod gen;
 pub mod io;
 pub mod sample;
-pub mod source;
 pub mod stats;
-pub mod transform;
 pub mod vertex;
 pub mod workload;
 
@@ -48,9 +46,8 @@ pub use exact::{ExactCounter, VertexProfile};
 pub use io::{
     load_queries, load_stream, load_workload, read_queries, read_stream, read_workload,
     save_queries, save_stream, save_workload, write_queries, write_stream, write_workload,
-    QueryFileSource, StreamFileSource, StreamIoError,
+    QueryFileSource, StreamIoError,
 };
-pub use source::{EdgeSource, SliceSource};
 pub use stats::VarianceStats;
 pub use vertex::{Interner, VertexId};
 pub use workload::{SubgraphQuery, WorkloadQuery, ZipfRank};

@@ -112,9 +112,7 @@ impl MultigraphDegrees {
         self.inc.estimate_batch(&keys, out);
     }
 
-    /// The *spread ratio* out-degree ÷ total-arrivals proxy used to
-    /// separate scanners (ratio ≈ 1: every arrival a new partner) from
-    /// repeat traffic. Callers combine with a frequency estimator.
+    /// Memory footprint in bytes of the out- and in-degree sketches.
     pub fn bytes(&self) -> usize {
         self.out.bytes() + self.inc.bytes()
     }

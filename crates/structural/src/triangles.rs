@@ -117,11 +117,6 @@ impl TriangleEstimator {
         }
     }
 
-    /// The sparsification probability.
-    pub fn keep_probability(&self) -> f64 {
-        self.p
-    }
-
     /// Whether the sparsifier keeps `edge` (deterministic per edge).
     fn keeps(&self, edge: Edge) -> bool {
         if self.p >= 1.0 {

@@ -201,14 +201,11 @@ fn query_workload_overflowing_ids_rejected_with_position() {
 
 #[test]
 fn crlf_inputs_report_line_start_offsets_on_both_sources() {
-    use gstream::{QueryFileSource, StreamFileSource};
-    // Stream source: "1 2 0 1\r\n" is 9 bytes, so the malformed line 2
+    use gstream::QueryFileSource;
+    // Stream reader: "1 2 0 1\r\n" is 9 bytes, so the malformed line 2
     // starts at byte 9 — the offset must be seekable on CRLF files.
     let text = "1 2 0 1\r\n3 x 0 1\r\n";
-    let mut src = StreamFileSource::from_reader(text.as_bytes());
-    let mut buf = Vec::new();
-    while gstream::EdgeSource::fill_chunk(&mut src, &mut buf, 64) > 0 {}
-    let msg = src.finish().unwrap_err().to_string();
+    let msg = read_stream(text.as_bytes()).unwrap_err().to_string();
     assert!(msg.contains("line 2"), "{msg}");
     assert!(msg.contains("byte 9"), "{msg}");
     // Query source: "1 2\r\n" is 5 bytes.

@@ -11,7 +11,6 @@ use gstream::gen::{
     RmatTrafficConfig, RmatTrafficGenerator, SmallWorldConfig, SmallWorldGenerator,
 };
 use gstream::sample::sample_iter;
-use gstream::transform::{epochs, is_time_ordered, merge_by_time};
 use gstream::workload::SubgraphQuery;
 use gstream::{read_stream, write_stream, Edge, ExactCounter, StreamEdge};
 use rand::rngs::StdRng;
@@ -163,25 +162,6 @@ fn custom_gamma_over_partitioned_sketch() {
     let sum_closure = estimate_subgraph_with(&gs, &q, |vals| vals.iter().sum());
     let sum_enum = gsketch::estimate_subgraph(&gs, &q, gsketch::Aggregator::Sum);
     assert_eq!(sum_closure, sum_enum);
-}
-
-#[test]
-fn transforms_compose_with_windowed_ingestion() {
-    // Split a stream into epochs, re-merge, and verify nothing is lost
-    // and ordering invariants hold — the §5 window pipeline's substrate.
-    let stream = traffic_stream(30_000, 33);
-    let parts = epochs(&stream, 5);
-    assert_eq!(parts.iter().map(Vec::len).sum::<usize>(), stream.len());
-    let mut merged = parts[0].clone();
-    for p in &parts[1..] {
-        merged = merge_by_time(&merged, p);
-    }
-    assert!(is_time_ordered(&merged));
-    assert_eq!(merged.len(), stream.len());
-    let a = ExactCounter::from_stream(&merged);
-    let b = ExactCounter::from_stream(&stream);
-    assert_eq!(a.total_weight(), b.total_weight());
-    assert_eq!(a.distinct_edges(), b.distinct_edges());
 }
 
 #[test]
