@@ -7,14 +7,14 @@
 //! 2. sketch depth d ∈ {1, 3, 5} for both systems (the min-over-rows
 //!    operator compresses both systems' errors and their gap);
 //! 3. sample-rate extrapolation of vertex statistics on/off;
-//! 4. conservative-update CountMin as the base synopsis.
+//! 4. classic vs conservative update on a one-slot arena at d = 3, the
+//!    adaptive deployment's warm-up synopsis (at d = 1 the two policies
+//!    coincide, so the comparison needs more than one row).
 
-use gsketch::{
-    evaluate_edge_queries, EdgeSink, GSketch, GlobalSketch, WidthAllocation, DEFAULT_G0,
-};
+use gsketch::{evaluate_edge_queries, EdgeSink, GSketch, WidthAllocation, DEFAULT_G0};
 use gsketch_bench::harness::{calibration_probe, EXPERIMENT_MIN_WIDTH};
 use gsketch_bench::*;
-use sketch::{CountMinSketch, UpdatePolicy};
+use sketch::CmArena;
 
 fn main() {
     let ds = Dataset::Dblp;
@@ -97,7 +97,7 @@ fn main() {
             .build_from_sample_calibrated(&sample, &probe)
             .unwrap();
         gs.ingest(&bundle.stream);
-        let mut gl = GlobalSketch::new(mem, depth, EXPERIMENT_SEED).unwrap();
+        let mut gl = GSketch::global(mem, depth, EXPERIMENT_SEED).unwrap();
         gl.ingest(&bundle.stream);
         let ge = eval(&gs);
         let le =
@@ -137,25 +137,25 @@ fn main() {
     }
     t.print();
 
-    // --- 4. conservative update on the raw synopsis (substrate-level).
+    // --- 4. update policy on the warm-up synopsis: a one-slot arena at
+    // the builder's and the adaptive config's default depth.
     let mut t = Table::new(
-        "Ablation 4 — CountMin update policy on the raw edge stream (width 8192, d=1)",
+        "Ablation 4 — update policy on a one-slot arena over the raw edge stream (width 8192, d=3)",
         &["policy", "avg rel err"],
     );
-    for (label, policy) in [
-        ("classic", UpdatePolicy::Classic),
-        ("conservative", UpdatePolicy::Conservative),
-    ] {
-        let mut cm = CountMinSketch::new(8192, 1, EXPERIMENT_SEED)
-            .unwrap()
-            .with_policy(policy);
+    for (label, conservative) in [("classic", false), ("conservative", true)] {
+        let mut cm = CmArena::new(8192, 3, EXPERIMENT_SEED).unwrap();
         for se in &bundle.stream {
-            cm.update(se.edge.key(), se.weight);
+            if conservative {
+                cm.update_slot_conservative(0, se.edge.key(), se.weight);
+            } else {
+                cm.update_slot(0, se.edge.key(), se.weight);
+            }
         }
         let mut sum = 0.0;
         for &q in &sets.edges {
             let tru = bundle.truth.frequency(q) as f64;
-            sum += cm.estimate(q.key()) as f64 / tru - 1.0;
+            sum += cm.estimate_slot(0, q.key()) as f64 / tru - 1.0;
         }
         t.row(vec![label.into(), fmt_f(sum / sets.edges.len() as f64)]);
     }
@@ -224,7 +224,7 @@ fn structure_ablation() {
             .build_from_sample(&sample)
             .unwrap();
         gs.ingest(stream);
-        let mut gl = GlobalSketch::new(mem, 1, EXPERIMENT_SEED).unwrap();
+        let mut gl = GSketch::global(mem, 1, EXPERIMENT_SEED).unwrap();
         gl.ingest(stream);
         let a = evaluate_edge_queries(&gs, &queries, &truth, DEFAULT_G0).avg_relative_error;
         let b = evaluate_edge_queries(&gl, &queries, &truth, DEFAULT_G0).avg_relative_error;

@@ -9,8 +9,7 @@
 //! at all.
 
 use gsketch::{
-    evaluate_edge_queries, AdaptiveConfig, AdaptiveGSketch, EdgeSink, GSketch, GlobalSketch,
-    DEFAULT_G0,
+    evaluate_edge_queries, AdaptiveConfig, AdaptiveGSketch, EdgeSink, GSketch, DEFAULT_G0,
 };
 use gsketch_bench::harness::{EXPERIMENT_DEPTH, EXPERIMENT_MIN_WIDTH, EXPERIMENT_SEED};
 use gsketch_bench::*;
@@ -34,7 +33,7 @@ fn main() {
         ],
     );
     for mem in ds.memory_sweep() {
-        let mut gl = GlobalSketch::new(mem, EXPERIMENT_DEPTH, EXPERIMENT_SEED).expect("global");
+        let mut gl = GSketch::global(mem, EXPERIMENT_DEPTH, EXPERIMENT_SEED).expect("global");
         gl.ingest(&bundle.stream);
         let acc_gl = evaluate_edge_queries(&gl, &sets.edges, &bundle.truth, DEFAULT_G0);
 

@@ -36,8 +36,8 @@
 //!   query-path CI smoke step.
 
 use gsketch::{
-    evaluate_edge_queries, EdgeEstimator, EdgeSink, GSketch, GlobalSketch, ParallelQuery,
-    ReplayEngine, SketchId, DEFAULT_G0,
+    evaluate_edge_queries, EdgeEstimator, EdgeSink, GSketch, ParallelQuery, ReplayEngine, SketchId,
+    DEFAULT_G0,
 };
 use gsketch_bench::harness::calibration_probe;
 use gsketch_bench::*;
@@ -211,8 +211,8 @@ fn smoke_sample() {
 
 /// Batched-query smoke: the scalar loop, the batched engine, and the
 /// parallel fan-out must agree answer for answer on a shuffled,
-/// duplicate-heavy workload over both the partitioned sketch and the
-/// global baseline.
+/// duplicate-heavy workload over the partitioned sketch (the global
+/// baseline is the same engine with zero partitions).
 fn smoke_query(threads: usize, arrivals: usize, n_queries: usize, memory_kb: usize) {
     use std::time::Instant;
     let mut cfg = RmatTrafficConfig::gtgraph(16, (arrivals / 4).max(100), arrivals, 23);
@@ -228,8 +228,6 @@ fn smoke_query(threads: usize, arrivals: usize, n_queries: usize, memory_kb: usi
         .build_from_sample(sample)
         .expect("valid build");
     gs.ingest(&stream);
-    let mut gl = GlobalSketch::new(memory_kb << 10, 3, 7).expect("valid build");
-    gl.ingest(&stream);
 
     // A workload with duplicates (arrival-proportional draws repeat hot
     // edges) plus absent probes, in a deterministic shuffled order.
@@ -258,11 +256,6 @@ fn smoke_query(threads: usize, arrivals: usize, n_queries: usize, memory_kb: usi
     let mut parallel = Vec::new();
     pq.estimate_edges(&queries, &mut parallel);
     assert_eq!(scalar, parallel, "parallel answers diverged from scalar");
-
-    let gl_scalar: Vec<u64> = queries.iter().map(|&q| gl.estimate_edge(q)).collect();
-    let mut gl_batched = Vec::new();
-    gl.estimate_edges(&queries, &mut gl_batched);
-    assert_eq!(gl_scalar, gl_batched, "global batched diverged from scalar");
 
     println!(
         "query smoke: {} queries over {} arrivals; scalar {:.1}ms vs batched {:.1}ms ({:.2}x); {} fan-out workers — all answers bit-identical — OK",
@@ -702,7 +695,7 @@ fn main() {
                 .build_from_sample_calibrated(&sample, &probe)
                 .unwrap();
             gs.ingest(&b.stream);
-            let mut gl = GlobalSketch::new(mem, DEPTH, 1).unwrap();
+            let mut gl = GSketch::global(mem, DEPTH, 1).unwrap();
             gl.ingest(&b.stream);
             let ga = evaluate_edge_queries(&gs, &sets.edges, &b.truth, DEFAULT_G0);
             let la = evaluate_edge_queries(&gl, &sets.edges, &b.truth, DEFAULT_G0);

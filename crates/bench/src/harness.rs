@@ -5,7 +5,7 @@
 use crate::datasets::{Bundle, Dataset};
 use gsketch::{
     evaluate_edge_queries, evaluate_subgraph_queries, Accuracy, Aggregator, EdgeSink, GSketch,
-    GlobalSketch, DEFAULT_G0,
+    DEFAULT_G0,
 };
 use gstream::edge::Edge;
 use gstream::workload::{
@@ -161,7 +161,7 @@ pub fn run_cell(
 /// their construction times.
 struct BuiltCell {
     gs: GSketch,
-    gl: GlobalSketch,
+    gl: GSketch,
     gsketch_construction: Duration,
     global_construction: Duration,
 }
@@ -206,7 +206,7 @@ fn build_cell(
     let gsketch_construction = t0.elapsed();
 
     let t0 = Instant::now();
-    let mut gl = GlobalSketch::new(memory_bytes, gs.depth(), seed).expect("valid global sketch");
+    let mut gl = GSketch::global(memory_bytes, gs.depth(), seed).expect("valid global sketch");
     gl.ingest(&bundle.stream);
     let global_construction = t0.elapsed();
 

@@ -4,9 +4,8 @@
 use crate::args::{parse_bytes, ArgError, ParsedArgs};
 use gsketch::{
     evaluate_edge_queries, load_windowed, load_windowed_horizon, save_gsketch, save_windowed,
-    AdaptiveConfig, AdaptiveGSketch, EdgeSink, GSketch, GlobalSketch, IntervalEstimate,
-    ParallelQuery, ReplayEngine, ShardedIngest, WindowConfig, WindowedGSketch, WindowedReplay,
-    DEFAULT_G0,
+    AdaptiveConfig, AdaptiveGSketch, EdgeSink, GSketch, IntervalEstimate, ParallelQuery,
+    ReplayEngine, ShardedIngest, WindowConfig, WindowedGSketch, WindowedReplay, DEFAULT_G0,
 };
 use gstream::gen::{
     dblp, ipattack, DblpConfig, ErdosRenyiConfig, ErdosRenyiGenerator, IpAttackConfig, RmatConfig,
@@ -1134,7 +1133,7 @@ fn cmd_compare<W: Write>(raw: &[String], out: &mut W) -> Result<(), CliError> {
         .min_width(64)
         .sample_rate(sample_frac)
         .seed(seed);
-    let mut gl = GlobalSketch::new(memory, depth, seed).map_err(run_err)?;
+    let mut gl = GSketch::global(memory, depth, seed).map_err(run_err)?;
     gl.ingest(&stream);
 
     let queries = uniform_distinct_queries(&truth, n_queries, &mut rng);
@@ -1200,7 +1199,7 @@ fn cmd_adaptive<W: Write>(raw: &[String], out: &mut W) -> Result<(), CliError> {
     // inside `ingest_sharded`; only the partitioned remainder shards
     // (DESIGN.md §11), so the result matches sequential ingest exactly.
     adaptive.ingest_sharded(&stream, threads, false);
-    let mut gl = GlobalSketch::new(memory, depth, seed).map_err(run_err)?;
+    let mut gl = GSketch::global(memory, depth, seed).map_err(run_err)?;
     gl.ingest(&stream);
 
     let mut rng = StdRng::seed_from_u64(seed);

@@ -5,7 +5,7 @@
 //! Run with: `cargo run --release -p gsketch-core --example adaptive_stream`
 
 use gsketch::adaptive::Phase;
-use gsketch::{AdaptiveConfig, AdaptiveGSketch, EdgeSink, GlobalSketch};
+use gsketch::{AdaptiveConfig, AdaptiveGSketch, EdgeSink, GSketch};
 use gstream::gen::{RmatTrafficConfig, RmatTrafficGenerator};
 use gstream::ExactCounter;
 
@@ -44,7 +44,7 @@ fn main() {
     );
 
     // Same memory for the baseline.
-    let mut global = GlobalSketch::new(budget, 1, 99).expect("valid configuration");
+    let mut global = GSketch::global(budget, 1, 99).expect("valid configuration");
     global.ingest(&stream);
 
     // Compare average relative error over all distinct edges.

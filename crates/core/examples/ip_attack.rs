@@ -6,7 +6,7 @@
 //!
 //! Run with: `cargo run --release -p gsketch-core --example ip_attack`
 
-use gsketch::{evaluate_edge_queries, EdgeSink, GSketch, GlobalSketch, SketchId, DEFAULT_G0};
+use gsketch::{evaluate_edge_queries, EdgeSink, GSketch, SketchId, DEFAULT_G0};
 use gstream::gen::{ipattack, IpAttackConfig};
 use gstream::workload::uniform_distinct_queries;
 use gstream::ExactCounter;
@@ -44,7 +44,7 @@ fn main() {
         .build_from_sample_calibrated(sample, &stream)
         .expect("valid configuration");
     gs.ingest(&stream);
-    let mut global = GlobalSketch::new(memory, 1, 5).expect("valid configuration");
+    let mut global = GSketch::global(memory, 1, 5).expect("valid configuration");
     global.ingest(&stream);
 
     let mut rng = StdRng::seed_from_u64(17);

@@ -3,7 +3,7 @@
 //!
 //! Run with: `cargo run --release -p gsketch-core --example quickstart`
 
-use gsketch::{estimate_subgraph, Aggregator, EdgeSink, GSketch, GlobalSketch};
+use gsketch::{estimate_subgraph, Aggregator, EdgeSink, GSketch};
 use gstream::workload::SubgraphQuery;
 use gstream::{Edge, ExactCounter, Interner, StreamEdge};
 
@@ -39,7 +39,7 @@ fn main() {
     gs.ingest(&stream);
 
     // The Global Sketch baseline gets the same memory.
-    let mut global = GlobalSketch::new(64 * 1024, 3, 42).expect("valid configuration");
+    let mut global = GSketch::global(64 * 1024, 3, 42).expect("valid configuration");
     global.ingest(&stream);
 
     // Ground truth for comparison (only possible on toy data!).

@@ -6,8 +6,7 @@
 //! Run with: `cargo run --release -p gsketch-core --example social_network`
 
 use gsketch::{
-    evaluate_edge_queries, evaluate_subgraph_queries, Aggregator, EdgeSink, GSketch, GlobalSketch,
-    DEFAULT_G0,
+    evaluate_edge_queries, evaluate_subgraph_queries, Aggregator, EdgeSink, GSketch, DEFAULT_G0,
 };
 use gstream::gen::{dblp, DblpConfig};
 use gstream::workload::{bfs_subgraph_queries, uniform_distinct_queries};
@@ -46,7 +45,7 @@ fn main() {
         .build_from_sample_calibrated(&sample, &stream)
         .expect("valid configuration");
     gs.ingest(&stream);
-    let mut global = GlobalSketch::new(memory, 1, 9).expect("valid configuration");
+    let mut global = GSketch::global(memory, 1, 9).expect("valid configuration");
     global.ingest(&stream);
 
     println!("\n-- edge queries: 'how often do these two interact?' --");

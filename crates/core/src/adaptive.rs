@@ -6,11 +6,11 @@
 //! The adaptive sketch removes the pre-collected data sample by treating
 //! the *stream prefix itself* as the sample:
 //!
-//! 1. **Warm-up phase.** Arrivals are absorbed by a plain global CountMin
-//!    sketch (sized at a configurable fraction of the budget) while exact
-//!    per-source vertex statistics — `f̃v(m)` and `d̃(m)`, the same
-//!    quantities §4 estimates from the sample — are accumulated online in
-//!    a bounded side table.
+//! 1. **Warm-up phase.** Arrivals are absorbed by a global CountMin
+//!    sketch (a one-slot [`CmArena`] sized at a configurable fraction of
+//!    the budget) while exact per-source vertex statistics — `f̃v(m)` and
+//!    `d̃(m)`, the same quantities §4 estimates from the sample — are
+//!    accumulated online in a bounded side table.
 //! 2. **Switchover.** After `warmup_arrivals` arrivals the collected
 //!    statistics feed the ordinary partitioning tree (Eq. 9 objective),
 //!    the remaining budget is materialized as localized sketches, and the
@@ -37,9 +37,10 @@
 //! `warmup_arrivals / warmup_memory_fraction` well below the expected
 //! stream length, i.e. absorb proportionally less mass during warm-up
 //! than the fraction of memory the warm-up sketch holds. The warm-up
-//! sketch also uses conservative update (Estan & Varghese) — point
-//! queries are all it ever answers, and conservative update strictly
-//! reduces their overestimation at no accuracy cost.
+//! sketch also uses conservative update (Estan & Varghese,
+//! [`CmArena::update_slot_conservative`]) — point queries are all it
+//! ever answers, and conservative update strictly reduces their
+//! overestimation at no accuracy cost.
 
 use crate::gsketch::{GSketch, GSketchBuilder};
 use crate::router::SketchId;
@@ -48,7 +49,7 @@ use crate::vstats::{SampleStats, VertexStat};
 use gstream::edge::{Edge, StreamEdge};
 use gstream::fxhash::{FxHashMap, FxHashSet};
 use gstream::vertex::VertexId;
-use sketch::{CountMinSketch, SketchError, UpdatePolicy};
+use sketch::{CmArena, SketchError};
 
 /// Configuration of the adaptive (sample-free) gSketch.
 #[derive(Debug, Clone, Copy)]
@@ -206,9 +207,10 @@ enum State {
 /// no data sample required.
 pub struct AdaptiveGSketch {
     cfg: AdaptiveConfig,
-    /// The warm-up global sketch; after switchover it is frozen and only
+    /// The warm-up global sketch, a one-slot arena written with
+    /// conservative update; after switchover it is frozen and only
     /// consulted at query time.
-    warmup: CountMinSketch,
+    warmup: CmArena,
     state: State,
     arrivals: u64,
 }
@@ -229,10 +231,9 @@ impl AdaptiveGSketch {
         // cast: f64 -> usize truncation; the fraction is validated in (0, 1)
         // so the product is below memory_bytes, which fits usize.
         let warmup_bytes = (cfg.memory_bytes as f64 * cfg.warmup_memory_fraction) as usize;
-        let cells = CountMinSketch::cells_for_bytes(warmup_bytes);
+        let cells = CmArena::cells_for_bytes(warmup_bytes);
         let width = (cells / cfg.depth.max(1)).max(4);
-        let warmup = CountMinSketch::new(width, cfg.depth, cfg.seed)?
-            .with_policy(UpdatePolicy::Conservative);
+        let warmup = CmArena::new(width, cfg.depth, cfg.seed)?;
         Ok(Self {
             cfg,
             warmup,
@@ -291,17 +292,19 @@ impl AdaptiveGSketch {
             State::Warmup(_) => 0,
             State::Partitioned(gs) => gs.estimate(edge),
         };
-        self.warmup.estimate(edge.key()).saturating_add(tail)
+        self.warmup
+            .estimate_slot(0, edge.key())
+            .saturating_add(tail)
     }
 
     /// Batched [`estimate`](Self::estimate): the warm-up component is
-    /// answered key by key and (after switchover) the partitioned
-    /// component as one batch, then the two are summed per
-    /// query. `out` is overwritten with one estimate per edge, in query
-    /// order; bit-identical to the scalar path.
+    /// answered by the arena's batched slot read and (after switchover)
+    /// the partitioned component as one batch, then the two are summed
+    /// per query. `out` is overwritten with one estimate per edge, in
+    /// query order; bit-identical to the scalar path.
     pub fn estimate_batch(&self, edges: &[Edge], out: &mut Vec<u64>) {
-        out.clear();
-        out.extend(edges.iter().map(|e| self.warmup.estimate(e.key())));
+        let keys: Vec<u64> = edges.iter().map(|e| e.key()).collect();
+        self.warmup.estimate_batch_slot(0, &keys, out);
         if let State::Partitioned(gs) = &self.state {
             let mut tail = Vec::with_capacity(edges.len());
             gs.estimate_batch(edges, &mut tail);
@@ -334,7 +337,7 @@ impl AdaptiveGSketch {
             State::Warmup(_) => 0,
             State::Partitioned(gs) => gs.bytes(),
         };
-        self.warmup.bytes() + tail
+        self.warmup.byte_size() + tail
     }
 
     /// The inner partitioned sketch, once built.
@@ -404,7 +407,8 @@ impl EdgeSink for AdaptiveGSketch {
         self.arrivals += 1;
         match &mut self.state {
             State::Warmup(stats) => {
-                self.warmup.update(se.edge.key(), se.weight);
+                self.warmup
+                    .update_slot_conservative(0, se.edge.key(), se.weight);
                 stats.observe(se.edge, se.weight, self.cfg.max_tracked_sources);
                 if self.arrivals >= self.cfg.warmup_arrivals {
                     self.switch_over();
@@ -546,7 +550,7 @@ mod tests {
         let mut adaptive = AdaptiveGSketch::new(config).unwrap();
         adaptive.ingest(&stream);
 
-        let mut global = crate::GlobalSketch::new(budget, 1, 99).unwrap();
+        let mut global = GSketch::global(budget, 1, 99).unwrap();
         global.ingest(&stream);
 
         let queries: Vec<_> = truth.iter().take(2_000).collect();

@@ -14,7 +14,7 @@ use crate::router::{OwnerMap, Router, SketchId};
 use crate::vstats::SampleStats;
 use gstream::edge::{Edge, StreamEdge};
 use serde::{Deserialize, Serialize};
-use sketch::{BlockedBloom, CmArena, CountMinSketch, SketchError};
+use sketch::{BlockedBloom, CmArena, SketchError};
 
 /// Fraction of the memory budget carved out for the zero-frequency
 /// pre-filter (DESIGN.md §12): `1/PREFILTER_SHARE` of `memory_bytes`.
@@ -266,7 +266,7 @@ impl GSketchBuilder {
         // The pre-filter is paid for out of the same budget, so the
         // counter cells are sized over what the filter leaves behind —
         // `--memory` stays an honest bound on counters + filter.
-        let total_cells = CountMinSketch::cells_for_bytes(self.counter_bytes());
+        let total_cells = CmArena::cells_for_bytes(self.counter_bytes());
         let total_width = total_cells / self.depth.max(1);
         if total_width < 4 {
             return Err(SketchError::InvalidDimension {
@@ -496,6 +496,20 @@ impl GSketch {
     /// Start building a gSketch.
     pub fn builder() -> GSketchBuilder {
         GSketchBuilder::default()
+    }
+
+    /// The Global Sketch baseline (§3.2) every experiment compares
+    /// against: one CountMin sketch over the whole budget, blind to graph
+    /// structure. It is a gSketch with zero partitions — built without a
+    /// pre-filter from an empty sample, its outlier slot is the full
+    /// `(memory_bytes / 8 / depth) × depth` counter matrix.
+    pub fn global(memory_bytes: usize, depth: usize, seed: u64) -> Result<Self, SketchError> {
+        Self::builder()
+            .memory_bytes(memory_bytes)
+            .depth(depth)
+            .seed(seed)
+            .prefilter(false)
+            .build_from_sample(&[])
     }
 }
 
@@ -749,11 +763,12 @@ impl GSketch {
         self.router.approx_bytes()
     }
 
-    /// Total stream weight absorbed so far.
+    /// Total stream weight absorbed so far (saturating, like every
+    /// per-slot total).
     pub fn total_weight(&self) -> u64 {
         (0..self.bank.num_slots())
             .map(|s| self.bank.slot_total(s as u32))
-            .sum()
+            .fold(0, u64::saturating_add)
     }
 
     /// Stream weight absorbed by the outlier sketch alone (§6.6 studies

@@ -16,7 +16,7 @@
 //! ## Quick start
 //!
 //! ```
-//! use gsketch::{EdgeSink, GSketch, GlobalSketch};
+//! use gsketch::{EdgeSink, GSketch};
 //! use gstream::{Edge, StreamEdge};
 //!
 //! // A toy stream: one heavy edge and many light ones.
@@ -44,7 +44,7 @@
 //!
 //! | paper section | module |
 //! |---|---|
-//! | §3.2 global sketch baseline | [`global`] |
+//! | §3.2 global sketch baseline | [`GSketch::global`] |
 //! | §4 vertex statistics from samples | [`vstats`] |
 //! | §4.1–4.2 partitioning trees (Figs. 2–3) | [`partition`] |
 //! | §5 router `H: V → S_i`, outlier sketch | [`router`], [`gsketch`] |
@@ -60,11 +60,13 @@
 //! [`GSketch`] keeps every partition's CountMin counters plus the
 //! outlier's in one [`CmArena`] (DESIGN.md §2): **one contiguous slab**
 //! with a single shared per-row hash family. Its estimates are
-//! bit-identical to one standalone [`CountMinSketch`] per slot of the
-//! same widths and seed (pinned by the `backend_parity` proptests), so
-//! every deployment keeps CountMin's one-sided `e·N_i/w_i` bound.
-//! [`CountMinSketch`] itself remains as the [`GlobalSketch`] baseline and
-//! the adaptive deployment's warm-up sketch.
+//! bit-identical to one reference `sketch::CountMinSketch` per slot of
+//! the same widths and seed (pinned by the `backend_parity` proptests),
+//! so every deployment keeps CountMin's one-sided `e·N_i/w_i` bound.
+//! The arena is the only CountMin engine: the §3.2 Global baseline is
+//! [`GSketch::global`], a gSketch with zero partitions whose outlier
+//! slot holds the whole budget, and the adaptive deployment's warm-up
+//! sketch is a one-slot arena.
 
 #![deny(unsafe_code)]
 #![warn(missing_docs)]
@@ -72,7 +74,6 @@
 
 pub mod adaptive;
 pub mod concurrent;
-pub mod global;
 pub mod gsketch;
 pub mod metrics;
 pub mod partition;
@@ -87,7 +88,6 @@ pub mod window;
 
 pub use adaptive::{AdaptiveConfig, AdaptiveGSketch};
 pub use concurrent::ConcurrentGSketch;
-pub use global::GlobalSketch;
 pub use gsketch::{Estimate, GSketch, GSketchBuilder};
 pub use metrics::{
     evaluate_edge_queries, evaluate_subgraph_queries, relative_error, Accuracy, DEFAULT_G0,
@@ -104,6 +104,53 @@ pub use query::{
 pub use replay::{ReplayEngine, ReplayStats, WindowedReplay};
 pub use router::{OwnerMap, Router, SketchId};
 pub use sink::EdgeSink;
-pub use sketch::{CmArena, CountMinSketch};
+pub use sketch::CmArena;
 pub use vstats::SampleStats;
 pub use window::{IntervalEstimate, WindowConfig, WindowedGSketch};
+
+/// Checks of the §3.2 Global baseline, [`GSketch::global`]: one CountMin
+/// sketch over the whole budget, held as the outlier slot of a gSketch
+/// with zero partitions.
+#[cfg(test)]
+mod global {
+    mod tests {
+        use crate::{EdgeSink, GSketch};
+        use gstream::{Edge, StreamEdge};
+
+        #[test]
+        fn never_underestimates() {
+            let mut g = GSketch::global(1 << 16, 3, 1).unwrap();
+            let stream: Vec<StreamEdge> = (0..500u32)
+                .map(|i| StreamEdge::unit(Edge::new(i % 50, i / 50), i as u64))
+                .collect();
+            g.ingest(&stream);
+            for se in &stream {
+                assert!(g.estimate(se.edge) >= 1);
+            }
+        }
+
+        #[test]
+        fn respects_byte_budget() {
+            let g = GSketch::global(1 << 20, 3, 1).unwrap();
+            assert!(g.bytes() <= 1 << 20);
+            assert!(g.bytes() * 2 >= 1 << 20);
+        }
+
+        #[test]
+        fn width_times_depth_fits_budget() {
+            let g = GSketch::global(4096, 4, 1).unwrap();
+            assert_eq!(g.num_partitions(), 0);
+            assert_eq!(g.arena().slot_width(0), 4096 / 8 / 4);
+        }
+
+        #[test]
+        fn error_bound_grows_with_stream() {
+            let mut g = GSketch::global(1 << 12, 3, 1).unwrap();
+            let probe = Edge::new(1u32, 2u32);
+            let b0 = g.estimate_detailed(probe).error_bound;
+            g.update(StreamEdge::weighted(probe, 0, 1000));
+            assert!(g.estimate_detailed(probe).error_bound > b0);
+            assert_eq!(g.total_weight(), 1000);
+        }
+    }
+}

@@ -54,8 +54,9 @@ pub struct PartitionConfig {
     pub total_width: usize,
     /// Minimum width a sketch may be split down to (`w0`).
     pub min_width: usize,
-    /// Collision-probability constant `C ∈ (0, 1)` of Theorem 1.
-    pub collision_factor: f64,
+    /// Collision-probability constant `C ∈ (0, 1)` of Theorem 1. Fixed
+    /// at 0.5 for every build; only this module's tests vary it.
+    pub(crate) collision_factor: f64,
     /// Objective/scenario selector.
     pub objective: Objective,
     /// Whether width saved by Theorem-1 shrinking is redistributed to the

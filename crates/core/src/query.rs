@@ -20,9 +20,9 @@ use gstream::edge::Edge;
 use gstream::workload::SubgraphQuery;
 
 /// Anything that can answer edge-frequency point queries — scalar or
-/// batched. Every deployment ([`crate::GSketch`], [`crate::GlobalSketch`],
-/// [`crate::AdaptiveGSketch`], [`crate::WindowedGSketch`]) and the
-/// exact ground truth implement
+/// batched. Every deployment ([`crate::GSketch`], which includes the
+/// Global baseline [`crate::GSketch::global`], [`crate::AdaptiveGSketch`],
+/// [`crate::WindowedGSketch`]) and the exact ground truth implement
 /// this, so the whole evaluation harness is generic over the synopsis.
 pub trait EdgeEstimator {
     /// Estimated aggregate frequency of `edge`.
@@ -82,16 +82,6 @@ impl<T: EdgeEstimator + ?Sized> EdgeEstimator for &T {
 }
 
 impl EdgeEstimator for crate::GSketch {
-    fn estimate_edge(&self, edge: Edge) -> u64 {
-        self.estimate(edge)
-    }
-
-    fn estimate_edges(&self, edges: &[Edge], out: &mut Vec<u64>) {
-        self.estimate_batch(edges, out);
-    }
-}
-
-impl EdgeEstimator for crate::GlobalSketch {
     fn estimate_edge(&self, edge: Edge) -> u64 {
         self.estimate(edge)
     }
@@ -448,7 +438,7 @@ mod tests {
             .build_from_sample(&stream)
             .unwrap();
         gs.ingest(&stream);
-        let mut gl = crate::GlobalSketch::new(1 << 14, 3, 1).unwrap();
+        let mut gl = crate::GSketch::global(1 << 14, 3, 1).unwrap();
         gl.ingest(&stream);
         let query = SubgraphQuery {
             edges: vec![Edge::new(1u32, 2u32), Edge::new(2u32, 3u32)],

@@ -3,8 +3,8 @@
 //!
 //! Before this trait each ingest-capable type grew its own ad-hoc
 //! signatures — `GSketch::{update, ingest, ingest_batch}`,
-//! `GlobalSketch::ingest`, `WindowedGSketch::insert` — which meant the
-//! evaluation harness and the CLI each needed per-type plumbing.
+//! `WindowedGSketch::insert` — which meant the evaluation harness and
+//! the CLI each needed per-type plumbing.
 //! [`EdgeSink`] replaces all of them with one contract:
 //!
 //! * [`update`](EdgeSink::update) — record one arrival;
@@ -13,8 +13,7 @@
 //!   counting-sorts the batch by slot, while `WindowedGSketch` and
 //!   `AdaptiveGSketch` run the fused one-owner
 //!   [`ShardedIngest`](crate::ShardedIngest) combiner per window epoch
-//!   and after the warm-up switchover; `GlobalSketch` keeps the
-//!   per-arrival default);
+//!   and after the warm-up switchover);
 //! * [`ingest`](EdgeSink::ingest) — the provided per-arrival `update`
 //!   loop over a whole stream: the sequential reference the batched
 //!   paths are pinned against (`backend_parity`).
@@ -24,8 +23,8 @@
 //! path in the workspace takes a materialized `&[StreamEdge]` — so "ingest
 //! a stream into X" means the same thing for every estimator.
 //!
-//! Implementors: [`GSketch`](crate::GSketch),
-//! [`GlobalSketch`](crate::GlobalSketch),
+//! Implementors: [`GSketch`](crate::GSketch) (the Global baseline
+//! included: it is [`GSketch::global`](crate::GSketch::global)),
 //! [`AdaptiveGSketch`](crate::AdaptiveGSketch) and
 //! [`WindowedGSketch`](crate::WindowedGSketch). Parallel ingest is not a
 //! sink: [`ShardedIngest`](crate::ShardedIngest) borrows a `&mut GSketch`

@@ -46,10 +46,20 @@ pub struct WindowConfig {
 }
 
 impl WindowConfig {
-    fn validate(&self) {
-        // lint: allow(no-panics) — documented precondition: window configuration is validated once at construction; misuse must fail fast, release builds included.
-        assert!(self.span > 0, "window span must be positive");
-        assert!(self.sample_capacity > 0, "sample capacity must be positive");
+    fn validate(&self) -> Result<(), SketchError> {
+        if self.span == 0 {
+            return Err(SketchError::InvalidDimension {
+                what: "window span",
+                value: 0,
+            });
+        }
+        if self.sample_capacity == 0 {
+            return Err(SketchError::InvalidDimension {
+                what: "window sample capacity",
+                value: 0,
+            });
+        }
+        Ok(())
     }
 }
 
@@ -267,7 +277,7 @@ impl WindowedGSketch {
         builder: GSketchBuilder,
         horizon: Option<HorizonCfg>,
     ) -> Result<Self, SketchError> {
-        cfg.validate();
+        cfg.validate()?;
         let current = builder
             .memory_bytes(cfg.memory_bytes_per_window)
             .build_from_sample(&[])?;
@@ -728,11 +738,8 @@ impl WindowedGSketch {
         partial: bool,
     ) -> Result<Self, serde::Error> {
         let cfg = WindowConfig::from_value(serde::value_field(header, "config")?)?;
-        if cfg.span == 0 || cfg.sample_capacity == 0 {
-            return Err(serde::Error(
-                "snapshot window config has a zero span or sample capacity".to_owned(),
-            ));
-        }
+        cfg.validate()
+            .map_err(|e| serde::Error(format!("snapshot window config: {e}")))?;
         let builder = GSketchBuilder::from_value(serde::value_field(header, "builder")?)?;
         let horizon = Option::<(usize, usize)>::from_value(serde::value_field(header, "horizon")?)?
             .map(|(keep, quantum)| HorizonCfg { keep, quantum });
@@ -880,6 +887,29 @@ mod tests {
         }
         assert_eq!(w.sealed_windows(), 3);
         assert_eq!(w.current_window_start(), 300);
+    }
+
+    /// A zero span or sample capacity is a typed construction error,
+    /// not a panic, on both constructors and on snapshot decode.
+    #[test]
+    fn zero_span_or_sample_capacity_rejected() {
+        let mut zero_capacity = cfg();
+        zero_capacity.sample_capacity = 0;
+        for (bad, what) in [
+            (WindowConfig { span: 0, ..cfg() }, "window span"),
+            (zero_capacity, "window sample capacity"),
+        ] {
+            let flat = WindowedGSketch::new(bad, builder()).err();
+            let tiered = WindowedGSketch::with_horizon(bad, builder(), 2).err();
+            for err in [flat, tiered] {
+                assert_eq!(err, Some(SketchError::InvalidDimension { what, value: 0 }));
+            }
+            // A snapshot header carrying the config is a decode error.
+            let mut w = WindowedGSketch::new(cfg(), builder()).unwrap();
+            w.cfg = bad;
+            let (header, tail) = (w.encode_header(), w.encode_tail());
+            assert!(WindowedGSketch::from_snapshot(&header, &[], &tail, false).is_err());
+        }
     }
 
     #[test]

@@ -11,13 +11,14 @@
 //! sequential one.
 
 use gsketch::{
-    save_windowed, AdaptiveConfig, AdaptiveGSketch, CountMinSketch, EdgeEstimator, EdgeSink,
-    GSketch, GSketchBuilder, GlobalSketch, ParallelQuery, ReplayEngine, ShardedIngest, SketchId,
-    WindowConfig, WindowedGSketch,
+    save_windowed, AdaptiveConfig, AdaptiveGSketch, EdgeEstimator, EdgeSink, GSketch,
+    GSketchBuilder, ParallelQuery, ReplayEngine, ShardedIngest, SketchId, WindowConfig,
+    WindowedGSketch,
 };
 use gstream::edge::{Edge, StreamEdge};
 use proptest::collection::vec;
 use proptest::prelude::*;
+use sketch::{CmArena, CountMinSketch, UpdatePolicy};
 
 /// A raw (src, dst, weight) arrival.
 type Arrival = (u32, u32, u8);
@@ -207,6 +208,78 @@ proptest! {
         prop_assert_eq!(gs.partition_loads(), loads);
     }
 
+    /// The Global baseline is a gSketch with zero partitions:
+    /// `GSketch::global(m, d, s)` answers bit for bit like the reference
+    /// `CountMinSketch` of width `m / 8 / d`, depth `d` and seed `s` —
+    /// estimates (absent probes included), bytes, total weight, error
+    /// bound and confidence.
+    #[test]
+    fn global_matches_reference_countmin(
+        arrivals in vec((0u32..60, 0u32..60, 0u8..8), 0..200),
+        memory in 256usize..(1 << 14),
+        depth in 1usize..5,
+        seed in any::<u64>(),
+    ) {
+        let stream = stream_of(&arrivals);
+        let mut global = GSketch::global(memory, depth, seed).unwrap();
+        let mut cm = CountMinSketch::new(memory / 8 / depth, depth, seed).unwrap();
+        prop_assert_eq!(global.num_partitions(), 0);
+        prop_assert_eq!(global.bytes(), cm.bytes());
+
+        global.ingest(&stream);
+        for se in &stream {
+            cm.update(se.edge.key(), se.weight);
+        }
+        for v in 0..60u32 {
+            for e in [Edge::new(v, v), Edge::new(v, 999u32)] {
+                let detailed = global.estimate_detailed(e);
+                prop_assert_eq!(detailed.value, cm.estimate(e.key()));
+                prop_assert_eq!(detailed.error_bound.to_bits(), cm.error_bound().to_bits());
+                prop_assert_eq!(detailed.confidence.to_bits(), cm.confidence().to_bits());
+            }
+        }
+        for se in &stream {
+            prop_assert_eq!(global.estimate(se.edge), cm.estimate(se.edge.key()));
+        }
+        prop_assert_eq!(global.total_weight(), cm.total());
+    }
+
+    /// `CmArena::update_slot_conservative` answers bit for bit like the
+    /// reference `CountMinSketch` under `UpdatePolicy::Conservative`, in
+    /// every slot; zero and near-`u64::MAX` weights included.
+    #[test]
+    fn arena_conservative_update_matches_reference(
+        updates in vec((0u64..200, 0u16..1000, 0u8..8), 0..300),
+        widths in (1usize..64, 1usize..64),
+        depth in 1usize..5,
+        seed in any::<u64>(),
+    ) {
+        let widths = [widths.0, widths.1];
+        let mut arena = CmArena::with_slots(&widths, depth, seed).unwrap();
+        let mut reference = widths.map(|w| {
+            CountMinSketch::new(w, depth, seed)
+                .unwrap()
+                .with_policy(UpdatePolicy::Conservative)
+        });
+        for &(key, w, heavy) in &updates {
+            let weight = match heavy {
+                0 => u64::MAX - u64::from(w),
+                1 => u64::MAX / 2 + u64::from(w),
+                _ => u64::from(w),
+            };
+            let slot = (key % 2) as u32;
+            arena.update_slot_conservative(slot, key, weight);
+            reference[slot as usize].update(key, weight);
+        }
+        for (slot, cm) in reference.iter().enumerate() {
+            let slot = slot as u32;
+            prop_assert_eq!(arena.slot_total(slot), cm.total());
+            for key in 0..400u64 {
+                prop_assert_eq!(arena.estimate_slot(slot, key), cm.estimate(key));
+            }
+        }
+    }
+
     /// Batched ingest is estimate-identical to streaming ingest
     /// (counting-sort grouping must not reorder *within* a slot's
     /// saturating adds in any observable way).
@@ -285,7 +358,7 @@ proptest! {
         }
 
         // The global baseline.
-        let mut global = GlobalSketch::new(1 << 12, depth, seed).unwrap();
+        let mut global = GSketch::global(1 << 12, depth, seed).unwrap();
         global.ingest(&stream);
         assert_batch_parity(&global, &queries);
 

@@ -6,11 +6,12 @@
 //! slot's `depth × width` block back-to-back, per-slot [`SlotSpan`]s
 //! saying where each block starts, and **one** shared per-row
 //! Carter–Wegman family. Within a block the cells are row-major,
-//! exactly like a standalone [`CountMinSketch`](crate::CountMinSketch),
-//! which is why a one-slot arena *is* a CountMin sketch, and why an
-//! arena is cell-for-cell identical to one `CountMinSketch` per slot
-//! built from the same seed (the core crate's `backend_parity`
-//! proptests pin this against such a model).
+//! exactly like the reference [`CountMinSketch`](crate::CountMinSketch),
+//! which is why a one-slot arena *is* a CountMin sketch (the core
+//! crate's Global baseline and the adaptive warm-up are one-slot
+//! arenas), and why an arena is cell-for-cell identical to one
+//! reference sketch per slot built from the same seed (the core crate's
+//! `backend_parity` proptests pin this against such a model).
 //!
 //! **Shared hash families.** Every slot derives its rows from the same
 //! seed. The paper's §4.1 shared-depth property makes this sound:
@@ -94,6 +95,12 @@ impl CmArena {
         Self::with_slots(&[width], depth, seed)
     }
 
+    /// How many counter cells `bytes` bytes of slab hold in total.
+    #[inline]
+    pub fn cells_for_bytes(bytes: usize) -> usize {
+        bytes / std::mem::size_of::<u64>()
+    }
+
     /// Record `weight` occurrences of `key` in `slot`.
     #[inline]
     pub fn update_slot(&mut self, slot: u32, key: u64, weight: u64) {
@@ -102,6 +109,24 @@ impl CmArena {
         for h in &self.hashes {
             let cell = idx + h.bucket(key, span.width);
             self.cells[cell] = self.cells[cell].saturating_add(weight);
+            idx += span.width;
+        }
+        self.totals[slot as usize] = self.totals[slot as usize].saturating_add(weight);
+    }
+
+    /// Record `weight` occurrences of `key` in `slot` with conservative
+    /// update (Estan & Varghese): the target is the slot's current
+    /// estimate plus `weight` (saturating), and only the row cells below
+    /// it are raised to it. Point estimates stay one-sided and never
+    /// exceed what [`update_slot`](Self::update_slot) would give. The
+    /// slot total adds `weight`, saturating.
+    pub fn update_slot_conservative(&mut self, slot: u32, key: u64, weight: u64) {
+        let target = self.estimate_slot(slot, key).saturating_add(weight);
+        let span = self.spans[slot as usize];
+        let mut idx = span.offset;
+        for h in &self.hashes {
+            let cell = &mut self.cells[idx + h.bucket(key, span.width)];
+            *cell = (*cell).max(target);
             idx += span.width;
         }
         self.totals[slot as usize] = self.totals[slot as usize].saturating_add(weight);
@@ -403,11 +428,9 @@ impl CmArena {
     }
 
     /// Additive error bound `e·N_i/w_i` of `slot`'s estimates (Equation 1
-    /// of the paper); it agrees with [`CountMinSketch`]'s own
-    /// [`error_bound`](crate::CountMinSketch::error_bound) for a
-    /// standalone sketch of the same width and load.
-    ///
-    /// [`CountMinSketch`]: crate::CountMinSketch
+    /// of the paper); it agrees with the reference
+    /// [`CountMinSketch::error_bound`](crate::CountMinSketch::error_bound)
+    /// of the same width and load.
     #[inline]
     pub fn slot_error_bound(&self, slot: u32) -> f64 {
         std::f64::consts::E * self.slot_total(slot) as f64 / self.slot_width(slot) as f64
@@ -963,6 +986,7 @@ mod tests {
         assert_eq!(bank.depth(), 3);
         assert_eq!(bank.slot_width(1), 128);
         assert_eq!(bank.byte_size(), (64 + 128 + 32) * 3 * 8);
+        assert_eq!(CmArena::cells_for_bytes(1024), 128);
         for slot in 0..3u32 {
             for k in 0..50u64 {
                 bank.update_slot(slot, k, u64::from(slot) + 1);

@@ -1,4 +1,5 @@
-//! The CountMin sketch (Cormode & Muthukrishnan, J. Algorithms 2005).
+//! The reference CountMin sketch (Cormode & Muthukrishnan, J.
+//! Algorithms 2005).
 //!
 //! A CountMin sketch is a `d × w` array of counters together with `d`
 //! pairwise-independent hash functions, one per row. An arrival of item
@@ -12,6 +13,13 @@
 //! ```
 //!
 //! This is Equation (1) of the gSketch paper and Figure 1's structure.
+//!
+//! No deployment builds this type: every synopsis, the Global baseline
+//! and the adaptive warm-up included, is a [`CmArena`](crate::CmArena).
+//! [`CountMinSketch`] is the plain per-arrival model the arena is pinned
+//! against — a one-slot arena must answer cell for cell like it, under
+//! both [`UpdatePolicy`] variants — so it keeps its own straightforward
+//! classic and conservative update paths.
 
 use crate::error::SketchError;
 use crate::hash::PairwiseHash;
@@ -24,11 +32,11 @@ pub enum UpdatePolicy {
     /// Classic CountMin: every row's cell is incremented.
     #[default]
     Classic,
-    /// Conservative update (Estan & Varghese): only cells currently equal
-    /// to the minimum estimate are raised, and only up to
-    /// `estimate + weight`. Strictly reduces overestimation for point
-    /// queries while preserving the one-sided error guarantee. Used by
-    /// the ablation benchmarks; the paper reproduction uses `Classic`.
+    /// Conservative update (Estan & Varghese): only the cells below
+    /// `estimate + weight` are raised, and only up to that target. Strictly reduces overestimation for point
+    /// queries while preserving the one-sided error guarantee. The
+    /// reference for `CmArena::update_slot_conservative`, which the
+    /// adaptive warm-up uses; the paper reproduction uses `Classic`.
     Conservative,
 }
 
@@ -73,39 +81,6 @@ impl CountMinSketch {
         })
     }
 
-    /// Create a sketch from accuracy targets: `w = ⌈e/ε⌉`, `d = ⌈ln 1/δ⌉`.
-    pub fn with_accuracy(epsilon: f64, delta: f64, seed: u64) -> Result<Self, SketchError> {
-        let width = Self::width_for_epsilon(epsilon)?;
-        let depth = Self::depth_for_delta(delta)?;
-        Self::new(width, depth, seed)
-    }
-
-    /// The paper's width formula `w = ⌈e/ε⌉`.
-    pub fn width_for_epsilon(epsilon: f64) -> Result<usize, SketchError> {
-        if !(epsilon > 0.0 && epsilon < 1.0) {
-            return Err(SketchError::InvalidAccuracy {
-                what: "epsilon",
-                value: epsilon,
-            });
-        }
-        // cast: f64 -> usize truncation of a ceil()ed positive width;
-        // epsilon was validated above, so the value is finite.
-        Ok((std::f64::consts::E / epsilon).ceil() as usize)
-    }
-
-    /// The paper's depth formula `d = ⌈ln 1/δ⌉`.
-    pub fn depth_for_delta(delta: f64) -> Result<usize, SketchError> {
-        if !(delta > 0.0 && delta < 1.0) {
-            return Err(SketchError::InvalidAccuracy {
-                what: "delta",
-                value: delta,
-            });
-        }
-        // cast: f64 -> usize truncation of a ceil()ed non-negative depth;
-        // delta was validated above, and `.max(1)` floors the result.
-        Ok(((1.0 / delta).ln().ceil() as usize).max(1))
-    }
-
     /// Switch the update policy (builder style).
     #[must_use]
     pub fn with_policy(mut self, policy: UpdatePolicy) -> Self {
@@ -138,12 +113,6 @@ impl CountMinSketch {
     #[inline]
     pub fn bytes(&self) -> usize {
         self.cells.len() * std::mem::size_of::<u64>()
-    }
-
-    /// How many cells a sketch of `bytes` bytes can hold in total.
-    #[inline]
-    pub fn cells_for_bytes(bytes: usize) -> usize {
-        bytes / std::mem::size_of::<u64>()
     }
 
     #[inline]
@@ -193,12 +162,6 @@ impl CountMinSketch {
     pub fn confidence(&self) -> f64 {
         1.0 - (-(self.depth as f64)).exp()
     }
-
-    /// Reset every counter to zero, keeping the hash family.
-    pub fn clear(&mut self) {
-        self.cells.fill(0);
-        self.total = 0;
-    }
 }
 
 #[cfg(test)]
@@ -223,22 +186,6 @@ mod tests {
             CountMinSketch::new(16, 0, 1),
             Err(SketchError::InvalidDimension { what: "depth", .. })
         ));
-    }
-
-    #[test]
-    fn accuracy_formulas_match_paper() {
-        // w = ceil(e/eps), d = ceil(ln 1/delta)
-        assert_eq!(CountMinSketch::width_for_epsilon(0.01).unwrap(), 272);
-        assert_eq!(CountMinSketch::depth_for_delta(0.05).unwrap(), 3);
-        assert_eq!(CountMinSketch::depth_for_delta(0.01).unwrap(), 5);
-    }
-
-    #[test]
-    fn invalid_accuracy_rejected() {
-        assert!(CountMinSketch::width_for_epsilon(0.0).is_err());
-        assert!(CountMinSketch::width_for_epsilon(1.5).is_err());
-        assert!(CountMinSketch::depth_for_delta(-0.1).is_err());
-        assert!(CountMinSketch::depth_for_delta(1.0).is_err());
     }
 
     #[test]
@@ -283,7 +230,6 @@ mod tests {
     fn bytes_accounting() {
         let s = sketch(128, 3);
         assert_eq!(s.bytes(), 128 * 3 * 8);
-        assert_eq!(CountMinSketch::cells_for_bytes(1024), 128);
     }
 
     #[test]
@@ -315,15 +261,6 @@ mod tests {
                 "conservative should not exceed classic for key {key}"
             );
         }
-    }
-
-    #[test]
-    fn clear_resets() {
-        let mut s = sketch(16, 2);
-        s.update(3, 9);
-        s.clear();
-        assert_eq!(s.estimate(3), 0);
-        assert_eq!(s.total(), 0);
     }
 
     #[test]

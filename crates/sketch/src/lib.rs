@@ -3,9 +3,15 @@
 //! Self-contained implementations of the classic data-stream synopses the
 //! gSketch paper builds on or cites as interchangeable bases:
 //!
-//! * [`CountMinSketch`] — the synopsis gSketch partitions (Cormode &
-//!   Muthukrishnan 2005; paper §3.2 and Figure 1), kept standalone as the
-//!   global-sketch baseline and the adaptive deployment's warm-up;
+//! * [`CmArena`] — the one CountMin engine (Cormode & Muthukrishnan
+//!   2005; paper §3.2 and Figure 1): all of a gSketch's partitions'
+//!   counters in one contiguous slab with a shared per-row hash family,
+//!   split into exclusive per-owner [`CmArenaSlice`]s for parallel
+//!   ingest (DESIGN.md §2). A one-slot arena is a plain CountMin
+//!   sketch, which is what the core crate's Global baseline and
+//!   adaptive warm-up are;
+//! * [`CountMinSketch`] — the per-arrival reference model the arena is
+//!   pinned against in the parity tests; no deployment builds it;
 //! * [`CountSketch`] — unbiased L2-error point estimates (Charikar, Chen
 //!   & Farach-Colton 2002), the substrate of the structural crate's path
 //!   queries;
@@ -16,11 +22,7 @@
 //!   (Flajolet et al. 2007; Cormode & Muthukrishnan 2005, the paper's
 //!   ref. \[15\]);
 //! * [`hash`] — the Carter–Wegman pairwise / 4-wise independent hash
-//!   families over GF(2^61 − 1) underpinning all of the above;
-//! * [`CmArena`] — the synopsis the core crate's `GSketch` builds over:
-//!   all partitions' CountMin counters in one contiguous slab with a
-//!   shared per-row hash family, split into exclusive per-owner
-//!   [`CmArenaSlice`]s for parallel ingest (DESIGN.md §2).
+//!   families over GF(2^61 − 1) underpinning all of the above.
 //!
 //! All synopses share a few conventions: keys are `u64` (callers intern or
 //! mix composite keys with [`hash::combine64`]), counters saturate instead
@@ -30,12 +32,12 @@
 //! synopses live in one process's memory.
 //!
 //! ```
-//! use sketch::CountMinSketch;
+//! use sketch::CmArena;
 //!
-//! let mut cm = CountMinSketch::new(1024, 4, 42).unwrap();
-//! cm.update(7, 3);
-//! cm.update(7, 2);
-//! assert!(cm.estimate(7) >= 5); // one-sided error: never underestimates
+//! let mut cm = CmArena::new(1024, 4, 42).unwrap();
+//! cm.update_slot(0, 7, 3);
+//! cm.update_slot(0, 7, 2);
+//! assert!(cm.estimate_slot(0, 7) >= 5); // one-sided error: never underestimates
 //! ```
 
 #![deny(unsafe_code)]

@@ -2,7 +2,7 @@
 
 use proptest::collection::vec;
 use proptest::prelude::*;
-use sketch::{CmArena, CountMinSketch, CountSketch, SpaceSaving, UpdatePolicy};
+use sketch::{CmArena, CountMinSketch, CountSketch, SpaceSaving};
 use std::collections::HashMap;
 
 fn truth_of(updates: &[(u64, u16)]) -> HashMap<u64, u64> {
@@ -78,24 +78,24 @@ proptest! {
         }
     }
 
-    /// Conservative update is still one-sided and never above classic.
+    /// The arena's conservative update is still one-sided and never
+    /// above its classic update.
     #[test]
     fn conservative_sandwich(
         updates in vec((0u64..100, 1u16..5), 1..200),
         seed in any::<u64>(),
     ) {
-        let mut classic = CountMinSketch::new(32, 3, seed).unwrap();
-        let mut cons = CountMinSketch::new(32, 3, seed)
-            .unwrap()
-            .with_policy(UpdatePolicy::Conservative);
+        let mut classic = CmArena::new(32, 3, seed).unwrap();
+        let mut cons = CmArena::new(32, 3, seed).unwrap();
         for &(k, w) in &updates {
-            classic.update(k, w as u64);
-            cons.update(k, w as u64);
+            classic.update_slot(0, k, w as u64);
+            cons.update_slot_conservative(0, k, w as u64);
         }
+        prop_assert_eq!(cons.slot_total(0), classic.slot_total(0));
         for (&k, &f) in &truth_of(&updates) {
-            let c = cons.estimate(k);
+            let c = cons.estimate_slot(0, k);
             prop_assert!(c >= f, "conservative underestimated");
-            prop_assert!(c <= classic.estimate(k), "conservative above classic");
+            prop_assert!(c <= classic.estimate_slot(0, k), "conservative above classic");
         }
     }
 

@@ -593,6 +593,7 @@ fn check_sink_bypass(sf: &SourceFile, findings: &mut Vec<Finding>) {
     }
     let surface = [
         "update_slot(",
+        "update_slot_conservative(",
         "add_batch_saturating(",
         "insert_run(",
         "split_slots(",
@@ -1035,11 +1036,12 @@ mod tests {
             "cli".into(),
             "fn a(ar: &A) { ar.update_slot(0, 1, 1); }\n\
              fn b(ar: &mut A) { ar.split_slots(&[(0, 1)])[0].add_batch_saturating(0, &[]); }\n\
-             fn c(f: &mut F) { f.insert_run(0, &[]); }\n",
+             fn c(f: &mut F) { f.insert_run(0, &[]); }\n\
+             fn d(ar: &mut A) { ar.update_slot_conservative(0, 1, 1); }\n",
         );
         let mut f = Vec::new();
         check_sink_bypass(&file, &mut f);
-        assert_eq!(f.len(), 3);
+        assert_eq!(f.len(), 4);
         let engine = preprocess(
             "crates/core/src/x.rs".into(),
             "core".into(),

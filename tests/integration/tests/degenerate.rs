@@ -2,10 +2,10 @@
 //! correct (or fail loudly and early) on empty, constant, adversarial,
 //! and resource-starved inputs.
 
-use gsketch::{AdaptiveConfig, AdaptiveGSketch, EdgeSink, GSketch, GlobalSketch, SketchId};
+use gsketch::{AdaptiveConfig, AdaptiveGSketch, EdgeSink, GSketch, SketchId};
 use gstream::gen::{ErdosRenyiConfig, ErdosRenyiGenerator};
 use gstream::{read_stream, Edge, ExactCounter, StreamEdge};
-use sketch::{CountMinSketch, CountSketch, SpaceSaving};
+use sketch::{CmArena, CountSketch, SpaceSaving};
 use structural::{ExactTriangleCounter, PathAggregator, TriangleEstimator};
 
 fn unit(s: u32, d: u32, t: u64) -> StreamEdge {
@@ -83,12 +83,27 @@ fn self_loop_only_stream() {
 
 #[test]
 fn saturating_weights_never_wrap() {
-    let mut gl = GlobalSketch::new(4 << 10, 2, 1).unwrap();
+    let mut gl = GSketch::global(4 << 10, 2, 1).unwrap();
     let e = Edge::new(1u32, 2u32);
     gl.update(StreamEdge::weighted(e, 0, u64::MAX));
     gl.update(StreamEdge::weighted(e, 0, u64::MAX));
     assert_eq!(gl.estimate(e), u64::MAX);
     assert_eq!(gl.total_weight(), u64::MAX);
+
+    // One partition plus the outlier, each at `u64::MAX`: the sum over
+    // slots saturates like every per-slot total.
+    let mut two = GSketch::builder()
+        .memory_bytes(4 << 10)
+        .depth(2)
+        .min_width(4)
+        .prefilter(false)
+        .build_from_sample(&[StreamEdge::unit(e, 0)])
+        .unwrap();
+    assert_eq!(two.num_partitions(), 1);
+    two.update(StreamEdge::weighted(e, 0, u64::MAX));
+    two.update(StreamEdge::weighted(Edge::new(7u32, 2u32), 0, u64::MAX));
+    assert_eq!(two.outlier_weight(), u64::MAX);
+    assert_eq!(two.total_weight(), u64::MAX);
 
     let mut ss = SpaceSaving::new(4).unwrap();
     ss.update(7, u64::MAX);
@@ -277,7 +292,7 @@ fn all_distinct_edges_uniform_stream() {
         .build_from_sample(&stream[..5_000])
         .expect("build");
     gs.ingest(&stream);
-    let mut gl = GlobalSketch::new(64 << 10, 1, 9).unwrap();
+    let mut gl = GSketch::global(64 << 10, 1, 9).unwrap();
     gl.ingest(&stream);
     let mut err_gs = 0.0f64;
     let mut err_gl = 0.0f64;
@@ -329,11 +344,11 @@ fn adaptive_with_warmup_longer_than_stream() {
 fn countmin_width_one_degenerates_to_total() {
     // A single cell per row counts everything; the estimate equals the
     // stream total — the documented worst case, not an error.
-    let mut cm = CountMinSketch::new(1, 3, 1).unwrap();
+    let mut cm = CmArena::new(1, 3, 1).unwrap();
     for k in 0..100u64 {
-        cm.update(k, 2);
+        cm.update_slot(0, k, 2);
     }
-    assert_eq!(cm.estimate(0), 200);
+    assert_eq!(cm.estimate_slot(0, 0), 200);
 }
 
 #[test]

@@ -3,8 +3,8 @@
 //! check the paper's invariants hold.
 
 use gsketch::{
-    evaluate_edge_queries, evaluate_subgraph_queries, Aggregator, EdgeSink, GSketch, GlobalSketch,
-    SketchId, DEFAULT_G0,
+    evaluate_edge_queries, evaluate_subgraph_queries, Aggregator, EdgeSink, GSketch, SketchId,
+    DEFAULT_G0,
 };
 use gstream::gen::{dblp, ipattack, DblpConfig, IpAttackConfig, RmatConfig, RmatGenerator};
 use gstream::sample::sample_iter;
@@ -28,7 +28,7 @@ fn build_pair(
     stream: &[StreamEdge],
     memory: usize,
     depth: usize,
-) -> (GSketch, GlobalSketch, ExactCounter) {
+) -> (GSketch, GSketch, ExactCounter) {
     let mut rng = StdRng::seed_from_u64(9);
     let sample = sample_iter(stream.iter().copied(), stream.len() / 20, &mut rng);
     let rate = sample.len() as f64 / stream.len() as f64;
@@ -40,7 +40,7 @@ fn build_pair(
         .build_from_sample_calibrated(&sample, stream)
         .expect("build");
     gs.ingest(stream);
-    let mut gl = GlobalSketch::new(memory, depth, 9).expect("build");
+    let mut gl = GSketch::global(memory, depth, 9).expect("build");
     gl.ingest(stream);
     let truth = ExactCounter::from_stream(stream);
     (gs, gl, truth)

@@ -1,7 +1,7 @@
 //! Cross-crate property tests: end-to-end invariants that must hold for
 //! *any* stream, sample, and budget — not just the curated datasets.
 
-use gsketch::{EdgeSink, GSketch, GlobalSketch, SketchId};
+use gsketch::{EdgeSink, GSketch, SketchId};
 use gstream::{Edge, ExactCounter, StreamEdge};
 use proptest::collection::vec;
 use proptest::prelude::*;
@@ -87,7 +87,7 @@ proptest! {
         }
     }
 
-    /// gSketch and GlobalSketch agree with ground truth when memory is
+    /// gSketch and the Global baseline agree with ground truth when memory is
     /// plentiful relative to the stream (both converge, §6: "given
     /// infinitely large memory both methods estimate accurately").
     #[test]
@@ -102,7 +102,7 @@ proptest! {
             .build_from_sample(&stream)
             .expect("build");
         gs.ingest(&stream);
-        let mut gl = GlobalSketch::new(1 << 20, 3, 5).unwrap();
+        let mut gl = GSketch::global(1 << 20, 3, 5).unwrap();
         gl.ingest(&stream);
         for (edge, f) in truth.iter() {
             prop_assert_eq!(gs.estimate(edge), f);
