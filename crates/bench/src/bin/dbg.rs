@@ -25,19 +25,20 @@
 //!   loop, and bit-compare the two samples, their `seen` counts and the
 //!   two final RNG states (DESIGN.md §15). Exits non-zero on any
 //!   difference — the data-sample CI smoke step.
-//! * `dbg --query-smoke N [--arrivals M] [--queries K] [--memory-kb B]`
+//! * `dbg --query-smoke [--arrivals M] [--queries K] [--memory-kb B]`
 //!   — batched-query smoke: build a sketch, draw a shuffled
-//!   duplicate-heavy workload, and compare the scalar loop, the batched
-//!   engine, and an `N`-worker [`ParallelQuery`] fan-out answer by
-//!   answer; then bit-compare a [`ReplayEngine`] dedup-front replay
-//!   against the bare engine under interleaved ingest batches, and replay
-//!   windowed intervals through the batched detailed surface against
-//!   the scalar interval path. Exits non-zero on any mismatch — the
+//!   duplicate-heavy workload of at least [`FANOUT_MIN`] queries, and
+//!   compare the scalar loop with the batched engine (which fans the
+//!   batch out over the host's cores) answer by answer, printing the
+//!   worker count the host gives; then bit-compare a [`ReplayEngine`]
+//!   dedup-front replay against the bare engine under interleaved
+//!   ingest batches, and replay windowed intervals through the batched
+//!   detailed surface against the scalar interval path. Exits non-zero on any mismatch — the
 //!   query-path CI smoke step.
 
 use gsketch::{
-    evaluate_edge_queries, EdgeEstimator, EdgeSink, GSketch, ParallelQuery, ReplayEngine, SketchId,
-    DEFAULT_G0,
+    evaluate_edge_queries, EdgeEstimator, EdgeSink, GSketch, ReplayEngine, SketchId, DEFAULT_G0,
+    FANOUT_MIN,
 };
 use gsketch_bench::harness::calibration_probe;
 use gsketch_bench::*;
@@ -209,12 +210,16 @@ fn smoke_sample() {
     );
 }
 
-/// Batched-query smoke: the scalar loop, the batched engine, and the
-/// parallel fan-out must agree answer for answer on a shuffled,
-/// duplicate-heavy workload over the partitioned sketch (the global
-/// baseline is the same engine with zero partitions).
-fn smoke_query(threads: usize, arrivals: usize, n_queries: usize, memory_kb: usize) {
+/// Batched-query smoke: the scalar loop and the batched engine must
+/// agree answer for answer on a shuffled, duplicate-heavy workload over
+/// the partitioned sketch (the global baseline is the same engine with
+/// zero partitions). The workload is one batch long enough to fan out.
+fn smoke_query(arrivals: usize, n_queries: usize, memory_kb: usize) {
     use std::time::Instant;
+    assert!(
+        n_queries >= FANOUT_MIN,
+        "--queries {n_queries} is below the fan-out threshold {FANOUT_MIN}"
+    );
     let mut cfg = RmatTrafficConfig::gtgraph(16, (arrivals / 4).max(100), arrivals, 23);
     cfg.activity_alpha = 1.2;
     let stream: Vec<_> = RmatTrafficGenerator::new(cfg).generate();
@@ -252,19 +257,16 @@ fn smoke_query(threads: usize, arrivals: usize, n_queries: usize, memory_kb: usi
     gs.estimate_edges(&queries, &mut batched);
     let batched_t = t1.elapsed();
     assert_eq!(scalar, batched, "batched answers diverged from scalar");
-    let pq = ParallelQuery::new(&gs, threads).oversubscribe(true);
-    let mut parallel = Vec::new();
-    pq.estimate_edges(&queries, &mut parallel);
-    assert_eq!(scalar, parallel, "parallel answers diverged from scalar");
+    let workers = std::thread::available_parallelism().map_or(1, |n| n.get());
 
     println!(
-        "query smoke: {} queries over {} arrivals; scalar {:.1}ms vs batched {:.1}ms ({:.2}x); {} fan-out workers — all answers bit-identical — OK",
+        "query smoke: {} queries over {} arrivals; scalar {:.1}ms vs batched {:.1}ms ({:.2}x) over the host's {} worker(s) — all answers bit-identical — OK",
         queries.len(),
         stream.len(),
         scalar_t.as_secs_f64() * 1e3,
         batched_t.as_secs_f64() * 1e3,
         scalar_t.as_secs_f64() / batched_t.as_secs_f64().max(1e-12),
-        pq.effective_threads(),
+        workers,
     );
 
     smoke_prefilter(&stream, n_queries);
@@ -640,9 +642,8 @@ fn main() {
             .and_then(|i| args.get(i + 1))
             .and_then(|v| v.parse().ok())
     };
-    if let Some(threads) = flag("--query-smoke") {
+    if args.iter().any(|a| a == "--query-smoke") {
         smoke_query(
-            threads.max(1),
             flag("--arrivals").unwrap_or(200_000),
             flag("--queries").unwrap_or(100_000),
             flag("--memory-kb").unwrap_or(256),

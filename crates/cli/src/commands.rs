@@ -4,8 +4,8 @@
 use crate::args::{parse_bytes, ArgError, ParsedArgs};
 use gsketch::{
     evaluate_edge_queries, load_windowed, load_windowed_horizon, save_gsketch, save_windowed,
-    AdaptiveConfig, AdaptiveGSketch, EdgeSink, GSketch, IntervalEstimate, ParallelQuery,
-    ReplayEngine, ShardedIngest, WindowConfig, WindowedGSketch, WindowedReplay, DEFAULT_G0,
+    AdaptiveConfig, AdaptiveGSketch, EdgeSink, GSketch, IntervalEstimate, ReplayEngine,
+    ShardedIngest, WindowConfig, WindowedGSketch, WindowedReplay, DEFAULT_G0,
 };
 use gstream::gen::{
     dblp, ipattack, DblpConfig, ErdosRenyiConfig, ErdosRenyiGenerator, IpAttackConfig, RmatConfig,
@@ -70,16 +70,15 @@ USAGE:
       (--stream adds exact ground truth next to each estimate;
        --prefilter off bypasses the zero-frequency pre-filter, so
        absent keys report collision noise instead of exact zeros)
-  gsketch query <snapshot> --workload FILE [--stream FILE] [--threads N] [--chunk N]
+  gsketch query <snapshot> --workload FILE [--stream FILE] [--chunk N]
       [--cache on|off] [--detailed on|off] [--show K] [--prefilter on|off]
       (replays a query-workload file — one `src dst` query per line —
-       through the batched engine; unless --cache off, each chunk is
-       deduplicated so a repeated edge is answered once; --threads fans
-       the distinct edges out over the clamped worker pool; --stream
-       reports accuracy vs exact truth; --detailed replays through the
-       sequential detailed batch instead — no --cache/--threads — and
-       reports per-query confidence intervals, first K rows shown,
-       default 10)
+       through the batched engine, which spreads a long batch over the
+       host's cores; unless --cache off, each chunk is deduplicated so a
+       repeated edge is answered once; --stream reports accuracy vs
+       exact truth; --detailed replays through the detailed batch
+       instead — no --cache — and reports per-query confidence
+       intervals, first K rows shown, default 10)
   gsketch snapshot <stream-file> --out FILE --window-span S
       [--window-memory SIZE] [--seed N] [--horizon-keep N] [--threads N]
       (builds a time-windowed synopsis over the stream and saves it as a
@@ -266,9 +265,9 @@ fn cmd_stats<W: Write>(raw: &[String], out: &mut W) -> Result<(), CliError> {
 }
 
 /// Parse `--threads` (default 1, clamped to at least 1), for every
-/// command that takes it. More than one thread ingests through the
-/// owner-sharded engine, which splits the counter arena into
-/// owner-exclusive slices, or fans a query batch out over a worker pool.
+/// command that takes it (`build`, `snapshot`, `compare`, `adaptive`).
+/// More than one thread ingests through the owner-sharded engine, which
+/// splits the counter arena into owner-exclusive slices.
 fn parse_threads(a: &ParsedArgs) -> Result<usize, CliError> {
     Ok(a.get_or::<usize>("threads", 1)?.max(1))
 }
@@ -423,21 +422,6 @@ fn load_snapshot(path: &str) -> Result<GSketch, CliError> {
         .map_err(|e| CliError::Run(format!("{path}: {e}")))
 }
 
-/// Answer a query batch through the batched engine, fanning out over up
-/// to `threads` workers (clamped like every pool in the workspace).
-/// Returns the worker count that actually served the batch.
-fn estimate_parallel(
-    sketch: &GSketch,
-    edges: &[Edge],
-    threads: usize,
-    out: &mut Vec<u64>,
-) -> usize {
-    let pq = ParallelQuery::new(sketch, threads);
-    let workers = pq.effective_threads();
-    pq.estimate_edges(edges, out);
-    workers
-}
-
 /// The kind tag of a windowed snapshot's envelope line, if `path` holds
 /// one. Used only to improve errors: flat and windowed snapshots are
 /// different formats, and pointing a command at the wrong one should
@@ -503,11 +487,9 @@ fn parse_switch(a: &ParsedArgs, name: &str, default: bool) -> Result<bool, CliEr
 
 /// Replay a query-workload file against a snapshot through the batched
 /// engine: queries are pulled in chunks from the line-validated
-/// [`QueryFileSource`] and each chunk is answered as one batch (fanned
-/// out over the worker pool when `--threads` asks for it). The default
-/// chunk is large because each chunk is one fan-out — a parallel replay
-/// spawns and joins its workers once per chunk, so the chunk size is
-/// the amortization knob (smaller chunks only bound the staging
+/// [`QueryFileSource`] and each chunk is answered as one batch. The
+/// default chunk is large because a long batch is what the engine
+/// spreads over the host's cores (smaller chunks only bound the staging
 /// buffer).
 fn replay_workload<W: Write>(
     a: &ParsedArgs,
@@ -516,7 +498,6 @@ fn replay_workload<W: Write>(
     truth: Option<&ExactCounter>,
     out: &mut W,
 ) -> Result<(), CliError> {
-    let threads = parse_threads(a)?;
     let chunk: usize = a.get_or::<usize>("chunk", 1 << 20)?.max(1);
     let detailed = parse_switch(a, "detailed", false)?;
     // The per-chunk dedup front is on by default; --cache off is the
@@ -527,13 +508,6 @@ fn replay_workload<W: Write>(
     if detailed && cached {
         return Err(CliError::Args(ArgError(
             "--detailed replays through the detailed batch; drop --cache on".into(),
-        )));
-    }
-    // The detailed batch is sequential; silently ignoring --threads
-    // would misreport the replay shape.
-    if detailed && a.get("threads").is_some() {
-        return Err(CliError::Args(ArgError(
-            "--detailed answers sequential detailed batches; drop --threads".into(),
         )));
     }
     // --show prints detailed rows; without --detailed there are none.
@@ -550,7 +524,6 @@ fn replay_workload<W: Write>(
     let mut rows: Vec<gsketch::Estimate> = Vec::new();
     let mut queries = 0u64;
     let mut chunks = 0u64;
-    let mut workers = 1usize;
     let mut sum = 0u64;
     let mut err_sum = 0.0f64;
     let mut effective = 0usize;
@@ -578,16 +551,11 @@ fn replay_workload<W: Write>(
                 }
             }
         } else if let Some(engine) = engine.as_mut() {
-            // Deduplicated replay: the chunk's distinct edges fan out
-            // over the worker pool as one batch; repeats copy their
-            // answers.
-            let mut distinct_workers = workers;
-            engine.estimate_edges_with(&buf, &mut ests, |distinct, vals| {
-                distinct_workers = estimate_parallel(sketch, distinct, threads, vals);
-            });
-            workers = distinct_workers;
+            // Deduplicated replay: the chunk's distinct edges are
+            // answered as one batch; repeats copy their answers.
+            engine.estimate_edges(&buf, &mut ests);
         } else {
-            workers = estimate_parallel(sketch, &buf, threads, &mut ests);
+            sketch.estimate_batch(&buf, &mut ests);
         }
         queries += buf.len() as u64;
         chunks += 1;
@@ -605,11 +573,7 @@ fn replay_workload<W: Write>(
         }
     }
     source.finish().map_err(run_err)?;
-    writeln!(
-        out,
-        "replayed {queries} queries in {chunks} chunk(s) over {workers} worker(s) ({threads} requested)"
-    )
-    .map_err(run_err)?;
+    writeln!(out, "replayed {queries} queries in {chunks} chunk(s)").map_err(run_err)?;
     if let Some(engine) = &engine {
         let stats = engine.stats();
         let total = (stats.hits + stats.misses).max(1);
@@ -768,11 +732,11 @@ fn query_windowed_snapshot<W: Write>(
     path: &str,
     out: &mut W,
 ) -> Result<(), CliError> {
-    for flag in ["stream", "prefilter", "detailed", "threads"] {
+    for flag in ["stream", "prefilter", "detailed"] {
         if a.get(flag).is_some() {
             return Err(CliError::Args(ArgError(format!(
                 "--{flag} does not apply with --snapshot (the snapshot fixes the \
-                 windowed deployment; replies are always detailed and sequential)"
+                 windowed deployment; replies are always detailed)"
             ))));
         }
     }
@@ -914,7 +878,6 @@ fn cmd_query<W: Write>(raw: &[String], out: &mut W) -> Result<(), CliError> {
         &[
             "stream",
             "workload",
-            "threads",
             "chunk",
             "cache",
             "detailed",
@@ -945,7 +908,7 @@ fn cmd_query<W: Write>(raw: &[String], out: &mut W) -> Result<(), CliError> {
     // Replay-only flags must not be silently ignored by the inline
     // point-query mode.
     if a.get("workload").is_none() {
-        for flag in ["threads", "chunk", "cache", "detailed", "show"] {
+        for flag in ["chunk", "cache", "detailed", "show"] {
             if a.get(flag).is_some() {
                 return Err(CliError::Args(ArgError(format!(
                     "--{flag} applies to workload replay; add --workload FILE"
@@ -1496,21 +1459,12 @@ mod tests {
         let wl = tmp("wl.queries.txt");
         let gen = run(&["workload", &stream, "--out", &wl, "--queries", "5000"]).unwrap();
         assert!(gen.contains("5000 edge queries"), "{gen}");
-        // Batched replay, with and without truth, sequential and fanned
-        // out: the reported sums must agree (bit-exact parity).
+        // Batched replay, with and without truth, in one chunk and in
+        // many: the reported sums must agree (bit-exact parity).
         let seq = run(&["query", &snap, "--workload", &wl]).unwrap();
-        assert!(seq.contains("replayed 5000 queries"), "{seq}");
-        let par = run(&[
-            "query",
-            &snap,
-            "--workload",
-            &wl,
-            "--threads",
-            "4",
-            "--chunk",
-            "512",
-        ])
-        .unwrap();
+        assert!(seq.contains("replayed 5000 queries in 1 chunk(s)"), "{seq}");
+        let par = run(&["query", &snap, "--workload", &wl, "--chunk", "512"]).unwrap();
+        assert!(par.contains("in 10 chunk(s)"), "{par}");
         let sum_line = |text: &str| {
             text.lines()
                 .find(|l| l.starts_with("estimate sum"))
@@ -1522,10 +1476,10 @@ mod tests {
         assert!(with_truth.contains("avg rel err"), "{with_truth}");
     }
 
-    /// `--threads 0` is clamped to one worker on the replay path, as on
-    /// every other command, and the report names the clamped request.
+    /// The batched engine picks its own worker count, so replay takes no
+    /// `--threads`: it is an unknown option there, not a silent no-op.
     #[test]
-    fn workload_replay_clamps_zero_threads() {
+    fn workload_replay_rejects_threads() {
         let stream = tmp("wl_zero_threads.txt");
         run(&[
             "generate",
@@ -1542,8 +1496,8 @@ mod tests {
         run(&["build", &stream, "--memory", "32K", "--out", &snap]).unwrap();
         let wl = tmp("wl_zero_threads.queries.txt");
         run(&["workload", &stream, "--out", &wl, "--queries", "500"]).unwrap();
-        let text = run(&["query", &snap, "--workload", &wl, "--threads", "0"]).unwrap();
-        assert!(text.contains("over 1 worker(s) (1 requested)"), "{text}");
+        let e = run(&["query", &snap, "--workload", &wl, "--threads", "2"]).unwrap_err();
+        assert!(e.to_string().contains("unknown option `--threads`"), "{e}");
     }
 
     #[test]

@@ -10,6 +10,7 @@
 
 use crate::partition::{partition, Objective, PartitionConfig, PartitionPlan, WidthAllocation};
 use crate::pipeline::OwnerShare;
+use crate::query::{fan_out, host_workers};
 use crate::router::{OwnerMap, Router, SketchId};
 use crate::vstats::SampleStats;
 use gstream::edge::{Edge, StreamEdge};
@@ -29,7 +30,7 @@ const OUTLIER_FRACTION: f64 = 0.1;
 /// Edges per chunk of the batched read path: routing, counter gather
 /// and filter gather each run over one chunk at a time, so the scratch
 /// stays a few tens of KiB however long the batch is.
-const READ_CHUNK: usize = 2048;
+pub(crate) const READ_CHUNK: usize = 2048;
 
 /// Reused per-chunk scratch of the batched read path: each edge's slot
 /// and key, its answer, and whether the pre-filter admitted it.
@@ -610,19 +611,41 @@ impl GSketch {
     /// in-order gather (the arena's kernel computes and prefetches every
     /// row cell of a block of queries before reading any), and with the
     /// pre-filter active one membership gather zeroes the answers of
-    /// keys proven absent with a branch-free mask multiply. `out` is
-    /// overwritten with one estimate per edge; answers are bit-identical
-    /// to [`estimate`](Self::estimate) per edge (pinned by the
+    /// keys proven absent with a branch-free mask multiply. A batch of at
+    /// least `FANOUT_MIN` edges is split into contiguous spans answered on
+    /// the host's cores (DESIGN.md §8). `out` is overwritten with one
+    /// estimate per edge; answers are bit-identical to
+    /// [`estimate`](Self::estimate) per edge (pinned by the
     /// `backend_parity` proptests), because a per-key estimate never
     /// depends on what else is in the batch.
-    // audit: kernel(bounds-free)
     pub fn estimate_batch(&self, edges: &[Edge], out: &mut Vec<u64>) {
-        out.clear();
-        out.reserve(edges.len());
+        self.estimate_batch_over(edges, out, host_workers());
+    }
+
+    /// [`estimate_batch`](Self::estimate_batch) over at most `workers`
+    /// threads.
+    pub(crate) fn estimate_batch_over(&self, edges: &[Edge], out: &mut Vec<u64>, workers: usize) {
+        // Every cell is overwritten, so only a longer batch writes
+        // filler (and only into the new tail).
+        out.resize(edges.len(), 0);
+        fan_out(edges, out, workers, |edges, out| {
+            self.estimate_span(edges, out)
+        });
+    }
+
+    /// The sequential body of [`estimate_batch`](Self::estimate_batch)
+    /// for one span: `out` holds one slot per edge. Kept out of line so
+    /// the audit sees it apart from the fan-out, whose thread spawn and
+    /// join carry the standard library's panic paths.
+    // audit: kernel(bounds-free)
+    #[inline(never)]
+    fn estimate_span(&self, edges: &[Edge], out: &mut [u64]) {
         let mut chunk = ReadChunk::default();
-        for edges in edges.chunks(READ_CHUNK) {
+        for (edges, out) in edges.chunks(READ_CHUNK).zip(out.chunks_mut(READ_CHUNK)) {
             self.read_chunk(edges, &mut chunk);
-            out.extend_from_slice(&chunk.vals);
+            for (o, &v) in out.iter_mut().zip(&chunk.vals) {
+                *o = v;
+            }
         }
     }
 
@@ -682,37 +705,58 @@ impl GSketch {
 
     /// Batched [`estimate_detailed`](Self::estimate_detailed): `out` is
     /// overwritten with one [`Estimate`] per edge, in query order. It
-    /// walks the same chunks as [`estimate_batch`](Self::estimate_batch)
-    /// and takes each edge's slot and filter verdict from the chunk
-    /// scratch, so no edge is routed or filter-probed twice. The quality
-    /// attributes — per-slot error bound, bank-wide confidence,
-    /// answering [`SketchId`] — are constants of the routing, computed
-    /// once per slot instead of once per query. One pass answers values
-    /// *and* confidence intervals, so workload replay reports both
-    /// without re-probing the synopsis. Rows are bit-identical to the
-    /// scalar [`estimate_detailed`](Self::estimate_detailed) per edge.
+    /// walks the same chunks (and spans) as
+    /// [`estimate_batch`](Self::estimate_batch) and takes each edge's
+    /// slot and filter verdict from the chunk scratch, so no edge is
+    /// routed or filter-probed twice. The quality attributes — per-slot
+    /// error bound, bank-wide confidence, answering [`SketchId`] — are
+    /// constants of the routing, computed once per slot instead of once
+    /// per query. One pass answers values *and* confidence intervals, so
+    /// workload replay reports both without re-probing the synopsis.
+    /// Rows are bit-identical to the scalar
+    /// [`estimate_detailed`](Self::estimate_detailed) per edge.
     #[inline]
     pub fn estimate_detailed_batch(&self, edges: &[Edge], out: &mut Vec<Estimate>) {
+        self.estimate_detailed_batch_over(edges, out, host_workers());
+    }
+
+    /// [`estimate_detailed_batch`](Self::estimate_detailed_batch) over at
+    /// most `workers` threads.
+    pub(crate) fn estimate_detailed_batch_over(
+        &self,
+        edges: &[Edge],
+        out: &mut Vec<Estimate>,
+        workers: usize,
+    ) {
         let confidence = self.bank.confidence();
         let bounds: Vec<f64> = (0..self.bank.num_slots())
             .map(|s| self.bank.slot_error_bound(s as u32))
             .collect();
-        out.clear();
-        out.reserve(edges.len());
-        let mut chunk = ReadChunk::default();
-        for edges in edges.chunks(READ_CHUNK) {
-            self.read_chunk(edges, &mut chunk);
-            let rows = chunk.slots.iter().zip(&chunk.vals).zip(&chunk.present);
-            out.extend(rows.map(|((&slot, &value), &present)| Estimate {
-                value,
-                // Filter-proven absence is exact (see
-                // `estimate_detailed`); the slot's confidence still
-                // describes the answering synopsis.
-                error_bound: if present { bounds[slot as usize] } else { 0.0 },
-                confidence,
-                sketch: self.router.id_of_slot(slot),
-            }));
-        }
+        let filler = Estimate {
+            value: 0,
+            error_bound: 0.0,
+            confidence,
+            sketch: SketchId::Outlier,
+        };
+        out.resize(edges.len(), filler);
+        fan_out(edges, out, workers, |edges, out| {
+            let mut chunk = ReadChunk::default();
+            for (edges, out) in edges.chunks(READ_CHUNK).zip(out.chunks_mut(READ_CHUNK)) {
+                self.read_chunk(edges, &mut chunk);
+                let rows = chunk.slots.iter().zip(&chunk.vals).zip(&chunk.present);
+                for (o, ((&slot, &value), &present)) in out.iter_mut().zip(rows) {
+                    *o = Estimate {
+                        value,
+                        // Filter-proven absence is exact (see
+                        // `estimate_detailed`); the slot's confidence
+                        // still describes the answering synopsis.
+                        error_bound: if present { bounds[slot as usize] } else { 0.0 },
+                        confidence,
+                        sketch: self.router.id_of_slot(slot),
+                    };
+                }
+            }
+        });
     }
 
     /// Which sketch would answer a query on `edge`.

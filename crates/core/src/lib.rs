@@ -98,9 +98,7 @@ pub use persist::{
     RawSnapshot, FORMAT_VERSION, GSKETCH_KIND, WINDOWED_FORMAT_VERSION, WINDOWED_KIND,
 };
 pub use pipeline::{IngestReport, ShardedIngest};
-pub use query::{
-    estimate_subgraph, estimate_subgraph_with, Aggregator, EdgeEstimator, ParallelQuery,
-};
+pub use query::{estimate_subgraph, estimate_subgraph_with, Aggregator, EdgeEstimator, FANOUT_MIN};
 pub use replay::{ReplayEngine, ReplayStats, WindowedReplay};
 pub use router::{OwnerMap, Router, SketchId};
 pub use sink::EdgeSink;

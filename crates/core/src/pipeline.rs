@@ -85,8 +85,8 @@ const PREFETCH_AHEAD: usize = 12;
 
 /// Clamp a requested worker count to the host's available parallelism —
 /// the rayon-style rule every CPU-bound pool in the workspace shares
-/// (ingest's [`ShardedIngest`] and the query engine's
-/// [`ParallelQuery`](crate::query::ParallelQuery)). Oversubscribing a
+/// (ingest's [`ShardedIngest`] and the batched read's fan-out, which
+/// asks for every core). Oversubscribing a
 /// single core with N compute-bound workers buys nothing and costs
 /// context switches; `oversubscribe` exists so correctness tests can
 /// force real thread interleaving on small machines.

@@ -11,10 +11,11 @@
 //! range reduction, block-prefetched cells), with no sort by slot and
 //! no scatter back. Everything downstream —
 //! subgraph aggregation, workload replay, the accuracy metrics, the
-//! structural queries — drives this surface instead of scalar loops, and
-//! [`ParallelQuery`] fans a large batch out across the same clamped
-//! worker pool the ingest pipeline uses. Answers are bit-identical to
-//! the scalar path (pinned by the `backend_parity` proptests).
+//! structural queries — drives this surface instead of scalar loops. A
+//! long batch is split over the host's cores inside
+//! [`crate::GSketch::estimate_batch`] itself, so every caller gets the
+//! fan-out with nothing to wrap or set. Answers are bit-identical to the
+//! scalar path (pinned by the `backend_parity` proptests).
 
 use gstream::edge::Edge;
 use gstream::workload::SubgraphQuery;
@@ -60,9 +61,8 @@ pub trait EdgeEstimator {
 
 /// Estimators answer through shared references, so a borrow is as good
 /// as the estimator itself — this is what lets the replay engine front
-/// a deployment it merely borrows (e.g. one also driven by a
-/// [`ParallelQuery`] pool). Every method forwards, so estimator-specific
-/// batch overrides are preserved.
+/// a deployment it merely borrows. Every method forwards, so
+/// estimator-specific batch overrides are preserved.
 impl<T: EdgeEstimator + ?Sized> EdgeEstimator for &T {
     fn estimate_edge(&self, edge: Edge) -> u64 {
         (**self).estimate_edge(edge)
@@ -141,72 +141,55 @@ impl EdgeEstimator for gstream::ExactCounter {
     }
 }
 
-/// Embarrassingly parallel read fan-out: a large query batch is split
-/// into contiguous spans, each answered by one worker through the
-/// estimator's batched surface (chunked gather and all), writing into
-/// disjoint regions of the output. Workers are clamped to the host's
-/// available parallelism by the same rule as the ingest engine's
-/// owner pool (DESIGN.md §11); answers are bit-identical to a sequential
-/// [`EdgeEstimator::estimate_edges`] call because each span's batch is
-/// answered independently.
-#[derive(Debug)]
-pub struct ParallelQuery<'e, E: EdgeEstimator + Sync> {
-    estimator: &'e E,
-    threads: usize,
-    oversubscribe: bool,
+/// Batches shorter than this many edges are answered on the calling
+/// thread. Spawning and joining a scoped worker costs tens of
+/// microseconds; this is the shortest batch at which a 2-core fan-out
+/// beat the one-thread read in every run of the length sweep in
+/// DESIGN.md §8.
+pub const FANOUT_MIN: usize = 16 * 1024;
+
+/// The host's available parallelism, read once: the standard library
+/// re-reads the cgroup quota on every call, and most read batches are a
+/// handful of edges.
+pub(crate) fn host_workers() -> usize {
+    static HOST: std::sync::OnceLock<usize> = std::sync::OnceLock::new();
+    *HOST.get_or_init(|| crate::pipeline::clamp_workers(usize::MAX, false))
 }
 
-impl<'e, E: EdgeEstimator + Sync> ParallelQuery<'e, E> {
-    /// Fan queries out over `estimator` from up to `threads` workers
-    /// (clamped to at least 1 and to the host's available parallelism).
-    pub fn new(estimator: &'e E, threads: usize) -> Self {
-        Self {
-            estimator,
-            threads: threads.max(1),
-            oversubscribe: false,
+/// The read fan-out (DESIGN.md §8): answer `inputs` into `out` (one
+/// slot per input) over at most `workers` threads. The batch is cut
+/// into contiguous spans, whole multiples of the read chunk except the
+/// last; the calling thread answers the first span and one scoped
+/// worker answers each other span, writing straight into its own part
+/// of `out`. A batch shorter than [`FANOUT_MIN`] (or one worker) runs
+/// `answer` once on the calling thread and spawns nothing. Answers are
+/// bit-identical to one sequential `answer` call whenever an answer
+/// depends only on its own input, as every point estimate does.
+pub(crate) fn fan_out<I, T, F>(inputs: &[I], out: &mut [T], workers: usize, answer: F)
+where
+    I: Sync,
+    T: Send,
+    F: Fn(&[I], &mut [T]) + Sync,
+{
+    if workers <= 1 || inputs.len() < FANOUT_MIN {
+        answer(inputs, out);
+        return;
+    }
+    let span = inputs
+        .len()
+        .div_ceil(workers)
+        .next_multiple_of(crate::gsketch::READ_CHUNK);
+    let mut spans = inputs.chunks(span).zip(out.chunks_mut(span));
+    let Some((first_in, first_out)) = spans.next() else {
+        return;
+    };
+    let answer = &answer;
+    std::thread::scope(|scope| {
+        for (inputs, out) in spans {
+            scope.spawn(move || answer(inputs, out));
         }
-    }
-
-    /// Spawn exactly the requested worker count even beyond the host's
-    /// cores (for correctness tests that need real interleaving).
-    #[must_use]
-    pub fn oversubscribe(mut self, on: bool) -> Self {
-        self.oversubscribe = on;
-        self
-    }
-
-    /// Requested worker threads (upper bound).
-    pub fn threads(&self) -> usize {
-        self.threads
-    }
-
-    /// Worker threads a batch will actually fan out over.
-    pub fn effective_threads(&self) -> usize {
-        crate::pipeline::clamp_workers(self.threads, self.oversubscribe)
-    }
-
-    /// Answer a query batch across the worker pool: `out` is overwritten
-    /// with one estimate per edge, in query order.
-    pub fn estimate_edges(&self, edges: &[Edge], out: &mut Vec<u64>) {
-        let workers = self.effective_threads();
-        if workers <= 1 || edges.len() < 2 {
-            self.estimator.estimate_edges(edges, out);
-            return;
-        }
-        out.clear();
-        out.resize(edges.len(), 0);
-        let span = edges.len().div_ceil(workers);
-        let estimator = self.estimator;
-        std::thread::scope(|scope| {
-            for (chunk, sink) in edges.chunks(span).zip(out.chunks_mut(span)) {
-                scope.spawn(move || {
-                    let mut local = Vec::with_capacity(chunk.len());
-                    estimator.estimate_edges(chunk, &mut local);
-                    sink.copy_from_slice(&local);
-                });
-            }
-        });
-    }
+        answer(first_in, first_out);
+    });
 }
 
 /// The aggregate function `Γ(·)` of an aggregate subgraph query.
@@ -528,38 +511,99 @@ mod tests {
         }
     }
 
-    /// `ParallelQuery` fan-out answers bit-identically to the sequential
-    /// batch, for any worker count (oversubscribed to force real
-    /// interleaving) and for batches smaller than the pool.
+    /// The fan-out cuts a long batch into contiguous spans of whole read
+    /// chunks, answers each on its own thread (the caller's included) and
+    /// writes every answer into its own slot; a short batch stays on the
+    /// calling thread.
     #[test]
-    fn parallel_query_matches_sequential_batch() {
+    fn fan_out_splits_long_batches_into_contiguous_spans() {
+        use crate::gsketch::READ_CHUNK;
+        use std::sync::Mutex;
+        let inputs: Vec<usize> = (0..FANOUT_MIN + 3 * READ_CHUNK + 5).collect();
+        for workers in [1usize, 2, 3, 7] {
+            for len in [0, 1, FANOUT_MIN - 1, FANOUT_MIN, inputs.len()] {
+                let spans = Mutex::new(Vec::new());
+                let mut out = vec![usize::MAX; len];
+                fan_out(&inputs[..len], &mut out, workers, |span, out| {
+                    let first = span.first().copied().unwrap_or(0);
+                    let id = std::thread::current().id();
+                    spans.lock().unwrap().push((first, span.len(), id));
+                    out.copy_from_slice(span);
+                });
+                assert_eq!(out, inputs[..len], "{workers} workers, len {len}");
+                let mut spans = spans.into_inner().unwrap();
+                spans.sort_unstable_by_key(|&(first, _, _)| first);
+                let expect = if workers == 1 || len < FANOUT_MIN {
+                    1
+                } else {
+                    len.div_ceil(len.div_ceil(workers).next_multiple_of(READ_CHUNK))
+                };
+                assert_eq!(spans.len(), expect, "{workers} workers, len {len}");
+                let mut next = 0;
+                for (i, &(first, span_len, _)) in spans.iter().enumerate() {
+                    assert_eq!(first, next, "spans are contiguous");
+                    if i + 1 < spans.len() {
+                        assert_eq!(span_len % READ_CHUNK, 0, "whole read chunks");
+                    }
+                    next += span_len;
+                }
+                let mut ids: Vec<_> = spans.iter().map(|&(_, _, id)| id).collect();
+                ids.dedup();
+                assert_eq!(ids.len(), spans.len(), "one thread per span");
+            }
+        }
+    }
+
+    /// Both batched reads answer bit-identically to the scalar path at
+    /// any forced worker count, for every read configuration: the filter
+    /// read, the filter switched off, and a filterless build. Lengths
+    /// straddle `FANOUT_MIN`, and the longest cuts spans that are not
+    /// whole read chunks; one output buffer is reused across lengths, so
+    /// shrinking and growing batches are both covered.
+    #[test]
+    fn fanned_out_batches_match_scalar_estimates() {
+        use crate::gsketch::READ_CHUNK;
         use crate::EdgeSink;
         let stream = toy_stream(5_000);
-        let mut gs = crate::GSketch::builder()
-            .memory_bytes(1 << 14)
-            .min_width(16)
-            .seed(3)
-            .build_from_sample(&stream[..500])
-            .unwrap();
-        gs.ingest(&stream);
-        let batch: Vec<Edge> = stream.iter().map(|se| se.edge).collect();
-        let mut sequential = Vec::new();
-        gs.estimate_edges(&batch, &mut sequential);
-        for threads in [1usize, 2, 4, 7] {
-            let pq = ParallelQuery::new(&gs, threads).oversubscribe(true);
-            assert_eq!(pq.effective_threads(), threads);
-            let mut parallel = Vec::new();
-            pq.estimate_edges(&batch, &mut parallel);
-            assert_eq!(parallel, sequential, "{threads} workers");
-            // Tiny batch: falls back to the sequential path.
-            let mut tiny = Vec::new();
-            pq.estimate_edges(&batch[..1], &mut tiny);
-            assert_eq!(tiny, sequential[..1]);
+        let build = |prefilter: bool| {
+            let mut gs = crate::GSketch::builder()
+                .memory_bytes(1 << 14)
+                .min_width(16)
+                .seed(3)
+                .prefilter(prefilter)
+                .build_from_sample(&stream[..500])
+                .unwrap();
+            gs.ingest(&stream);
+            gs
+        };
+        let filtered = build(true);
+        let mut unread = filtered.clone();
+        unread.set_prefilter(false);
+        let long = FANOUT_MIN + 3 * READ_CHUNK + 5;
+        // A quarter of the batch is never ingested, so the filter read
+        // proves keys absent.
+        let batch: Vec<Edge> = (0..long)
+            .map(|i| {
+                if i % 4 == 0 {
+                    Edge::new((i % 5_003) as u32 + 1_000, (i % 11) as u32)
+                } else {
+                    stream[(i * 31) % stream.len()].edge
+                }
+            })
+            .collect();
+        for gs in [&filtered, &unread, &build(false)] {
+            let scalar: Vec<u64> = batch.iter().map(|&e| gs.estimate(e)).collect();
+            let detailed: Vec<crate::Estimate> =
+                batch.iter().map(|&e| gs.estimate_detailed(e)).collect();
+            let (mut out, mut rows) = (Vec::new(), Vec::new());
+            for workers in [2usize, 3, 7] {
+                for len in [long, 0, FANOUT_MIN, 1, FANOUT_MIN - 1, FANOUT_MIN + 1] {
+                    gs.estimate_batch_over(&batch[..len], &mut out, workers);
+                    assert_eq!(out, scalar[..len], "{workers} workers, len {len}");
+                    gs.estimate_detailed_batch_over(&batch[..len], &mut rows, workers);
+                    assert_eq!(rows, detailed[..len], "{workers} workers, len {len}");
+                }
+            }
         }
-        let pq = ParallelQuery::new(&gs, 0);
-        assert_eq!(pq.threads(), 1);
-        let mut out = Vec::new();
-        pq.estimate_edges(&[], &mut out);
-        assert!(out.is_empty());
     }
 }

@@ -102,8 +102,8 @@ impl<V: Copy> BatchDedup<V> {
 /// front on its batched query surface.
 ///
 /// Each batch's distinct edges are answered once through the
-/// estimator's own [`estimate_edges`](EdgeEstimator::estimate_edges)
-/// (or a caller-supplied answerer), and repeats are copied from the
+/// estimator's own [`estimate_edges`](EdgeEstimator::estimate_edges),
+/// and repeats are copied from the
 /// first answer. No answer outlives its batch, so writes through the
 /// [`EdgeSink`] impl need no invalidation and the engine is
 /// bit-identical to the bare batched engine under any interleaving of
@@ -137,19 +137,6 @@ impl<S: EdgeEstimator> ReplayEngine<S> {
             .run(edges, out, &mut self.stats, |distinct, vals| {
                 inner.estimate_edges(distinct, vals)
             });
-    }
-
-    /// [`estimate_edges`](Self::estimate_edges) with a caller-supplied
-    /// answerer for the distinct edges — the hook the CLI uses to fan
-    /// them out over a [`crate::ParallelQuery`] pool. `answer` must
-    /// answer exactly like the inner estimator (it is handed the
-    /// distinct edges in first-occurrence order and must fill one value
-    /// per edge, in order).
-    pub fn estimate_edges_with<F>(&mut self, edges: &[Edge], out: &mut Vec<u64>, answer: F)
-    where
-        F: FnOnce(&[Edge], &mut Vec<u64>),
-    {
-        self.dedup.run(edges, out, &mut self.stats, answer);
     }
 
     /// Cumulative hit/miss counters (`invalidations` stays 0).
@@ -312,50 +299,12 @@ mod tests {
         let mut bare = Vec::new();
         gs.estimate_edges(&batch, &mut bare);
         let mut engine = ReplayEngine::new(gs);
-        let mut seen = 0usize;
         let mut cached = Vec::new();
-        engine.estimate_edges_with(&batch, &mut cached, |miss, vals| {
-            seen = miss.len();
-            let mut v = Vec::new();
-            miss.iter().for_each(|&e| v.push(e));
-            // Answer through a fresh scalar pass over the inner — the
-            // closure stands in for the estimator here.
-            vals.clear();
-            vals.extend(bare.iter().take(2)); // hot then other, first-miss order
-            assert_eq!(v, vec![hot, other]);
-        });
-        assert_eq!(seen, 2, "six queries, two distinct misses");
+        engine.estimate_edges(&batch, &mut cached);
         assert_eq!(cached, bare);
         let stats = engine.stats();
         assert_eq!(stats.misses, 2);
         assert_eq!(stats.hits, 4, "repeat occurrences are hits");
-    }
-
-    /// The fan-out hook: an engine fronting a *borrowed* deployment can
-    /// answer each batch's distinct edges through a `ParallelQuery` pool
-    /// over the same borrow — the CLI's replay shape — and stays
-    /// bit-identical.
-    #[test]
-    fn estimate_edges_with_fans_misses_out() {
-        use crate::EdgeSink;
-        let s = stream(1_500);
-        let mut gs = build(&s);
-        gs.ingest(&s);
-        let queries: Vec<Edge> = s.iter().step_by(2).map(|se| se.edge).collect();
-        let mut bare = Vec::new();
-        gs.estimate_edges(&queries, &mut bare);
-        let pq = crate::ParallelQuery::new(&gs, 3).oversubscribe(true);
-        let mut engine = ReplayEngine::new(&gs);
-        let mut cached = Vec::new();
-        for _ in 0..2 {
-            engine.estimate_edges_with(&queries, &mut cached, |miss, vals| {
-                pq.estimate_edges(miss, vals);
-            });
-            assert_eq!(cached, bare);
-        }
-        let stats = engine.stats();
-        assert_eq!(stats.misses, 2 * distinct(&queries));
-        assert_eq!(stats.hits + stats.misses, 2 * queries.len() as u64);
     }
 
     // --- interval-keyed replay (WindowedReplay) ------------------------

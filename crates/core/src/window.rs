@@ -199,11 +199,13 @@ impl WindowedGSketch {
     /// parity holds because saturating addition commutes (pinned by the
     /// `backend_parity` proptests). With one owner this is the windowed
     /// [`EdgeSink::ingest_batch`]. Timestamps must be non-decreasing,
-    /// exactly as for `try_insert`: an arrival that lands before the
-    /// window it would be binned into panics with `try_insert`'s message
-    /// (checked during the reservoir pass, after its epoch committed);
-    /// `oversubscribe` forces the requested owner count past the host's
-    /// parallelism (correctness tests).
+    /// exactly as for `try_insert`: an arrival before the open window
+    /// returns [`SketchError::OutOfOrder`]. Epochs are cut at such an
+    /// arrival and each is checked before its run, so an `Err` leaves
+    /// every earlier epoch committed (and its rotations done) and the
+    /// rejected arrival and everything after it unwritten — the state a
+    /// `try_insert` loop stops in. `oversubscribe` forces the requested
+    /// owner count past the host's parallelism (correctness tests).
     pub fn try_ingest_sharded(
         &mut self,
         stream: &[StreamEdge],
@@ -217,27 +219,36 @@ impl WindowedGSketch {
         };
         let mut rest = stream;
         while let Some(first) = rest.first() {
-            // Epoch = the maximal prefix landing in the open window. A
-            // window abutting u64::MAX never rotates again.
+            // A window abutting u64::MAX never rotates again.
             let boundary = self.current_start.checked_add(self.cfg.span);
-            let epoch_len = match boundary {
-                Some(b) if first.ts >= b => {
-                    // The next arrival starts at or past the boundary:
-                    // rotate once, then jump over fully-empty gap windows
-                    // (the same once-then-jump rule as `try_insert`).
-                    self.rotate()?;
-                    let target = first.ts - first.ts % self.cfg.span;
-                    if target > self.current_start {
-                        self.current_start = target;
-                    }
-                    continue;
+            if boundary.is_some_and(|b| first.ts >= b) {
+                // The next arrival starts at or past the boundary: rotate
+                // once, then jump over fully-empty gap windows (the same
+                // once-then-jump rule as `try_insert`).
+                self.rotate()?;
+                let target = first.ts - first.ts % self.cfg.span;
+                if target > self.current_start {
+                    self.current_start = target;
                 }
-                // `first` lies in the window, so the prefix is non-empty
-                // on sorted input; `max(1)` keeps unsorted input moving
-                // until the offer loop below rejects it.
-                Some(b) => rest.partition_point(|se| se.ts < b).max(1),
-                None => rest.len(),
-            };
+                continue;
+            }
+            // Epoch = the longest prefix inside the open window. It ends
+            // at the first arrival of a later window or, out of order,
+            // of an earlier one; the latter is rejected once it leads.
+            let (start, last) = (
+                self.current_start,
+                self.current_start.saturating_add(self.cfg.span - 1),
+            );
+            if first.ts < start {
+                return Err(SketchError::OutOfOrder {
+                    ts: first.ts,
+                    window_start: start,
+                });
+            }
+            let epoch_len = rest
+                .iter()
+                .position(|se| se.ts < start || se.ts > last)
+                .unwrap_or(rest.len());
             let (epoch, tail) = rest.split_at(epoch_len);
             rest = tail;
             // Counters: one sharded run into the open window, borrowed in
@@ -252,22 +263,11 @@ impl WindowedGSketch {
             report.workers = report.workers.max(r.workers);
             // Sample: reservoir offers stay sequential — offer order
             // drives the RNG, so this is what keeps later windows'
-            // partitionings bit-identical to the sequential path. The
-            // same pass checks the epoch: `partition_point` assumes
-            // sorted timestamps, so an out-of-order arrival shows up
-            // here as one outside the open window `[start, last]`.
-            let (start, last) = (
-                self.current_start,
-                self.current_start.saturating_add(self.cfg.span - 1),
-            );
-            for se in epoch {
-                // lint: allow(no-panics) — documented precondition: timestamps must be non-decreasing, exactly as for `try_insert`; misuse must fail fast, release builds included.
-                assert!(
-                    se.ts >= start && se.ts <= last,
-                    "timestamps must be non-decreasing across inserts"
-                );
-                self.reservoir.offer(*se, &mut self.rng);
-            }
+            // partitionings bit-identical to the sequential path.
+            // `offer_all` equals an `offer` loop and reads only the
+            // arrivals it keeps.
+            self.reservoir
+                .offer_all(epoch.iter().copied(), &mut self.rng);
         }
         Ok(report)
     }
@@ -314,11 +314,12 @@ impl WindowedGSketch {
     /// domain).
     #[inline]
     pub fn try_insert(&mut self, se: StreamEdge) -> Result<(), SketchError> {
-        // lint: allow(no-panics) — documented precondition: the caller's timestamps are non-decreasing, so no arrival lands before the open window's start; misuse must fail fast, release builds included.
-        assert!(
-            se.ts >= self.current_start,
-            "timestamps must be non-decreasing across inserts"
-        );
+        if se.ts < self.current_start {
+            return Err(SketchError::OutOfOrder {
+                ts: se.ts,
+                window_start: self.current_start,
+            });
+        }
         if let Some(boundary) = self.current_start.checked_add(self.cfg.span) {
             if se.ts >= boundary {
                 self.rotate()?;
@@ -842,9 +843,9 @@ impl EdgeSink for WindowedGSketch {
     #[inline]
     fn update(&mut self, se: StreamEdge) {
         self.try_insert(se)
-            // lint: allow(no-panics) — `try_insert` only errors on a config the
-            // constructor already validated; rotation itself is infallible.
-            .expect("window rotation cannot fail after construction validated the config");
+            // lint: allow(no-panics) — errors only on an out-of-order timestamp (rotation
+            // cannot fail after the constructor's validation); the sink has no error channel.
+            .expect("timestamps must be non-decreasing");
     }
 
     /// One fused owner per window epoch
@@ -852,9 +853,9 @@ impl EdgeSink for WindowedGSketch {
     /// one owner): bit-identical to an [`update`](Self::update) loop.
     fn ingest_batch(&mut self, batch: &[StreamEdge]) {
         self.try_ingest_sharded(batch, 1, false)
-            // lint: allow(no-panics) — rotation only errors on a config the
-            // constructor already validated, as in `update`.
-            .expect("window rotation cannot fail after construction validated the config");
+            // lint: allow(no-panics) — errors only on an out-of-order
+            // timestamp, as in `update`; the sink has no error channel.
+            .expect("timestamps must be non-decreasing");
     }
 }
 
@@ -913,23 +914,57 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "non-decreasing")]
     fn out_of_order_timestamps_rejected() {
         let mut w = WindowedGSketch::new(cfg(), builder()).unwrap();
         w.try_insert(wedge(1, 2, 500)).unwrap();
-        w.try_insert(wedge(1, 2, 10)).unwrap();
+        let start = w.current_window_start();
+        assert_eq!(
+            w.try_insert(wedge(1, 2, 10)),
+            Err(SketchError::OutOfOrder {
+                ts: 10,
+                window_start: start,
+            })
+        );
+        assert_eq!(w.estimate_lifetime(Edge::new(1u32, 2u32)), 1.0);
     }
 
-    /// The epoch path bins by `partition_point`, which assumes sorted
-    /// timestamps; an arrival past the window followed by one inside it
-    /// must panic like `try_insert` instead of landing `ts = 9` in the
-    /// window `[0, 5)`.
+    /// An arrival past the window followed by one inside it must be
+    /// rejected like `try_insert` rejects it, instead of landing `ts = 9`
+    /// in the window `[0, 5)`. Epochs are checked before they run, so an
+    /// `Err` leaves exactly what a `try_insert` loop leaves: every earlier
+    /// arrival committed, the rejected one and the rest unwritten.
     #[test]
-    #[should_panic(expected = "non-decreasing")]
     fn epoch_ingest_rejects_out_of_order_timestamps() {
-        let mut w = WindowedGSketch::new(WindowConfig { span: 5, ..cfg() }, builder()).unwrap();
-        let stream = [3, 9, 4, 4].map(|ts| wedge(1, 2, ts));
-        w.try_ingest_sharded(&stream, 1, false).unwrap();
+        let c = WindowConfig { span: 5, ..cfg() };
+        let e = Edge::new(1u32, 2u32);
+        for (ts, rejected, first_window) in
+            [(&[3, 9, 4, 4][..], 4, 1.0), (&[1, 2, 6, 9, 3], 3, 2.0)]
+        {
+            let stream: Vec<_> = ts.iter().map(|&ts| wedge(1, 2, ts)).collect();
+            let mut serial = WindowedGSketch::new(c, builder()).unwrap();
+            let serial_err = stream
+                .iter()
+                .find_map(|&se| serial.try_insert(se).err())
+                .unwrap();
+            let mut batched = WindowedGSketch::new(c, builder()).unwrap();
+            let err = batched.try_ingest_sharded(&stream, 1, false).unwrap_err();
+            assert_eq!(
+                err,
+                SketchError::OutOfOrder {
+                    ts: rejected,
+                    window_start: 5,
+                }
+            );
+            assert_eq!(err, serial_err);
+            assert_eq!(batched.current_window_start(), 5);
+            assert_eq!(batched.estimate_interval(e, 0, 4), first_window);
+            for (lo, hi) in [(0, 4), (5, 9)] {
+                assert_eq!(
+                    batched.estimate_interval(e, lo, hi).to_bits(),
+                    serial.estimate_interval(e, lo, hi).to_bits()
+                );
+            }
+        }
     }
 
     /// Disorder *inside* the open window is legal for `try_insert` (it

@@ -12,8 +12,8 @@
 
 use gsketch::{
     save_windowed, AdaptiveConfig, AdaptiveGSketch, EdgeEstimator, EdgeSink, GSketch,
-    GSketchBuilder, ParallelQuery, ReplayEngine, ShardedIngest, SketchId, WindowConfig,
-    WindowedGSketch,
+    GSketchBuilder, ReplayEngine, ShardedIngest, SketchId, WindowConfig, WindowedGSketch,
+    FANOUT_MIN,
 };
 use gstream::edge::{Edge, StreamEdge};
 use proptest::collection::vec;
@@ -345,15 +345,17 @@ proptest! {
                 .unwrap();
             gs.ingest(&stream);
             assert_batch_parity(&gs, &queries);
-            // Parallel fan-out answers bit-identically to the sequential
-            // batch, with real oversubscribed threads.
-            let mut sequential = Vec::new();
-            gs.estimate_edges(&queries, &mut sequential);
-            for threads in [2usize, 5] {
-                let pq = ParallelQuery::new(&gs, threads).oversubscribe(true);
-                let mut parallel = Vec::new();
-                pq.estimate_edges(&queries, &mut parallel);
-                prop_assert_eq!(&parallel, &sequential, "{} workers", threads);
+            // A batch long enough to fan out over the host's cores,
+            // through the public path, answers like the short one.
+            let mut short = Vec::new();
+            gs.estimate_edges(&queries, &mut short);
+            let long: Vec<Edge> =
+                queries.iter().cycle().take(FANOUT_MIN + 1).copied().collect();
+            let mut fanned = Vec::new();
+            gs.estimate_batch(&long, &mut fanned);
+            prop_assert_eq!(fanned.len(), long.len());
+            for (i, &v) in fanned.iter().enumerate() {
+                prop_assert_eq!(v, short[i % short.len()], "query {}", i);
             }
         }
 
@@ -453,6 +455,19 @@ proptest! {
             for (row, &b) in rows.iter().zip(&batch) {
                 prop_assert_eq!(row.value.to_bits(), b.to_bits());
             }
+        }
+        // A detailed batch long enough for each window's read to fan
+        // out over the host's cores answers like the scalar interval.
+        let scalar: Vec<f64> = queries
+            .iter()
+            .map(|&q| windowed.estimate_interval(q, t_start, t_end))
+            .collect();
+        let long: Vec<Edge> = queries.iter().cycle().take(FANOUT_MIN + 1).copied().collect();
+        let mut rows = Vec::new();
+        windowed.estimate_interval_detailed_batch(&long, t_start, t_end, &mut rows);
+        prop_assert_eq!(rows.len(), long.len());
+        for (i, row) in rows.iter().enumerate() {
+            prop_assert_eq!(row.value.to_bits(), scalar[i % scalar.len()].to_bits(), "query {}", i);
         }
         // And the estimator surfaces (lifetime): one rounding per edge.
         let mut ints = Vec::new();

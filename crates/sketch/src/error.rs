@@ -26,6 +26,15 @@ pub enum SketchError {
         /// The rejected value.
         value: f64,
     },
+    /// A timestamped arrival did not fit the time order its synopsis
+    /// keeps: it lies before the open window, or after a later arrival
+    /// of the same batch's window.
+    OutOfOrder {
+        /// The rejected arrival's timestamp.
+        ts: u64,
+        /// Start of the window that was open when it arrived.
+        window_start: u64,
+    },
 }
 
 impl fmt::Display for SketchError {
@@ -40,6 +49,11 @@ impl fmt::Display for SketchError {
             SketchError::InvalidAccuracy { what, value } => {
                 write!(f, "accuracy parameter out of range: {what} = {value}")
             }
+            SketchError::OutOfOrder { ts, window_start } => write!(
+                f,
+                "timestamps must be non-decreasing: arrival at {ts} does not fit \
+                 the open window starting at {window_start}"
+            ),
         }
     }
 }
@@ -66,5 +80,11 @@ mod tests {
             value: 2.0,
         };
         assert!(e.to_string().contains("epsilon"));
+        let e = SketchError::OutOfOrder {
+            ts: 9,
+            window_start: 5,
+        };
+        assert!(e.to_string().contains("arrival at 9"));
+        assert!(e.to_string().contains("starting at 5"));
     }
 }

@@ -171,19 +171,16 @@ pub fn u64_cells_to_value(cells: &[u64]) -> Value {
     Value::Str(encode_u64(cells))
 }
 
-/// `Value` → unsigned slab of exactly `expected` cells. Accepts both the
-/// compact string form and the legacy plain-sequence form.
+/// `Value` → unsigned slab of exactly `expected` cells. Only the
+/// compact string form is read; the JSON-array form no writer emits is
+/// rejected without decoding its elements.
 pub fn u64_cells_from_value(v: &Value, expected: usize) -> Result<Vec<u64>, Error> {
     match v {
         Value::Str(s) => decode_u64(s, expected),
-        Value::Seq(_) => {
-            let cells: Vec<u64> = serde::Deserialize::from_value(v)?;
-            if cells.len() != expected {
-                return Err(bad_count(cells.len(), expected));
-            }
-            Ok(cells)
-        }
-        other => Err(Error::expected("slab string or sequence", other)),
+        Value::Seq(_) => Err(Error(
+            "slab cells must be a nibble-stream string, not a sequence".into(),
+        )),
+        other => Err(Error::expected("slab string", other)),
     }
 }
 
@@ -250,9 +247,11 @@ mod tests {
     }
 
     #[test]
-    fn legacy_sequence_form_still_loads() {
+    fn sequence_form_is_rejected() {
         let v = Value::Seq(vec![Value::U64(3), Value::U64(0), Value::U64(9)]);
-        assert_eq!(u64_cells_from_value(&v, 3).unwrap(), vec![3, 0, 9]);
-        assert!(u64_cells_from_value(&v, 2).is_err());
+        let e = u64_cells_from_value(&v, 3).unwrap_err();
+        assert!(e.to_string().contains("not a sequence"), "{e}");
+        let e = u64_cells_from_value(&Value::U64(3), 1).unwrap_err();
+        assert!(e.to_string().contains("slab string"), "{e}");
     }
 }

@@ -260,7 +260,7 @@ fn committed_baseline_parses_and_covers_the_hot_kernels() {
         "sketch::BlockedBloom::contains_batch",
         "sketch::BlockedBloom::contains_gather",
         "gsketch::OwnerWorker::commit_evicted",
-        "gsketch::GSketch::estimate_batch",
+        "gsketch::GSketch::estimate_span",
     ] {
         assert_eq!(b[key].mode, Mode::BoundsFree, "{key}");
         assert_eq!(b[key].bounds_checks, 0, "{key}");
