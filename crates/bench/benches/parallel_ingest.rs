@@ -1,22 +1,14 @@
-//! Owner-sharded ingest benchmark (DESIGN.md §11): the
-//! [`ShardedIngest`] engine over per-owner arena slices vs. the
-//! single-threaded slot-grouped `ingest_batch` baseline (the
+//! Ingest engine benchmark (DESIGN.md §11): the combining
+//! [`ShardedIngest`] engine (the `sharded/1t` row) vs. the slot-grouped
+//! counting-sort `ingest_batch` of the flat write (the
 //! `cm-arena/batched` row), on an R-MAT (GTGraph) traffic stream.
 //!
-//! The engine's win has two independent components: owner parallelism
-//! (scatter by router slot, plain-store commits into exclusively-owned
-//! arena slices) and duplicate coalescing (each distinct key in a
+//! The engine's gain is duplicate coalescing: each distinct key in a
 //! combiner residency costs `d` hash evaluations once, however often it
-//! arrived). The owner sweep below separates them — `sharded/1t` (the
-//! fused no-spawn path) isolates the coalescing gain, `sharded/{2,4,8}t`
-//! add core scaling on top. Each sweep row prints its throughput
-//! relative to the 1-owner row; a request the host clamps to fewer
-//! workers is skipped, so no row claims core scaling that did not run.
+//! arrived. These two rows are the evidence for keeping the counting
+//! sort on the flat write (DESIGN.md §11).
 //!
-//! A print-only dev tool: `perfbench` is the recorded measurement, and
-//! it times only the 1-owner engine (a 2-owner run needs a third thread
-//! for scatter, more than its 2-vCPU host has). This bench keeps the
-//! `sharded/2t` row for hosts that can run it.
+//! A print-only dev tool: `perfbench` is the recorded measurement.
 
 use gsketch::{EdgeSink, GSketch, ShardedIngest};
 use gsketch_bench::{experiment_scale, rate_of, Bundle, Dataset, EXPERIMENT_SEED};
@@ -24,7 +16,6 @@ use std::hint::black_box;
 
 const MEMORY_BYTES: usize = 2 << 20;
 const DEPTH: usize = 3;
-const CHUNK: usize = 1 << 17;
 const ESTIMATE_QUERIES: usize = 1_000_000;
 
 fn main() {
@@ -43,11 +34,10 @@ fn main() {
         .expect("valid bench configuration");
 
     println!(
-        "parallel_ingest: {} arrivals (R-MAT traffic), {} B budget, depth {}, chunk {}",
+        "parallel_ingest: {} arrivals (R-MAT traffic), {} B budget, depth {}",
         bundle.stream.len(),
         MEMORY_BYTES,
-        DEPTH,
-        CHUNK
+        DEPTH
     );
 
     let queries: Vec<_> = bundle
@@ -96,55 +86,34 @@ fn main() {
         }
         let updates = median(rates);
         println!(
-            "{:<18} workers=1 {updates:>14.0} updates/s {:>14.0} estimates/s",
+            "{:<18} {updates:>14.0} updates/s {:>14.0} estimates/s",
             "cm-arena/batched",
             measure_estimates(&last)
         );
         updates
     };
 
-    // Owner-sharded engine sweep (DESIGN.md §11): scatter by router
-    // slot, bounded-channel handoff, plain-store commits into owned arena slices.
-    // A request the host would clamp to fewer workers measures nothing
-    // the row name claims, so it is not printed.
-    let mut sharded_1t = f64::NAN;
-    let mut best = 0f64;
-    for threads in [1usize, 2, 4, 8] {
-        let mut probe = base.clone();
-        let workers = ShardedIngest::new(&mut probe, threads).effective_owners();
-        if workers < threads {
-            println!("sharded/{threads}t: skipped (clamped to {workers} worker(s))");
-            continue;
+    // The combining engine over the same stream.
+    let mut rates = Vec::new();
+    let mut last = base.clone();
+    for pass in 0..=RUNS {
+        let mut sketch = base.clone();
+        let rate = rate_of(bundle.stream.len() as u64, || {
+            ShardedIngest::new(&mut sketch, 1).run_slice(&bundle.stream);
+        });
+        if pass > 0 {
+            rates.push(rate);
         }
-        let mut rates = Vec::new();
-        let mut last = None;
-        for pass in 0..=RUNS {
-            let mut sketch = base.clone();
-            let rate = rate_of(bundle.stream.len() as u64, || {
-                ShardedIngest::new(&mut sketch, threads)
-                    .chunk_capacity(CHUNK)
-                    .run_slice(&bundle.stream);
-            });
-            if pass > 0 {
-                rates.push(rate);
-            }
-            last = Some(sketch);
-        }
-        let estimates = measure_estimates(&last.expect("at least one pass ran"));
-        let updates = median(rates);
-        if threads == 1 {
-            sharded_1t = updates;
-        }
-        best = best.max(updates);
-        let name = format!("sharded/{threads}t");
-        println!(
-            "{name:<18} workers={workers} {updates:>14.0} updates/s {estimates:>14.0} estimates/s \
-             x{:.2} vs 1t",
-            updates / sharded_1t
-        );
+        last = sketch;
     }
+    let updates = median(rates);
     println!(
-        "owner-sharded speedup over single-thread batched baseline: {:.2}x",
-        best / baseline
+        "{:<18} {updates:>14.0} updates/s {:>14.0} estimates/s",
+        "sharded/1t",
+        measure_estimates(&last)
+    );
+    println!(
+        "combining engine over counting-sort batched baseline: {:.2}x",
+        updates / baseline
     );
 }

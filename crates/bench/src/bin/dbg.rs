@@ -2,13 +2,13 @@
 //!
 //! * `dbg [scale]` — accuracy sweep of gSketch vs. the global baseline
 //!   over the three datasets (the historical behaviour).
-//! * `dbg --shard-smoke N [--arrivals M]` — owner-sharded smoke: drive
-//!   the stream through `ShardedIngest` with `N` real (oversubscribed)
-//!   owners and bit-compare against sequential ingest; then replay
-//!   the windowed deployment through epoch handoff — `N` owners, and one
-//!   fused owner fed uneven chunks through `WindowedReplay::ingest_batch`
-//!   — and bit-compare its interval answers (DESIGN.md §11). Exits
-//!   non-zero on any mismatch — the sharded-engine CI smoke step.
+//! * `dbg --shard-smoke [--arrivals M]` — combining-engine smoke: drive
+//!   the stream through `ShardedIngest` and bit-compare against an
+//!   `update` loop; then replay the windowed deployment through epoch
+//!   handoff — one `try_ingest_batch` call, and uneven chunks through
+//!   `WindowedReplay::ingest_batch` — and bit-compare its interval
+//!   answers (DESIGN.md §11). Exits non-zero on any mismatch — the
+//!   ingest-engine CI smoke step.
 //! * `dbg --snapshot-smoke [--arrivals M]` — durable windowed snapshot
 //!   smoke: build windowed deployments (plain and tiered), save a fresh
 //!   snapshot mid-stream, append the rest, reload (full and
@@ -46,13 +46,13 @@ use gstream::gen::{RmatTrafficConfig, RmatTrafficGenerator};
 
 const DEPTH: usize = 1;
 
-/// Owner-sharded smoke (DESIGN.md §11): drive the same stream through
-/// [`gsketch::ShardedIngest`] with `N` real (oversubscribed) owners and
-/// bit-compare against sequential ingest; then replay the windowed
-/// deployment through epoch handoff (`N` owners, and one fused owner fed
-/// uneven `ingest_batch` chunks) and bit-compare its interval answers.
-/// Exits non-zero on any mismatch.
-fn smoke_sharded(threads: usize, arrivals: usize) {
+/// Combining-engine smoke (DESIGN.md §11): drive the same stream
+/// through [`gsketch::ShardedIngest`] and bit-compare against an
+/// `update` loop; then replay the windowed deployment through epoch
+/// handoff (one `try_ingest_batch` call, and uneven `ingest_batch`
+/// chunks) and bit-compare its interval answers. Exits non-zero on any
+/// mismatch.
+fn smoke_sharded(arrivals: usize) {
     use gsketch::{IntervalEstimate, ShardedIngest, WindowConfig, WindowedGSketch, WindowedReplay};
     let mut cfg = RmatTrafficConfig::gtgraph(10, (arrivals / 4).max(100), arrivals, 17);
     cfg.activity_alpha = 1.2;
@@ -69,13 +69,10 @@ fn smoke_sharded(threads: usize, arrivals: usize) {
     serial.ingest(&stream);
 
     let mut sharded = builder.build_from_sample(sample).expect("valid build");
-    let report = ShardedIngest::new(&mut sharded, threads)
-        .chunk_capacity(1 << 14)
-        .oversubscribe(true)
-        .run_slice(&stream);
+    let report = ShardedIngest::new(&mut sharded, 1).run_slice(&stream);
     println!(
-        "sharded smoke: {} arrivals over {} owner(s) ({} requested), {} chunks",
-        report.arrivals, report.workers, threads, report.chunks
+        "sharded smoke: {} arrivals, {} chunks",
+        report.arrivals, report.chunks
     );
     assert_eq!(report.arrivals as usize, stream.len(), "arrivals lost");
     for se in &stream {
@@ -93,8 +90,8 @@ fn smoke_sharded(threads: usize, arrivals: usize) {
     );
     println!("sharded smoke: estimates bit-identical to sequential ingest — OK");
 
-    // Windowed parallel replay leg: epoch handoff must seal the same
-    // windows and answer every interval bit-identically.
+    // Windowed leg: epoch handoff must seal the same windows and answer
+    // every interval bit-identically.
     let mut wstream = stream.clone();
     for (t, se) in wstream.iter_mut().enumerate() {
         se.ts = t as u64;
@@ -111,9 +108,9 @@ fn smoke_sharded(threads: usize, arrivals: usize) {
     wserial.ingest(&wstream);
     let mut wsharded = WindowedGSketch::new(wcfg, wbuilder()).expect("valid windowed build");
     wsharded
-        .try_ingest_sharded(&wstream, threads, true)
+        .try_ingest_batch(&wstream)
         .expect("monotone timestamps");
-    // The 1-thread leg: `WindowedReplay::ingest_batch` runs the fused
+    // The chunked leg: `WindowedReplay::ingest_batch` runs the same
     // epoch path; uneven chunks cut inside a window and across its
     // boundary.
     let mut wbatched =
@@ -128,10 +125,7 @@ fn smoke_sharded(threads: usize, arrivals: usize) {
     let edges: Vec<gstream::Edge> = wstream.iter().step_by(97).map(|se| se.edge).collect();
     let mut a: Vec<IntervalEstimate> = Vec::new();
     let mut b: Vec<IntervalEstimate> = Vec::new();
-    for (leg, w) in [
-        ("sharded", &wsharded),
-        ("1-thread batched", wbatched.inner()),
-    ] {
+    for (leg, w) in [("one-call", &wsharded), ("chunked", wbatched.inner())] {
         assert_eq!(
             w.sealed_windows(),
             wserial.sealed_windows(),
@@ -658,8 +652,8 @@ fn main() {
         smoke_sample();
         return;
     }
-    if let Some(threads) = flag("--shard-smoke") {
-        smoke_sharded(threads.max(1), flag("--arrivals").unwrap_or(200_000));
+    if args.iter().any(|a| a == "--shard-smoke") {
+        smoke_sharded(flag("--arrivals").unwrap_or(200_000));
         return;
     }
 

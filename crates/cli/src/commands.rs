@@ -62,9 +62,9 @@ USAGE:
       models: rmat | rmat-traffic | dblp | ipattack | erdos | smallworld
   gsketch stats <stream-file> [--top K]
   gsketch build <stream-file> --memory SIZE --out SNAPSHOT
-      [--sample-frac F] [--depth D] [--min-width W] [--seed S] [--threads N]
-      (ingests through the owner-sharded engine — each worker owns a
-       contiguous slot range; one thread runs the combiner inline)
+      [--sample-frac F] [--depth D] [--min-width W] [--seed S]
+      (ingests through the combining engine: hot edges fold in a cache
+       before they touch the counters)
   gsketch query <snapshot> <src> <dst> [<src> <dst> ...] [--stream FILE]
       [--prefilter on|off]
       (--stream adds exact ground truth next to each estimate;
@@ -80,7 +80,7 @@ USAGE:
        instead — no --cache — and reports per-query confidence
        intervals, first K rows shown, default 10)
   gsketch snapshot <stream-file> --out FILE --window-span S
-      [--window-memory SIZE] [--seed N] [--horizon-keep N] [--threads N]
+      [--window-memory SIZE] [--seed N] [--horizon-keep N]
       (builds a time-windowed synopsis over the stream and saves it as a
        durable windowed snapshot; when FILE already holds a snapshot of
        the same configuration, only the newly sealed windows are
@@ -108,11 +108,8 @@ USAGE:
        start drawn over multiples of ALIGN, default SPAN — the windowed
        rows `query --snapshot` replays)
   gsketch compare <stream-file> --memory SIZE [--queries N] [--depth D] [--seed S]
-      [--threads N]
   gsketch adaptive <stream-file> --memory SIZE [--warmup N] [--queries N] [--seed S]
-      [--threads N]
-      (sample-free: the stream prefix replaces the data sample; the
-       post-switchover remainder ingests owner-sharded with --threads)
+      (sample-free: the stream prefix replaces the data sample)
   gsketch structural <stream-file> [--top K] [--triangle-p P]
   gsketch help
 
@@ -264,26 +261,10 @@ fn cmd_stats<W: Write>(raw: &[String], out: &mut W) -> Result<(), CliError> {
     Ok(())
 }
 
-/// Parse `--threads` (default 1, clamped to at least 1), for every
-/// command that takes it (`build`, `snapshot`, `compare`, `adaptive`).
-/// More than one thread ingests through the owner-sharded engine, which
-/// splits the counter arena into owner-exclusive slices.
-fn parse_threads(a: &ParsedArgs) -> Result<usize, CliError> {
-    Ok(a.get_or::<usize>("threads", 1)?.max(1))
-}
-
 fn cmd_build<W: Write>(raw: &[String], out: &mut W) -> Result<(), CliError> {
     let a = ParsedArgs::parse(
         raw.iter().cloned(),
-        &[
-            "memory",
-            "out",
-            "sample-frac",
-            "depth",
-            "min-width",
-            "seed",
-            "threads",
-        ],
+        &["memory", "out", "sample-frac", "depth", "min-width", "seed"],
     )?;
     let stream_path = a.positional(0, "stream-file")?;
     let memory = parse_bytes(&a.require::<String>("memory")?)?;
@@ -297,7 +278,6 @@ fn cmd_build<W: Write>(raw: &[String], out: &mut W) -> Result<(), CliError> {
     let depth: usize = a.get_or("depth", 1)?;
     let min_width: usize = a.get_or("min-width", 64)?;
     let seed: u64 = a.get_or("seed", 42)?;
-    let threads = parse_threads(&a)?;
 
     let stream = load_stream(stream_path).map_err(run_err)?;
     // cast: f64 -> usize truncates toward zero; sample_frac is validated
@@ -313,16 +293,11 @@ fn cmd_build<W: Write>(raw: &[String], out: &mut W) -> Result<(), CliError> {
         .seed(seed);
 
     let mut sketch = builder.build_from_sample(&sample).map_err(run_err)?;
-    // One thread runs the fused combiner inline. The pipeline clamps its
-    // worker pool to available cores; report what actually ran, not
-    // what was requested.
-    let threads_used = ShardedIngest::new(&mut sketch, threads)
-        .run_slice(&stream)
-        .workers;
+    ShardedIngest::new(&mut sketch, 1).run_slice(&stream);
     save_gsketch(&snapshot_path, &sketch).map_err(run_err)?;
     writeln!(
         out,
-        "built {} partitions over {} bytes from a {}-edge sample; ingested {} arrivals over {threads_used} worker(s) ({threads} requested); snapshot: {snapshot_path}",
+        "built {} partitions over {} bytes from a {}-edge sample; ingested {} arrivals; snapshot: {snapshot_path}",
         sketch.num_partitions(),
         sketch.bytes(),
         sample.len(),
@@ -348,7 +323,6 @@ fn cmd_snapshot<W: Write>(raw: &[String], out: &mut W) -> Result<(), CliError> {
             "window-memory",
             "seed",
             "horizon-keep",
-            "threads",
         ],
     )?;
     let stream_path = a.positional(0, "stream-file")?;
@@ -361,7 +335,6 @@ fn cmd_snapshot<W: Write>(raw: &[String], out: &mut W) -> Result<(), CliError> {
     }
     let memory = parse_bytes(a.get("window-memory").unwrap_or("64K"))?;
     let seed: u64 = a.get_or("seed", 42)?;
-    let threads = parse_threads(&a)?;
     let cfg = WindowConfig {
         span,
         memory_bytes_per_window: memory,
@@ -375,9 +348,7 @@ fn cmd_snapshot<W: Write>(raw: &[String], out: &mut W) -> Result<(), CliError> {
     }
     .map_err(run_err)?;
     let stream = load_stream(stream_path).map_err(run_err)?;
-    windowed
-        .try_ingest_sharded(&stream, threads, false)
-        .map_err(run_err)?;
+    windowed.try_ingest_batch(&stream).map_err(run_err)?;
     let appending = std::path::Path::new(&path).exists();
     save_windowed(&path, &windowed).map_err(|e| CliError::Run(format!("{path}: {e}")))?;
     writeln!(
@@ -1065,14 +1036,7 @@ fn cmd_workload<W: Write>(raw: &[String], out: &mut W) -> Result<(), CliError> {
 fn cmd_compare<W: Write>(raw: &[String], out: &mut W) -> Result<(), CliError> {
     let a = ParsedArgs::parse(
         raw.iter().cloned(),
-        &[
-            "memory",
-            "queries",
-            "depth",
-            "seed",
-            "sample-frac",
-            "threads",
-        ],
+        &["memory", "queries", "depth", "seed", "sample-frac"],
     )?;
     let stream_path = a.positional(0, "stream-file")?;
     let memory = parse_bytes(&a.require::<String>("memory")?)?;
@@ -1080,7 +1044,6 @@ fn cmd_compare<W: Write>(raw: &[String], out: &mut W) -> Result<(), CliError> {
     let depth: usize = a.get_or("depth", 1)?;
     let seed: u64 = a.get_or("seed", 42)?;
     let sample_frac: f64 = a.get_or("sample-frac", 0.05)?;
-    let threads = parse_threads(&a)?;
 
     let stream = load_stream(stream_path).map_err(run_err)?;
     let truth = ExactCounter::from_stream(&stream);
@@ -1102,7 +1065,7 @@ fn cmd_compare<W: Write>(raw: &[String], out: &mut W) -> Result<(), CliError> {
     let queries = uniform_distinct_queries(&truth, n_queries, &mut rng);
 
     let mut gs = builder.build_from_sample(&sample).map_err(run_err)?;
-    ShardedIngest::new(&mut gs, threads).run_slice(&stream);
+    ShardedIngest::new(&mut gs, 1).run_slice(&stream);
     let acc_gs = evaluate_edge_queries(&gs, &queries, &truth, DEFAULT_G0);
     let acc_gl = evaluate_edge_queries(&gl, &queries, &truth, DEFAULT_G0);
     writeln!(
@@ -1134,14 +1097,13 @@ fn cmd_compare<W: Write>(raw: &[String], out: &mut W) -> Result<(), CliError> {
 fn cmd_adaptive<W: Write>(raw: &[String], out: &mut W) -> Result<(), CliError> {
     let a = ParsedArgs::parse(
         raw.iter().cloned(),
-        &["memory", "warmup", "queries", "depth", "seed", "threads"],
+        &["memory", "warmup", "queries", "depth", "seed"],
     )?;
     let stream_path = a.positional(0, "stream-file")?;
     let memory = parse_bytes(&a.require::<String>("memory")?)?;
     let n_queries: usize = a.get_or("queries", 10_000)?;
     let depth: usize = a.get_or("depth", 1)?;
     let seed: u64 = a.get_or("seed", 42)?;
-    let threads = parse_threads(&a)?;
 
     let stream = load_stream(stream_path).map_err(run_err)?;
     let warmup: u64 = a.get_or("warmup", (stream.len() as u64 / 20).max(1))?;
@@ -1158,10 +1120,10 @@ fn cmd_adaptive<W: Write>(raw: &[String], out: &mut W) -> Result<(), CliError> {
         ..AdaptiveConfig::default()
     })
     .map_err(run_err)?;
-    // The warm-up prefix is order-dependent and replays sequentially
-    // inside `ingest_sharded`; only the partitioned remainder shards
-    // (DESIGN.md §11), so the result matches sequential ingest exactly.
-    adaptive.ingest_sharded(&stream, threads, false);
+    // The warm-up prefix replays arrival by arrival; the partitioned
+    // remainder runs the combining engine (DESIGN.md §11), so the result
+    // matches sequential ingest exactly.
+    adaptive.ingest_batch(&stream);
     let mut gl = GSketch::global(memory, depth, seed).map_err(run_err)?;
     gl.ingest(&stream);
 
@@ -1476,8 +1438,9 @@ mod tests {
         assert!(with_truth.contains("avg rel err"), "{with_truth}");
     }
 
-    /// The batched engine picks its own worker count, so replay takes no
-    /// `--threads`: it is an unknown option there, not a silent no-op.
+    /// No command takes `--threads`: the batched read picks its own
+    /// worker count and ingest runs one combining engine, so the flag is
+    /// an unknown option everywhere, not a silent no-op.
     #[test]
     fn workload_replay_rejects_threads() {
         let stream = tmp("wl_zero_threads.txt");
@@ -1496,8 +1459,24 @@ mod tests {
         run(&["build", &stream, "--memory", "32K", "--out", &snap]).unwrap();
         let wl = tmp("wl_zero_threads.queries.txt");
         run(&["workload", &stream, "--out", &wl, "--queries", "500"]).unwrap();
-        let e = run(&["query", &snap, "--workload", &wl, "--threads", "2"]).unwrap_err();
-        assert!(e.to_string().contains("unknown option `--threads`"), "{e}");
+        let out = tmp("wl_zero_threads.rejected");
+        let commands: [&[&str]; 5] = [
+            &["query", &snap, "--workload", &wl],
+            &["build", &stream, "--memory", "32K", "--out", &out],
+            &["snapshot", &stream, "--out", &out, "--window-span", "1000"],
+            &["compare", &stream, "--memory", "32K"],
+            &["adaptive", &stream, "--memory", "32K"],
+        ];
+        for args in commands {
+            let args: Vec<&str> = args.iter().copied().chain(["--threads", "2"]).collect();
+            let e = run(&args).unwrap_err();
+            assert!(
+                e.to_string().contains("unknown option `--threads`"),
+                "{}: {e}",
+                args[0]
+            );
+        }
+        assert!(!std::path::Path::new(&out).exists());
     }
 
     #[test]
@@ -1771,36 +1750,48 @@ mod tests {
             ],
         )
         .unwrap();
-        let replay = |threads: &str| {
-            let wsnap = tmp(&format!("windowed.t{threads}.wsnap"));
-            let _ = std::fs::remove_file(&wsnap);
-            run(&[
-                "snapshot",
-                &stream,
-                "--out",
-                &wsnap,
-                "--window-span",
-                "1000",
-                "--window-memory",
-                "16K",
-                "--threads",
-                threads,
-            ])
-            .unwrap();
-            run(&["query", "--snapshot", &wsnap, "--workload", &wl]).unwrap()
-        };
-        let text = replay("1");
+        let wsnap = tmp("windowed.batched.wsnap");
+        let _ = std::fs::remove_file(&wsnap);
+        run(&[
+            "snapshot",
+            &stream,
+            "--out",
+            &wsnap,
+            "--window-span",
+            "1000",
+            "--window-memory",
+            "16K",
+        ])
+        .unwrap();
+        let text = run(&["query", "--snapshot", &wsnap, "--workload", &wl]).unwrap();
         assert!(text.contains("[lifetime]"), "{text}");
         assert!(text.contains("w.p."), "{text}");
         assert!(text.contains("replayed 4 queries (3 windowed)"), "{text}");
         // Every row reports a confidence interval.
         assert_eq!(text.matches("w.p.").count(), 4, "{text}");
-        // The owner-sharded windowed ingest is bit-identical to the
-        // sequential deployment, so the whole report matches once the
-        // file name is masked.
-        let sharded = replay("4");
-        let masked = |t: &str| t.replace(".t4.", ".t1.");
-        assert_eq!(masked(&sharded), text, "sharded windowed replay diverged");
+        // `snapshot` ingests through the combining engine per window
+        // epoch, which is bit-identical to the sequential deployment
+        // (`snapshot`'s configuration, one `try_insert` per arrival), so
+        // the whole report matches once the file name is masked.
+        let seq_snap = tmp("windowed.sequential.wsnap");
+        let _ = std::fs::remove_file(&seq_snap);
+        let cfg = WindowConfig {
+            span: 1000,
+            memory_bytes_per_window: 16 << 10,
+            sample_capacity: 256,
+            seed: 42,
+        };
+        let mut seq = WindowedGSketch::new(cfg, GSketch::builder().min_width(64).seed(42)).unwrap();
+        for se in &edges {
+            seq.try_insert(*se).unwrap();
+        }
+        save_windowed(&seq_snap, &seq).unwrap();
+        let seq_text = run(&["query", "--snapshot", &seq_snap, "--workload", &wl]).unwrap();
+        assert_eq!(
+            seq_text.replace("windowed.sequential", "windowed.batched"),
+            text,
+            "batched windowed ingest diverged"
+        );
     }
 
     #[test]
@@ -1893,22 +1884,6 @@ mod tests {
         assert!(text.contains("partitions (no sample used)"));
         assert!(text.contains("adaptive: avg rel err"));
         assert!(text.contains("Global  : avg rel err"));
-        // Warm-up replays sequentially inside the sharded path, so the
-        // whole adaptive report is identical under --threads.
-        let sharded = run(&[
-            "adaptive",
-            &stream,
-            "--memory",
-            "32K",
-            "--warmup",
-            "3000",
-            "--queries",
-            "2000",
-            "--threads",
-            "4",
-        ])
-        .unwrap();
-        assert_eq!(sharded, text, "sharded adaptive ingest diverged");
     }
 
     #[test]
@@ -1963,6 +1938,9 @@ mod tests {
         assert!(q.contains("estimate"), "{q}");
     }
 
+    /// `build` ingests through the combining engine; its snapshot is
+    /// byte-identical to one built from the same sample and ingested
+    /// arrival by arrival, and answers queries identically.
     #[test]
     fn build_with_threads_matches_sequential_build() {
         let stream = tmp("threads.txt");
@@ -1979,31 +1957,34 @@ mod tests {
         .unwrap();
         let snap_seq = tmp("threads.seq.json");
         let snap_par = tmp("threads.par.json");
-        run(&[
-            "build", &stream, "--memory", "64K", "--out", &snap_seq, "--seed", "9",
-        ])
-        .unwrap();
         let built = run(&[
-            "build",
-            &stream,
-            "--memory",
-            "64K",
-            "--out",
-            &snap_par,
-            "--seed",
-            "9",
-            "--threads",
-            "4",
+            "build", &stream, "--memory", "64K", "--out", &snap_par, "--seed", "9",
         ])
         .unwrap();
-        assert!(built.contains("(4 requested)"), "{built}");
-        // Same stream, same seed: the parallel pipeline must answer
+        assert!(built.contains("ingested 20000 arrivals;"), "{built}");
+        // `build`'s defaults: a 5% sample, depth 1, min width 64.
+        let edges = load_stream(&stream).unwrap();
+        let mut rng = StdRng::seed_from_u64(9);
+        let sample = sample_iter(edges.iter().copied(), edges.len() / 20, &mut rng);
+        let mut seq = GSketch::builder()
+            .memory_bytes(64 << 10)
+            .depth(1)
+            .min_width(64)
+            .sample_rate(0.05)
+            .seed(9)
+            .build_from_sample(&sample)
+            .unwrap();
+        seq.ingest(&edges);
+        save_gsketch(&snap_seq, &seq).unwrap();
+        assert!(std::fs::read(&snap_seq).unwrap() == std::fs::read(&snap_par).unwrap());
+        // Same stream, same seed: the combining engine must answer
         // queries identically to the sequential build.
         let q_seq = run(&["query", &snap_seq, "0", "1", "3", "7"]).unwrap();
         let q_par = run(&["query", &snap_par, "0", "1", "3", "7"]).unwrap();
         assert_eq!(q_seq, q_par);
     }
 
+    /// `compare` runs end to end on a small stream.
     #[test]
     fn compare_accepts_threads_flag() {
         let stream = tmp("compare_threads.txt");
@@ -2018,17 +1999,7 @@ mod tests {
             "100",
         ])
         .unwrap();
-        let text = run(&[
-            "compare",
-            &stream,
-            "--memory",
-            "16K",
-            "--queries",
-            "500",
-            "--threads",
-            "2",
-        ])
-        .unwrap();
+        let text = run(&["compare", &stream, "--memory", "16K", "--queries", "500"]).unwrap();
         assert!(text.contains("gain"));
     }
 

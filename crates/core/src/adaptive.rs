@@ -347,59 +347,6 @@ impl AdaptiveGSketch {
             State::Partitioned(gs) => Some(gs),
         }
     }
-
-    /// Ingest a materialized stream through the **owner-sharded engine**
-    /// (DESIGN.md §11): the warm-up prefix replays sequentially, the
-    /// switchover happens at its usual arrival boundary, and everything
-    /// after it is committed by up to `owners` exclusive slice owners —
-    /// the epoch handoff that lifts the adaptive deployment onto the
-    /// parallel path.
-    ///
-    /// The warm-up phase is inherently order-dependent (conservative
-    /// update and the online vertex statistics both depend on arrival
-    /// order), so exactly the arrivals `update` would absorb before the
-    /// boundary go through `update`, switchover and all. The
-    /// post-switchover remainder only touches the partitioned sketch —
-    /// the warm-up sketch is frozen from the switchover on — and
-    /// saturating counter commits commute, so one
-    /// [`crate::ShardedIngest`] run over the remainder is bit-identical
-    /// to the sequential loop (pinned by the `backend_parity`
-    /// proptests). `oversubscribe` forces the requested owner count past
-    /// the host's parallelism (correctness tests).
-    pub fn ingest_sharded(
-        &mut self,
-        stream: &[StreamEdge],
-        owners: usize,
-        oversubscribe: bool,
-    ) -> crate::IngestReport {
-        let mut report = crate::IngestReport {
-            arrivals: 0,
-            chunks: 0,
-            workers: 1,
-        };
-        // Warm-up arrivals go through `update` one by one, until the
-        // arrival that triggers the switchover.
-        let mut rest = stream;
-        while let (State::Warmup(_), Some((se, tail))) = (&self.state, rest.split_first()) {
-            self.update(*se);
-            report.arrivals += 1;
-            rest = tail;
-        }
-        let State::Partitioned(gs) = &mut self.state else {
-            return report;
-        };
-        if rest.is_empty() {
-            return report;
-        }
-        let r = crate::ShardedIngest::new(gs, owners)
-            .oversubscribe(oversubscribe)
-            .run_slice(rest);
-        self.arrivals += rest.len() as u64;
-        report.arrivals += r.arrivals;
-        report.chunks = r.chunks;
-        report.workers = r.workers;
-        report
-    }
 }
 
 impl EdgeSink for AdaptiveGSketch {
@@ -418,12 +365,30 @@ impl EdgeSink for AdaptiveGSketch {
         }
     }
 
-    /// [`ingest_sharded`](AdaptiveGSketch::ingest_sharded) with one
-    /// owner: warm-up arrivals replay through [`update`](Self::update),
-    /// the partitioned remainder runs the fused engine. Bit-identical to
-    /// an `update` loop.
+    /// Warm-up arrivals replay through [`update`](Self::update), the
+    /// switchover happens at its usual arrival boundary, and the
+    /// partitioned remainder runs one [`crate::ShardedIngest`] combining
+    /// run (DESIGN.md §11).
+    ///
+    /// The warm-up phase is inherently order-dependent (conservative
+    /// update and the online vertex statistics both depend on arrival
+    /// order), so exactly the arrivals `update` would absorb before the
+    /// boundary go through `update`, switchover and all. The
+    /// post-switchover remainder only touches the partitioned sketch —
+    /// the warm-up sketch is frozen from the switchover on — and
+    /// saturating counter commits commute, so the combining run over the
+    /// remainder is bit-identical to an `update` loop (pinned by the
+    /// `backend_parity` proptests).
     fn ingest_batch(&mut self, batch: &[StreamEdge]) {
-        self.ingest_sharded(batch, 1, false);
+        let mut rest = batch;
+        while let (State::Warmup(_), Some((se, tail))) = (&self.state, rest.split_first()) {
+            self.update(*se);
+            rest = tail;
+        }
+        if let State::Partitioned(gs) = &mut self.state {
+            crate::ShardedIngest::new(gs, 1).run_slice(rest);
+            self.arrivals += rest.len() as u64;
+        }
     }
 }
 
@@ -587,10 +552,10 @@ mod tests {
         }
     }
 
-    /// The sharded ingest path — sequential warm-up prefix, switchover
-    /// at the usual boundary, owner-sharded remainder — must answer
-    /// bit-identically to the sequential `update` loop for any owner
-    /// count, including calls split around the warm-up boundary.
+    /// The batched ingest path — sequential warm-up prefix, switchover
+    /// at the usual boundary, combining remainder — must answer
+    /// bit-identically to the sequential `update` loop, including calls
+    /// split around the warm-up boundary.
     #[test]
     fn sharded_ingest_matches_sequential() {
         let stream: Vec<_> = RmatGenerator::new(RmatConfig::gtgraph(8, 20_000, 5)).collect();
@@ -599,22 +564,19 @@ mod tests {
         seq.ingest(&stream);
         let mut want = Vec::new();
         seq.estimate_batch(&edges, &mut want);
-        for owners in [1usize, 4] {
-            let mut par = AdaptiveGSketch::new(cfg(1 << 18, 5_000)).unwrap();
-            // First call ends mid-warm-up; the second crosses the
-            // switchover with a sharded remainder.
-            let r1 = par.ingest_sharded(&stream[..3_000], owners, true);
-            assert_eq!(r1.arrivals, 3_000);
-            assert_eq!(par.phase(), Phase::Warmup);
-            let r2 = par.ingest_sharded(&stream[3_000..], owners, true);
-            assert_eq!(r2.arrivals, stream.len() as u64 - 3_000);
-            assert_eq!(par.phase(), Phase::Partitioned);
-            assert_eq!(par.arrivals(), stream.len() as u64);
-            assert_eq!(par.num_partitions(), seq.num_partitions());
-            let mut got = Vec::new();
-            par.estimate_batch(&edges, &mut got);
-            assert_eq!(got, want, "{owners} owners");
-        }
+        let mut par = AdaptiveGSketch::new(cfg(1 << 18, 5_000)).unwrap();
+        // First call ends mid-warm-up; the second crosses the switchover
+        // with a combined remainder.
+        par.ingest_batch(&stream[..3_000]);
+        assert_eq!(par.arrivals(), 3_000);
+        assert_eq!(par.phase(), Phase::Warmup);
+        par.ingest_batch(&stream[3_000..]);
+        assert_eq!(par.phase(), Phase::Partitioned);
+        assert_eq!(par.arrivals(), stream.len() as u64);
+        assert_eq!(par.num_partitions(), seq.num_partitions());
+        let mut got = Vec::new();
+        par.estimate_batch(&edges, &mut got);
+        assert_eq!(got, want);
     }
 
     /// `ingest_batch` (the fused one-owner path after the switchover)

@@ -1,9 +1,8 @@
 //! A move-only [`GSketch`] wrapper kept for source compatibility.
 //!
-//! Parallel ingest borrows the sketch itself —
-//! `ShardedIngest::new(&mut gsketch, owners)` splits its slab into
-//! exclusive per-owner slices (DESIGN.md §11) — so there is nothing to
-//! convert to or from. The wrapper remains only because the `perfbench`
+//! The combining ingest engine borrows the sketch itself —
+//! `ShardedIngest::new(&mut gsketch, 1)` commits straight into its arena
+//! (DESIGN.md §11) — so there is nothing to convert to or from. The wrapper remains only because the `perfbench`
 //! benchmark names it; new code should not use it.
 
 use crate::gsketch::GSketch;
@@ -72,28 +71,26 @@ mod tests {
         assert!(c.estimate(e) >= 7);
     }
 
-    /// The benchmark's path — wrap, run a multi-owner sharded ingest
+    /// The benchmark's path — wrap, run a one-owner combining ingest
     /// through the wrapper, unwrap — loses no weight.
     #[test]
     fn concurrent_ingest_loses_nothing() {
         let mut c = build();
-        let owners = 8u32;
-        let per_owner = 1_000u64;
+        let sources = 8u32;
+        let per_source = 1_000u64;
         let shared = Edge::new(1u32, 1001u32);
-        let stream: Vec<StreamEdge> = (0..owners)
+        let stream: Vec<StreamEdge> = (0..sources)
             .flat_map(|t| {
                 let private = Edge::new(t, 1000 + t);
-                (0..per_owner)
+                (0..per_source)
                     .flat_map(move |_| [StreamEdge::unit(shared, 0), StreamEdge::unit(private, 0)])
             })
             .collect();
-        let report = ShardedIngest::new(&mut c, owners as usize)
-            .oversubscribe(true)
-            .run_slice(&stream);
-        assert!(report.workers >= 2, "owners clamped to one");
-        assert!(c.estimate(shared) >= u64::from(owners) * per_owner);
+        let report = ShardedIngest::new(&mut c, 1).run_slice(&stream);
+        assert_eq!(report.arrivals, stream.len() as u64);
+        assert!(c.estimate(shared) >= u64::from(sources) * per_source);
         let g = c.into_gsketch();
-        assert_eq!(g.total_weight(), u64::from(owners) * per_owner * 2);
+        assert_eq!(g.total_weight(), u64::from(sources) * per_source * 2);
     }
 
     #[test]

@@ -9,9 +9,8 @@
 //! so every estimate keeps CountMin's one-sided `e·N_i/w_i` bound.
 
 use crate::partition::{partition, Objective, PartitionConfig, PartitionPlan, WidthAllocation};
-use crate::pipeline::OwnerShare;
 use crate::query::{fan_out, host_workers};
-use crate::router::{OwnerMap, Router, SketchId};
+use crate::router::{Router, SketchId};
 use crate::vstats::SampleStats;
 use gstream::edge::{Edge, StreamEdge};
 use serde::{Deserialize, Serialize};
@@ -521,7 +520,7 @@ impl GSketch {
 /// time instead of hopping across the whole synopsis (the arena's
 /// contiguous layout turns that into cache-line reuse). Estimates are
 /// identical either way — counters are commutative. A zero-weight
-/// arrival is an identity on every path, the owner-sharded engine's
+/// arrival is an identity on every path, the combining engine's
 /// included: it adds nothing and makes its key no filter member.
 impl crate::EdgeSink for GSketch {
     #[inline]
@@ -566,13 +565,9 @@ impl crate::EdgeSink for GSketch {
         }
         for (slot, (&start, &count)) in starts.iter().zip(&counts).enumerate() {
             if count > 0 {
-                let run = &grouped[start..start + count];
                 // cast: usize -> u32; slot counts come from the router,
                 // which addresses slots as u32.
-                if let Some(f) = &mut self.filter {
-                    f.insert_run(slot as u32, run);
-                }
-                self.bank.add_batch_saturating(slot as u32, run);
+                self.commit_run(slot as u32, &grouped[start..start + count]);
             }
         }
     }
@@ -858,30 +853,21 @@ impl GSketch {
         &self.bank
     }
 
-    /// Split the synopsis for the owner-sharded engine (DESIGN.md §11):
-    /// one exclusive [`OwnerShare`] per owner range of `map` — that
-    /// range's counter cells, totals and filter words, cut with
-    /// `split_at_mut` — plus the shared read-only router.
-    pub(crate) fn split_owners(&mut self, map: &OwnerMap) -> (&Router, Vec<OwnerShare<'_>>) {
-        let ranges: Vec<(u32, u32)> = (0..map.owners())
-            // cast: usize -> u32; owner ids are < owners <= slot count,
-            // which fits u32 (slot ids are u32).
-            .map(|w| map.slot_range(w as u32))
-            .collect();
-        let mut filters = self
-            .filter
-            .as_mut()
-            .map(|f| f.split_slots(&ranges).into_iter());
-        let shares = self
-            .bank
-            .split_slots(&ranges)
-            .into_iter()
-            .map(|cells| OwnerShare {
-                cells,
-                filter: filters.as_mut().and_then(Iterator::next),
-            })
-            .collect();
-        (&self.router, shares)
+    /// The router (read-only): the combining engine routes its evicted
+    /// entries through it in one batched pass.
+    pub(crate) fn router(&self) -> &Router {
+        &self.router
+    }
+
+    /// Commit one slot run: filter membership, then counters. The one
+    /// commit of the flat write and the combining engine (DESIGN.md
+    /// §11); an out-of-range `slot` is a no-op.
+    #[inline]
+    pub(crate) fn commit_run(&mut self, slot: u32, run: &[(u64, u64)]) {
+        if let Some(f) = &mut self.filter {
+            f.insert_run(slot, run);
+        }
+        self.bank.add_batch_saturating(slot, run);
     }
 }
 

@@ -52,7 +52,7 @@
 //! | §6.2 accuracy metrics | [`metrics`] |
 //! | §5 time-windowed deployment | [`window`] |
 //! | beyond the paper: unified ingest surface | [`sink`] |
-//! | beyond the paper: owner-sharded ingest | [`pipeline`] |
+//! | beyond the paper: combining one-owner ingest | [`pipeline`] |
 //! | beyond the paper: per-batch deduplicated query replay (flat and interval) | [`replay`] |
 //!
 //! ## The synopsis
@@ -100,7 +100,7 @@ pub use persist::{
 pub use pipeline::{IngestReport, ShardedIngest};
 pub use query::{estimate_subgraph, estimate_subgraph_with, Aggregator, EdgeEstimator, FANOUT_MIN};
 pub use replay::{ReplayEngine, ReplayStats, WindowedReplay};
-pub use router::{OwnerMap, Router, SketchId};
+pub use router::{Router, SketchId};
 pub use sink::EdgeSink;
 pub use sketch::CmArena;
 pub use vstats::SampleStats;

@@ -153,7 +153,11 @@ pub const FANOUT_MIN: usize = 16 * 1024;
 /// handful of edges.
 pub(crate) fn host_workers() -> usize {
     static HOST: std::sync::OnceLock<usize> = std::sync::OnceLock::new();
-    *HOST.get_or_init(|| crate::pipeline::clamp_workers(usize::MAX, false))
+    *HOST.get_or_init(|| {
+        std::thread::available_parallelism()
+            .map(std::num::NonZeroUsize::get)
+            .unwrap_or(1)
+    })
 }
 
 /// The read fan-out (DESIGN.md §8): answer `inputs` into `out` (one
@@ -432,7 +436,7 @@ mod tests {
     }
 
     /// The paper's headline structure — `estimate_subgraph` over a
-    /// partitioned sketch — must also run after a sharded ingest (through
+    /// partitioned sketch — must also run after a combining ingest (through
     /// the `ConcurrentGSketch` wrapper, which derefs to the sketch) and
     /// against the windowed deployment.
     #[test]
@@ -453,9 +457,7 @@ mod tests {
             .build_from_sample(&stream)
             .unwrap();
         let mut conc = crate::ConcurrentGSketch::from_gsketch(gs);
-        crate::ShardedIngest::new(&mut conc, 2)
-            .oversubscribe(true)
-            .run_slice(&stream);
+        crate::ShardedIngest::new(&mut conc, 1).run_slice(&stream);
         assert!(estimate_subgraph(&*conc, &query, Aggregator::Sum) >= 35.0);
 
         let mut windowed = crate::WindowedGSketch::new(

@@ -117,72 +117,6 @@ impl Router {
     }
 }
 
-/// The ownership map of the owner-sharded execution engine (DESIGN.md
-/// §11): a partition of the flat slot space `0..num_slots` into one
-/// **contiguous** slot range per owning worker.
-///
-/// Contiguity is the point. Slot blocks sit back-to-back in the arena
-/// slab (DESIGN.md §2), so a contiguous slot range is a contiguous byte
-/// range of counters: each owner commits plain stores into its own
-/// slice, no two owners share a cache line beyond the two range
-/// boundaries, and first-touch initialization of the range places it on
-/// the owner's NUMA node. The map is a pure function of
-/// `(num_slots, owners)`, so the scatter stage and the split of the
-/// synopsis into owner slices derive the identical assignment without
-/// sharing state.
-///
-/// Ranges are balanced to within one slot: slot `s` belongs to owner
-/// `s·owners / num_slots`, the classic proportional split.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct OwnerMap {
-    num_slots: usize,
-    owners: usize,
-}
-
-impl OwnerMap {
-    /// A map of `num_slots` slots over `owners` workers. `owners` is
-    /// clamped to `1..=num_slots` (an owner with zero slots would idle;
-    /// zero owners would own nothing).
-    pub fn new(num_slots: usize, owners: usize) -> Self {
-        Self {
-            num_slots: num_slots.max(1),
-            owners: owners.clamp(1, num_slots.max(1)),
-        }
-    }
-
-    /// Number of owning workers (after clamping).
-    #[inline]
-    pub fn owners(&self) -> usize {
-        self.owners
-    }
-
-    /// Number of slots in the mapped space.
-    #[inline]
-    pub fn num_slots(&self) -> usize {
-        self.num_slots
-    }
-
-    /// The worker owning `slot`.
-    #[inline]
-    pub fn owner_of(&self, slot: u32) -> u32 {
-        debug_assert!((slot as usize) < self.num_slots);
-        // cast: u64 -> u32; the quotient is < owners, which fits u32 by
-        // construction (owners <= num_slots <= u32 slot ids + 1).
-        ((slot as u64 * self.owners as u64) / self.num_slots as u64) as u32
-    }
-
-    /// The half-open slot range `[lo, hi)` owned by `owner`. Ranges of
-    /// consecutive owners tile `0..num_slots` exactly.
-    #[inline]
-    pub fn slot_range(&self, owner: u32) -> (u32, u32) {
-        let lo = (owner as u64 * self.num_slots as u64).div_ceil(self.owners as u64);
-        let hi = ((owner as u64 + 1) * self.num_slots as u64).div_ceil(self.owners as u64);
-        // cast: u64 -> u32; both bounds are <= num_slots, which fits u32
-        // (slot ids are u32).
-        (lo as u32, hi as u32)
-    }
-}
-
 /// Hashbrown allocation model: bytes owned by a `HashMap` whose usable
 /// capacity is `capacity` and whose inline entries are `T`.
 ///
@@ -261,45 +195,6 @@ mod tests {
         for v in [1u32, 2, 3, 4, 77, 1_000_000] {
             assert_eq!(r.id_of_slot(r.slot(VertexId(v))), r.route(VertexId(v)));
         }
-    }
-
-    /// Owner ranges are contiguous, tile the slot space exactly, are
-    /// balanced to within one slot, and agree with `owner_of`.
-    #[test]
-    fn owner_map_ranges_tile_and_agree() {
-        for num_slots in [1usize, 2, 3, 7, 8, 64, 129, 1000] {
-            for owners in [1usize, 2, 3, 4, 8, 17, 2000] {
-                let m = OwnerMap::new(num_slots, owners);
-                assert!(m.owners() >= 1 && m.owners() <= num_slots);
-                let mut next = 0u32;
-                let base = num_slots / m.owners();
-                for w in 0..m.owners() as u32 {
-                    let (lo, hi) = m.slot_range(w);
-                    assert_eq!(lo, next, "gap before owner {w}");
-                    assert!(hi > lo, "empty range for owner {w}");
-                    let span = (hi - lo) as usize;
-                    assert!(
-                        span == base || span == base + 1,
-                        "unbalanced range {span} ({num_slots} slots / {} owners)",
-                        m.owners()
-                    );
-                    for s in lo..hi {
-                        assert_eq!(m.owner_of(s), w);
-                    }
-                    next = hi;
-                }
-                assert_eq!(next as usize, num_slots, "ranges do not tile");
-            }
-        }
-    }
-
-    #[test]
-    fn owner_map_degenerate_inputs_clamp() {
-        let m = OwnerMap::new(0, 0);
-        assert_eq!(m.num_slots(), 1);
-        assert_eq!(m.owners(), 1);
-        assert_eq!(m.owner_of(0), 0);
-        assert_eq!(m.slot_range(0), (0, 1));
     }
 
     #[test]

@@ -26,9 +26,10 @@
 //! Implementors: [`GSketch`](crate::GSketch) (the Global baseline
 //! included: it is [`GSketch::global`](crate::GSketch::global)),
 //! [`AdaptiveGSketch`](crate::AdaptiveGSketch) and
-//! [`WindowedGSketch`](crate::WindowedGSketch). Parallel ingest is not a
-//! sink: [`ShardedIngest`](crate::ShardedIngest) borrows a `&mut GSketch`
-//! and commits into exclusive per-owner slices of it.
+//! [`WindowedGSketch`](crate::WindowedGSketch). The combining engine is
+//! not a sink: [`ShardedIngest`](crate::ShardedIngest) borrows a
+//! `&mut GSketch` for one run over a materialized stream and commits
+//! straight into its arena and filter.
 
 use gstream::edge::StreamEdge;
 

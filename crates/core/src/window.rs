@@ -180,42 +180,34 @@ impl WindowedGSketch {
         Self::build(cfg, builder, Some(HorizonCfg { keep, quantum }))
     }
 
-    /// Ingest a materialized stream through the **owner-sharded engine**
-    /// (DESIGN.md §11), committing each window's counters from up to
-    /// `owners` exclusive slice owners while window rotation stays
-    /// sequential — the epoch-based handoff that lifts the windowed
-    /// deployment onto the parallel path.
+    /// Ingest a materialized stream through the **combining engine**
+    /// (DESIGN.md §11), one run per window epoch, with window rotation
+    /// between runs.
     ///
     /// Windows are natural epochs: the stream is segmented at window
     /// boundaries, each segment is committed by one
     /// [`crate::ShardedIngest`] run into the open window, and a rotation
-    /// only happens *between* runs — the scope join at the end of a run
-    /// quiesces every owner, so the sealed window is frozen (no writer
-    /// can touch it again) before window N+1 opens. Reservoir offers are
-    /// replayed sequentially per epoch in arrival order with the same
-    /// RNG, so the sample handed to the next window's partitioner — and
-    /// therefore every later window's layout — is bit-identical to a
-    /// sequential [`try_insert`](Self::try_insert) loop; counter
-    /// parity holds because saturating addition commutes (pinned by the
-    /// `backend_parity` proptests). With one owner this is the windowed
+    /// only happens *between* runs, once the run has committed
+    /// everything it absorbed. Reservoir offers are replayed per epoch in
+    /// arrival order with the same RNG, so the sample handed to the next
+    /// window's partitioner — and therefore every later window's layout —
+    /// is bit-identical to a sequential [`try_insert`](Self::try_insert)
+    /// loop; counter parity holds because saturating addition commutes
+    /// (pinned by the `backend_parity` proptests). This is the windowed
     /// [`EdgeSink::ingest_batch`]. Timestamps must be non-decreasing,
     /// exactly as for `try_insert`: an arrival before the open window
     /// returns [`SketchError::OutOfOrder`]. Epochs are cut at such an
     /// arrival and each is checked before its run, so an `Err` leaves
     /// every earlier epoch committed (and its rotations done) and the
     /// rejected arrival and everything after it unwritten — the state a
-    /// `try_insert` loop stops in. `oversubscribe` forces the requested
-    /// owner count past the host's parallelism (correctness tests).
-    pub fn try_ingest_sharded(
+    /// `try_insert` loop stops in.
+    pub fn try_ingest_batch(
         &mut self,
         stream: &[StreamEdge],
-        owners: usize,
-        oversubscribe: bool,
     ) -> Result<crate::IngestReport, SketchError> {
         let mut report = crate::IngestReport {
             arrivals: 0,
             chunks: 0,
-            workers: 1,
         };
         let mut rest = stream;
         while let Some(first) = rest.first() {
@@ -251,16 +243,11 @@ impl WindowedGSketch {
                 .unwrap_or(rest.len());
             let (epoch, tail) = rest.split_at(epoch_len);
             rest = tail;
-            // Counters: one sharded run into the open window, borrowed in
-            // place. The scope join inside `run_slice` quiesces every
-            // owner and the borrow ends with it, so rotation below never
-            // races a writer.
-            let r = crate::ShardedIngest::new(&mut self.current, owners)
-                .oversubscribe(oversubscribe)
-                .run_slice(epoch);
+            // Counters: one combining run into the open window, borrowed
+            // in place; it has committed everything when it returns.
+            let r = crate::ShardedIngest::new(&mut self.current, 1).run_slice(epoch);
             report.arrivals += r.arrivals;
             report.chunks += r.chunks;
-            report.workers = report.workers.max(r.workers);
             // Sample: reservoir offers stay sequential — offer order
             // drives the RNG, so this is what keeps later windows'
             // partitionings bit-identical to the sequential path.
@@ -848,11 +835,11 @@ impl EdgeSink for WindowedGSketch {
             .expect("timestamps must be non-decreasing");
     }
 
-    /// One fused owner per window epoch
-    /// ([`try_ingest_sharded`](WindowedGSketch::try_ingest_sharded) with
-    /// one owner): bit-identical to an [`update`](Self::update) loop.
+    /// One combining run per window epoch
+    /// ([`try_ingest_batch`](WindowedGSketch::try_ingest_batch)):
+    /// bit-identical to an [`update`](Self::update) loop.
     fn ingest_batch(&mut self, batch: &[StreamEdge]) {
-        self.try_ingest_sharded(batch, 1, false)
+        self.try_ingest_batch(batch)
             // lint: allow(no-panics) — errors only on an out-of-order
             // timestamp, as in `update`; the sink has no error channel.
             .expect("timestamps must be non-decreasing");
@@ -947,7 +934,7 @@ mod tests {
                 .find_map(|&se| serial.try_insert(se).err())
                 .unwrap();
             let mut batched = WindowedGSketch::new(c, builder()).unwrap();
-            let err = batched.try_ingest_sharded(&stream, 1, false).unwrap_err();
+            let err = batched.try_ingest_batch(&stream).unwrap_err();
             assert_eq!(
                 err,
                 SketchError::OutOfOrder {
@@ -1140,12 +1127,12 @@ mod tests {
         }
     }
 
-    /// The epoch-handoff sharded path — counters committed by exclusive
-    /// slice owners, rotations sequential at quiesced boundaries — must
-    /// be bit-identical to a sequential `try_insert` loop: same sealed
-    /// windows, same lifetime and interval answers (including the
-    /// fractional parts), across single- and multi-owner runs, window
-    /// rotations mid-stream, timestamp gaps, and calls split mid-window.
+    /// The epoch-handoff path — counters committed by the combining
+    /// engine, rotations between runs — must be bit-identical to a
+    /// sequential `try_insert` loop: same sealed windows, same lifetime
+    /// and interval answers (including the fractional parts), across
+    /// window rotations mid-stream, timestamp gaps, and calls split
+    /// mid-window.
     #[test]
     fn sharded_ingest_matches_sequential() {
         let stream: Vec<StreamEdge> = (0..650u64)
@@ -1162,33 +1149,24 @@ mod tests {
         for se in &stream {
             seq.try_insert(*se).unwrap();
         }
-        for owners in [1usize, 4] {
-            let mut par = WindowedGSketch::new(cfg(), builder()).unwrap();
-            // Split mid-window: engine state must carry across calls.
-            let report = par
-                .try_ingest_sharded(&stream[..350], owners, true)
-                .unwrap();
-            assert_eq!(report.arrivals, 350);
-            par.try_ingest_sharded(&stream[350..], owners, true)
-                .unwrap();
-            assert_eq!(
-                par.sealed_windows(),
-                seq.sealed_windows(),
-                "{owners} owners"
-            );
-            assert_eq!(par.current_window_start(), seq.current_window_start());
-            let mut a = Vec::new();
-            let mut b = Vec::new();
-            par.estimate_lifetime_batch(&edges, &mut a);
-            seq.estimate_lifetime_batch(&edges, &mut b);
-            for (x, y) in a.iter().zip(&b) {
-                assert_eq!(x.to_bits(), y.to_bits(), "{owners} owners");
-            }
-            par.estimate_interval_batch(&edges, 120, 410, &mut a);
-            seq.estimate_interval_batch(&edges, 120, 410, &mut b);
-            for (x, y) in a.iter().zip(&b) {
-                assert_eq!(x.to_bits(), y.to_bits(), "{owners} owners");
-            }
+        let mut par = WindowedGSketch::new(cfg(), builder()).unwrap();
+        // Split mid-window: engine state must carry across calls.
+        let report = par.try_ingest_batch(&stream[..350]).unwrap();
+        assert_eq!(report.arrivals, 350);
+        par.try_ingest_batch(&stream[350..]).unwrap();
+        assert_eq!(par.sealed_windows(), seq.sealed_windows());
+        assert_eq!(par.current_window_start(), seq.current_window_start());
+        let mut a = Vec::new();
+        let mut b = Vec::new();
+        par.estimate_lifetime_batch(&edges, &mut a);
+        seq.estimate_lifetime_batch(&edges, &mut b);
+        for (x, y) in a.iter().zip(&b) {
+            assert_eq!(x.to_bits(), y.to_bits());
+        }
+        par.estimate_interval_batch(&edges, 120, 410, &mut a);
+        seq.estimate_interval_batch(&edges, 120, 410, &mut b);
+        for (x, y) in a.iter().zip(&b) {
+            assert_eq!(x.to_bits(), y.to_bits());
         }
     }
 

@@ -539,18 +539,16 @@ proptest! {
         }
     }
 
-    /// The owner-sharded engine (scatter → channel handoff → per-owner
-    /// plain-store commits over disjoint arena slices, DESIGN.md §11) is
-    /// observationally identical to sequential ingest for any stream,
-    /// owner count, and chunk size, under real oversubscribed threads.
-    /// Pre-summed per-owner commits are exact addition in the
-    /// non-saturating regime, so parity is bit-for-bit.
+    /// The combining engine (hot-key cache → slot-sorted commits,
+    /// DESIGN.md §11) is observationally identical to sequential ingest
+    /// for any stream, cut into runs at any split points. Pre-summed
+    /// commits are exact addition in the non-saturating regime, so
+    /// parity is bit-for-bit.
     #[test]
     fn sharded_ingest_matches_sequential_ingest(
         sample in vec((0u32..40, 0u32..40, 0u8..8), 1..120),
         tail in vec((0u32..60, 0u32..60, 0u8..8), 0..200),
-        owners in 1usize..9,
-        chunk in 1usize..600,
+        cuts in vec(0usize..320, 0..4),
         depth in 1usize..4,
         seed in any::<u64>(),
     ) {
@@ -565,12 +563,16 @@ proptest! {
         serial.ingest(&stream);
 
         let mut sharded = empty;
-        let report = ShardedIngest::new(&mut sharded, owners)
-            .chunk_capacity(chunk)
-            .oversubscribe(true)
-            .run_slice(&stream);
-        prop_assert_eq!(report.arrivals as usize, stream.len());
-        prop_assert_eq!(report.chunks as usize, stream.len().div_ceil(chunk));
+        let mut cuts: Vec<usize> = cuts.iter().map(|&c| c % (stream.len() + 1)).collect();
+        cuts.push(stream.len());
+        cuts.sort_unstable();
+        let mut from = 0;
+        for &cut in &cuts {
+            let report = ShardedIngest::new(&mut sharded, 1).run_slice(&stream[from..cut]);
+            prop_assert_eq!(report.arrivals as usize, cut - from);
+            prop_assert_eq!(report.chunks, u64::from(cut > from));
+            from = cut;
+        }
 
         for se in &stream {
             prop_assert_eq!(sharded.estimate(se.edge), serial.estimate(se.edge));
@@ -585,9 +587,9 @@ proptest! {
         prop_assert_eq!(sharded.partition_loads(), serial.partition_loads());
     }
 
-    /// Windowed epoch handoff: sharded ingest with rotations mid-stream
+    /// Windowed epoch handoff: batched ingest with rotations mid-stream
     /// (including a split *inside* a window, so one window's arrivals
-    /// arrive across two sharded calls) seals the same windows, keeps
+    /// arrive across two `try_ingest_batch` calls) seals the same windows, keeps
     /// the same reservoir-driven partitionings, and answers every
     /// lifetime and interval query bit-identically to the sequential
     /// deployment (DESIGN.md §11).
@@ -595,7 +597,6 @@ proptest! {
     fn sharded_windowed_ingest_matches_sequential(
         arrivals in vec((0u32..30, 0u32..30, 0u8..8), 2..200),
         span in 5u64..60,
-        owners in 1usize..7,
         split_frac in 0.0f64..1.0,
         t_a in 0u64..260,
         t_b in 0u64..260,
@@ -615,8 +616,8 @@ proptest! {
         let mut sharded =
             WindowedGSketch::new(cfg, GSketch::builder().min_width(16)).unwrap();
         let mid = ((stream.len() as f64) * split_frac) as usize;
-        sharded.try_ingest_sharded(&stream[..mid], owners, true).unwrap();
-        sharded.try_ingest_sharded(&stream[mid..], owners, true).unwrap();
+        sharded.try_ingest_batch(&stream[..mid]).unwrap();
+        sharded.try_ingest_batch(&stream[mid..]).unwrap();
 
         prop_assert_eq!(sharded.sealed_windows(), serial.sealed_windows());
         prop_assert_eq!(sharded.current_window_start(), serial.current_window_start());
@@ -639,7 +640,7 @@ proptest! {
         }
     }
 
-    /// `WindowedGSketch::ingest_batch` (the fused one-owner epoch path)
+    /// `WindowedGSketch::ingest_batch` (the combining epoch path)
     /// over any chunking — cuts inside a window, on window boundaries,
     /// across timestamp gaps, into a window abutting `u64::MAX` — leaves
     /// the deployment exactly as a `try_insert` loop does: the same
@@ -704,18 +705,17 @@ proptest! {
         );
     }
 
-    /// Adaptive warm-up switchover under sharded ingest: the
+    /// Adaptive warm-up switchover under batched ingest: the
     /// order-dependent warm-up prefix replays sequentially inside
-    /// `ingest_sharded` (the switchover fires exactly where it always
+    /// `ingest_batch` (the switchover fires exactly where it always
     /// did), so for any stream, warm-up length, and split point — before,
     /// at, or after the switchover — the deployment is bit-identical to
-    /// sequential ingest under real oversubscribed threads.
+    /// sequential ingest.
     #[test]
     fn sharded_adaptive_ingest_matches_sequential(
         arrivals in vec((0u32..40, 0u32..40, 0u8..8), 2..250),
         warmup_frac in 0.0f64..1.0,
         split_frac in 0.0f64..1.0,
-        owners in 1usize..7,
         seed in any::<u64>(),
     ) {
         let stream = stream_of(&arrivals);
@@ -735,8 +735,8 @@ proptest! {
 
         let mut sharded = AdaptiveGSketch::new(cfg).unwrap();
         let mid = ((stream.len() as f64) * split_frac) as usize;
-        sharded.ingest_sharded(&stream[..mid], owners, true);
-        sharded.ingest_sharded(&stream[mid..], owners, true);
+        sharded.ingest_batch(&stream[..mid]);
+        sharded.ingest_batch(&stream[mid..]);
 
         prop_assert_eq!(sharded.num_partitions(), serial.num_partitions());
         let mut queries: Vec<Edge> = stream.iter().map(|se| se.edge).collect();

@@ -19,12 +19,6 @@
 //! different partitions are disjoint, and the per-partition collision
 //! bound only depends on the family being pairwise independent *within*
 //! a slot.
-//!
-//! [`CmArena::split_slots`] cuts the slab into [`CmArenaSlice`]s: one
-//! exclusive `&mut` view per contiguous slot range. Slot blocks sit
-//! back-to-back, so a slot range is a cell range, and owners of
-//! disjoint ranges commit in parallel with plain stores. The borrow
-//! checker, not a caller contract, keeps each owner inside its range.
 
 use crate::error::SketchError;
 use crate::hash::PairwiseHash;
@@ -282,42 +276,6 @@ impl CmArena {
         if let Some(t) = self.totals.get_mut(slot as usize) {
             *t = t.saturating_add(total);
         }
-    }
-
-    /// Split the arena into one exclusive view per half-open slot range
-    /// `[lo, hi)` of `ranges`, for owners that commit in parallel. Each
-    /// view borrows exactly its slots' cells and totals (`split_at_mut`
-    /// over the slab, whose slot blocks are laid out in slot order), so
-    /// views never alias and a view cannot write outside its range.
-    /// Ranges are taken in order and clipped to the slot space; a range
-    /// that starts before the previous one ended is clipped to start
-    /// where it ended, so overlapping input yields smaller views, never
-    /// shared cells.
-    pub fn split_slots(&mut self, ranges: &[(u32, u32)]) -> Vec<CmArenaSlice<'_>> {
-        let slots = clip_ranges(ranges, self.spans.len());
-        let cell_len = self.cells.len();
-        let first_cell = |s: usize| self.spans.get(s).map_or(cell_len, |sp| sp.offset);
-        let cell_ranges: Vec<(usize, usize)> = slots
-            .iter()
-            .map(|&(lo, hi)| (first_cell(lo), first_cell(hi)))
-            .collect();
-        let cells = split_ranges(&mut self.cells, &cell_ranges);
-        let totals = split_ranges(&mut self.totals, &slots);
-        let (spans, rems, hashes) = (&self.spans, &self.rems, &self.hashes);
-        slots
-            .iter()
-            .zip(&cell_ranges)
-            .zip(cells.into_iter().zip(totals))
-            .map(|((&(lo, hi), &(base, _)), (cells, totals))| CmArenaSlice {
-                lo,
-                spans: spans.get(lo..hi).unwrap_or_default(),
-                rems: rems.get(lo..hi).unwrap_or_default(),
-                base,
-                cells,
-                totals,
-                hashes,
-            })
-            .collect()
     }
 
     /// Per-slot spans (read-only).
@@ -697,15 +655,13 @@ fn batch_read(
     }
 }
 
-/// The shared write kernel of [`CmArena::add_batch_saturating`] and
-/// [`CmArenaSlice::add_batch_saturating`]: coalesce adjacent duplicate
-/// keys, fold each distinct key into the hash field once for all `d`
-/// rows, then walk the run in small blocks — each block first computes
-/// (and prefetches) every target cell, then applies the saturating adds
-/// — so the random cell loads of one block overlap instead of
-/// serializing on memory latency. `span.offset` is the slot block's
-/// first cell *within `cells`*. Returns the run's total weight. The
-/// write-side mirror of `batch_read`.
+/// The write kernel of [`CmArena::add_batch_saturating`]: coalesce
+/// adjacent duplicate keys, fold each distinct key into the hash field
+/// once for all `d` rows, then walk the run in small blocks — each block
+/// first computes (and prefetches) every target cell, then applies the
+/// saturating adds — so the random cell loads of one block overlap
+/// instead of serializing on memory latency. Returns the run's total
+/// weight. The write-side mirror of `batch_read`.
 #[inline]
 fn commit_run(
     hashes: &[PairwiseHash],
@@ -790,88 +746,6 @@ fn commit_run(
         }
     }
     total
-}
-
-/// Clip half-open `[lo, hi)` ranges, taken in order, to ascending
-/// disjoint ranges inside `0..n`: each range starts no earlier than the
-/// previous one ended and ends no later than `n`.
-pub(crate) fn clip_ranges(ranges: &[(u32, u32)], n: usize) -> Vec<(usize, usize)> {
-    let mut next = 0usize;
-    ranges
-        .iter()
-        .map(|&(lo, hi)| {
-            let lo = (lo as usize).clamp(next, n);
-            let hi = (hi as usize).clamp(lo, n);
-            next = hi;
-            (lo, hi)
-        })
-        .collect()
-}
-
-/// Cut `data` into one exclusive piece per range of `ranges`, which must
-/// be ascending and disjoint (as [`clip_ranges`] leaves them); a range
-/// past the end yields an empty piece.
-pub(crate) fn split_ranges<'a, T>(
-    data: &'a mut [T],
-    ranges: &[(usize, usize)],
-) -> Vec<&'a mut [T]> {
-    let mut rest = data;
-    let mut at = 0usize;
-    let mut pieces = Vec::with_capacity(ranges.len());
-    for &(lo, hi) in ranges {
-        let skip = lo.saturating_sub(at).min(rest.len());
-        let (_, tail) = std::mem::take(&mut rest).split_at_mut(skip);
-        let (piece, tail) = tail.split_at_mut(hi.saturating_sub(lo).min(tail.len()));
-        rest = tail;
-        at = at + skip + piece.len();
-        pieces.push(piece);
-    }
-    pieces
-}
-
-/// One owner's share of a [`CmArena`], made by
-/// [`CmArena::split_slots`]: the cells and totals of a contiguous slot
-/// range, borrowed exclusively, plus shared views of the layout and the
-/// hash family. Commits through it are bit-identical to commits into the
-/// whole arena; owners of different slices commit from different
-/// threads with plain stores, and the borrow checker proves they never
-/// share a cell.
-#[derive(Debug)]
-pub struct CmArenaSlice<'a> {
-    /// First slot of the range.
-    lo: usize,
-    /// Spans of the range's slots (offsets are whole-slab offsets).
-    spans: &'a [SlotSpan],
-    /// Width reducers of the range's slots.
-    rems: &'a [FastRem],
-    /// Whole-slab offset of `cells[0]`.
-    base: usize,
-    cells: &'a mut [u64],
-    totals: &'a mut [u64],
-    hashes: &'a [PairwiseHash],
-}
-
-impl CmArenaSlice<'_> {
-    /// [`CmArena::add_batch_saturating`] for a slot of this slice, with
-    /// the same coalescing and saturation semantics and the same kernel.
-    /// A slot outside the slice is a no-op instead of a panic — audited
-    /// panic-free from the compiled artifact (`xtask audit`).
-    // audit: kernel(bounds-free)
-    pub fn add_batch_saturating(&mut self, slot: u32, run: &[(u64, u64)]) {
-        let local = (slot as usize).wrapping_sub(self.lo);
-        let (Some(&span), Some(&rem)) = (self.spans.get(local), self.rems.get(local)) else {
-            return;
-        };
-        let span = SlotSpan {
-            // Never wraps: the slice's spans start at `base`.
-            offset: span.offset.wrapping_sub(self.base),
-            width: span.width,
-        };
-        let total = commit_run(self.hashes, self.cells, span, rem, run);
-        if let Some(t) = self.totals.get_mut(local) {
-            *t = t.saturating_add(total);
-        }
-    }
 }
 
 #[cfg(test)]
@@ -1137,73 +1011,10 @@ mod tests {
         }
     }
 
-    /// Commits through per-owner slices are bit-identical to whole-arena
-    /// commits — cells, totals and filter words — however the slots are
-    /// cut into owner ranges (one slot, uneven ranges, all slots, and an
-    /// overlapping cut that `split_slots` clips), at every depth regime.
-    /// Every run is offered to every slice, so a slice that wrote a slot
-    /// outside its range would show up as a diff.
-    #[test]
-    fn owner_slices_match_whole_arena_commits() {
-        use crate::BlockedBloom;
-        let widths = [64usize, 32, 96, 16, 48];
-        let cuts: [&[(u32, u32)]; 5] = [
-            &[(2, 3)],
-            &[(0, 1), (1, 4), (4, 5)],
-            &[(0, 2), (2, 5)],
-            &[(0, 3), (2, 5)],
-            &[(0, 5)],
-        ];
-        let runs: Vec<(u32, Vec<(u64, u64)>)> = (0..5u32)
-            .map(|slot| {
-                let mut run: Vec<(u64, u64)> = (0..300u64)
-                    .map(|k| ((k * 7 + u64::from(slot)) % 113, k % 4))
-                    .collect();
-                run.sort_unstable_by_key(|p| p.0);
-                (slot, run)
-            })
-            .collect();
-        for depth in [1usize, 3, 9] {
-            for ranges in cuts {
-                let mut whole = CmArena::with_slots(&widths, depth, 19).unwrap();
-                let mut whole_filter = BlockedBloom::with_blocks(&[1, 3, 2, 1, 4], 23).unwrap();
-                let mut sliced = whole.clone();
-                let mut sliced_filter = whole_filter.clone();
-                {
-                    let mut cells = sliced.split_slots(ranges);
-                    let mut filters = sliced_filter.split_slots(ranges);
-                    assert_eq!(cells.len(), ranges.len());
-                    assert_eq!(filters.len(), ranges.len());
-                    for (slot, run) in &runs {
-                        for (c, f) in cells.iter_mut().zip(filters.iter_mut()) {
-                            c.add_batch_saturating(*slot, run);
-                            f.insert_run(*slot, run);
-                        }
-                    }
-                }
-                for (slot, run) in &runs {
-                    if ranges.iter().any(|&(lo, hi)| (lo..hi).contains(slot)) {
-                        whole.add_batch_saturating(*slot, run);
-                        whole_filter.insert_run(*slot, run);
-                    }
-                }
-                assert_eq!(sliced.cells, whole.cells, "depth {depth} cut {ranges:?}");
-                assert_eq!(sliced.totals, whole.totals, "depth {depth} cut {ranges:?}");
-                assert_eq!(
-                    serde::Serialize::to_value(&sliced_filter),
-                    serde::Serialize::to_value(&whole_filter),
-                    "depth {depth} cut {ranges:?}"
-                );
-            }
-        }
-    }
-
     #[test]
     fn batch_commit_empty_run_is_noop() {
         let mut a = CmArena::with_slots(&[16], 2, 1).unwrap();
         a.add_batch_saturating(0, &[]);
-        assert_eq!(a.slot_total(0), 0);
-        a.split_slots(&[(0, 1)])[0].add_batch_saturating(0, &[]);
         assert_eq!(a.slot_total(0), 0);
     }
 

@@ -13,18 +13,14 @@
 //!
 //! The filter is **slot-partitioned** exactly like the
 //! [`CmArena`](crate::CmArena) slab: each slot owns a contiguous run of
-//! blocks ([`BlockSpan`], mirroring [`SlotSpan`](crate::SlotSpan)), so
-//! it splits the same way —
-//! [`split_slots`](BlockedBloom::split_slots) hands each owner of the
-//! sharded ingest engine an exclusive [`BlockedBloomSlice`] of the
-//! words its slot range owns.
+//! blocks ([`BlockSpan`], mirroring [`SlotSpan`](crate::SlotSpan)).
 //!
 //! [`contains_batch`](BlockedBloom::contains_batch) mirrors the arena's
 //! batched read kernel: adjacent duplicate keys are answered once, and
 //! the run is walked in small blocks that first compute and prefetch
 //! every target line, then test bits out of now-resident lines.
 
-use crate::arena::{clip_ranges, split_ranges, FastRem, READ_BLOCK};
+use crate::arena::{FastRem, READ_BLOCK};
 use crate::error::SketchError;
 use crate::hash::mix64;
 use serde::{Deserialize, Serialize};
@@ -170,7 +166,17 @@ impl BlockedBloom {
         else {
             return;
         };
-        insert_run_into(&mut self.words, self.seed, rem, span, run);
+        let mut i = 0;
+        while i < run.len() {
+            let key = run[i].0;
+            while i < run.len() && run[i].0 == key {
+                i += 1;
+            }
+            let (word, mask) = probe_of(self.seed, rem, span, key);
+            if let Some(w) = self.words.get_mut(word) {
+                *w |= mask;
+            }
+        }
     }
 
     /// Whether `key` may be a member of `slot`. `false` is definitive
@@ -259,36 +265,6 @@ impl BlockedBloom {
     pub fn num_slots(&self) -> usize {
         self.spans.len()
     }
-
-    /// Split the word array into one exclusive view per half-open slot
-    /// range `[lo, hi)` of `ranges` — the filter mirror of
-    /// [`CmArena::split_slots`](crate::CmArena::split_slots), with the
-    /// same in-order clipping, so the same ranges give both structures
-    /// the same owners.
-    pub fn split_slots(&mut self, ranges: &[(u32, u32)]) -> Vec<BlockedBloomSlice<'_>> {
-        let slots = clip_ranges(ranges, self.spans.len());
-        let word_len = self.words.len();
-        let first_word = |s: usize| self.spans.get(s).map_or(word_len, |sp| sp.offset * LANES);
-        let word_ranges: Vec<(usize, usize)> = slots
-            .iter()
-            .map(|&(lo, hi)| (first_word(lo), first_word(hi)))
-            .collect();
-        let words = split_ranges(&mut self.words, &word_ranges);
-        let (spans, rems, seed) = (&self.spans, &self.rems, self.seed);
-        slots
-            .iter()
-            .zip(&word_ranges)
-            .zip(words)
-            .map(|((&(lo, hi), &(base, _)), words)| BlockedBloomSlice {
-                lo,
-                spans: spans.get(lo..hi).unwrap_or_default(),
-                rems: rems.get(lo..hi).unwrap_or_default(),
-                base_block: base / LANES,
-                words,
-                seed,
-            })
-            .collect()
-    }
 }
 
 // The derived serde impls cannot skip the `FastRem` cache (and should
@@ -337,31 +313,6 @@ impl serde::Deserialize for BlockedBloom {
             seed,
             rems,
         })
-    }
-}
-
-/// Set the membership bits of a slot run in `words`: adjacent duplicate
-/// keys are inserted once. `span.offset` is the slot's first block
-/// *within `words`*; a word index past the array is skipped, never a
-/// panic.
-#[inline]
-fn insert_run_into(
-    words: &mut [u64],
-    seed: u64,
-    rem: FastRem,
-    span: BlockSpan,
-    run: &[(u64, u64)],
-) {
-    let mut i = 0;
-    while i < run.len() {
-        let key = run[i].0;
-        while i < run.len() && run[i].0 == key {
-            i += 1;
-        }
-        let (word, mask) = probe_of(seed, rem, span, key);
-        if let Some(w) = words.get_mut(word) {
-            *w |= mask;
-        }
     }
 }
 
@@ -425,42 +376,6 @@ fn contains_batch_kernel(
             }
             from = to;
         }
-    }
-}
-
-/// One owner's share of a [`BlockedBloom`], made by
-/// [`BlockedBloom::split_slots`]: the words of a contiguous slot range,
-/// borrowed exclusively. Inserts through it set exactly the bits the
-/// same inserts into the whole filter would.
-#[derive(Debug)]
-pub struct BlockedBloomSlice<'a> {
-    /// First slot of the range.
-    lo: usize,
-    /// Spans of the range's slots (offsets are whole-filter offsets).
-    spans: &'a [BlockSpan],
-    rems: &'a [FastRem],
-    /// Whole-filter index of the block at `words[0]`.
-    base_block: usize,
-    words: &'a mut [u64],
-    seed: u64,
-}
-
-impl BlockedBloomSlice<'_> {
-    /// [`BlockedBloom::insert_run`] for a slot of this slice. A slot
-    /// outside the slice is a no-op instead of a panic — audited
-    /// panic-free from the compiled artifact (`xtask audit`).
-    // audit: kernel(bounds-free)
-    pub fn insert_run(&mut self, slot: u32, run: &[(u64, u64)]) {
-        let local = (slot as usize).wrapping_sub(self.lo);
-        let (Some(&rem), Some(&span)) = (self.rems.get(local), self.spans.get(local)) else {
-            return;
-        };
-        let span = BlockSpan {
-            // Never wraps: the slice's spans start at `base_block`.
-            offset: span.offset.wrapping_sub(self.base_block),
-            blocks: span.blocks,
-        };
-        insert_run_into(self.words, self.seed, rem, span, run);
     }
 }
 

@@ -5,11 +5,9 @@
 //!
 //! * [`CmArena`] — the one CountMin engine (Cormode & Muthukrishnan
 //!   2005; paper §3.2 and Figure 1): all of a gSketch's partitions'
-//!   counters in one contiguous slab with a shared per-row hash family,
-//!   split into exclusive per-owner [`CmArenaSlice`]s for parallel
-//!   ingest (DESIGN.md §2). A one-slot arena is a plain CountMin
-//!   sketch, which is what the core crate's Global baseline and
-//!   adaptive warm-up are;
+//!   counters in one contiguous slab with a shared per-row hash family
+//!   (DESIGN.md §2). A one-slot arena is a plain CountMin sketch, which
+//!   is what the core crate's Global baseline and adaptive warm-up are;
 //! * [`CountMinSketch`] — the per-arrival reference model the arena is
 //!   pinned against in the parity tests; no deployment builds it;
 //! * [`CountSketch`] — unbiased L2-error point estimates (Charikar, Chen
@@ -70,8 +68,8 @@ pub fn prefetch<T>(p: *const T) {
     #[cfg(not(target_arch = "x86_64"))]
     let _ = p;
 }
-pub use arena::{CmArena, CmArenaSlice, SlotSpan};
-pub use blocked_bloom::{BlockSpan, BlockedBloom, BlockedBloomSlice};
+pub use arena::{CmArena, SlotSpan};
+pub use blocked_bloom::{BlockSpan, BlockedBloom};
 pub use countmin::{CountMinSketch, UpdatePolicy};
 pub use countsketch::CountSketch;
 pub use error::SketchError;

@@ -540,7 +540,7 @@ fn walk_rs(dir: &Path, out: &mut Vec<PathBuf>) -> Result<(), String> {
 
 /// One file's annotation scan. Tracks the innermost `impl` type above
 /// each annotation so same-named methods on sibling types (`CmArena` vs
-/// `CmArenaSlice`) resolve to distinct kernels.
+/// `BlockedBloom`) resolve to distinct kernels.
 fn scan_file(
     lib: &str,
     rel: &str,
@@ -659,8 +659,8 @@ fn parse_fn_name(line: &str) -> Option<String> {
 // ---------------------------------------------------------------------
 
 /// Whether `needle` occurs in `hay` as a whole path segment (bounded by
-/// non-identifier characters), so `CmArena` never matches inside
-/// `CmArenaSlice` and `GSketch` never matches inside `GSketchBuilder`.
+/// non-identifier characters), so `GSketch` never matches inside
+/// `GSketchBuilder`.
 pub fn contains_path_segment(hay: &str, needle: &str) -> bool {
     let mut start = 0;
     while let Some(pos) = hay[start..].find(needle) {

@@ -13,9 +13,8 @@
 //!   three lines either side). Widening bit-count casts
 //!   (`…_zeros() as usize`, `count_ones() as usize`) are exempt.
 //! * **sink-bypass** — the slot-level commit surface (the arena's
-//!   `update_slot`/`add_batch_saturating`, the filter's `insert_run`,
-//!   `split_slots`, and the owner-slice `add_batch_saturating`/
-//!   `insert_run` it hands out) may only be driven from the sketch
+//!   `update_slot`/`update_slot_conservative`/`add_batch_saturating`
+//!   and the filter's `insert_run`) may only be driven from the sketch
 //!   substrate and the core engine; every other crate must ingest
 //!   through `EdgeSink` or `ShardedIngest`.
 //! * **design-citations** — every `DESIGN.md §N` citation (in any
@@ -596,7 +595,6 @@ fn check_sink_bypass(sf: &SourceFile, findings: &mut Vec<Finding>) {
         "update_slot_conservative(",
         "add_batch_saturating(",
         "insert_run(",
-        "split_slots(",
     ];
     for (idx, line) in sf.code.iter().enumerate() {
         if sf.in_test[idx] {
@@ -1035,7 +1033,7 @@ mod tests {
             "crates/cli/src/x.rs".into(),
             "cli".into(),
             "fn a(ar: &A) { ar.update_slot(0, 1, 1); }\n\
-             fn b(ar: &mut A) { ar.split_slots(&[(0, 1)])[0].add_batch_saturating(0, &[]); }\n\
+             fn b(ar: &mut A) { ar.add_batch_saturating(0, &[]); }\n\
              fn c(f: &mut F) { f.insert_run(0, &[]); }\n\
              fn d(ar: &mut A) { ar.update_slot_conservative(0, 1, 1); }\n",
         );

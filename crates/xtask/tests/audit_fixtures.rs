@@ -256,7 +256,7 @@ fn committed_baseline_parses_and_covers_the_hot_kernels() {
     for key in [
         "sketch::CmArena::estimate_batch_slot",
         "sketch::CmArena::estimate_gather",
-        "sketch::CmArenaSlice::add_batch_saturating",
+        "sketch::CmArena::add_batch_saturating",
         "sketch::BlockedBloom::contains_batch",
         "sketch::BlockedBloom::contains_gather",
         "gsketch::OwnerWorker::commit_evicted",
